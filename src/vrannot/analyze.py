@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
 
 from .corpus import AnnotationCorpus, BoundingBox, find_exact_duplicates
 from .errors import ConfigError, DegenerateBoxError, IdOutOfRangeError, ImageNotFoundError
-from .protocol import _strip_quotes
+from .protocol import strip_quotes
 
 WILDCARD = "*"
 
@@ -36,7 +35,7 @@ def parse_pattern(text: str) -> VRPattern:
     inner = text.strip()
     if inner.startswith("(") and inner.endswith(")"):
         inner = inner[1:-1]
-    parts = [_strip_quotes(p.strip()) for p in inner.split(",")]
+    parts = [strip_quotes(p.strip()) for p in inner.split(",")]
     if len(parts) != 3 or any(not p for p in parts):
         raise ConfigError(f"pattern must be three comma-separated names, got {text!r}")
     return VRPattern(*(None if p == WILDCARD else p for p in parts))
@@ -260,6 +259,18 @@ _PALETTE = (
 )
 
 
+# Same output as xml.sax.saxutils, whose import pulls in urllib.request and email.
+def xml_escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def xml_quoteattr(text: str) -> str:
+    text = xml_escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' in text and "'" in text:
+        text = text.replace('"', "&quot;")
+    return f"'{text}'" if '"' in text else f'"{text}"'
+
+
 def render_overlay(
     corpus: AnnotationCorpus,
     filename: str,
@@ -294,12 +305,12 @@ def render_overlay(
         '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">\n',
-        f'  <image href={quoteattr(filename)} x="0" y="0" '
+        f'  <image href={xml_quoteattr(filename)} x="0" y="0" '
         f'width="{width}" height="{height}"/>\n',
     ]
     for index, (class_id, bbox) in enumerate(objects):
         color = _PALETTE[index % len(_PALETTE)]
-        label = escape(corpus.class_name(class_id))
+        label = xml_escape(corpus.class_name(class_id))
         parts.append(
             f'  <rect x="{bbox.xmin}" y="{bbox.ymin}" '
             f'width="{bbox.xmax - bbox.xmin}" height="{bbox.ymax - bbox.ymin}" '

@@ -13,9 +13,10 @@ to identical bytes.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -190,11 +191,13 @@ class CorpusStats:
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise MalformedRecordError("annotations", f"duplicate key {key!r}")
-        out[key] = value
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise MalformedRecordError("annotations", f"duplicate key {key!r}")
+            seen.add(key)
     return out
 
 
@@ -223,22 +226,59 @@ def load_master_list(path, what: str = "name") -> list[str]:
     return data
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_RECORD_KEYS = frozenset({"predicate", "subject", "object"})
+_OBJECT_KEYS = frozenset({"category", "bbox"})
 
 
-def _parse_bbox(raw: object, where: str) -> BoundingBox:
-    if not isinstance(raw, list) or len(raw) != 4 or any(not _is_int(v) for v in raw):
-        raise MalformedRecordError(where, f"bbox must be 4 integers, got {raw!r}")
-    return BoundingBox(*raw)
+def _parse_annotated_object(raw: object, image: str, index: int, side: str) -> AnnotatedObject:
+    # The location string is built only on a raise; `type(x) is int` rejects bool.
+    if not isinstance(raw, dict) or raw.keys() != _OBJECT_KEYS:
+        raise MalformedRecordError(
+            f"{image}[{index}].{side}", "expected an object with keys 'category' and 'bbox'"
+        )
+    category, bbox = raw["category"], raw["bbox"]
+    if type(category) is not int:
+        raise MalformedRecordError(f"{image}[{index}].{side}", "category must be an integer")
+    if isinstance(bbox, list) and len(bbox) == 4:
+        ymin, ymax, xmin, xmax = bbox
+        if type(ymin) is type(ymax) is type(xmin) is type(xmax) is int:
+            return AnnotatedObject(category, BoundingBox(ymin, ymax, xmin, xmax))
+    raise MalformedRecordError(f"{image}[{index}].{side}", f"bbox must be 4 integers, got {bbox!r}")
 
 
-def _parse_annotated_object(raw: object, where: str) -> AnnotatedObject:
-    if not isinstance(raw, dict) or set(raw) != {"category", "bbox"}:
-        raise MalformedRecordError(where, "expected an object with keys 'category' and 'bbox'")
-    if not _is_int(raw["category"]):
-        raise MalformedRecordError(where, "category must be an integer")
-    return AnnotatedObject(raw["category"], _parse_bbox(raw["bbox"], where))
+def _load_images(annotations_path, n_classes: int, n_predicates: int) -> dict:
+    raw = _load_json(Path(annotations_path), detect_duplicate_keys=True)
+    if not isinstance(raw, dict):
+        raise MalformedRecordError(str(annotations_path), "annotations root must be an object")
+
+    images: dict[str, list[VisualRelationship]] = {}
+    for image, records in raw.items():
+        if not isinstance(records, list):
+            raise MalformedRecordError(image, "image entry must be an array of records")
+        vrs: list[VisualRelationship] = []
+        # Frozen, so value-equal participants in one image can share one object.
+        shared: dict[tuple, AnnotatedObject] = {}
+        for index, record in enumerate(records):
+            if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
+                raise MalformedRecordError(
+                    f"{image}[{index}]", "expected keys 'predicate', 'subject' and 'object'"
+                )
+            predicate = record["predicate"]
+            if type(predicate) is not int:
+                raise MalformedRecordError(f"{image}[{index}]", "predicate must be an integer")
+            subject = _parse_annotated_object(record["subject"], image, index, "subject")
+            obj = _parse_annotated_object(record["object"], image, index, "object")
+            if not 0 <= subject.class_id < n_classes:
+                raise IdOutOfRangeError(image, index, "subject.category", subject.class_id, n_classes)
+            if not 0 <= obj.class_id < n_classes:
+                raise IdOutOfRangeError(image, index, "object.category", obj.class_id, n_classes)
+            if not 0 <= predicate < n_predicates:
+                raise IdOutOfRangeError(image, index, "predicate", predicate, n_predicates)
+            subject = shared.setdefault((subject.class_id, subject.bbox.as_tuple()), subject)
+            obj = shared.setdefault((obj.class_id, obj.bbox.as_tuple()), obj)
+            vrs.append(VisualRelationship(subject, predicate, obj))
+        images[image] = vrs
+    return images
 
 
 def load_corpus(annotations_path, classes_path, predicates_path) -> AnnotationCorpus:
@@ -249,34 +289,14 @@ def load_corpus(annotations_path, classes_path, predicates_path) -> AnnotationCo
     """
     classes = load_master_list(classes_path, "object class")
     predicates = load_master_list(predicates_path, "predicate")
-    raw = _load_json(Path(annotations_path), detect_duplicate_keys=True)
-    if not isinstance(raw, dict):
-        raise MalformedRecordError(str(annotations_path), "annotations root must be an object")
-
-    images: dict[str, list[VisualRelationship]] = {}
-    for image, records in raw.items():
-        if not isinstance(records, list):
-            raise MalformedRecordError(image, "image entry must be an array of records")
-        vrs: list[VisualRelationship] = []
-        for index, record in enumerate(records):
-            where = f"{image}[{index}]"
-            if not isinstance(record, dict) or set(record) != {"predicate", "subject", "object"}:
-                raise MalformedRecordError(
-                    where, "expected keys 'predicate', 'subject' and 'object'"
-                )
-            if not _is_int(record["predicate"]):
-                raise MalformedRecordError(where, "predicate must be an integer")
-            subject = _parse_annotated_object(record["subject"], where + ".subject")
-            obj = _parse_annotated_object(record["object"], where + ".object")
-            if not 0 <= subject.class_id < len(classes):
-                raise IdOutOfRangeError(image, index, "subject.category", subject.class_id, len(classes))
-            if not 0 <= obj.class_id < len(classes):
-                raise IdOutOfRangeError(image, index, "object.category", obj.class_id, len(classes))
-            if not 0 <= record["predicate"] < len(predicates):
-                raise IdOutOfRangeError(image, index, "predicate", record["predicate"], len(predicates))
-            vrs.append(VisualRelationship(subject, record["predicate"], obj))
-        images[image] = vrs
-    return AnnotationCorpus(images, classes, predicates)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # the decoded tree and the model are acyclic; GC would only rescan them
+    try:
+        images = _load_images(annotations_path, len(classes), len(predicates))
+        return AnnotationCorpus(images, classes, predicates)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 # --------------------------------------------------------------------------
@@ -461,7 +481,3 @@ def diff_corpora(before: AnnotationCorpus, after: AnnotationCorpus) -> CorpusDif
         )
     return CorpusDiff(deltas)
 
-
-def with_updated_vr(vr: VisualRelationship, **changes) -> VisualRelationship:
-    """Convenience wrapper around dataclasses.replace for relationship edits."""
-    return replace(vr, **changes)

@@ -69,8 +69,6 @@ class Iri:
 
 RDF_TYPE = Iri(RDF_TYPE_IRI)
 
-Term = "Iri | int | str"
-
 
 @dataclass(frozen=True)
 class Triple:

@@ -130,7 +130,7 @@ _CLOSE_QUOTES = "'\"’”"
 _INT_RE = re.compile(r"-?\d+$")
 
 
-def _strip_quotes(name: str) -> str:
+def strip_quotes(name: str) -> str:
     if len(name) >= 2 and name[0] in _OPEN_QUOTES and name[-1] in _CLOSE_QUOTES:
         return name[1:-1].strip()
     return name
@@ -143,7 +143,7 @@ def _parse_index(text: str, line: int) -> int:
 
 
 def _parse_name(text: str, line: int, what: str) -> str:
-    name = _strip_quotes(text)
+    name = strip_quotes(text)
     if not name:
         raise ParseError(line, f"empty {what}")
     return name

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
+from xml.sax import saxutils
 
 import pytest
 
+import vrannot
 from vrannot.analyze import (
     METRICS,
     LintRule,
@@ -15,6 +21,8 @@ from vrannot.analyze import (
     parse_pattern,
     query_images,
     render_overlay,
+    xml_escape,
+    xml_quoteattr,
 )
 from vrannot.corpus import (
     AnnotatedObject,
@@ -485,3 +493,60 @@ class TestOverlay:
         assert "black &amp; white dog" in svg
         assert "&lt;hat&gt;" in svg
         assert "&" not in svg.replace("&amp;", "").replace("&lt;", "").replace("&gt;", "").replace("&quot;", "")
+
+    def test_bytes_pinned(self, tmp_path):
+        image = "it's \"odd\" & <x>\t.jpg"
+        corpus = AnnotationCorpus(
+            images={
+                image: [
+                    VisualRelationship(
+                        AnnotatedObject(0, BoundingBox(0, 10, 0, 10)),
+                        0,
+                        AnnotatedObject(1, BoundingBox(20, 30, 20, 30)),
+                    )
+                ]
+            },
+            object_class_names=["black & white dog", "<hat> \"q\" 's"],
+            predicate_names=["wear"],
+        )
+        out = tmp_path / "odd.svg"
+        render_overlay(corpus, image, None, out)
+        assert out.read_bytes() == (
+            b'<?xml version="1.0" encoding="UTF-8"?>\n'
+            b'<svg xmlns="http://www.w3.org/2000/svg" width="30" height="30" viewBox="0 0 30 30">\n'
+            b'  <image href="it\'s &quot;odd&quot; &amp; &lt;x&gt;&#9;.jpg" x="0" y="0" '
+            b'width="30" height="30"/>\n'
+            b'  <rect x="0" y="0" width="10" height="10" fill="none" stroke="#e6194b" '
+            b'stroke-width="2"/>\n'
+            b'  <text x="2" y="14" font-family="sans-serif" font-size="12" '
+            b'fill="#e6194b">black &amp; white dog</text>\n'
+            b'  <rect x="20" y="20" width="10" height="10" fill="none" stroke="#3cb44b" '
+            b'stroke-width="2"/>\n'
+            b'  <text x="22" y="34" font-family="sans-serif" font-size="12" '
+            b'fill="#3cb44b">&lt;hat&gt; "q" \'s</text>\n'
+            b"</svg>\n"
+        )
+
+
+class TestXmlEscaping:
+    ALPHABET = "&<>\"'\n\r\t\\ aZ9;é中😀"
+
+    def test_matches_saxutils_randomized(self):
+        rng = random.Random(47)
+        for _ in range(2000):
+            text = "".join(rng.choice(self.ALPHABET) for _ in range(rng.randrange(0, 12)))
+            assert xml_escape(text) == saxutils.escape(text)
+            assert xml_quoteattr(text) == saxutils.quoteattr(text)
+
+    def test_cli_import_stays_lean(self):
+        src = str(Path(vrannot.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        heavy = ("xml.sax", "urllib.request", "http.client", "email")
+        code = (
+            "import sys, vrannot.cli\n"
+            f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"

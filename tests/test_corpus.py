@@ -1,6 +1,9 @@
+import gc
+import itertools
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from vrannot.corpus import (
     diff_corpora,
     find_exact_duplicates,
     load_corpus,
+    load_master_list,
     save_corpus,
 )
 from vrannot.errors import (
@@ -22,6 +26,7 @@ from vrannot.errors import (
     IdOutOfRangeError,
     MalformedRecordError,
     UnknownNameError,
+    VrannotError,
 )
 
 from helpers import LISTING_DIR, load_listing_corpus, random_corpus, random_vr
@@ -117,6 +122,286 @@ class TestLoad:
         paths = write_corpus_files(tmp_path, annotations, ["person"], ["on"])
         corpus = load_corpus(*paths)
         assert not corpus.images["a.jpg"][0].subject.bbox.well_formed
+
+
+# --------------------------------------------------------------------------
+# reference loader: the record loop as it was before load validation was
+# streamlined, kept verbatim as the oracle for accepted corpora and errors
+# --------------------------------------------------------------------------
+
+
+def _ref_reject_duplicate_keys(pairs):
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise MalformedRecordError("annotations", f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
+def _ref_is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ref_parse_bbox(raw, where):
+    if not isinstance(raw, list) or len(raw) != 4 or any(not _ref_is_int(v) for v in raw):
+        raise MalformedRecordError(where, f"bbox must be 4 integers, got {raw!r}")
+    return BoundingBox(*raw)
+
+
+def _ref_parse_annotated_object(raw, where):
+    if not isinstance(raw, dict) or set(raw) != {"category", "bbox"}:
+        raise MalformedRecordError(where, "expected an object with keys 'category' and 'bbox'")
+    if not _ref_is_int(raw["category"]):
+        raise MalformedRecordError(where, "category must be an integer")
+    return AnnotatedObject(raw["category"], _ref_parse_bbox(raw["bbox"], where))
+
+
+def reference_load_corpus(annotations_path, classes_path, predicates_path):
+    classes = load_master_list(classes_path, "object class")
+    predicates = load_master_list(predicates_path, "predicate")
+    text = Path(annotations_path).read_text(encoding="utf-8")
+    try:
+        raw = json.loads(text, object_pairs_hook=_ref_reject_duplicate_keys)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecordError(str(annotations_path), str(exc)) from None
+    if not isinstance(raw, dict):
+        raise MalformedRecordError(str(annotations_path), "annotations root must be an object")
+
+    images = {}
+    for image, records in raw.items():
+        if not isinstance(records, list):
+            raise MalformedRecordError(image, "image entry must be an array of records")
+        vrs = []
+        for index, record in enumerate(records):
+            where = f"{image}[{index}]"
+            if not isinstance(record, dict) or set(record) != {"predicate", "subject", "object"}:
+                raise MalformedRecordError(
+                    where, "expected keys 'predicate', 'subject' and 'object'"
+                )
+            if not _ref_is_int(record["predicate"]):
+                raise MalformedRecordError(where, "predicate must be an integer")
+            subject = _ref_parse_annotated_object(record["subject"], where + ".subject")
+            obj = _ref_parse_annotated_object(record["object"], where + ".object")
+            if not 0 <= subject.class_id < len(classes):
+                raise IdOutOfRangeError(image, index, "subject.category", subject.class_id, len(classes))
+            if not 0 <= obj.class_id < len(classes):
+                raise IdOutOfRangeError(image, index, "object.category", obj.class_id, len(classes))
+            if not 0 <= record["predicate"] < len(predicates):
+                raise IdOutOfRangeError(image, index, "predicate", record["predicate"], len(predicates))
+            vrs.append(VisualRelationship(subject, record["predicate"], obj))
+        images[image] = vrs
+    return AnnotationCorpus(images, classes, predicates)
+
+
+class Pairs(list):
+    """A JSON object given as (key, value) pairs, so that keys may repeat."""
+
+
+def dumps(value) -> str:
+    """json.dumps that also writes Pairs, repeated keys included."""
+    if isinstance(value, dict):
+        value = Pairs(value.items())
+    if isinstance(value, Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {dumps(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(dumps(v) for v in value) + "]"
+    return json.dumps(value)
+
+
+def raw_annotations(corpus):
+    return json.loads(canonical_annotations_bytes(corpus))
+
+
+def with_repeat(mapping: dict, rng) -> Pairs:
+    """The mapping with one of its keys repeated at a random later position."""
+    pairs = Pairs(mapping.items())
+    key, value = rng.choice(pairs)
+    pairs.insert(rng.randrange(pairs.index((key, value)) + 1, len(pairs) + 1), (key, value))
+    return pairs
+
+
+def mutate(raw: dict, rng, n_classes: int, n_predicates: int, touched: set):
+    """Apply one seeded single-field mutation to an image not yet in
+    `touched`; returns (kind, new root)."""
+    image = rng.choice([image for image, records in raw.items() if records and image not in touched])
+    touched.add(image)
+    records = raw[image]
+    index = rng.randrange(len(records))
+    record = records[index]
+    side = rng.choice(("subject", "object"))
+    kind = rng.choice(
+        (
+            "drop record key", "extra record key", "drop object key", "extra object key",
+            "odd category", "odd predicate", "short bbox", "long bbox", "odd bbox value",
+            "bbox not a list", "category range", "predicate range", "non-dict record",
+            "non-dict object", "non-list image", "non-dict root", "repeat root key",
+            "repeat record key", "repeat object key",
+        )
+    )
+    if kind == "drop record key":
+        del record[rng.choice(sorted(record))]
+    elif kind == "extra record key":
+        record[rng.choice(("note", "score", "Predicate"))] = rng.choice((0, "x", None))
+    elif kind == "drop object key":
+        del record[side][rng.choice(("category", "bbox"))]
+    elif kind == "extra object key":
+        record[side][rng.choice(("score", "name"))] = rng.choice((0.5, "x", []))
+    elif kind == "odd category":
+        record[side]["category"] = rng.choice((True, False, 1.0, 0.0, "1", None))
+    elif kind == "odd predicate":
+        record["predicate"] = rng.choice((True, False, 1.0, 0.0, "0", None))
+    elif kind == "short bbox":
+        record[side]["bbox"] = record[side]["bbox"][:3]
+    elif kind == "long bbox":
+        record[side]["bbox"] = record[side]["bbox"] + [7]
+    elif kind == "odd bbox value":
+        record[side]["bbox"][rng.randrange(4)] = rng.choice(("7", True, 7.0, None, [7]))
+    elif kind == "bbox not a list":
+        record[side]["bbox"] = rng.choice(("0,1,2,3", {"ymin": 0}, None, 4))
+    elif kind == "category range":
+        record[side]["category"] = rng.choice((n_classes, n_classes + 5, -1))
+    elif kind == "predicate range":
+        record["predicate"] = rng.choice((n_predicates, n_predicates + 5, -1))
+    elif kind == "non-dict record":
+        records[index] = rng.choice(([], "record", 3, None, [record]))
+    elif kind == "non-dict object":
+        record[side] = rng.choice(([], "object", 0, None))
+    elif kind == "non-list image":
+        raw[image] = rng.choice(({}, "records", 3, None, record))
+    elif kind == "non-dict root":
+        return kind, rng.choice(([raw], "annotations", None, 3))
+    elif kind == "repeat root key":
+        return kind, with_repeat(raw, rng)
+    elif kind == "repeat record key":
+        records[index] = with_repeat(record, rng)
+    elif kind == "repeat object key":
+        record[side] = with_repeat(record[side], rng)
+    return kind, raw
+
+
+def load_outcome(loader, paths):
+    try:
+        return loader(*paths)
+    except VrannotError as exc:
+        return type(exc), str(exc)
+
+
+class TestLoaderOracle:
+    def check(self, tmp_path, root, classes, predicates):
+        a = tmp_path / "annotations.json"
+        c = tmp_path / "classes.json"
+        p = tmp_path / "predicates.json"
+        a.write_text(dumps(root), encoding="utf-8")
+        c.write_text(json.dumps(classes))
+        p.write_text(json.dumps(predicates))
+        expected = load_outcome(reference_load_corpus, (a, c, p))
+        assert load_outcome(load_corpus, (a, c, p)) == expected
+        return expected
+
+    def test_valid_corpora_equal_reference(self, tmp_path):
+        rng = random.Random(41)
+        for _ in range(40):
+            corpus = random_corpus(rng, max_images=12, allow_empty_images=True)
+            outcome = self.check(
+                tmp_path, raw_annotations(corpus), corpus.object_class_names, corpus.predicate_names
+            )
+            assert outcome == corpus
+
+    def test_mutations_match_reference(self, tmp_path):
+        rng = random.Random(43)
+        kinds, errors = set(), set()
+        for _ in range(400):
+            corpus = random_corpus(rng, max_images=6, max_vrs=5)
+            n_classes, n_predicates = len(corpus.object_class_names), len(corpus.predicate_names)
+            root = raw_annotations(corpus)
+            touched = set()
+            for _ in range(min(len(root), rng.choice((1, 1, 1, 2)))):
+                kind, root = mutate(root, rng, n_classes, n_predicates, touched)
+                kinds.add(kind)
+                if not isinstance(root, dict):
+                    break
+            outcome = self.check(
+                tmp_path, root, corpus.object_class_names, corpus.predicate_names
+            )
+            if isinstance(outcome, tuple):
+                errors.add(outcome[0])
+        assert len(kinds) == 19
+        assert errors == {MalformedRecordError, IdOutOfRangeError}
+
+    def test_first_problem_in_file_order(self, tmp_path):
+        good = vr_record(0, [0, 10, 0, 10], 0, 0, [5, 20, 5, 20])
+        late_range = vr_record(0, [0, 10, 0, 10], 0, 9, [5, 20, 5, 20])
+        early_range = vr_record(0, [0, 10, 0, 10], 9, 0, [5, 20, 5, 20])
+        bad_bbox = vr_record(0, [0, 10, 0], 0, 0, [5, 20, 5, 20])
+        root = {"a.jpg": [good, late_range], "b.jpg": [bad_bbox, early_range]}
+        outcome = self.check(tmp_path, root, ["person"], ["on"])
+        assert outcome == (
+            IdOutOfRangeError,
+            "a.jpg: vr 1: object.category=9 out of range (master list has 1 entries)",
+        )
+
+    def test_equal_participants_share_one_object(self, tmp_path):
+        box = [0, 10, 0, 10]
+        records = [vr_record(0, box, 0, 0, box), vr_record(0, list(box), 0, 1, [1, 2, 3, 4])]
+        paths = write_corpus_files(tmp_path, {"a.jpg": records}, ["person", "cup"], ["on"])
+        first, second = load_corpus(*paths).images["a.jpg"]
+        assert first.subject is first.object is second.subject
+        assert second.object == AnnotatedObject(1, BoundingBox(1, 2, 3, 4))
+
+    def test_two_problems_in_one_record(self, tmp_path):
+        # Which of two problems is reported depends only on the check order.
+        faults = (
+            lambda r: r.update(predicate=1.0),
+            lambda r: r.update(predicate=5),
+            lambda r: r.update(note=0),
+            *(
+                fault
+                for side in ("subject", "object")
+                for fault in (
+                    lambda r, side=side: r[side].update(category=True),
+                    lambda r, side=side: r[side].update(category=5),
+                    lambda r, side=side: r[side].update(bbox=[0, 1]),
+                    lambda r, side=side: r[side].update(score=0.5),
+                )
+            ),
+        )
+        errors = set()
+        for first, second in itertools.permutations(faults, 2):
+            record = vr_record(0, [0, 10, 0, 10], 0, 0, [5, 20, 5, 20])
+            first(record)
+            second(record)
+            outcome = self.check(tmp_path, {"a.jpg": [record]}, ["person"], ["on"])
+            errors.add(outcome[0])
+        assert errors == {MalformedRecordError, IdOutOfRangeError}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_restored(self, tmp_path, enabled):
+        good = write_corpus_files(
+            tmp_path, {"a.jpg": [vr_record(0, [0, 1, 0, 1], 0, 0, [0, 1, 0, 1])]}, ["c"], ["p"]
+        )
+        bad_dir = tmp_path / "bad"
+        bad_dir.mkdir()
+        bad = write_corpus_files(
+            bad_dir, {"a.jpg": [vr_record(3, [0, 1, 0, 1], 0, 0, [0, 1, 0, 1])]}, ["c"], ["p"]
+        )
+        (bad_dir / "broken.json").write_text('{"a.jpg": [')
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            load_corpus(*good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(IdOutOfRangeError):
+                load_corpus(*bad)
+            assert gc.isenabled() is enabled
+            with pytest.raises(MalformedRecordError):
+                load_corpus(bad_dir / "broken.json", bad[1], bad[2])
+            assert gc.isenabled() is enabled
+            with pytest.raises(FileMissingError):
+                load_corpus(bad_dir / "missing.json", bad[1], bad[2])
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
 
 
 class TestSave:
