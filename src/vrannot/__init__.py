@@ -58,7 +58,6 @@ from .kg import (
     materialize,
 )
 from .protocol import (
-    ApplyReport,
     ImageBlock,
     Instruction,
     InstructionKind,

@@ -594,24 +594,6 @@ def extract_annotations(
     return AnnotationCorpus(images, list(object_class_names), list(predicate_names))
 
 
-def canonicalize_corpus(corpus: AnnotationCorpus) -> AnnotationCorpus:
-    """Dedup each image and apply the extraction ordering; useful for
-    comparing a corpus against a graph round trip."""
-    work = corpus.copy()
-    for image, vrs in work.images.items():
-        work.images[image] = sorted(
-            set(vrs),
-            key=lambda vr: (
-                vr.subject.bbox,
-                vr.predicate_id,
-                vr.object.bbox,
-                vr.subject.class_id,
-                vr.object.class_id,
-            ),
-        )
-    return work
-
-
 # --------------------------------------------------------------------------
 # serialization
 # --------------------------------------------------------------------------

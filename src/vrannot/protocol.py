@@ -100,27 +100,6 @@ class ImageBlock:
     instructions: list[Instruction] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class ApplyReport:
-    """Net effect of a script run, counted as a value diff of the corpora."""
-
-    images_touched: int
-    vrs_changed: int
-    vrs_removed: int
-    vrs_added: int
-    images_removed: int
-
-    @classmethod
-    def from_diff(cls, diff: CorpusDiff) -> ApplyReport:
-        return cls(
-            images_touched=diff.images_touched,
-            vrs_changed=diff.vrs_changed,
-            vrs_removed=diff.vrs_removed,
-            vrs_added=diff.vrs_added,
-            images_removed=diff.images_removed,
-        )
-
-
 # --------------------------------------------------------------------------
 # parsing
 # --------------------------------------------------------------------------
@@ -411,7 +390,7 @@ def _apply_instruction(corpus: AnnotationCorpus, image: str, ins: Instruction) -
 
 def validate_and_apply(
     corpus: AnnotationCorpus, blocks: list[ImageBlock]
-) -> tuple[AnnotationCorpus, ApplyReport]:
+) -> tuple[AnnotationCorpus, CorpusDiff]:
     """Apply blocks in order against a copy; the input corpus is never touched.
 
     The first failed check raises ApplyError with the offending source line;
@@ -429,4 +408,4 @@ def validate_and_apply(
             continue
         for ins in block.instructions:
             _apply_instruction(work, block.filename, ins)
-    return work, ApplyReport.from_diff(diff_corpora(corpus, work))
+    return work, diff_corpora(corpus, work)

@@ -16,13 +16,13 @@ The file form of a config is a JSON object:
     }
 
 Relative paths resolve against the directory containing the config file.
-Step kinds and their keys are documented in docs/formats.md.
+Step kinds and their keys are listed in STEPS and documented in
+docs/formats.md.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -30,7 +30,9 @@ from . import protocol
 from .corpus import (
     AnnotatedObject,
     AnnotationCorpus,
+    CorpusDiff,
     VisualRelationship,
+    _reject_duplicate_keys,
     diff_corpora,
     load_corpus,
     save_corpus,
@@ -40,12 +42,12 @@ from .errors import (
     DuplicateMasterNameError,
     FileMissingError,
     ImageNotFoundError,
+    MalformedRecordError,
     SelfMergeError,
     StepFailedError,
     UnsupportedRewriteError,
     VrannotError,
 )
-from .protocol import ApplyReport
 
 CLASSES = "classes"
 PREDICATES = "predicates"
@@ -233,237 +235,9 @@ def dedup_vrs(corpus: AnnotationCorpus) -> AnnotationCorpus:
     return work
 
 
-def compact_master_lists(
-    corpus: AnnotationCorpus,
-) -> tuple[AnnotationCorpus, dict[str, dict[int, int]]]:
-    """Drop retired master-list slots and renumber ids densely.
-
-    Only safe after a run completes (mid-run callers depend on stable ids).
-    Returns the compacted corpus and the old-to-new id maps for both lists.
-    """
-    class_map = {
-        old: new
-        for new, old in enumerate(
-            i for i in range(len(corpus.object_class_names)) if i not in corpus.retired_class_ids
-        )
-    }
-    predicate_map = {
-        old: new
-        for new, old in enumerate(
-            i for i in range(len(corpus.predicate_names)) if i not in corpus.retired_predicate_ids
-        )
-    }
-    work = AnnotationCorpus(
-        images={
-            image: [
-                VisualRelationship(
-                    AnnotatedObject(class_map[vr.subject.class_id], vr.subject.bbox),
-                    predicate_map[vr.predicate_id],
-                    AnnotatedObject(class_map[vr.object.class_id], vr.object.bbox),
-                )
-                for vr in vrs
-            ]
-            for image, vrs in corpus.images.items()
-        },
-        object_class_names=[
-            name
-            for i, name in enumerate(corpus.object_class_names)
-            if i not in corpus.retired_class_ids
-        ],
-        predicate_names=[
-            name
-            for i, name in enumerate(corpus.predicate_names)
-            if i not in corpus.retired_predicate_ids
-        ],
-    )
-    return work, {"classes": class_map, "predicates": predicate_map}
-
-
 # --------------------------------------------------------------------------
-# step specifications
+# step table
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UpdateMasterLists:
-    kind = "update_master_lists"
-    target: str
-    renames: tuple[tuple[str, str], ...] = ()
-    additions: tuple[str, ...] = ()
-
-    def apply_to(self, corpus: AnnotationCorpus) -> AnnotationCorpus:
-        return update_master_lists(corpus, self.target, list(self.renames), list(self.additions))
-
-
-@dataclass(frozen=True)
-class ApplyProtocolFile:
-    kind = "apply_protocol_file"
-    path: str
-
-    def apply_to(self, corpus: AnnotationCorpus) -> AnnotationCorpus:
-        return apply_protocol_file(corpus, self.path)
-
-
-@dataclass(frozen=True)
-class ChangeClassForImageSet:
-    kind = "change_class_for_image_set"
-    images: tuple[str, ...]
-    from_name: str
-    to_name: str
-
-    def apply_to(self, corpus: AnnotationCorpus) -> AnnotationCorpus:
-        return change_class_for_image_set(corpus, list(self.images), self.from_name, self.to_name)
-
-
-@dataclass(frozen=True)
-class MergeClass:
-    kind = "merge_class"
-    from_name: str
-    to_name: str
-
-    def apply_to(self, corpus: AnnotationCorpus) -> AnnotationCorpus:
-        return merge_object_class(corpus, self.from_name, self.to_name)
-
-
-@dataclass(frozen=True)
-class MergePredicate:
-    kind = "merge_predicate"
-    from_name: str
-    to_name: str
-
-    def apply_to(self, corpus: AnnotationCorpus) -> AnnotationCorpus:
-        return merge_predicate(corpus, self.from_name, self.to_name)
-
-
-@dataclass(frozen=True)
-class RemoveVRTypesGlobal:
-    kind = "remove_vr_types_global"
-    types: tuple[tuple[str, str, str], ...]
-
-    def apply_to(self, corpus: AnnotationCorpus) -> AnnotationCorpus:
-        return remove_vr_types_global(corpus, list(self.types))
-
-
-@dataclass(frozen=True)
-class RemoveEmptyImages:
-    kind = "remove_empty_images"
-
-    def apply_to(self, corpus: AnnotationCorpus) -> AnnotationCorpus:
-        return remove_empty_images(corpus)
-
-
-@dataclass(frozen=True)
-class ChangeVRTypeGlobal:
-    kind = "change_vr_type_global"
-    from_type: tuple[str, str, str]
-    to_type: tuple[str, str, str]
-
-    def apply_to(self, corpus: AnnotationCorpus) -> AnnotationCorpus:
-        return change_vr_type_global(corpus, self.from_type, self.to_type)
-
-
-@dataclass(frozen=True)
-class DedupVRs:
-    kind = "dedup_vrs"
-
-    def apply_to(self, corpus: AnnotationCorpus) -> AnnotationCorpus:
-        return dedup_vrs(corpus)
-
-
-StepSpec = (
-    UpdateMasterLists
-    | ApplyProtocolFile
-    | ChangeClassForImageSet
-    | MergeClass
-    | MergePredicate
-    | RemoveVRTypesGlobal
-    | RemoveEmptyImages
-    | ChangeVRTypeGlobal
-    | DedupVRs
-)
-
-
-@dataclass
-class WorkflowConfig:
-    steps: list[StepSpec]
-    input_annotations: Path | None = None
-    input_classes: Path | None = None
-    input_predicates: Path | None = None
-    output_annotations: Path | None = None
-    output_classes: Path | None = None
-    output_predicates: Path | None = None
-
-
-@dataclass(frozen=True)
-class StepReport:
-    ordinal: int
-    kind: str
-    effect: ApplyReport
-
-
-@dataclass(frozen=True)
-class WorkflowReport:
-    steps: list[StepReport]
-    elapsed_seconds: float
-
-
-# --------------------------------------------------------------------------
-# execution
-# --------------------------------------------------------------------------
-
-
-def run_workflow(
-    config: WorkflowConfig, corpus: AnnotationCorpus
-) -> tuple[AnnotationCorpus, WorkflowReport]:
-    """Run all steps in order; any failure aborts the run via StepFailedError
-    and leaves the input corpus unmodified."""
-    if not config.steps:
-        raise ConfigError("a workflow needs at least one step")
-    started = time.perf_counter()
-    current = corpus
-    reports: list[StepReport] = []
-    for ordinal, step in enumerate(config.steps, start=1):
-        before = current
-        try:
-            current = step.apply_to(current)
-        except (VrannotError, OSError) as exc:
-            raise StepFailedError(ordinal, step.kind, exc) from exc
-        reports.append(
-            StepReport(ordinal, step.kind, ApplyReport.from_diff(diff_corpora(before, current)))
-        )
-    return current, WorkflowReport(reports, time.perf_counter() - started)
-
-
-def run_workflow_files(config: WorkflowConfig) -> WorkflowReport:
-    """Load the input corpus, run the steps, write canonical outputs."""
-    for name in (
-        "input_annotations",
-        "input_classes",
-        "input_predicates",
-        "output_annotations",
-        "output_classes",
-        "output_predicates",
-    ):
-        if getattr(config, name) is None:
-            raise ConfigError(f"config key {name!r} is required for a file-based run")
-    corpus = load_corpus(config.input_annotations, config.input_classes, config.input_predicates)
-    result, report = run_workflow(config, corpus)
-    save_corpus(result, config.output_annotations, config.output_classes, config.output_predicates)
-    return report
-
-
-# --------------------------------------------------------------------------
-# config file loading
-# --------------------------------------------------------------------------
-
-_PATH_KEYS = (
-    "input_annotations",
-    "input_classes",
-    "input_predicates",
-    "output_annotations",
-    "output_classes",
-    "output_predicates",
-)
 
 
 def _string(value, where: str) -> str:
@@ -499,70 +273,156 @@ def _name_triple(value, where: str) -> tuple[str, str, str]:
     return (value[0], value[1], value[2])
 
 
-def _parse_step(entry, ordinal: int, base_dir: Path) -> StepSpec:
+def _name_triple_list(value, where: str) -> list[tuple[str, str, str]]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be an array of name triples")
+    return [_name_triple(t, f"{where}[{i}]") for i, t in enumerate(value)]
+
+
+_FROM_TO_NAMES = {"from": ("from_name", _string), "to": ("to_name", _string)}
+
+# kind -> (step function, {config key: (parameter, validator)}, optional keys).
+# Keys are validated in the order listed.  The function is named, not stored,
+# and looked up in this module when the step runs, so a wrapper installed on
+# the module attribute sees every call.
+STEPS = {
+    "update_master_lists": (
+        "update_master_lists",
+        {
+            "target": ("target", _string),
+            "renames": ("renames", _name_pair_list),
+            "additions": ("additions", _string_list),
+        },
+        ("renames", "additions"),
+    ),
+    "apply_protocol_file": ("apply_protocol_file", {"path": ("path", _string)}, ()),
+    "change_class_for_image_set": (
+        "change_class_for_image_set",
+        {"images": ("image_filenames", _string_list), **_FROM_TO_NAMES},
+        (),
+    ),
+    "merge_class": ("merge_object_class", _FROM_TO_NAMES, ()),
+    "merge_predicate": ("merge_predicate", _FROM_TO_NAMES, ()),
+    "remove_vr_types_global": (
+        "remove_vr_types_global",
+        {"types": ("types", _name_triple_list)},
+        (),
+    ),
+    "remove_empty_images": ("remove_empty_images", {}, ()),
+    "change_vr_type_global": (
+        "change_vr_type_global",
+        {"from": ("from_type", _name_triple), "to": ("to_type", _name_triple)},
+        (),
+    ),
+    "dedup_vrs": ("dedup_vrs", {}, ()),
+}
+
+
+@dataclass(frozen=True)
+class Step:
+    """One configured step: a kind of STEPS and the keyword arguments of its
+    function."""
+
+    kind: str
+    args: dict = field(default_factory=dict)
+
+
+_PATH_KEYS = (
+    "input_annotations",
+    "input_classes",
+    "input_predicates",
+    "output_annotations",
+    "output_classes",
+    "output_predicates",
+)
+
+
+@dataclass
+class WorkflowConfig:
+    steps: list[Step]
+    input_annotations: Path | None = None
+    input_classes: Path | None = None
+    input_predicates: Path | None = None
+    output_annotations: Path | None = None
+    output_classes: Path | None = None
+    output_predicates: Path | None = None
+
+
+@dataclass(frozen=True)
+class StepReport:
+    ordinal: int
+    kind: str
+    effect: CorpusDiff
+
+
+@dataclass(frozen=True)
+class WorkflowReport:
+    steps: list[StepReport]
+
+
+# --------------------------------------------------------------------------
+# execution
+# --------------------------------------------------------------------------
+
+
+def run_workflow(
+    config: WorkflowConfig, corpus: AnnotationCorpus
+) -> tuple[AnnotationCorpus, WorkflowReport]:
+    """Run all steps in order; any failure aborts the run via StepFailedError
+    and leaves the input corpus unmodified."""
+    if not config.steps:
+        raise ConfigError("a workflow needs at least one step")
+    current = corpus
+    reports: list[StepReport] = []
+    for ordinal, step in enumerate(config.steps, start=1):
+        before = current
+        try:
+            current = globals()[STEPS[step.kind][0]](current, **step.args)
+        except (VrannotError, OSError) as exc:
+            raise StepFailedError(ordinal, step.kind, exc) from exc
+        reports.append(StepReport(ordinal, step.kind, diff_corpora(before, current)))
+    return current, WorkflowReport(reports)
+
+
+def run_workflow_files(config: WorkflowConfig) -> WorkflowReport:
+    """Load the input corpus, run the steps, write canonical outputs."""
+    for name in _PATH_KEYS:
+        if getattr(config, name) is None:
+            raise ConfigError(f"config key {name!r} is required for a file-based run")
+    corpus = load_corpus(config.input_annotations, config.input_classes, config.input_predicates)
+    result, report = run_workflow(config, corpus)
+    save_corpus(result, config.output_annotations, config.output_classes, config.output_predicates)
+    return report
+
+
+# --------------------------------------------------------------------------
+# config file loading
+# --------------------------------------------------------------------------
+
+
+def _parse_step(entry, ordinal: int, base_dir: Path) -> Step:
     where = f"steps[{ordinal}]"
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError(f"{where} must be an object with a 'kind' key")
     kind = entry["kind"]
+    if not isinstance(kind, str) or kind not in STEPS:
+        raise ConfigError(f"{where}: unknown step kind {kind!r}")
+    _, spec, optional = STEPS[kind]
     keys = set(entry) - {"kind"}
-
-    def require(*names: str) -> None:
-        if keys != set(names):
-            expected = ", ".join(sorted(names)) if names else "none"
-            raise ConfigError(f"{where} ({kind}): expected keys {{{expected}}}, got {sorted(keys)}")
-
-    if kind == "update_master_lists":
-        if not keys <= {"target", "renames", "additions"} or "target" not in keys:
-            raise ConfigError(f"{where} ({kind}): needs 'target' plus optional 'renames'/'additions'")
-        return UpdateMasterLists(
-            target=_string(entry["target"], f"{where}.target"),
-            renames=tuple(_name_pair_list(entry.get("renames", []), f"{where}.renames")),
-            additions=tuple(_string_list(entry.get("additions", []), f"{where}.additions")),
-        )
-    if kind == "apply_protocol_file":
-        require("path")
-        return ApplyProtocolFile(path=str(base_dir / _string(entry["path"], f"{where}.path")))
-    if kind == "change_class_for_image_set":
-        require("images", "from", "to")
-        return ChangeClassForImageSet(
-            images=tuple(_string_list(entry["images"], f"{where}.images")),
-            from_name=_string(entry["from"], f"{where}.from"),
-            to_name=_string(entry["to"], f"{where}.to"),
-        )
-    if kind == "merge_class":
-        require("from", "to")
-        return MergeClass(
-            from_name=_string(entry["from"], f"{where}.from"),
-            to_name=_string(entry["to"], f"{where}.to"),
-        )
-    if kind == "merge_predicate":
-        require("from", "to")
-        return MergePredicate(
-            from_name=_string(entry["from"], f"{where}.from"),
-            to_name=_string(entry["to"], f"{where}.to"),
-        )
-    if kind == "remove_vr_types_global":
-        require("types")
-        if not isinstance(entry["types"], list):
-            raise ConfigError(f"{where}.types must be an array of name triples")
-        return RemoveVRTypesGlobal(
-            types=tuple(
-                _name_triple(t, f"{where}.types[{i}]") for i, t in enumerate(entry["types"])
-            )
-        )
-    if kind == "remove_empty_images":
-        require()
-        return RemoveEmptyImages()
-    if kind == "change_vr_type_global":
-        require("from", "to")
-        return ChangeVRTypeGlobal(
-            from_type=_name_triple(entry["from"], f"{where}.from"),
-            to_type=_name_triple(entry["to"], f"{where}.to"),
-        )
-    if kind == "dedup_vrs":
-        require()
-        return DedupVRs()
-    raise ConfigError(f"{where}: unknown step kind {kind!r}")
+    required = set(spec).difference(optional)
+    if not required <= keys <= set(spec):
+        expected = "{" + (", ".join(sorted(required)) or "none") + "}"
+        if optional:
+            expected += " plus optional {" + ", ".join(sorted(optional)) + "}"
+        raise ConfigError(f"{where} ({kind}): expected keys {expected}, got {sorted(keys)}")
+    args = {
+        param: check(entry[key], f"{where}.{key}")
+        for key, (param, check) in spec.items()
+        if key in entry
+    }
+    if "path" in args:  # script paths resolve like the config's own paths
+        args["path"] = str(base_dir / args["path"])
+    return Step(kind, args)
 
 
 def load_workflow_config(path) -> WorkflowConfig:
@@ -571,9 +431,11 @@ def load_workflow_config(path) -> WorkflowConfig:
     if not path.exists():
         raise FileMissingError(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_reject_duplicate_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    except MalformedRecordError as exc:
+        raise ConfigError(f"{path}: {exc.reason}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     missing = [k for k in (*_PATH_KEYS, "steps") if k not in raw]

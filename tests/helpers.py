@@ -83,3 +83,21 @@ def random_corpus(
         random_class_names(rng, n_classes),
         random_predicate_names(rng, n_predicates),
     )
+
+
+def canonicalize_corpus(corpus: AnnotationCorpus) -> AnnotationCorpus:
+    """Oracle for a graph round trip: dedup each image and sort its VRs by
+    (subject box, predicate, object box, subject class, object class)."""
+    work = corpus.copy()
+    for image, vrs in work.images.items():
+        work.images[image] = sorted(
+            set(vrs),
+            key=lambda vr: (
+                vr.subject.bbox,
+                vr.predicate_id,
+                vr.object.bbox,
+                vr.subject.class_id,
+                vr.object.class_id,
+            ),
+        )
+    return work

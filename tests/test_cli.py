@@ -319,6 +319,18 @@ class TestWorkflow:
         code, _, _ = run(capsys, "workflow", "run", str(tmp_path / "absent.json"))
         assert code == 4
 
+    def test_duplicate_step_key(self, capsys, tmp_path):
+        workdir = self.prepared(tmp_path, "dup")
+        config = workdir / "config.json"
+        text = config.read_text(encoding="utf-8")
+        text = text.replace('"from": "plane", "to"', '"from": "plane", "from": "dog", "to"')
+        config.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "workflow", "run", str(config))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {config}: duplicate key 'from'\n"
+        assert not (workdir / "out").exists()
+
 
 class TestKgCommands:
     def seed(self, tmp_path):

@@ -27,7 +27,6 @@ from vrannot.kg import (
     Iri,
     Schema,
     Triple,
-    canonicalize_corpus,
     class_local,
     default_schema,
     dump_store,
@@ -40,7 +39,7 @@ from vrannot.kg import (
     property_local,
 )
 
-from helpers import random_corpus
+from helpers import canonicalize_corpus, random_corpus
 
 
 def iri(local):

@@ -1,7 +1,9 @@
 import json
 import random
+import re
 import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -24,14 +26,11 @@ from vrannot.errors import (
 from vrannot.workflow import (
     CLASSES,
     PREDICATES,
-    ApplyProtocolFile,
-    DedupVRs,
-    MergeClass,
-    MergePredicate,
+    STEPS,
+    Step,
     WorkflowConfig,
     change_class_for_image_set,
     change_vr_type_global,
-    compact_master_lists,
     dedup_vrs,
     load_workflow_config,
     merge_object_class,
@@ -283,20 +282,6 @@ class TestDedup:
                 assert find_exact_duplicates(vrs) == []
 
 
-class TestCompaction:
-    def test_compact_preserves_names(self):
-        corpus = merge_predicate(merge_object_class(demo_corpus(), "plane", "airplane"), "walk", "walk on")
-        compact, maps = compact_master_lists(corpus)
-        assert "plane" not in compact.object_class_names
-        assert "walk" not in compact.predicate_names
-        assert compact.retired_class_ids == set()
-        assert type_counter(compact) == type_counter(corpus)
-        for old, new in maps["classes"].items():
-            assert compact.object_class_names[new] == corpus.object_class_names[old]
-        for old, new in maps["predicates"].items():
-            assert compact.predicate_names[new] == corpus.predicate_names[old]
-
-
 class TestRunWorkflow:
     def test_empty_steps_rejected(self):
         with pytest.raises(ConfigError):
@@ -305,7 +290,9 @@ class TestRunWorkflow:
     def test_step_failure_names_ordinal_and_kind(self):
         corpus = demo_corpus()
         snapshot = canonical_annotations_bytes(corpus)
-        config = WorkflowConfig(steps=[DedupVRs(), MergeClass("dog", "dog")])
+        config = WorkflowConfig(
+            steps=[Step("dedup_vrs"), Step("merge_class", {"from_name": "dog", "to_name": "dog"})]
+        )
         with pytest.raises(StepFailedError) as err:
             run_workflow(config, corpus)
         assert err.value.ordinal == 2
@@ -314,13 +301,15 @@ class TestRunWorkflow:
         assert canonical_annotations_bytes(corpus) == snapshot
 
     def test_missing_protocol_file_fails_step(self):
-        config = WorkflowConfig(steps=[ApplyProtocolFile("/nonexistent/x.txt")])
+        config = WorkflowConfig(steps=[Step("apply_protocol_file", {"path": "/nonexistent/x.txt"})])
         with pytest.raises(StepFailedError) as err:
             run_workflow(config, demo_corpus())
         assert isinstance(err.value.cause, FileMissingError)
 
     def test_per_step_effects(self):
-        config = WorkflowConfig(steps=[MergePredicate("walk", "walk on")])
+        config = WorkflowConfig(
+            steps=[Step("merge_predicate", {"from_name": "walk", "to_name": "walk on"})]
+        )
         result, report = run_workflow(config, demo_corpus())
         assert len(report.steps) == 1
         step = report.steps[0]
@@ -350,7 +339,7 @@ class TestConfigLoading:
         ]
         assert config.input_annotations == DEMO_DIR / "annotations.json"
         assert config.output_annotations == DEMO_DIR / "out" / "annotations.json"
-        assert config.steps[1].path == str(DEMO_DIR / "proto_a.txt")
+        assert config.steps[1].args == {"path": str(DEMO_DIR / "proto_a.txt")}
 
     def base_config(self):
         return {
@@ -419,6 +408,138 @@ class TestConfigLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileMissingError):
             load_workflow_config(tmp_path / "absent.json")
+
+    def test_duplicate_step_key(self, tmp_path):
+        text = json.dumps(self.base_config())
+        text = text.replace(
+            '{"kind": "dedup_vrs"}', '{"kind": "merge_class", "from": "a", "from": "b", "to": "c"}'
+        )
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="duplicate key 'from'"):
+            load_workflow_config(path)
+
+    def test_duplicate_top_level_key(self, tmp_path):
+        text = json.dumps(self.base_config())
+        text = text.replace('"steps":', '"output_classes": "out/x.json", "steps":')
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="duplicate key 'output_classes'"):
+            load_workflow_config(path)
+
+
+# one valid entry per step kind, runnable on the demo corpus; "edit.txt" is
+# written next to the config by TestStepTable.write
+VALID_STEPS = {
+    "update_master_lists": {
+        "target": "classes", "renames": [["sofa", "couch"]], "additions": ["speaker"]
+    },
+    "apply_protocol_file": {"path": "edit.txt"},
+    "change_class_for_image_set": {"images": ["img03.jpg"], "from": "bear", "to": "teddy bear"},
+    "merge_class": {"from": "plane", "to": "airplane"},
+    "merge_predicate": {"from": "walk", "to": "walk on"},
+    "remove_vr_types_global": {"types": [["dog", "has", "hat"]]},
+    "remove_empty_images": {},
+    "change_vr_type_global": {
+        "from": ["dog", "beside", "person"], "to": ["dog", "under", "person"]
+    },
+    "dedup_vrs": {},
+}
+KEYS = [(kind, key) for kind, entry in VALID_STEPS.items() for key in entry]
+REQUIRED_KEYS = [(kind, key) for kind, key in KEYS if key not in STEPS[kind][2]]
+
+
+class TestStepTable:
+    def write(self, tmp_path, *steps):
+        (tmp_path / "edit.txt").write_text(
+            "imname; img09.jpg\nrvrxxx; 0; (dog, has, hat);\n", encoding="utf-8"
+        )
+        raw = {
+            "input_annotations": str(DEMO_DIR / "annotations.json"),
+            "input_classes": str(DEMO_DIR / "classes.json"),
+            "input_predicates": str(DEMO_DIR / "predicates.json"),
+            "output_annotations": "out/a.json",
+            "output_classes": "out/c.json",
+            "output_predicates": "out/p.json",
+            "steps": list(steps),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        return path
+
+    def test_every_kind_has_a_valid_entry(self):
+        assert set(VALID_STEPS) == set(STEPS)
+        for kind, entry in VALID_STEPS.items():
+            assert set(entry) == set(STEPS[kind][1])
+
+    @pytest.mark.parametrize("kind", sorted(VALID_STEPS))
+    def test_valid_entry_parses_and_runs(self, tmp_path, kind):
+        config = load_workflow_config(self.write(tmp_path, {"kind": kind, **VALID_STEPS[kind]}))
+        assert [step.kind for step in config.steps] == [kind]
+        result, report = run_workflow(config, demo_corpus())
+        assert [(s.ordinal, s.kind) for s in report.steps] == [(1, kind)]
+        # the demo corpus has no empty image; every other entry edits something
+        assert (report.steps[0].effect.images_touched > 0) == (kind != "remove_empty_images")
+
+    def test_script_path_resolves_against_config_dir(self, tmp_path):
+        entry = {"kind": "apply_protocol_file", "path": "edit.txt"}
+        config = load_workflow_config(self.write(tmp_path, entry))
+        assert config.steps[0].args == {"path": str(tmp_path / "edit.txt")}
+
+    @pytest.mark.parametrize("kind, key", REQUIRED_KEYS)
+    def test_missing_required_key(self, tmp_path, kind, key):
+        entry = {k: v for k, v in VALID_STEPS[kind].items() if k != key}
+        with pytest.raises(ConfigError, match=r"steps\[0\] \(%s\): expected keys" % kind):
+            load_workflow_config(self.write(tmp_path, {"kind": kind, **entry}))
+
+    @pytest.mark.parametrize("kind", sorted(VALID_STEPS))
+    def test_unknown_key(self, tmp_path, kind):
+        entry = {"kind": kind, **VALID_STEPS[kind], "mode": "fast"}
+        with pytest.raises(ConfigError, match=r"got \[.*'mode'"):
+            load_workflow_config(self.write(tmp_path, entry))
+
+    @pytest.mark.parametrize("kind, key", KEYS)
+    @pytest.mark.parametrize("value", [5, {"a": "b"}, [5]])
+    def test_wrong_value_type(self, tmp_path, kind, key, value):
+        entry = {"kind": kind, **VALID_STEPS[kind], key: value}
+        with pytest.raises(ConfigError, match=r"steps\[0\]\.%s" % key):
+            load_workflow_config(self.write(tmp_path, entry))
+
+    @pytest.mark.parametrize(
+        "optional", [(), ("renames",), ("additions",), ("renames", "additions")]
+    )
+    def test_update_master_lists_optional_keys(self, tmp_path, optional):
+        full = VALID_STEPS["update_master_lists"]
+        entry = {"kind": "update_master_lists", "target": "classes"}
+        entry.update({key: full[key] for key in optional})
+        config = load_workflow_config(self.write(tmp_path, entry))
+        result, _ = run_workflow(config, demo_corpus())
+        assert ("couch" in result.object_class_names) == ("renames" in optional)
+        assert ("speaker" in result.object_class_names) == ("additions" in optional)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [5, "dedup_vrs", [], None, {}, {"kind": ["dedup_vrs"]}, {"kind": {"a": 1}}, {"kind": 5}],
+        ids=repr,
+    )
+    def test_malformed_entry(self, tmp_path, entry):
+        with pytest.raises(ConfigError, match=r"steps\[0\]"):
+            load_workflow_config(self.write(tmp_path, entry))
+
+    def test_docs_table_matches(self):
+        """docs/formats.md lists exactly the kinds, keys and optional keys of STEPS."""
+        text = (Path(__file__).parent.parent / "docs" / "formats.md").read_text(encoding="utf-8")
+        table = text.split("| kind | keys | effect |\n", 1)[1].split("\n\n", 1)[0]
+        documented = {}
+        for line in table.splitlines()[1:]:
+            kind, keys, _ = line.strip("|").split(" | ")
+            documented[kind.strip(" `")] = (
+                set(re.findall(r"`([a-z_]+)`", keys)),
+                set(re.findall(r"optional `([a-z_]+)`", keys)),
+            )
+        assert documented == {
+            kind: (set(spec), set(optional)) for kind, (_, spec, optional) in STEPS.items()
+        }
 
 
 class TestDemoPipeline:
