@@ -27,7 +27,6 @@ from .corpus import (
     CorpusStats,
     ImageDelta,
     VisualRelationship,
-    VRType,
     compute_stats,
     diff_corpora,
     find_exact_duplicates,

@@ -67,19 +67,6 @@ class VisualRelationship:
     object: AnnotatedObject
 
 
-@dataclass(frozen=True)
-class VRType:
-    """A relationship type: the id triple with bounding boxes abstracted away."""
-
-    subject_class_id: int
-    predicate_id: int
-    object_class_id: int
-
-    @classmethod
-    def of(cls, vr: VisualRelationship) -> VRType:
-        return cls(vr.subject.class_id, vr.predicate_id, vr.object.class_id)
-
-
 @dataclass
 class AnnotationCorpus:
     """In-memory corpus: per-image relationship lists plus the master lists.
@@ -211,6 +198,8 @@ def _load_json(path: Path, detect_duplicate_keys: bool = False):
         return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedRecordError(str(path), str(exc)) from None
+    except MalformedRecordError as exc:  # from the duplicate-key hook
+        raise MalformedRecordError(str(path), exc.reason) from None
 
 
 def load_master_list(path, what: str = "name") -> list[str]:

@@ -58,11 +58,6 @@ class Iri:
     def of(cls, namespace: str, local: str) -> Iri:
         return cls(namespace + local)
 
-    @property
-    def local(self) -> str:
-        cut = max(self.value.rfind("#"), self.value.rfind("/"))
-        return self.value[cut + 1 :]
-
     def __str__(self) -> str:
         return self.value
 
@@ -120,15 +115,7 @@ class GraphStore:
         if object is not None:
             found = self._by_object.get(object, set())
             candidates = found if candidates is None else candidates & found
-        if candidates is None:
-            candidates = self._triples
-        return [
-            t
-            for t in candidates
-            if (subject is None or t.subject == subject)
-            and (predicate is None or t.predicate == predicate)
-            and (object is None or t.object == object)
-        ]
+        return list(self._triples if candidates is None else candidates)
 
     def copy(self) -> GraphStore:
         out = GraphStore(self.namespace)
@@ -164,6 +151,20 @@ class Schema:
     ann_properties: dict[str, str] = field(default_factory=dict)
 
 
+# axiom keyword -> (Schema field, argument kinds, arity text of its error)
+_AXIOMS = {
+    "subclass": ("subclass_of", ("class", "class"), "2 class terms"),
+    "eqclass": ("eq_class", ("class", "class"), "2 class terms"),
+    "subprop": ("subprop_of", ("prop", "prop"), "2 property terms"),
+    "eqprop": ("eq_prop", ("prop", "prop"), "2 property terms"),
+    "inverse": ("inverse_of", ("prop", "prop"), "2 property terms"),
+    "transitive": ("transitive", ("prop",), "1 property term"),
+    "symmetric": ("symmetric", ("prop",), "1 property term"),
+    "domain": ("domain", ("prop", "class"), "a property and a class"),
+    "range": ("range", ("prop", "class"), "a property and a class"),
+}
+
+
 def _schema_local(token: str, line: int) -> str:
     if not _LOCAL_RE.match(token):
         raise MalformedAxiomError(line, f"invalid term {token!r}")
@@ -177,22 +178,13 @@ def load_schema(path) -> Schema:
     if not path.exists():
         raise FileMissingError(path)
     schema = Schema()
+    declared = {"class": schema.classes, "prop": schema.properties}
 
-    def need_class(token: str, line: int) -> str:
+    def need(kind: str, token: str, line: int) -> str:
         name = _schema_local(token, line)
-        if name not in schema.classes:
+        if name not in declared[kind]:
             raise UndeclaredTermError(line, name)
         return name
-
-    def need_prop(token: str, line: int) -> str:
-        name = _schema_local(token, line)
-        if name not in schema.properties:
-            raise UndeclaredTermError(line, name)
-        return name
-
-    def distinct(a: str, b: str, line: int) -> None:
-        if a == b:
-            raise SelfAxiomError(line, a)
 
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -204,9 +196,8 @@ def load_schema(path) -> Schema:
         if not rest:
             raise MalformedAxiomError(line_no, f"{keyword} needs arguments")
 
-        if keyword in ("class", "prop"):
-            name = _schema_local(rest, line_no)
-            (schema.classes if keyword == "class" else schema.properties).add(name)
+        if keyword in declared:
+            declared[keyword].add(_schema_local(rest, line_no))
             continue
 
         if keyword in ("annclass", "annprop"):
@@ -215,12 +206,8 @@ def load_schema(path) -> Schema:
             if len(split) != 2:
                 raise MalformedAxiomError(line_no, f"{keyword} needs a corpus name and a term")
             corpus_name, term = split
-            if keyword == "annclass":
-                term = need_class(term, line_no)
-                mapping = schema.ann_classes
-            else:
-                term = need_prop(term, line_no)
-                mapping = schema.ann_properties
+            term = need(keyword[3:], term, line_no)  # annclass -> class, annprop -> prop
+            mapping = schema.ann_classes if keyword == "annclass" else schema.ann_properties
             if corpus_name in mapping:
                 raise MalformedAxiomError(line_no, f"{corpus_name!r} designated twice")
             if term in mapping.values():
@@ -228,37 +215,20 @@ def load_schema(path) -> Schema:
             mapping[corpus_name] = term
             continue
 
-        args = rest.split()
-        if keyword in ("subclass", "eqclass"):
-            if len(args) != 2:
-                raise MalformedAxiomError(line_no, f"{keyword} takes 2 class terms")
-            a, b = (need_class(t, line_no) for t in args)
-            distinct(a, b, line_no)
-            (schema.subclass_of if keyword == "subclass" else schema.eq_class).append((a, b))
-        elif keyword in ("subprop", "eqprop", "inverse"):
-            if len(args) != 2:
-                raise MalformedAxiomError(line_no, f"{keyword} takes 2 property terms")
-            a, b = (need_prop(t, line_no) for t in args)
-            distinct(a, b, line_no)
-            target = {
-                "subprop": schema.subprop_of,
-                "eqprop": schema.eq_prop,
-                "inverse": schema.inverse_of,
-            }[keyword]
-            target.append((a, b))
-        elif keyword in ("transitive", "symmetric"):
-            if len(args) != 1:
-                raise MalformedAxiomError(line_no, f"{keyword} takes 1 property term")
-            p = need_prop(args[0], line_no)
-            (schema.transitive if keyword == "transitive" else schema.symmetric).append(p)
-        elif keyword in ("domain", "range"):
-            if len(args) != 2:
-                raise MalformedAxiomError(line_no, f"{keyword} takes a property and a class")
-            p = need_prop(args[0], line_no)
-            c = need_class(args[1], line_no)
-            (schema.domain if keyword == "domain" else schema.range).append((p, c))
-        else:
+        if keyword not in _AXIOMS:
             raise MalformedAxiomError(line_no, f"unknown keyword {keyword!r}")
+        target, kinds, arity = _AXIOMS[keyword]
+        args = rest.split()
+        if len(args) != len(kinds):
+            raise MalformedAxiomError(line_no, f"{keyword} takes {arity}")
+        terms = tuple(need(kind, token, line_no) for kind, token in zip(kinds, args))
+        if len(terms) == 1:
+            getattr(schema, target).append(terms[0])
+            continue
+        # relating a term to itself is rejected; domain/range relate two kinds
+        if kinds[0] == kinds[1] and terms[0] == terms[1]:
+            raise SelfAxiomError(line_no, terms[0])
+        getattr(schema, target).append(terms)
     return schema
 
 
@@ -393,6 +363,13 @@ def lower_annotations(
 # --------------------------------------------------------------------------
 
 
+def _both_ways(pairs):
+    """Each pair followed by its reverse, for the symmetric axioms."""
+    for a, b in pairs:
+        yield a, b
+        yield b, a
+
+
 def materialize(store: GraphStore, schema: Schema) -> GraphStore:
     """Least fixpoint of the axiom rules over the store; the input store is
     left unmodified.  Literal objects never move into subject position, so
@@ -402,30 +379,19 @@ def materialize(store: GraphStore, schema: Schema) -> GraphStore:
     def iri(local: str) -> Iri:
         return Iri.of(ns, local)
 
-    superprops: dict[Iri, set[Iri]] = {}
-    for a, b in schema.subprop_of:
-        superprops.setdefault(iri(a), set()).add(iri(b))
-    for a, b in schema.eq_prop:
-        superprops.setdefault(iri(a), set()).add(iri(b))
-        superprops.setdefault(iri(b), set()).add(iri(a))
-    inverses: dict[Iri, set[Iri]] = {}
-    for a, b in schema.inverse_of:
-        inverses.setdefault(iri(a), set()).add(iri(b))
-        inverses.setdefault(iri(b), set()).add(iri(a))
+    def links(pairs) -> dict[Iri, set[Iri]]:
+        out: dict[Iri, set[Iri]] = {}
+        for a, b in pairs:
+            out.setdefault(iri(a), set()).add(iri(b))
+        return out
+
+    superprops = links((*schema.subprop_of, *_both_ways(schema.eq_prop)))
+    inverses = links(_both_ways(schema.inverse_of))
     transitive = {iri(p) for p in schema.transitive}
     symmetric = {iri(p) for p in schema.symmetric}
-    domains: dict[Iri, set[Iri]] = {}
-    for p, c in schema.domain:
-        domains.setdefault(iri(p), set()).add(iri(c))
-    ranges: dict[Iri, set[Iri]] = {}
-    for p, c in schema.range:
-        ranges.setdefault(iri(p), set()).add(iri(c))
-    superclasses: dict[Iri, set[Iri]] = {}
-    for a, b in schema.subclass_of:
-        superclasses.setdefault(iri(a), set()).add(iri(b))
-    for a, b in schema.eq_class:
-        superclasses.setdefault(iri(a), set()).add(iri(b))
-        superclasses.setdefault(iri(b), set()).add(iri(a))
+    domains = links(schema.domain)
+    ranges = links(schema.range)
+    superclasses = links((*schema.subclass_of, *_both_ways(schema.eq_class)))
 
     result = store.copy()
     frontier = list(result)
@@ -474,11 +440,8 @@ def _subclass_ancestors(schema: Schema) -> dict[str, set[str]]:
     """term -> all terms it is a subclass of (reflexive, transitive,
     through equivalences)."""
     edges: dict[str, set[str]] = {c: {c} for c in schema.classes}
-    for a, b in schema.subclass_of:
+    for a, b in (*schema.subclass_of, *_both_ways(schema.eq_class)):
         edges[a].add(b)
-    for a, b in schema.eq_class:
-        edges[a].add(b)
-        edges[b].add(a)
     closure: dict[str, set[str]] = {}
     for start in schema.classes:
         seen = {start}
@@ -609,24 +572,19 @@ def _escape_literal(text: str) -> str:
     )
 
 
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+
 def _unescape_literal(text: str, line: int) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(text):
-            raise MalformedGraphError(f"line {line}: dangling escape")
-        nxt = text[i + 1]
-        mapped = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}.get(nxt)
-        if mapped is None:
-            raise MalformedGraphError(f"line {line}: unknown escape \\{nxt}")
-        out.append(mapped)
-        i += 2
-    return "".join(out)
+    # The literal regexes pair every backslash with the character after it.
+    def unescape(match: re.Match) -> str:
+        try:
+            return _ESCAPES[match.group(1)]
+        except KeyError:
+            raise MalformedGraphError(f"line {line}: unknown escape \\{match.group(1)}") from None
+
+    return _ESCAPE_RE.sub(unescape, text)
 
 
 def format_term(term) -> str:

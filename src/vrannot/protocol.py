@@ -55,19 +55,14 @@ class InstructionKind(Enum):
     RIMXXX = "rimxxx"
 
 
-# kinds that may appear as block-body instruction lines
-_BODY_KINDS = {
-    InstructionKind.CVRSOC,
-    InstructionKind.CVRSBB,
-    InstructionKind.CVROOC,
-    InstructionKind.CVROBB,
-    InstructionKind.CVRPXX,
-    InstructionKind.RVRXXX,
-    InstructionKind.AVRXXX,
+# index-addressed change kinds -> (VisualRelationship field replaced, payload)
+_CHANGES = {
+    InstructionKind.CVRSOC: ("subject", "class"),
+    InstructionKind.CVRSBB: ("subject", "bbox"),
+    InstructionKind.CVROOC: ("object", "class"),
+    InstructionKind.CVROBB: ("object", "bbox"),
+    InstructionKind.CVRPXX: ("predicate_id", "predicate"),
 }
-
-_CLASS_PAYLOAD = {InstructionKind.CVRSOC, InstructionKind.CVROOC}
-_BBOX_PAYLOAD = {InstructionKind.CVRSBB, InstructionKind.CVROBB}
 
 
 @dataclass(frozen=True)
@@ -193,8 +188,6 @@ def parse_script(source: str | bytes) -> list[ImageBlock]:
 
         if kind is InstructionKind.RIMXXX:
             raise ParseError(line_no, "rimxxx is only valid as a flag on an imname line")
-        if kind not in _BODY_KINDS:
-            raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}")
         if current is None:
             raise ParseError(line_no, "instruction before any imname line")
         if current.remove_image:
@@ -229,22 +222,17 @@ def parse_script(source: str | bytes) -> list[ImageBlock]:
             )
             continue
 
-        # remaining kinds: cvrsoc/cvrsbb/cvrooc/cvrobb/cvrpxx
+        # remaining kinds: the index-addressed changes of _CHANGES
         if len(fields) != 4:
             raise ParseError(line_no, f"{mnemonic} takes 3 fields: index; (tuple); payload")
         index = _parse_index(fields[1], line_no)
         ref = _parse_ref_tuple(fields[2], line_no)
-        if kind in _BBOX_PAYLOAD:
-            instruction = Instruction(
-                kind, line_no, vr_index=index, ref_tuple=ref,
-                new_bbox=_parse_bbox_literal(fields[3], line_no),
-            )
+        payload = _CHANGES[kind][1]
+        if payload == "bbox":
+            new = {"new_bbox": _parse_bbox_literal(fields[3], line_no)}
         else:
-            what = "class name" if kind in _CLASS_PAYLOAD else "predicate name"
-            instruction = Instruction(
-                kind, line_no, vr_index=index, ref_tuple=ref,
-                new_name=_parse_name(fields[3], line_no, what),
-            )
+            new = {"new_name": _parse_name(fields[3], line_no, f"{payload} name")}
+        instruction = Instruction(kind, line_no, vr_index=index, ref_tuple=ref, **new)
         current.instructions.append(instruction)
     return blocks
 
@@ -283,15 +271,10 @@ def render_script(blocks: list[ImageBlock]) -> str:
                 )
             elif ins.kind is InstructionKind.RVRXXX:
                 lines.append(f"{kind}; {ins.vr_index}; {_render_tuple(ins.ref_tuple)};")
-            elif ins.kind in _BBOX_PAYLOAD:
-                lines.append(
-                    f"{kind}; {ins.vr_index}; {_render_tuple(ins.ref_tuple)}; "
-                    f"{_render_bbox(ins.new_bbox)}"
-                )
             else:
-                lines.append(
-                    f"{kind}; {ins.vr_index}; {_render_tuple(ins.ref_tuple)}; {ins.new_name}"
-                )
+                bbox = _CHANGES[ins.kind][1] == "bbox"
+                payload = _render_bbox(ins.new_bbox) if bbox else ins.new_name
+                lines.append(f"{kind}; {ins.vr_index}; {_render_tuple(ins.ref_tuple)}; {payload}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -361,31 +344,15 @@ def _apply_instruction(corpus: AnnotationCorpus, image: str, ins: Instruction) -
     if ins.kind is InstructionKind.RVRXXX:
         del vrs[ins.vr_index]
         return
-    if ins.kind is InstructionKind.CVRSOC:
-        new = replace(
-            vr,
-            subject=AnnotatedObject(
-                _resolve_class(corpus, ins.new_name, ins.source_line), vr.subject.bbox
-            ),
-        )
-    elif ins.kind is InstructionKind.CVRSBB:
-        new = replace(vr, subject=AnnotatedObject(vr.subject.class_id, ins.new_bbox))
-    elif ins.kind is InstructionKind.CVROOC:
-        new = replace(
-            vr,
-            object=AnnotatedObject(
-                _resolve_class(corpus, ins.new_name, ins.source_line), vr.object.bbox
-            ),
-        )
-    elif ins.kind is InstructionKind.CVROBB:
-        new = replace(vr, object=AnnotatedObject(vr.object.class_id, ins.new_bbox))
-    elif ins.kind is InstructionKind.CVRPXX:
-        new = replace(
-            vr, predicate_id=_resolve_predicate(corpus, ins.new_name, ins.source_line)
-        )
-    else:  # unreachable by construction of parse_script
-        raise ApplyError(ins.source_line, ApplyError.TUPLE_MISMATCH, f"bad kind {ins.kind}")
-    vrs[ins.vr_index] = new
+    part, payload = _CHANGES[ins.kind]
+    old = getattr(vr, part)
+    if payload == "predicate":
+        new = _resolve_predicate(corpus, ins.new_name, ins.source_line)
+    elif payload == "class":
+        new = AnnotatedObject(_resolve_class(corpus, ins.new_name, ins.source_line), old.bbox)
+    else:
+        new = AnnotatedObject(old.class_id, ins.new_bbox)
+    vrs[ins.vr_index] = replace(vr, **{part: new})
 
 
 def validate_and_apply(

@@ -96,6 +96,27 @@ def apply_protocol_file(corpus: AnnotationCorpus, path) -> AnnotationCorpus:
     return new
 
 
+def _rewrite_vrs(corpus: AnnotationCorpus, rewrite, images=None) -> AnnotationCorpus:
+    """Copy the corpus and map each VR of the given images (None: all images)
+    through `rewrite`; a None result drops the VR."""
+    work = corpus.copy()
+    for image in work.images if images is None else images:
+        work.images[image] = [new for new in map(rewrite, work.images[image]) if new is not None]
+    return work
+
+
+def _rewrite_class(vr: VisualRelationship, from_id: int, to_id: int) -> VisualRelationship:
+    subject = vr.subject
+    obj = vr.object
+    if subject.class_id == from_id:
+        subject = AnnotatedObject(to_id, subject.bbox)
+    if obj.class_id == from_id:
+        obj = AnnotatedObject(to_id, obj.bbox)
+    if subject is vr.subject and obj is vr.object:
+        return vr
+    return VisualRelationship(subject, vr.predicate_id, obj)
+
+
 def change_class_for_image_set(
     corpus: AnnotationCorpus,
     image_filenames: list[str],
@@ -106,29 +127,12 @@ def change_class_for_image_set(
 
     Both names stay live; this is a scoped relabeling, not a merge.
     """
-    work = corpus.copy()
-    from_id = work.class_id(from_name)
-    to_id = work.class_id(to_name)
+    from_id = corpus.class_id(from_name)
+    to_id = corpus.class_id(to_name)
     for image in image_filenames:
-        if image not in work.images:
+        if image not in corpus.images:
             raise ImageNotFoundError(image)
-    for image in image_filenames:
-        work.images[image] = [
-            _rewrite_classes(vr, {from_id: to_id}) for vr in work.images[image]
-        ]
-    return work
-
-
-def _rewrite_classes(vr: VisualRelationship, mapping: dict[int, int]) -> VisualRelationship:
-    subject = vr.subject
-    obj = vr.object
-    if subject.class_id in mapping:
-        subject = AnnotatedObject(mapping[subject.class_id], subject.bbox)
-    if obj.class_id in mapping:
-        obj = AnnotatedObject(mapping[obj.class_id], obj.bbox)
-    if subject is vr.subject and obj is vr.object:
-        return vr
-    return VisualRelationship(subject, vr.predicate_id, obj)
+    return _rewrite_vrs(corpus, lambda vr: _rewrite_class(vr, from_id, to_id), image_filenames)
 
 
 def merge_object_class(
@@ -138,11 +142,9 @@ def merge_object_class(
     donor name.  The donor keeps its master-list slot so no id shifts."""
     if from_name == to_name:
         raise SelfMergeError(from_name)
-    work = corpus.copy()
-    from_id = work.class_id(from_name)
-    to_id = work.class_id(to_name)
-    for image, vrs in work.images.items():
-        work.images[image] = [_rewrite_classes(vr, {from_id: to_id}) for vr in vrs]
+    from_id = corpus.class_id(from_name)
+    to_id = corpus.class_id(to_name)
+    work = _rewrite_vrs(corpus, lambda vr: _rewrite_class(vr, from_id, to_id))
     work.retired_class_ids.add(from_id)
     return work
 
@@ -152,33 +154,27 @@ def merge_predicate(
 ) -> AnnotationCorpus:
     if from_name == to_name:
         raise SelfMergeError(from_name)
-    work = corpus.copy()
-    from_id = work.predicate_id(from_name)
-    to_id = work.predicate_id(to_name)
-    for image, vrs in work.images.items():
-        work.images[image] = [
-            replace(vr, predicate_id=to_id) if vr.predicate_id == from_id else vr
-            for vr in vrs
-        ]
+    from_id = corpus.predicate_id(from_name)
+    to_id = corpus.predicate_id(to_name)
+    work = _rewrite_vrs(
+        corpus, lambda vr: replace(vr, predicate_id=to_id) if vr.predicate_id == from_id else vr
+    )
     work.retired_predicate_ids.add(from_id)
     return work
+
+
+def _type_ids(vr: VisualRelationship) -> tuple[int, int, int]:
+    return (vr.subject.class_id, vr.predicate_id, vr.object.class_id)
 
 
 def remove_vr_types_global(
     corpus: AnnotationCorpus, types: list[tuple[str, str, str]]
 ) -> AnnotationCorpus:
     """Delete every VR whose name triple matches any of the given types."""
-    work = corpus.copy()
     doomed = {
-        (work.class_id(s), work.predicate_id(p), work.class_id(o)) for s, p, o in types
+        (corpus.class_id(s), corpus.predicate_id(p), corpus.class_id(o)) for s, p, o in types
     }
-    for image, vrs in work.images.items():
-        work.images[image] = [
-            vr
-            for vr in vrs
-            if (vr.subject.class_id, vr.predicate_id, vr.object.class_id) not in doomed
-        ]
-    return work
+    return _rewrite_vrs(corpus, lambda vr: None if _type_ids(vr) in doomed else vr)
 
 
 def remove_empty_images(corpus: AnnotationCorpus) -> AnnotationCorpus:
@@ -198,40 +194,32 @@ def change_vr_type_global(
     two class names (subject becomes object and vice versa) cannot be
     expressed here and is rejected; per-image protocol edits cover that.
     """
-    work = corpus.copy()
     from_s, from_p, from_o = from_type
     to_s, to_p, to_o = to_type
-    from_ids = (work.class_id(from_s), work.predicate_id(from_p), work.class_id(from_o))
-    to_ids = (work.class_id(to_s), work.predicate_id(to_p), work.class_id(to_o))
+    from_ids = (corpus.class_id(from_s), corpus.predicate_id(from_p), corpus.class_id(from_o))
+    to_ids = (corpus.class_id(to_s), corpus.predicate_id(to_p), corpus.class_id(to_o))
     if from_ids[0] != from_ids[2] and (to_ids[0], to_ids[2]) == (from_ids[2], from_ids[0]):
         raise UnsupportedRewriteError(
             f"rewriting {from_type} to {to_type} would swap subject and object roles"
         )
-    for image, vrs in work.images.items():
-        new_vrs = []
-        for vr in vrs:
-            if (vr.subject.class_id, vr.predicate_id, vr.object.class_id) == from_ids:
-                vr = VisualRelationship(
-                    AnnotatedObject(to_ids[0], vr.subject.bbox),
-                    to_ids[1],
-                    AnnotatedObject(to_ids[2], vr.object.bbox),
-                )
-            new_vrs.append(vr)
-        work.images[image] = new_vrs
-    return work
+
+    def rewrite(vr: VisualRelationship) -> VisualRelationship:
+        if _type_ids(vr) != from_ids:
+            return vr
+        return VisualRelationship(
+            AnnotatedObject(to_ids[0], vr.subject.bbox),
+            to_ids[1],
+            AnnotatedObject(to_ids[2], vr.object.bbox),
+        )
+
+    return _rewrite_vrs(corpus, rewrite)
 
 
 def dedup_vrs(corpus: AnnotationCorpus) -> AnnotationCorpus:
     """Drop exact-duplicate VRs per image, keeping the first occurrence."""
     work = corpus.copy()
     for image, vrs in work.images.items():
-        seen: set[VisualRelationship] = set()
-        kept = []
-        for vr in vrs:
-            if vr not in seen:
-                seen.add(vr)
-                kept.append(vr)
-        work.images[image] = kept
+        work.images[image] = list(dict.fromkeys(vrs))
     return work
 
 

@@ -49,6 +49,17 @@ class TestValidate:
         assert code == 3
         assert err.startswith("error:")
 
+    def test_duplicate_key_names_file(self, capsys, tmp_path):
+        bad = tmp_path / "annotations.json"
+        text = (LISTING_DIR / "annotations.json").read_text(encoding="utf-8")
+        bad.write_text(text.replace('{"predicate": 3,', '{"predicate": 3, "predicate": 3,', 1))
+        args = corpus_args()
+        args[1] = str(bad)
+        code, out, err = run(capsys, "validate", *args)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {bad}: duplicate key 'predicate'\n"
+
 
 class TestStats:
     def test_text(self, capsys):

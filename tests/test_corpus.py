@@ -165,6 +165,8 @@ def reference_load_corpus(annotations_path, classes_path, predicates_path):
         raw = json.loads(text, object_pairs_hook=_ref_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(str(annotations_path), str(exc)) from None
+    except MalformedRecordError as exc:  # a duplicate key is reported against its file
+        raise MalformedRecordError(str(annotations_path), exc.reason) from None
     if not isinstance(raw, dict):
         raise MalformedRecordError(str(annotations_path), "annotations root must be an object")
 

@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from vrannot.errors import (
     UnmappedNameError,
 )
 from vrannot.kg import (
+    _AXIOMS,
     DEFAULT_NAMESPACE,
     RDF_TYPE,
     GraphStore,
@@ -220,6 +223,88 @@ class TestLoadSchema:
         # a class term is not usable where a property is required
         with pytest.raises(UndeclaredTermError):
             self.load(tmp_path, "class A\nclass B\nprop p\nsubprop p A\n")
+
+
+# One case per axiom keyword: its Schema field, its argument kinds, the arity
+# text of its error, and what a valid line stores.  Declared terms are
+# classes A and B, properties p and q.
+AXIOM_CASES = {
+    "subclass": ("subclass_of", ("class", "class"), "2 class terms"),
+    "eqclass": ("eq_class", ("class", "class"), "2 class terms"),
+    "subprop": ("subprop_of", ("prop", "prop"), "2 property terms"),
+    "eqprop": ("eq_prop", ("prop", "prop"), "2 property terms"),
+    "inverse": ("inverse_of", ("prop", "prop"), "2 property terms"),
+    "transitive": ("transitive", ("prop",), "1 property term"),
+    "symmetric": ("symmetric", ("prop",), "1 property term"),
+    "domain": ("domain", ("prop", "class"), "a property and a class"),
+    "range": ("range", ("prop", "class"), "a property and a class"),
+}
+DECLARATIONS = "class A\nclass B\nprop p\nprop q\n"
+FIRST = {"class": "A", "prop": "p"}
+SECOND = {"class": "B", "prop": "q"}
+OTHER_KIND = {"class": "p", "prop": "A"}
+
+
+class TestAxiomTable:
+    def load(self, tmp_path, text):
+        path = tmp_path / "axioms.txt"
+        path.write_text(text, encoding="utf-8")
+        return load_schema(path)
+
+    def test_cases_cover_table(self):
+        assert AXIOM_CASES == _AXIOMS
+
+    @pytest.mark.parametrize("keyword", sorted(AXIOM_CASES))
+    def test_valid_line_lands_in_field(self, tmp_path, keyword):
+        field, kinds, _ = AXIOM_CASES[keyword]
+        terms = [FIRST[kinds[0]], *(SECOND[kind] for kind in kinds[1:])]
+        schema = self.load(tmp_path, DECLARATIONS + f"{keyword} {' '.join(terms)}\n")
+        expected = Schema(classes={"A", "B"}, properties={"p", "q"})
+        getattr(expected, field).append(terms[0] if len(terms) == 1 else tuple(terms))
+        assert schema == expected
+
+    @pytest.mark.parametrize("keyword", sorted(AXIOM_CASES))
+    def test_wrong_argument_count(self, tmp_path, keyword):
+        _, kinds, arity = AXIOM_CASES[keyword]
+        terms = [FIRST[kind] for kind in kinds]
+        for args in (terms[:-1], terms + terms[:1]):
+            with pytest.raises(MalformedAxiomError) as err:
+                self.load(tmp_path, DECLARATIONS + f"{keyword} {' '.join(args)}\n")
+            reason = f"{keyword} takes {arity}" if args else f"{keyword} needs arguments"
+            assert str(err.value) == f"line 5: {reason}"
+
+    @pytest.mark.parametrize("keyword", sorted(AXIOM_CASES))
+    def test_term_of_wrong_kind(self, tmp_path, keyword):
+        _, kinds, _ = AXIOM_CASES[keyword]
+        for position, kind in enumerate(kinds):
+            terms = [FIRST[k] if i == 0 else SECOND[k] for i, k in enumerate(kinds)]
+            terms[position] = OTHER_KIND[kind]
+            with pytest.raises(UndeclaredTermError) as err:
+                self.load(tmp_path, DECLARATIONS + f"{keyword} {' '.join(terms)}\n")
+            assert (err.value.line, err.value.name) == (5, terms[position])
+
+    @pytest.mark.parametrize(
+        "keyword", sorted(k for k, (_, kinds, _) in AXIOM_CASES.items() if len(kinds) == 2)
+    )
+    def test_self_axiom_only_for_same_kind(self, tmp_path, keyword):
+        field, kinds, _ = AXIOM_CASES[keyword]
+        # X is both a class and a property, so every keyword accepts `X X`
+        text = "class X\nprop X\n" + f"{keyword} X X\n"
+        if kinds[0] == kinds[1]:
+            with pytest.raises(SelfAxiomError) as err:
+                self.load(tmp_path, text)
+            assert (err.value.line, err.value.name) == (3, "X")
+        else:
+            assert getattr(self.load(tmp_path, text), field) == [("X", "X")]
+
+    def test_docs_keyword_sentence_matches(self):
+        """docs/formats.md's keyword sentence lists exactly the declaration,
+        designation and axiom keywords."""
+        text = (Path(__file__).parent.parent / "docs" / "formats.md").read_text(encoding="utf-8")
+        sentence = text.split("The full keyword set is ", 1)[1].split(".", 1)[0]
+        documented = re.findall(r"`([a-z]+)`", sentence)
+        assert len(documented) == len(set(documented))
+        assert set(documented) == {"class", "prop", "annclass", "annprop", *_AXIOMS}
 
 
 class TestGraphStore:

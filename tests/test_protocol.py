@@ -1,12 +1,15 @@
 import dataclasses
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from vrannot.corpus import BoundingBox, canonical_annotations_bytes
+from vrannot.corpus import AnnotatedObject, BoundingBox, canonical_annotations_bytes
 from vrannot.errors import ApplyError, ParseError
 from vrannot.protocol import (
+    _CHANGES,
     ImageBlock,
     Instruction,
     InstructionKind,
@@ -346,3 +349,97 @@ class TestApply:
             report.vrs_removed,
             report.images_removed,
         ) == (touched, changed, added, removed, images_removed)
+
+
+# One case per index-addressed change kind: the script payload, the
+# Instruction field and value parsing must store, and the VR that applying it
+# to (person, on, shelf) must give.
+CHANGE_CASES = {
+    "cvrsoc": ("dog", "new_name", "dog", lambda vr, c: dataclasses.replace(
+        vr, subject=AnnotatedObject(c.class_id("dog"), vr.subject.bbox))),
+    "cvrsbb": ("[1,2,3,4]", "new_bbox", BoundingBox(1, 2, 3, 4), lambda vr, c: dataclasses.replace(
+        vr, subject=AnnotatedObject(vr.subject.class_id, BoundingBox(1, 2, 3, 4)))),
+    "cvrooc": ("'dog'", "new_name", "dog", lambda vr, c: dataclasses.replace(
+        vr, object=AnnotatedObject(c.class_id("dog"), vr.object.bbox))),
+    "cvrobb": ("[1,2,3,4]", "new_bbox", BoundingBox(1, 2, 3, 4), lambda vr, c: dataclasses.replace(
+        vr, object=AnnotatedObject(vr.object.class_id, BoundingBox(1, 2, 3, 4)))),
+    "cvrpxx": ("sit on", "new_name", "sit on", lambda vr, c: dataclasses.replace(
+        vr, predicate_id=c.predicate_id("sit on"))),
+}
+EMPTY_PAYLOAD = {
+    "cvrsoc": "empty class name",
+    "cvrsbb": "expected a [ymin,ymax,xmin,xmax] literal, got ''",
+    "cvrooc": "empty class name",
+    "cvrobb": "expected a [ymin,ymax,xmin,xmax] literal, got ''",
+    "cvrpxx": "empty predicate name",
+}
+SHELF_IMAGE = "3223670633_7d3d72dfe8_b.jpg"  # its VR 4 is (person, on, shelf)
+
+
+def without_lines(blocks):
+    return [
+        dataclasses.replace(
+            block,
+            source_line=0,
+            instructions=[dataclasses.replace(ins, source_line=0) for ins in block.instructions],
+        )
+        for block in blocks
+    ]
+
+
+class TestChangeTable:
+    def test_cases_cover_table(self):
+        assert set(CHANGE_CASES) == set(EMPTY_PAYLOAD) == {kind.value for kind in _CHANGES}
+
+    @pytest.mark.parametrize("mnemonic", sorted(CHANGE_CASES))
+    def test_parse_render_parse(self, mnemonic):
+        payload, stored, value, _ = CHANGE_CASES[mnemonic]
+        text = f"# x\nimname; a.jpg\n  {mnemonic} ;3; ( 'person', on,shelf ) ;  {payload}\n"
+        blocks = parse_script(text)
+        ins = blocks[0].instructions[0]
+        assert (ins.kind.value, ins.vr_index) == (mnemonic, 3)
+        assert ins.ref_tuple == ("person", "on", "shelf")
+        other = "new_bbox" if stored == "new_name" else "new_name"
+        assert (getattr(ins, stored), getattr(ins, other), ins.new_vr) == (value, None, None)
+        assert without_lines(parse_script(render_script(blocks))) == without_lines(blocks)
+
+    @pytest.mark.parametrize("mnemonic", sorted(CHANGE_CASES))
+    def test_apply_changes_only_named_part(self, mnemonic):
+        payload, _, _, expect = CHANGE_CASES[mnemonic]
+        corpus = load_listing_corpus()
+        script = f"imname; {SHELF_IMAGE}\n{mnemonic}; 4; (person, on, shelf); {payload}\n"
+        result, _ = validate_and_apply(corpus, parse_script(script))
+        expected = load_listing_corpus()
+        vrs = expected.images[SHELF_IMAGE]
+        vrs[4] = expect(vrs[4], expected)
+        assert vrs[4] != corpus.images[SHELF_IMAGE][4]
+        assert result == expected
+
+    @pytest.mark.parametrize("mnemonic", sorted(CHANGE_CASES))
+    @pytest.mark.parametrize("fields", ["0; (a, b, c)", "0; (a, b, c); d; e"])
+    def test_wrong_field_count(self, mnemonic, fields):
+        with pytest.raises(ParseError) as err:
+            parse_script(f"imname; a.jpg\n\n{mnemonic}; {fields}\n")
+        assert str(err.value) == f"line 3: {mnemonic} takes 3 fields: index; (tuple); payload"
+
+    @pytest.mark.parametrize("mnemonic", sorted(CHANGE_CASES))
+    def test_empty_payload(self, mnemonic):
+        # a quoted empty name is empty too; a quoted box is not a box literal
+        quoted = ("''",) if CHANGE_CASES[mnemonic][1] == "new_name" else ()
+        for payload in ("", *quoted):
+            with pytest.raises(ParseError) as err:
+                parse_script(f"imname; a.jpg\n{mnemonic}; 0; (a, b, c); {payload}\n")
+            assert str(err.value) == f"line 2: {EMPTY_PAYLOAD[mnemonic]}"
+
+    def test_docs_grammar_block_matches(self):
+        """docs/formats.md's script grammar lists exactly the InstructionKind
+        mnemonics, with rimxxx only as the imname flag."""
+        text = (Path(__file__).parent.parent / "docs" / "formats.md").read_text(encoding="utf-8")
+        section = text.split("## Customization scripts\n", 1)[1]
+        block = section.split("```\n", 2)[1]
+        lines = block.splitlines()
+        assert [line.split(";")[0] for line in lines] == [
+            kind.value for kind in InstructionKind if kind is not InstructionKind.RIMXXX
+        ]
+        assert lines[0] == "imname; <filename>[; rimxxx]"
+        assert [line for line in lines if "rimxxx" in line] == [lines[0]]
