@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
-from .corpus import AnnotationCorpus, BoundingBox, find_exact_duplicates
+from .corpus import AnnotationCorpus, BoundingBox, find_exact_duplicates, replace_files
 from .errors import ConfigError, DegenerateBoxError, IdOutOfRangeError, ImageNotFoundError
 from .protocol import strip_quotes
 
@@ -321,4 +320,4 @@ def render_overlay(
             f'font-family="sans-serif" font-size="12" fill="{color}">{label}</text>\n'
         )
     parts.append("</svg>\n")
-    Path(out_path).write_text("".join(parts), encoding="utf-8")
+    replace_files([(out_path, "".join(parts).encode("utf-8"))])

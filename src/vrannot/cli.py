@@ -19,6 +19,7 @@ from .corpus import (
     diff_corpora,
     load_corpus,
     load_master_list,
+    replace_files,
     save_corpus,
 )
 from .errors import FileMissingError, VrannotError
@@ -190,8 +191,7 @@ def _cmd_kg_lower(args) -> int:
     corpus = _load(args)
     schema = _schema_for(args, corpus)
     store = kg.lower_annotations(corpus, schema, namespace=args.namespace, image=args.image)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(kg.dump_store(store))
+    replace_files([(args.out, kg.dump_store(store).encode("utf-8"))])
     print(f"triples: {len(store)}")
     return 0
 
@@ -201,8 +201,7 @@ def _cmd_kg_materialize(args) -> int:
     with open(args.graph, encoding="utf-8") as handle:
         store = kg.load_store(handle.read(), namespace=args.namespace)
     closed = kg.materialize(store, schema)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(kg.dump_store(closed))
+    replace_files([(args.out, kg.dump_store(closed).encode("utf-8"))])
     print(f"triples: {len(closed)} (added {len(closed) - len(store)})")
     return 0
 

@@ -13,11 +13,14 @@ to identical bytes.
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import (
@@ -293,29 +296,94 @@ def load_corpus(annotations_path, classes_path, predicates_path) -> AnnotationCo
 # --------------------------------------------------------------------------
 
 
-def _vr_record(vr: VisualRelationship) -> dict:
-    return {
-        "predicate": vr.predicate_id,
-        "subject": {"category": vr.subject.class_id, "bbox": vr.subject.bbox.to_list()},
-        "object": {"category": vr.object.class_id, "bbox": vr.object.bbox.to_list()},
-    }
+# Per VR, the exact text json.dumps(sort_keys=True, indent=2) gives it inside an
+# image array: object, predicate, subject; bbox before category in each object.
+_VR_TEMPLATE = """\
+    {
+      "object": {
+        "bbox": [
+          %d,
+          %d,
+          %d,
+          %d
+        ],
+        "category": %d
+      },
+      "predicate": %d,
+      "subject": {
+        "bbox": [
+          %d,
+          %d,
+          %d,
+          %d
+        ],
+        "category": %d
+      }
+    }"""
 
 
-def _canonical_json_bytes(payload) -> bytes:
-    # sort_keys orders image keys lexicographically; per-image VR order is
-    # semantic (scripts index into it) and is preserved as-is.
-    return (json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode(
-        "utf-8"
+def _vr_text(vr: VisualRelationship) -> str:
+    s, o = vr.subject, vr.object
+    sb, ob = s.bbox, o.bbox
+    return _VR_TEMPLATE % (
+        ob.ymin, ob.ymax, ob.xmin, ob.xmax, o.class_id,
+        vr.predicate_id,
+        sb.ymin, sb.ymax, sb.xmin, sb.xmax, s.class_id,
     )
 
 
 def canonical_annotations_bytes(corpus: AnnotationCorpus) -> bytes:
-    payload = {image: [_vr_record(vr) for vr in vrs] for image, vrs in corpus.images.items()}
-    return _canonical_json_bytes(payload)
+    """The bytes of json.dumps(payload, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\n", written without building the payload.
+
+    Image keys are sorted; per-image VR order is semantic (scripts index into
+    it) and is preserved as-is.
+    """
+    entries = [
+        f"  {encode_basestring(image)}: [\n" + ",\n".join(map(_vr_text, vrs)) + "\n  ]"
+        if vrs
+        else f"  {encode_basestring(image)}: []"
+        for image, vrs in sorted(corpus.images.items())
+    ]
+    text = "{\n" + ",\n".join(entries) + "\n}\n" if entries else "{}\n"
+    return text.encode("utf-8")
 
 
 def canonical_master_list_bytes(names: list[str]) -> bytes:
-    return _canonical_json_bytes(list(names))
+    return (json.dumps(list(names), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def replace_files(targets) -> None:
+    """Write each (path, bytes) pair through a temp file next to its path.
+
+    Every temp file is written and fsynced before the first one is renamed
+    over its target, so a failure while writing changes no target and leaves
+    no temp file.  The renames run in order; only a failure between two of
+    them can leave earlier targets replaced and later ones not.
+    """
+    staged: list[tuple[str, str]] = []
+    try:
+        for path, payload in targets:
+            target = os.path.realpath(path)  # a symlinked output is written where it points
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+            directory, name = os.path.split(target)
+            temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((temp, target))
+            with open(fd, "wb") as handle:
+                handle.write(payload)
+                handle.flush()
+                os.fsync(fd)
+        for temp, target in staged:
+            os.replace(temp, target)
+    except BaseException:
+        for temp, _ in staged:
+            try:
+                os.unlink(temp)
+            except FileNotFoundError:  # already renamed into place
+                pass
+        raise
 
 
 def save_corpus(
@@ -328,16 +396,16 @@ def save_corpus(
 
     Master lists are written when their paths are given.  Retired names stay
     in the lists (ids must not shift); retirement itself is not persisted.
+    Every payload is computed before any file is touched (see replace_files).
     """
     targets = [(annotations_path, canonical_annotations_bytes(corpus))]
     if classes_path is not None:
         targets.append((classes_path, canonical_master_list_bytes(corpus.object_class_names)))
     if predicates_path is not None:
         targets.append((predicates_path, canonical_master_list_bytes(corpus.predicate_names)))
-    for path, payload in targets:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(payload)
+    for path, _ in targets:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    replace_files(targets)
 
 
 # --------------------------------------------------------------------------
@@ -450,6 +518,13 @@ def diff_corpora(before: AnnotationCorpus, after: AnnotationCorpus) -> CorpusDif
     """Name-level value diff; VR removals and additions of an image that pair
     up one-to-one count as changes.  Image-level adds/removes do not feed the
     VR counters."""
+    # When every id of `before` keeps its name in `after`, equal VR lists
+    # resolve to equal name multisets, so such an image is skipped unresolved.
+    # A step's copy shares the frozen VRs, so that `==` compares pointers.
+    names_kept = (
+        after.object_class_names[: len(before.object_class_names)] == before.object_class_names
+        and after.predicate_names[: len(before.predicate_names)] == before.predicate_names
+    )
     deltas: list[ImageDelta] = []
     for image in sorted(set(before.images) | set(after.images)):
         if image not in after.images:
@@ -457,6 +532,8 @@ def diff_corpora(before: AnnotationCorpus, after: AnnotationCorpus) -> CorpusDif
             continue
         if image not in before.images:
             deltas.append(ImageDelta(image, "added"))
+            continue
+        if names_kept and before.images[image] == after.images[image]:
             continue
         old = _resolved_vrs(before, image)
         new = _resolved_vrs(after, image)

@@ -165,6 +165,9 @@ _AXIOMS = {
 }
 
 
+_KEYWORDS = frozenset({"class", "prop", "annclass", "annprop", *_AXIOMS})
+
+
 def _schema_local(token: str, line: int) -> str:
     if not _LOCAL_RE.match(token):
         raise MalformedAxiomError(line, f"invalid term {token!r}")
@@ -193,6 +196,8 @@ def load_schema(path) -> Schema:
         fields = line.split(None, 1)
         keyword = fields[0]
         rest = fields[1].strip() if len(fields) == 2 else ""
+        if keyword not in _KEYWORDS:
+            raise MalformedAxiomError(line_no, f"unknown keyword {keyword!r}")
         if not rest:
             raise MalformedAxiomError(line_no, f"{keyword} needs arguments")
 
@@ -215,8 +220,6 @@ def load_schema(path) -> Schema:
             mapping[corpus_name] = term
             continue
 
-        if keyword not in _AXIOMS:
-            raise MalformedAxiomError(line_no, f"unknown keyword {keyword!r}")
         target, kinds, arity = _AXIOMS[keyword]
         args = rest.split()
         if len(args) != len(kinds):

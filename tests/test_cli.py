@@ -1,8 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vrannot
+from vrannot import kg
 from vrannot.cli import main
 from vrannot.corpus import canonical_annotations_bytes, load_corpus, save_corpus
 from vrannot.kg import load_store
@@ -10,6 +16,8 @@ from vrannot.kg import load_store
 from helpers import DEMO_DIR, LISTING_DIR, load_listing_corpus, load_listing_expected
 
 pytestmark = pytest.mark.usefixtures("capsys")
+
+OUTPUT_NAMES = ("annotations.json", "classes.json", "predicates.json")
 
 
 def corpus_args(directory=LISTING_DIR):
@@ -343,6 +351,42 @@ class TestWorkflow:
         assert not (workdir / "out").exists()
 
 
+    def test_unwritable_output_keeps_previous_outputs(self, capsys, tmp_path):
+        workdir = self.prepared(tmp_path, "blocked")
+        out = workdir / "out"
+        out.mkdir()
+        (out / "annotations.json").write_bytes(b"previous annotations\n")
+        (out / "classes.json").write_bytes(b"previous classes\n")
+        (out / "predicates.json").mkdir()
+        code, stdout, err = run(capsys, "workflow", "run", str(workdir / "config.json"))
+        assert (code, stdout) == (4, "")
+        assert err == f"error: [Errno 21] Is a directory: '{out / 'predicates.json'}'\n"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "annotations.json", "classes.json", "predicates.json"
+        ]
+        assert (out / "annotations.json").read_bytes() == b"previous annotations\n"
+        assert (out / "classes.json").read_bytes() == b"previous classes\n"
+
+    def test_outputs_identical_across_hash_seeds(self, tmp_path):
+        """Two processes with different string hashing print the same report
+        and write the same bytes."""
+        src = Path(vrannot.__file__).resolve().parent.parent
+        results = []
+        for seed in ("0", "1"):
+            workdir = self.prepared(tmp_path, f"seed{seed}")
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+            result = subprocess.run(
+                [sys.executable, "-m", "vrannot.cli", "workflow", "run", "config.json"],
+                cwd=workdir, env=env, capture_output=True, check=True, timeout=120,
+            )
+            assert result.stderr == b""
+            results.append(
+                (result.stdout, *((workdir / "out" / name).read_bytes() for name in OUTPUT_NAMES))
+            )
+        assert results[0] == results[1]
+        assert results[0][0].endswith(b"done: 11 steps\n")
+
+
 class TestKgCommands:
     def seed(self, tmp_path):
         directory = tmp_path / "kgdata"
@@ -475,6 +519,26 @@ class TestKgCommands:
         )
         assert code == 3
         assert "line 1" in err
+
+
+    @pytest.mark.parametrize("command", ["lower", "materialize"])
+    def test_failed_dump_keeps_previous_out(self, capsys, tmp_path, monkeypatch, command):
+        directory = self.seed(tmp_path)
+        schema = ["--schema", str(directory / "axioms.txt")]
+        lowered = tmp_path / "g.nt"
+        assert run(capsys, "kg", "lower", *corpus_args(directory), *schema, "--out", str(lowered))[0] == 0
+        out = tmp_path / "previous.nt"
+        out.write_bytes(b"previous dump\n")
+
+        def failing_dump(store):
+            raise RuntimeError("dump failed")
+
+        monkeypatch.setattr(kg, "dump_store", failing_dump)
+        inputs = corpus_args(directory) if command == "lower" else [str(lowered)]
+        with pytest.raises(RuntimeError):
+            main(["kg", command, *inputs, *schema, "--out", str(out)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.nt", "kgdata", "previous.nt"]
+        assert out.read_bytes() == b"previous dump\n"
 
 
 class TestDiff:

@@ -1,6 +1,8 @@
+import errno
 import gc
 import itertools
 import json
+import os
 import random
 from collections import Counter
 from pathlib import Path
@@ -13,6 +15,7 @@ from vrannot.corpus import (
     BoundingBox,
     VisualRelationship,
     canonical_annotations_bytes,
+    canonical_master_list_bytes,
     compute_stats,
     diff_corpora,
     find_exact_duplicates,
@@ -438,6 +441,183 @@ class TestSave:
         again = load_corpus(out, LISTING_DIR / "classes.json", LISTING_DIR / "predicates.json")
         for image in corpus.images:
             assert again.images[image] == corpus.images[image]
+
+
+def tree(directory):
+    """Every path under `directory` with its bytes (None for a directory)."""
+    return {
+        path.relative_to(directory).as_posix(): path.read_bytes() if path.is_file() else None
+        for path in sorted(directory.rglob("*"))
+    }
+
+
+class TestAllOrNothingSave:
+    """A failed save leaves earlier outputs byte-identical and no temp file."""
+
+    def outputs(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = [out / "annotations.json", out / "classes.json", out / "predicates.json"]
+        for path in paths:
+            path.write_bytes(b"previous " + path.name.encode() + b"\n")
+        return out, paths
+
+    def test_success_leaves_no_temp_file(self, tmp_path):
+        corpus = load_listing_corpus()
+        out, paths = self.outputs(tmp_path)
+        save_corpus(corpus, *paths)
+        assert sorted(tree(out)) == ["annotations.json", "classes.json", "predicates.json"]
+        assert paths[0].read_bytes() == canonical_annotations_bytes(corpus)
+
+    def test_directory_as_predicates_path(self, tmp_path):
+        out, paths = self.outputs(tmp_path)
+        paths[2].unlink()
+        paths[2].mkdir()
+        before = tree(tmp_path)
+        with pytest.raises(IsADirectoryError) as err:
+            save_corpus(load_listing_corpus(), *paths)
+        assert err.value.filename == str(paths[2])
+        assert tree(tmp_path) == before
+
+    def test_unwritable_directory(self, tmp_path, monkeypatch):
+        out, paths = self.outputs(tmp_path)
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        (locked / "predicates.json").write_bytes(b"previous predicates\n")
+        before = tree(tmp_path)
+        real_open = os.open
+
+        def open_unless_locked(path, *args, **kwargs):
+            # root ignores the mode bits, so the denial is also injected here
+            if os.path.dirname(path) == os.path.realpath(locked):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_open(path, *args, **kwargs)
+
+        locked.chmod(0o555)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "open", open_unless_locked)
+                with pytest.raises(PermissionError):
+                    save_corpus(load_listing_corpus(), paths[0], paths[1], locked / "predicates.json")
+        finally:
+            locked.chmod(0o755)
+        assert tree(tmp_path) == before
+
+    def test_failed_fsync_replaces_nothing(self, tmp_path, monkeypatch):
+        out, paths = self.outputs(tmp_path)
+        before = tree(tmp_path)
+        calls = []
+        real_fsync = os.fsync
+
+        def fsync_until_full(fd):
+            calls.append(fd)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            real_fsync(fd)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", fsync_until_full)
+            with pytest.raises(OSError):
+                save_corpus(load_listing_corpus(), *paths)
+        assert tree(tmp_path) == before
+
+    def test_failed_rename_is_the_only_window(self, tmp_path, monkeypatch):
+        """A failure between two renames keeps the renames already made, but
+        still leaves no temp file."""
+        corpus = load_listing_corpus()
+        out, paths = self.outputs(tmp_path)
+        before = tree(tmp_path)
+        real_replace = os.replace
+
+        def replace_once(source, target):
+            if target == os.path.realpath(paths[1]):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_replace(source, target)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", replace_once)
+            with pytest.raises(OSError):
+                save_corpus(corpus, *paths)
+        after = tree(tmp_path)
+        assert after["out/annotations.json"] == canonical_annotations_bytes(corpus)
+        assert {k: v for k, v in after.items() if k != "out/annotations.json"} == {
+            k: v for k, v in before.items() if k != "out/annotations.json"
+        }
+
+    def test_symlinked_output_is_written_through(self, tmp_path):
+        corpus = load_listing_corpus()
+        target = tmp_path / "real.json"
+        target.write_bytes(b"previous\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        save_corpus(corpus, link)
+        assert link.is_symlink()
+        assert target.read_bytes() == canonical_annotations_bytes(corpus)
+
+
+FILENAME_ALPHABET = 'aZ9._- "\\/\x00\x01\x08\x1f\x7f\t\n\r\u2028\u2029\ufeffé߀中😀'
+INTS = (0, 1, -1, 9, 10, -10**6, 2**31, -(2**63) - 1, 10**30)
+
+
+def reference_annotations_bytes(corpus):
+    """The canonical annotations form as json.dumps writes it."""
+    payload = {
+        image: [
+            vr_record(
+                vr.subject.class_id,
+                vr.subject.bbox.to_list(),
+                vr.predicate_id,
+                vr.object.class_id,
+                vr.object.bbox.to_list(),
+            )
+            for vr in vrs
+        ]
+        for image, vrs in corpus.images.items()
+    }
+    return (json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode()
+
+
+def exotic_int(rng):
+    return rng.choice(INTS) if rng.random() < 0.5 else rng.randrange(-500, 500)
+
+
+def exotic_vr(rng):
+    def participant():
+        return AnnotatedObject(exotic_int(rng), BoundingBox(*(exotic_int(rng) for _ in range(4))))
+
+    return VisualRelationship(participant(), exotic_int(rng), participant())
+
+
+def exotic_name(rng):
+    return "".join(rng.choice(FILENAME_ALPHABET) for _ in range(rng.randrange(0, 8)))
+
+
+class TestCanonicalWriter:
+    def test_matches_json_dumps_on_seeded_corpora(self):
+        rng = random.Random(2028)
+        for _ in range(300):
+            images = {}
+            for _ in range(rng.randrange(0, 8)):
+                vrs = [exotic_vr(rng) for _ in range(rng.randrange(0, 4))]
+                images[exotic_name(rng)] = vrs
+            corpus = AnnotationCorpus(images, [exotic_name(rng)], [exotic_name(rng)])
+            assert canonical_annotations_bytes(corpus) == reference_annotations_bytes(corpus)
+
+    @pytest.mark.parametrize(
+        "images",
+        [{}, {"a.jpg": []}, {"b.jpg": [], "a.jpg": [], "\u2028\"\\.jpg": []}],
+        ids=["empty-corpus", "one-empty-image", "only-empty-images"],
+    )
+    def test_empty_shapes(self, images):
+        corpus = AnnotationCorpus(images, [], [])
+        assert canonical_annotations_bytes(corpus) == reference_annotations_bytes(corpus)
+
+    def test_master_lists_match_json_dumps(self):
+        rng = random.Random(2029)
+        for _ in range(200):
+            names = list({exotic_name(rng) for _ in range(rng.randrange(0, 6))})
+            expected = json.dumps(names, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+            assert canonical_master_list_bytes(names) == expected.encode()
 
 
 class TestStats:

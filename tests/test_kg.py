@@ -213,6 +213,18 @@ class TestLoadSchema:
         with pytest.raises(MalformedAxiomError):
             self.load(tmp_path, body)
 
+    @pytest.mark.parametrize("line", ["nope", "nope A", "nope A B"])
+    def test_unknown_keyword_with_or_without_arguments(self, tmp_path, line):
+        with pytest.raises(MalformedAxiomError) as err:
+            self.load(tmp_path, f"class A\n{line}\n")
+        assert str(err.value) == "line 2: unknown keyword 'nope'"
+
+    @pytest.mark.parametrize("keyword", ["class", "prop", "annclass", "annprop"])
+    def test_known_keyword_without_arguments(self, tmp_path, keyword):
+        with pytest.raises(MalformedAxiomError) as err:
+            self.load(tmp_path, f"class A\n{keyword}\n")
+        assert str(err.value) == f"line 2: {keyword} needs arguments"
+
     def test_duplicate_designations(self, tmp_path):
         with pytest.raises(MalformedAxiomError, match="designated twice"):
             self.load(tmp_path, "class A\nclass B\nannclass person A\nannclass person B\n")

@@ -7,9 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from vrannot import workflow
 from vrannot.corpus import (
+    CorpusDiff,
+    ImageDelta,
     canonical_annotations_bytes,
     canonical_master_list_bytes,
+    diff_corpora,
     find_exact_duplicates,
     load_corpus,
 )
@@ -23,6 +27,15 @@ from vrannot.errors import (
     UnknownNameError,
     UnsupportedRewriteError,
 )
+from vrannot.protocol import (
+    _CHANGES,
+    ImageBlock,
+    Instruction,
+    NewVRSpec,
+    render_script,
+    validate_and_apply,
+)
+from vrannot.protocol import InstructionKind as K
 from vrannot.workflow import (
     CLASSES,
     PREDICATES,
@@ -42,7 +55,7 @@ from vrannot.workflow import (
     update_master_lists,
 )
 
-from helpers import DEMO_DIR, random_corpus
+from helpers import DEMO_DIR, random_bbox, random_corpus
 
 
 def demo_corpus():
@@ -570,3 +583,215 @@ class TestDemoPipeline:
         second, _ = self.run_demo(tmp_path, "second")
         for name in ("annotations.json", "classes.json", "predicates.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+# --------------------------------------------------------------------------
+# effect diff against the naive resolve-everything diff
+# --------------------------------------------------------------------------
+
+
+def _oracle_resolved_vrs(corpus, image):
+    return Counter(
+        (
+            corpus.class_name(vr.subject.class_id),
+            vr.subject.bbox.as_tuple(),
+            corpus.predicate_name(vr.predicate_id),
+            corpus.class_name(vr.object.class_id),
+            vr.object.bbox.as_tuple(),
+        )
+        for vr in corpus.images[image]
+    )
+
+
+def oracle_diff_corpora(before, after):
+    """diff_corpora as it was before equal VR lists were skipped: every image
+    present on both sides is resolved to names and compared as a multiset."""
+    deltas = []
+    for image in sorted(set(before.images) | set(after.images)):
+        if image not in after.images:
+            deltas.append(ImageDelta(image, "removed"))
+            continue
+        if image not in before.images:
+            deltas.append(ImageDelta(image, "added"))
+            continue
+        old = _oracle_resolved_vrs(before, image)
+        new = _oracle_resolved_vrs(after, image)
+        if old == new:
+            continue
+        gone = sum((old - new).values())
+        came = sum((new - old).values())
+        paired = min(gone, came)
+        deltas.append(
+            ImageDelta(image, "modified", changed=paired, added=came - paired, removed=gone - paired)
+        )
+    return CorpusDiff(deltas)
+
+
+def _live(names, retired):
+    return [name for index, name in enumerate(names) if index not in retired]
+
+
+class _StepArgs:
+    """Seeded arguments under which each step function succeeds on `corpus`."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.fresh = 0
+
+    def new_name(self):
+        self.fresh += 1
+        return f"fresh {self.fresh}"
+
+    def classes(self, corpus):
+        return _live(corpus.object_class_names, corpus.retired_class_ids)
+
+    def predicates(self, corpus):
+        return _live(corpus.predicate_names, corpus.retired_predicate_ids)
+
+    def existing_type(self, corpus):
+        types = [corpus.vr_type_names(vr) for vrs in corpus.images.values() for vr in vrs]
+        if types and self.rng.random() < 0.8:
+            return list(self.rng.choice(types))
+        return [
+            self.rng.choice(self.classes(corpus)),
+            self.rng.choice(self.predicates(corpus)),
+            self.rng.choice(self.classes(corpus)),
+        ]
+
+    def master_lists(self, corpus, renames, additions):
+        target = self.rng.choice([CLASSES, PREDICATES])
+        live = self.classes(corpus) if target == CLASSES else self.predicates(corpus)
+        args = {"target": target}
+        if renames:
+            olds = self.rng.sample(live, self.rng.randrange(1, min(2, len(live)) + 1))
+            args["renames"] = [(old, self.new_name()) for old in olds]
+        if additions:
+            args["additions"] = [self.new_name() for _ in range(self.rng.randrange(1, 3))]
+        return args
+
+    def blocks(self, corpus):
+        """One block per chosen image, each valid against the input corpus."""
+        rng = self.rng
+        blocks = []
+        for line, image in enumerate(rng.sample(sorted(corpus.images), min(3, len(corpus.images)))):
+            vrs = corpus.images[image]
+            kinds = [K.AVRXXX, K.RIMXXX] + (list(_CHANGES) + [K.RVRXXX] if vrs else [])
+            kind = rng.choice(kinds)
+            if kind is K.RIMXXX:
+                blocks.append(ImageBlock(image, line, remove_image=True))
+                continue
+            if kind is K.AVRXXX:
+                spec = NewVRSpec(
+                    rng.choice(self.classes(corpus)),
+                    random_bbox(rng),
+                    rng.choice(self.predicates(corpus)),
+                    rng.choice(self.classes(corpus)),
+                    random_bbox(rng),
+                )
+                ins = Instruction(kind, line, new_vr=spec)
+            else:
+                index = rng.randrange(len(vrs))
+                ref = corpus.vr_type_names(vrs[index])
+                payload = _CHANGES.get(kind, (None, None))[1]
+                names = {"class": self.classes, "predicate": self.predicates}
+                ins = Instruction(
+                    kind,
+                    line,
+                    vr_index=index,
+                    ref_tuple=ref,
+                    new_name=rng.choice(names[payload](corpus)) if payload in names else None,
+                    new_bbox=random_bbox(rng) if payload == "bbox" else None,
+                )
+            blocks.append(ImageBlock(image, line, instructions=[ins]))
+        return blocks
+
+    def for_kind(self, kind, corpus, script_path):
+        """Keyword arguments for the step function of `kind`; None when the
+        corpus has too few live names for it."""
+        rng = self.rng
+        if kind == "update_master_lists":
+            return self.master_lists(corpus, rng.random() < 0.5, rng.random() < 0.5)
+        if kind == "apply_protocol_file":
+            script_path.write_text(render_script(self.blocks(corpus)), encoding="utf-8")
+            return {"path": str(script_path)}
+        if kind == "change_class_for_image_set":
+            images = sorted(corpus.images)
+            return {
+                "image_filenames": rng.sample(images, rng.randrange(0, len(images) + 1)),
+                "from_name": rng.choice(self.classes(corpus)),
+                "to_name": rng.choice(self.classes(corpus)),
+            }
+        if kind in ("merge_class", "merge_predicate"):
+            live = self.classes(corpus) if kind == "merge_class" else self.predicates(corpus)
+            if len(live) < 2:
+                return None
+            from_name, to_name = rng.sample(live, 2)
+            return {"from_name": from_name, "to_name": to_name}
+        if kind == "remove_vr_types_global":
+            return {"types": [self.existing_type(corpus) for _ in range(rng.randrange(1, 3))]}
+        if kind == "change_vr_type_global":
+            from_type = self.existing_type(corpus)
+            while True:
+                to_type = self.existing_type(corpus)
+                swaps = from_type[0] != from_type[2] and to_type[::2] == from_type[2::-2]
+                if not swaps:
+                    return {"from_type": from_type, "to_type": to_type}
+        return {}
+
+
+class TestDiffOracle:
+    def seeded_corpus(self, rng):
+        corpus = random_corpus(
+            rng, max_images=14, max_vrs=6, n_classes=8, n_predicates=6, allow_empty_images=True
+        )
+        for vrs in corpus.images.values():  # give dedup_vrs something to drop
+            if vrs and rng.random() < 0.3:
+                vrs.append(rng.choice(vrs))
+        return corpus
+
+    def test_every_step_output_matches_oracle(self, tmp_path):
+        rng = random.Random(5150)
+        make = _StepArgs(rng)
+        seen = Counter()
+        for _ in range(60):
+            corpus = self.seeded_corpus(rng)
+            for _ in range(10):
+                kind = rng.choice(sorted(STEPS))
+                args = make.for_kind(kind, corpus, tmp_path / "script.txt")
+                if args is None:
+                    continue
+                after = getattr(workflow, STEPS[kind][0])(corpus, **args)
+                assert diff_corpora(corpus, after) == oracle_diff_corpora(corpus, after), (kind, args)
+                seen[kind] += 1
+                corpus = after
+        assert set(seen) == set(STEPS)
+
+    @pytest.mark.parametrize("renames, additions", [(True, False), (False, True), (True, True)])
+    def test_master_list_updates_match_oracle(self, renames, additions):
+        rng = random.Random(6160 + 2 * renames + additions)
+        make = _StepArgs(rng)
+        for _ in range(80):
+            corpus = self.seeded_corpus(rng)
+            after = update_master_lists(corpus, **make.master_lists(corpus, renames, additions))
+            assert diff_corpora(corpus, after) == oracle_diff_corpora(corpus, after)
+
+    def test_validate_and_apply_matches_oracle(self):
+        rng = random.Random(7170)
+        make = _StepArgs(rng)
+        for _ in range(200):
+            corpus = self.seeded_corpus(rng)
+            after, diff = validate_and_apply(corpus, make.blocks(corpus))
+            assert diff == oracle_diff_corpora(corpus, after)
+            assert diff_corpora(corpus, after) == diff
+
+    def test_rename_with_equal_lists_is_modified(self):
+        corpus = demo_corpus()
+        after = update_master_lists(corpus, CLASSES, renames=[("sofa", "couch")])
+        assert after.images == corpus.images
+        uses = {
+            image: sum("sofa" in corpus.vr_type_names(vr)[::2] for vr in vrs)
+            for image, vrs in corpus.images.items()
+        }
+        expected = [ImageDelta(image, "modified", changed=n) for image, n in sorted(uses.items()) if n]
+        assert expected
+        assert diff_corpora(corpus, after) == CorpusDiff(expected) == oracle_diff_corpora(corpus, after)
