@@ -332,21 +332,28 @@ def _vr_text(vr: VisualRelationship) -> str:
     )
 
 
+def _image_entry(image: str, vrs: list[VisualRelationship]) -> bytes:
+    key = encode_basestring(image)
+    if not vrs:
+        return f"  {key}: []".encode("utf-8")
+    return (f"  {key}: [\n" + ",\n".join(map(_vr_text, vrs)) + "\n  ]").encode("utf-8")
+
+
 def canonical_annotations_bytes(corpus: AnnotationCorpus) -> bytes:
     """The bytes of json.dumps(payload, sort_keys=True, indent=2,
     ensure_ascii=False) + "\n", written without building the payload.
 
     Image keys are sorted; per-image VR order is semantic (scripts index into
-    it) and is preserved as-is.
+    it) and is preserved as-is.  Each image is encoded on its own and the file
+    is joined once, so no whole-file str is built: its size would follow the
+    widest character of any filename, and so would the peak memory of a save.
     """
-    entries = [
-        f"  {encode_basestring(image)}: [\n" + ",\n".join(map(_vr_text, vrs)) + "\n  ]"
-        if vrs
-        else f"  {encode_basestring(image)}: []"
-        for image, vrs in sorted(corpus.images.items())
-    ]
-    text = "{\n" + ",\n".join(entries) + "\n}\n" if entries else "{}\n"
-    return text.encode("utf-8")
+    entries = [_image_entry(image, vrs) for image, vrs in sorted(corpus.images.items())]
+    if not entries:
+        return b"{}\n"
+    entries[0] = b"{\n" + entries[0]
+    entries[-1] += b"\n}\n"
+    return b",\n".join(entries)
 
 
 def canonical_master_list_bytes(names: list[str]) -> bytes:

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -611,6 +612,23 @@ class TestCanonicalWriter:
     def test_empty_shapes(self, images):
         corpus = AnnotationCorpus(images, [], [])
         assert canonical_annotations_bytes(corpus) == reference_annotations_bytes(corpus)
+
+    def test_peak_memory_does_not_follow_the_widest_filename(self):
+        # One CJK filename would make a whole-file str two bytes per
+        # character; the writer's transient memory must stay near one copy
+        # of the encoded file, whatever the filenames hold.
+        rng = random.Random(2030)
+        images = {f"img_{k:04d}.jpg": [random_vr(rng, 60, 30) for _ in range(8)] for k in range(400)}
+        images["img_\u6771\u4eac.jpg"] = [random_vr(rng, 60, 30)]
+        corpus = AnnotationCorpus(images, [], [])
+        tracemalloc.start()
+        try:
+            data = canonical_annotations_bytes(corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data == reference_annotations_bytes(corpus)
+        assert peak < 2.5 * len(data)
 
     def test_master_lists_match_json_dumps(self):
         rng = random.Random(2029)
