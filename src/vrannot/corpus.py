@@ -18,6 +18,7 @@ import gc
 import json
 import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from json.encoder import encode_basestring
@@ -180,6 +181,20 @@ class CorpusStats:
 # --------------------------------------------------------------------------
 
 
+@contextmanager
+def gc_paused():
+    """Pause the cyclic collector while a large acyclic structure is built:
+    its collections would only rescan the new objects, again and again.
+    Usable as a decorator; the previous state is restored on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
     out = dict(pairs)
     if len(out) != len(pairs):
@@ -201,8 +216,19 @@ def _load_json(path: Path, detect_duplicate_keys: bool = False):
         return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedRecordError(str(path), str(exc)) from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise MalformedRecordError(str(path), "nested too deeply") from None
     except MalformedRecordError as exc:  # from the duplicate-key hook
         raise MalformedRecordError(str(path), exc.reason) from None
+
+
+def _check_utf8(text: str, path, what: str) -> None:
+    """A `\\ud800` escape decodes to a lone surrogate, which no UTF-8 output
+    can hold; reject it on load rather than fail on a later save."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise MalformedRecordError(str(path), f"{what} {text!r} is not valid Unicode") from None
 
 
 def load_master_list(path, what: str = "name") -> list[str]:
@@ -211,7 +237,9 @@ def load_master_list(path, what: str = "name") -> list[str]:
     if not isinstance(data, list) or any(not isinstance(n, str) for n in data):
         raise MalformedRecordError(str(path), f"{what} master list must be an array of strings")
     seen: set[str] = set()
+    label = f"{what} name"
     for name in data:
+        _check_utf8(name, path, label)
         if name in seen:
             raise DuplicateMasterNameError(name)
         seen.add(name)
@@ -245,6 +273,7 @@ def _load_images(annotations_path, n_classes: int, n_predicates: int) -> dict:
 
     images: dict[str, list[VisualRelationship]] = {}
     for image, records in raw.items():
+        _check_utf8(image, annotations_path, "image key")
         if not isinstance(records, list):
             raise MalformedRecordError(image, "image entry must be an array of records")
         vrs: list[VisualRelationship] = []
@@ -281,14 +310,9 @@ def load_corpus(annotations_path, classes_path, predicates_path) -> AnnotationCo
     """
     classes = load_master_list(classes_path, "object class")
     predicates = load_master_list(predicates_path, "predicate")
-    gc_was_enabled = gc.isenabled()
-    gc.disable()  # the decoded tree and the model are acyclic; GC would only rescan them
-    try:
+    with gc_paused():  # the decoded tree and the model are acyclic
         images = _load_images(annotations_path, len(classes), len(predicates))
-        return AnnotationCorpus(images, classes, predicates)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    return AnnotationCorpus(images, classes, predicates)
 
 
 # --------------------------------------------------------------------------
@@ -360,13 +384,24 @@ def canonical_master_list_bytes(names: list[str]) -> bytes:
     return (json.dumps(list(names), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
+def _fsync_directory(directory: str) -> None:
+    if os.name != "posix":  # elsewhere os.open cannot open a directory
+        return
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def replace_files(targets) -> None:
     """Write each (path, bytes) pair through a temp file next to its path.
 
     Every temp file is written and fsynced before the first one is renamed
     over its target, so a failure while writing changes no target and leaves
     no temp file.  The renames run in order; only a failure between two of
-    them can leave earlier targets replaced and later ones not.
+    them can leave earlier targets replaced and later ones not.  Then each
+    target's directory is fsynced, so that the renames survive a power loss.
     """
     staged: list[tuple[str, str]] = []
     try:
@@ -384,6 +419,8 @@ def replace_files(targets) -> None:
                 os.fsync(fd)
         for temp, target in staged:
             os.replace(temp, target)
+        for directory in dict.fromkeys(os.path.dirname(target) for _, target in staged):
+            _fsync_directory(directory)
     except BaseException:
         for temp, _ in staged:
             try:

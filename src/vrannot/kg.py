@@ -14,16 +14,21 @@ corpus, labeling each object with its most specific designated class.
 Only designated terms round-trip: inferred triples involving undesignated
 superproperties or superclasses enrich the graph without leaking into the
 extracted annotations.
+
+The store is dictionary-encoded, as in HDT and RDFox: each term has an int
+id and a triple is a tuple of three ids.  Every stage works on ids; `Iri`
+and `Triple` are only the facade of `GraphStore`'s public methods.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import quote
 
-from .corpus import AnnotatedObject, AnnotationCorpus, BoundingBox, VisualRelationship
+from .corpus import AnnotatedObject, AnnotationCorpus, BoundingBox, VisualRelationship, gc_paused
 from .errors import (
     AmbiguousClassError,
     ConfigError,
@@ -67,64 +72,85 @@ RDF_TYPE = Iri(RDF_TYPE_IRI)
 
 @dataclass(frozen=True)
 class Triple:
-    """Subject and predicate are IRIs; the object may also be a literal
-    (int or str)."""
+    """Subject and predicate are IRIs; the object may also be an int or str literal."""
 
     subject: Iri
     predicate: Iri
     object: Iri | int | str
 
 
+def _key(term) -> str | tuple:
+    """IRIs key by string, literals by (type, value): 1, "1" and <1> stay apart."""
+    return term.value if isinstance(term, Iri) else (type(term), term)
+
+
 class GraphStore:
-    """Set of triples with subject/predicate/object indexes."""
+    """Dictionary-encoded set of triples.
+
+    `_terms[id]` is the key of a term (see `_key`) and `_ids` maps it back.
+    Each triple is an `(s, p, o)` id tuple in `_triples`, listed in insertion
+    order under its subject and its predicate.  The public methods encode and
+    decode `Iri`/`Triple` values at the boundary."""
 
     def __init__(self, namespace: str = DEFAULT_NAMESPACE):
         self.namespace = namespace
-        self._triples: set[Triple] = set()
-        self._by_subject: dict[Iri, set[Triple]] = {}
-        self._by_predicate: dict[Iri, set[Triple]] = {}
-        self._by_object: dict[object, set[Triple]] = {}
+        self._ids: dict[str | tuple, int] = {}
+        self._terms: list[str | tuple] = []
+        self._triples: set[tuple[int, int, int]] = set()
+        self._by_subject, self._by_predicate = defaultdict(list), defaultdict(list)
+
+    def _id(self, key) -> int:
+        found = self._ids.get(key)
+        if found is None:
+            found = self._ids[key] = len(self._terms)
+            self._terms.append(key)
+        return found
+
+    def _add(self, triple: tuple[int, int, int]) -> bool:
+        size = len(self._triples)
+        self._triples.add(triple)
+        if len(self._triples) == size:
+            return False
+        self._by_subject[triple[0]].append(triple)
+        self._by_predicate[triple[1]].append(triple)
+        return True
+
+    def _term(self, term_id: int):
+        key = self._terms[term_id]
+        return Iri(key) if key.__class__ is str else key[1]
+
+    def _encode(self, triple: Triple, lookup) -> tuple:
+        return tuple(lookup(_key(t)) for t in (triple.subject, triple.predicate, triple.object))
 
     def __len__(self) -> int:
         return len(self._triples)
 
     def __iter__(self):
-        return iter(self._triples)
+        return (Triple(*map(self._term, t)) for t in self._triples)
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+        return self._encode(triple, self._ids.get) in self._triples
 
     def add(self, triple: Triple) -> bool:
         """Insert; True when the triple is new."""
-        if triple in self._triples:
-            return False
-        self._triples.add(triple)
-        self._by_subject.setdefault(triple.subject, set()).add(triple)
-        self._by_predicate.setdefault(triple.predicate, set()).add(triple)
-        self._by_object.setdefault(triple.object, set()).add(triple)
-        return True
+        return self._add(self._encode(triple, self._id))
 
     def match(self, subject=None, predicate=None, object=None) -> list[Triple]:
-        """All triples matching the given positions (None = any)."""
-        candidates: set[Triple] | None = None
-        if subject is not None:
-            candidates = self._by_subject.get(subject, set())
-        if predicate is not None:
-            found = self._by_predicate.get(predicate, set())
-            candidates = found if candidates is None else candidates & found
-        if object is not None:
-            found = self._by_object.get(object, set())
-            candidates = found if candidates is None else candidates & found
-        return list(self._triples if candidates is None else candidates)
+        """All triples matching the given positions (None = any).  There is
+        no object index: an object alone is matched by a scan."""
+        terms = (subject, predicate, object)
+        keep = [(i, self._ids.get(_key(t), -1)) for i, t in enumerate(terms) if t is not None]
+        index = (self._by_subject, self._by_predicate, None)[keep[0][0]] if keep else None
+        candidates = self._triples if index is None else index.get(keep[0][1], ())
+        return [Triple(*map(self._term, t)) for t in candidates if all(t[i] == w for i, w in keep)]
 
     def copy(self) -> GraphStore:
+        """An independent store; the indexes are cloned, not rebuilt."""
         out = GraphStore(self.namespace)
-        for triple in self._triples:
-            out.add(triple)
+        out._ids, out._terms, out._triples = dict(self._ids), list(self._terms), set(self._triples)
+        out._by_subject.update((s, list(ts)) for s, ts in self._by_subject.items())
+        out._by_predicate.update((p, list(ts)) for p, ts in self._by_predicate.items())
         return out
-
-    def iri(self, local: str) -> Iri:
-        return Iri.of(self.namespace, local)
 
 
 # --------------------------------------------------------------------------
@@ -164,7 +190,6 @@ _AXIOMS = {
     "range": ("range", ("prop", "class"), "a property and a class"),
 }
 
-
 _KEYWORDS = frozenset({"class", "prop", "annclass", "annprop", *_AXIOMS})
 
 
@@ -200,11 +225,9 @@ def load_schema(path) -> Schema:
             raise MalformedAxiomError(line_no, f"unknown keyword {keyword!r}")
         if not rest:
             raise MalformedAxiomError(line_no, f"{keyword} needs arguments")
-
         if keyword in declared:
             declared[keyword].add(_schema_local(rest, line_no))
             continue
-
         if keyword in ("annclass", "annprop"):
             # the last token is the schema term; the rest is the corpus name
             split = rest.rsplit(None, 1)
@@ -219,7 +242,6 @@ def load_schema(path) -> Schema:
                 raise MalformedAxiomError(line_no, f"term {term!r} designated twice")
             mapping[corpus_name] = term
             continue
-
         target, kinds, arity = _AXIOMS[keyword]
         args = rest.split()
         if len(args) != len(kinds):
@@ -261,34 +283,26 @@ def property_local(name: str) -> str:
 
 def default_schema(corpus: AnnotationCorpus) -> Schema:
     """Axiom-free schema designating every live corpus name via mangling.
-
-    Mangling collisions (two names yielding one term, or a term colliding
-    with the reserved vocabulary) are rejected.
-    """
+    Two names yielding one term, or a reserved term, are rejected."""
     schema = Schema()
-
-    def claim(local: str, name: str, taken: dict[str, str]) -> str:
-        if local in RESERVED_LOCALS:
-            raise ConfigError(f"{name!r} maps to reserved term {local!r}")
-        if local in taken:
-            raise ConfigError(f"{name!r} and {taken[local]!r} both map to term {local!r}")
-        taken[local] = name
-        return local
-
-    taken_classes: dict[str, str] = {}
-    for class_id, name in enumerate(corpus.object_class_names):
-        if class_id in corpus.retired_class_ids:
-            continue
-        local = claim(class_local(name), name, taken_classes)
-        schema.classes.add(local)
-        schema.ann_classes[name] = local
-    taken_props: dict[str, str] = {}
-    for predicate_id, name in enumerate(corpus.predicate_names):
-        if predicate_id in corpus.retired_predicate_ids:
-            continue
-        local = claim(property_local(name), name, taken_props)
-        schema.properties.add(local)
-        schema.ann_properties[name] = local
+    for names, retired, mangle, declared, designated in (
+        (corpus.object_class_names, corpus.retired_class_ids, class_local,
+         schema.classes, schema.ann_classes),
+        (corpus.predicate_names, corpus.retired_predicate_ids, property_local,
+         schema.properties, schema.ann_properties),
+    ):
+        taken: dict[str, str] = {}  # term -> the name it came from
+        for number, name in enumerate(names):
+            if number in retired:
+                continue
+            local = mangle(name)
+            if local in RESERVED_LOCALS:
+                raise ConfigError(f"{name!r} maps to reserved term {local!r}")
+            if local in taken:
+                raise ConfigError(f"{name!r} and {taken[local]!r} both map to term {local!r}")
+            taken[local] = name
+            declared.add(local)
+            designated[name] = local
     return schema
 
 
@@ -297,14 +311,7 @@ def default_schema(corpus: AnnotationCorpus) -> Schema:
 # --------------------------------------------------------------------------
 
 
-def _image_local(filename: str) -> str:
-    return "img_" + quote(filename, safe="")
-
-
-def _object_local(image_local: str, class_term: str, bbox: BoundingBox) -> str:
-    return "{}_obj_{}_{}_{}_{}_{}".format(image_local, class_term, *bbox.to_list())
-
-
+@gc_paused()
 def lower_annotations(
     corpus: AnnotationCorpus,
     schema: Schema,
@@ -316,48 +323,51 @@ def lower_annotations(
     Object individuals are shared within an image by (class, box) identity,
     so two VRs naming the same localized object reference one node.
     """
-    if image is not None:
-        if image not in corpus.images:
-            raise ImageNotFoundError(image)
-        selected = {image: corpus.images[image]}
-    else:
-        selected = corpus.images
-
+    if image is not None and image not in corpus.images:
+        raise ImageNotFoundError(image)
+    selected = corpus.images if image is None else {image: corpus.images[image]}
     store = GraphStore(namespace)
+    intern, add = store._id, store._add
 
-    def class_term(class_id: int) -> str:
-        name = corpus.class_name(class_id)
-        try:
-            return schema.ann_classes[name]
-        except KeyError:
-            raise UnmappedNameError(name, "object class") from None
+    def iri(local: str) -> int:
+        return intern(namespace + local)
 
-    def property_term(predicate_id: int) -> str:
-        name = corpus.predicate_name(predicate_id)
-        try:
-            return schema.ann_properties[name]
-        except KeyError:
-            raise UnmappedNameError(name, "predicate") from None
+    def designations(names: list[str], mapping: dict[str, str]) -> list:  # (term, id) or None
+        return [(mapping[name], iri(mapping[name])) if name in mapping else None for name in names]
 
+    class_terms = designations(corpus.object_class_names, schema.ann_classes)
+    property_terms = designations(corpus.predicate_names, schema.ann_properties)
+    rdf_type, image_class = intern(RDF_TYPE_IRI), iri(IMAGE_CLASS)
+    has_filename, has_object = iri(HAS_FILENAME), iri(HAS_OBJECT)
+    coordinate_properties = [iri(prop) for prop in COORDINATE_PROPERTIES]
     for filename, vrs in selected.items():
-        img_local = _image_local(filename)
-        img = store.iri(img_local)
-        store.add(Triple(img, RDF_TYPE, store.iri(IMAGE_CLASS)))
-        store.add(Triple(img, store.iri(HAS_FILENAME), filename))
+        img_local = "img_" + quote(filename, safe="")
+        img = iri(img_local)
+        add((img, rdf_type, image_class))
+        add((img, has_filename, intern((str, filename))))
+        nodes: dict[int, int] = {}  # id(participant) -> node; the loader shares equal ones
 
-        def object_node(obj: AnnotatedObject) -> Iri:
-            term = class_term(obj.class_id)
-            node = store.iri(_object_local(img_local, term, obj.bbox))
-            if store.add(Triple(img, store.iri(HAS_OBJECT), node)):
-                store.add(Triple(node, RDF_TYPE, store.iri(term)))
-                for prop, value in zip(COORDINATE_PROPERTIES, obj.bbox.to_list()):
-                    store.add(Triple(node, store.iri(prop), value))
+        def node_of(obj: AnnotatedObject) -> int:
+            node = nodes.get(id(obj))
+            if node is not None:
+                return node
+            if class_terms[obj.class_id] is None:
+                raise UnmappedNameError(corpus.class_name(obj.class_id), "object class")
+            term, term_id = class_terms[obj.class_id]
+            box = obj.bbox
+            coords = (box.ymin, box.ymax, box.xmin, box.xmax)
+            node = nodes[id(obj)] = iri("{}_obj_{}_{}_{}_{}_{}".format(img_local, term, *coords))
+            if add((img, has_object, node)):
+                add((node, rdf_type, term_id))
+                for prop, value in zip(coordinate_properties, coords):
+                    add((node, prop, intern((int, value))))
             return node
 
         for vr in vrs:
-            subject_node = object_node(vr.subject)
-            object_node_ = object_node(vr.object)
-            store.add(Triple(subject_node, store.iri(property_term(vr.predicate_id)), object_node_))
+            subject, object_ = node_of(vr.subject), node_of(vr.object)
+            if property_terms[vr.predicate_id] is None:
+                raise UnmappedNameError(corpus.predicate_name(vr.predicate_id), "predicate")
+            add((subject, property_terms[vr.predicate_id][1], object_))
     return store
 
 
@@ -366,70 +376,81 @@ def lower_annotations(
 # --------------------------------------------------------------------------
 
 
-def _both_ways(pairs):
-    """Each pair followed by its reverse, for the symmetric axioms."""
-    for a, b in pairs:
-        yield a, b
-        yield b, a
+def _both_ways(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The pairs and their reverses, for the symmetric axioms."""
+    return [*pairs, *((b, a) for a, b in pairs)]
 
 
+@gc_paused()
 def materialize(store: GraphStore, schema: Schema) -> GraphStore:
     """Least fixpoint of the axiom rules over the store; the input store is
     left unmodified.  Literal objects never move into subject position, so
-    inverse/symmetric/transitive/range rules skip them."""
-    ns = store.namespace
+    inverse/symmetric/transitive/range rules skip them.
 
-    def iri(local: str) -> Iri:
-        return Iri.of(ns, local)
+    Semi-naive: each triple is drawn from a frontier once and dispatched on
+    its predicate; the first frontier holds only the triples some rule reads.
+    A transitive join looks forward in the subject index and back at the
+    triples of its predicate drawn so far: of two joinable triples, the later
+    drawn finds the other.
+    """
+    result = store.copy()
 
-    def links(pairs) -> dict[Iri, set[Iri]]:
-        out: dict[Iri, set[Iri]] = {}
+    def iri(local: str) -> int:
+        return result._id(store.namespace + local)
+
+    def links(pairs) -> dict[int, set[int]]:
+        out: dict[int, set[int]] = {}
         for a, b in pairs:
             out.setdefault(iri(a), set()).add(iri(b))
         return out
 
     superprops = links((*schema.subprop_of, *_both_ways(schema.eq_prop)))
-    inverses = links(_both_ways(schema.inverse_of))
+    mirrors = links((*_both_ways(schema.inverse_of), *((p, p) for p in schema.symmetric)))
+    domains, ranges = links(schema.domain), links(schema.range)
     transitive = {iri(p) for p in schema.transitive}
-    symmetric = {iri(p) for p in schema.symmetric}
-    domains = links(schema.domain)
-    ranges = links(schema.range)
     superclasses = links((*schema.subclass_of, *_both_ways(schema.eq_class)))
+    rdf_type = result._id(RDF_TYPE_IRI)
+    rules = {  # predicate -> its rules; the last maps an object to the subjects drawn so far
+        p: (superprops.get(p, ()), mirrors.get(p, ()), domains.get(p, ()), ranges.get(p, ()),
+            {} if p in transitive else None)
+        for p in {*superprops, *mirrors, *domains, *ranges, *transitive} - {rdf_type}
+    }
 
-    result = store.copy()
-    frontier = list(result)
+    terms, by_subject, by_predicate = result._terms, result._by_subject, result._by_predicate
+    frontier = [t for p in rules for t in by_predicate.get(p, ())]
+    if superclasses:
+        frontier += by_predicate.get(rdf_type, ())
     while frontier:
-        pending: list[Triple] = []
+        pending: list[tuple[int, int, int]] = []
 
-        def emit(triple: Triple) -> None:
-            if result.add(triple):
+        def emit(triple: tuple[int, int, int]) -> None:
+            if result._add(triple):
                 pending.append(triple)
-
-        for t in frontier:
-            s, p, o = t.subject, t.predicate, t.object
-            if p == RDF_TYPE:
-                if isinstance(o, Iri):
-                    for d in superclasses.get(o, ()):
-                        emit(Triple(s, RDF_TYPE, d))
+        for s, p, o in frontier:
+            if p == rdf_type:
+                for c in superclasses.get(o, ()):
+                    emit((s, rdf_type, c))
                 continue
-            for q in superprops.get(p, ()):
-                emit(Triple(s, q, o))
-            if isinstance(o, Iri):
-                if p in symmetric:
-                    emit(Triple(o, p, s))
-                for q in inverses.get(p, ()):
-                    emit(Triple(o, q, s))
-                if p in transitive:
-                    for onward in result.match(subject=o, predicate=p):
-                        emit(Triple(s, p, onward.object))
-            if p in transitive:
-                for inward in result.match(predicate=p, object=s):
-                    emit(Triple(inward.subject, p, o))
-            for c in domains.get(p, ()):
-                emit(Triple(s, RDF_TYPE, c))
-            if isinstance(o, Iri):
-                for c in ranges.get(p, ()):
-                    emit(Triple(o, RDF_TYPE, c))
+            if p not in rules:
+                continue
+            supers, mirror, domain, range_, drawn = rules[p]
+            for q in supers:
+                emit((s, q, o))
+            for c in domain:
+                emit((s, rdf_type, c))
+            node = terms[o].__class__ is str
+            for q in mirror if node else ():
+                emit((o, q, s))
+            for c in range_ if node else ():
+                emit((o, rdf_type, c))
+            if drawn is not None:
+                for inward in drawn.get(s, ()):
+                    emit((inward, p, o))
+                if node:  # the join node must be an IRI
+                    for _, q, onward in by_subject.get(o, ()):
+                        if q == p:
+                            emit((s, p, onward))
+                    drawn.setdefault(o, []).append(s)
         frontier = pending
     return result
 
@@ -440,33 +461,22 @@ def materialize(store: GraphStore, schema: Schema) -> GraphStore:
 
 
 def _subclass_ancestors(schema: Schema) -> dict[str, set[str]]:
-    """term -> all terms it is a subclass of (reflexive, transitive,
-    through equivalences)."""
+    """term -> every term it is a subclass of (reflexive, transitive, via equivalences)."""
     edges: dict[str, set[str]] = {c: {c} for c in schema.classes}
     for a, b in (*schema.subclass_of, *_both_ways(schema.eq_class)):
         edges[a].add(b)
     closure: dict[str, set[str]] = {}
     for start in schema.classes:
-        seen = {start}
-        queue = [start]
+        seen, queue = {start}, [start]
         while queue:
-            for nxt in edges[queue.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+            fresh = edges[queue.pop()] - seen
+            seen |= fresh
+            queue += fresh
         closure[start] = seen
     return closure
 
 
-def _most_specific_class(
-    node: Iri, candidates: set[str], ancestors: dict[str, set[str]]
-) -> str:
-    minima = [c for c in candidates if all(other in ancestors[c] for other in candidates)]
-    if len(minima) != 1:
-        raise AmbiguousClassError(node.value, sorted(candidates))
-    return minima[0]
-
-
+@gc_paused()
 def extract_annotations(
     store: GraphStore,
     schema: Schema,
@@ -480,83 +490,80 @@ def extract_annotations(
     out in canonical order (subject box, predicate id, object box) with
     exact duplicates collapsed.
     """
-    ns = store.namespace
+    terms, by_subject = store._terms, store._by_subject
 
-    def iri(local: str) -> Iri:
-        return Iri.of(ns, local)
+    def known(local: str) -> int | None:  # None, which no triple holds, if absent
+        return store._ids.get(store.namespace + local)
 
-    class_of_term = {term: name for name, term in schema.ann_classes.items()}
-    property_ids: dict[Iri, int] = {}
+    # name -> first position, as list.index would give
+    class_ids = {name: i for i, name in reversed(list(enumerate(object_class_names)))}
+    predicate_ids = {name: i for i, name in reversed(list(enumerate(predicate_names)))}
+    property_ids: dict[int | None, int] = {}
     for name, term in schema.ann_properties.items():
-        try:
-            property_ids[iri(term)] = predicate_names.index(name)
-        except ValueError:
-            raise UnknownNameError(name, "predicate") from None
-    annotation_class_iris = {iri(term): term for term in schema.ann_classes.values()}
+        if name not in predicate_ids:
+            raise UnknownNameError(name, "predicate")
+        property_ids[known(term)] = predicate_ids[name]
+    class_of_term = {term: name for name, term in schema.ann_classes.items()}
+    annotation_classes = {known(term): term for term in class_of_term}
+    coordinate_slots = {known(prop): slot for slot, prop in enumerate(COORDINATE_PROPERTIES)}
+    rdf_type, has_object = store._ids.get(RDF_TYPE_IRI), known(HAS_OBJECT)
     ancestors = _subclass_ancestors(schema)
 
-    filenames: dict[Iri, str] = {}
-    for t in store.match(predicate=iri(HAS_FILENAME)):
-        if not isinstance(t.object, str):
-            raise MalformedGraphError(f"{t.subject} has a non-string filename")
-        if t.subject in filenames:
-            raise MalformedGraphError(f"{t.subject} carries two filenames")
-        if t.object in filenames.values():
-            raise MalformedGraphError(f"filename {t.object!r} used by two image individuals")
-        filenames[t.subject] = t.object
+    filenames: dict[int, str] = {}
+    used: set[str] = set()
+    for s, _, o in store._by_predicate.get(known(HAS_FILENAME), ()):
+        filename = store._term(o)
+        if not isinstance(filename, str):
+            raise MalformedGraphError(f"{store._term(s)} has a non-string filename")
+        if s in filenames:
+            raise MalformedGraphError(f"{store._term(s)} carries two filenames")
+        if filename in used:
+            raise MalformedGraphError(f"filename {filename!r} used by two image individuals")
+        filenames[s] = filename
+        used.add(filename)
 
-    def read_object(node: Iri) -> AnnotatedObject:
-        coords = []
-        for prop in COORDINATE_PROPERTIES:
-            values = store.match(subject=node, predicate=iri(prop))
-            if len(values) != 1 or not isinstance(values[0].object, int):
-                raise MalformedGraphError(
-                    f"{node} needs exactly one integer {prop}, found {len(values)}"
-                )
-            coords.append(values[0].object)
-        candidates = {
-            annotation_class_iris[t.object]
-            for t in store.match(subject=node, predicate=RDF_TYPE)
-            if isinstance(t.object, Iri) and t.object in annotation_class_iris
-        }
+    def read_object(node: int) -> tuple[tuple[int, ...], int, AnnotatedObject]:
+        """(box, class id, object) of a node, from one pass over its triples."""
+        coords, candidates = [[], [], [], []], set()  # value ids per coordinate; class terms
+        for _, p, o in by_subject.get(node, ()):
+            if p in coordinate_slots:
+                coords[coordinate_slots[p]].append(o)
+            elif p == rdf_type and o in annotation_classes:
+                candidates.add(annotation_classes[o])
+        box = tuple(store._term(found[0]) if len(found) == 1 else None for found in coords)
+        for prop, value, found in zip(COORDINATE_PROPERTIES, box, coords):
+            if not isinstance(value, int):
+                detail = f"needs exactly one integer {prop}, found {len(found)}"
+                raise MalformedGraphError(f"{terms[node]} {detail}")
         if not candidates:
-            raise MalformedGraphError(f"{node} has no designated annotation class")
-        term = _most_specific_class(node, candidates, ancestors)
-        name = class_of_term[term]
-        try:
-            class_id = object_class_names.index(name)
-        except ValueError:
-            raise UnknownNameError(name, "object class") from None
-        return AnnotatedObject(class_id, BoundingBox(*coords))
+            raise MalformedGraphError(f"{terms[node]} has no designated annotation class")
+        minima = [c for c in candidates if all(other in ancestors[c] for other in candidates)]
+        if len(minima) != 1:  # no single most specific class
+            raise AmbiguousClassError(terms[node], sorted(candidates))
+        name = class_of_term[minima[0]]
+        if name not in class_ids:
+            raise UnknownNameError(name, "object class")
+        return box, class_ids[name], AnnotatedObject(class_ids[name], BoundingBox(*box))
 
     images: dict[str, list[VisualRelationship]] = {}
-    for img in sorted(filenames, key=lambda node: filenames[node]):
-        members: set[Iri] = set()
-        for t in store.match(subject=img, predicate=iri(HAS_OBJECT)):
-            if not isinstance(t.object, Iri):
-                raise MalformedGraphError(f"{img} links a literal via {HAS_OBJECT}")
-            members.add(t.object)
+    for img in sorted(filenames, key=filenames.__getitem__):
+        members: set[int] = set()
+        for _, p, o in by_subject.get(img, ()):
+            if p == has_object:
+                if terms[o].__class__ is not str:
+                    raise MalformedGraphError(f"{terms[img]} links a literal via {HAS_OBJECT}")
+                members.add(o)
         objects = {node: read_object(node) for node in members}
-
-        vrs: set[VisualRelationship] = set()
+        # keyed by the VR's sort key, which fixes it, so equal VRs collapse
+        vrs: dict[tuple, VisualRelationship] = {}
         for node in members:
-            for t in store.match(subject=node):
-                if t.predicate in property_ids and t.object in members:
-                    vrs.add(
-                        VisualRelationship(
-                            objects[node], property_ids[t.predicate], objects[t.object]
-                        )
-                    )
-        images[filenames[img]] = sorted(
-            vrs,
-            key=lambda vr: (
-                vr.subject.bbox,
-                vr.predicate_id,
-                vr.object.bbox,
-                vr.subject.class_id,
-                vr.object.class_id,
-            ),
-        )
+            s_box, s_class, subject = objects[node]
+            for _, p, o in by_subject.get(node, ()):
+                if p in property_ids and o in members:
+                    o_box, o_class, object_ = objects[o]
+                    key = (s_box, property_ids[p], o_box, s_class, o_class)
+                    vrs[key] = VisualRelationship(subject, property_ids[p], object_)
+        images[filenames[img]] = [vrs[key] for key in sorted(vrs)]
     return AnnotationCorpus(images, list(object_class_names), list(predicate_names))
 
 
@@ -565,29 +572,17 @@ def extract_annotations(
 # --------------------------------------------------------------------------
 
 
-def _escape_literal(text: str) -> str:
-    return (
-        text.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-        .replace("\t", "\\t")
-    )
-
-
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}  # escape letter -> character
+_ESCAPE_TABLE = str.maketrans({char: "\\" + letter for letter, char in _ESCAPES.items()})
 _ESCAPE_RE = re.compile(r"\\(.)")
 
 
 def _unescape_literal(text: str, line: int) -> str:
     # The literal regexes pair every backslash with the character after it.
-    def unescape(match: re.Match) -> str:
-        try:
-            return _ESCAPES[match.group(1)]
-        except KeyError:
-            raise MalformedGraphError(f"line {line}: unknown escape \\{match.group(1)}") from None
-
-    return _ESCAPE_RE.sub(unescape, text)
+    try:
+        return _ESCAPE_RE.sub(lambda match: _ESCAPES[match.group(1)], text)
+    except KeyError as unknown:
+        raise MalformedGraphError(f"line {line}: unknown escape \\{unknown.args[0]}") from None
 
 
 def format_term(term) -> str:
@@ -597,47 +592,50 @@ def format_term(term) -> str:
         raise MalformedGraphError(f"unsupported literal {term!r}")
     if isinstance(term, int):
         return f'"{term}"^^<{XSD_INTEGER_IRI}>'
-    return f'"{_escape_literal(term)}"'
-
-
-def format_triple(triple: Triple) -> str:
-    return (
-        f"{format_term(triple.subject)} {format_term(triple.predicate)} "
-        f"{format_term(triple.object)} ."
-    )
+    return f'"{term.translate(_ESCAPE_TABLE)}"'
 
 
 def dump_store(store: GraphStore) -> str:
-    """One ` .`-terminated line per triple, sorted, for diffable dumps."""
-    return "".join(line + "\n" for line in sorted(format_triple(t) for t in store))
+    """One ` .`-terminated line per triple, sorted; each term is formatted once.
+    Made subject by subject, the lines come nearly sorted and in memory order."""
+    text = [f"<{key}>" if key.__class__ is str else format_term(key[1]) for key in store._terms]
+    lines = [f"{text[s]} {text[p]} {text[o]} ."
+             for triples in store._by_subject.values() for s, p, o in triples]
+    lines.sort()
+    lines.append("")  # the final line break
+    return "\n".join(lines)
 
 
 _LINE_RE = re.compile(r"<([^<>]*)> <([^<>]*)> (.+) \.$")
-_STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"$')
-_TYPED_RE = re.compile(r'"((?:[^"\\]|\\.)*)"\^\^<([^<>]*)>$')
+_LITERAL_RE = re.compile(r'"((?:[^"\\]|\\.)*)"(?:\^\^<([^<>]*)>)?$')  # body, datatype
 
 
-def _parse_object(text: str, line: int):
+def _object_key(text: str, line: int) -> str | tuple:
+    """The dictionary key of a dumped object term (see `_key`)."""
     if text.startswith("<") and text.endswith(">"):
-        return Iri(text[1:-1])
-    typed = _TYPED_RE.match(text)
-    if typed:
-        if typed.group(2) != XSD_INTEGER_IRI:
-            raise MalformedGraphError(f"line {line}: unsupported literal type {typed.group(2)!r}")
-        body = _unescape_literal(typed.group(1), line)
-        try:
-            return int(body)
-        except ValueError:
-            raise MalformedGraphError(f"line {line}: bad integer literal {body!r}") from None
-    plain = _STRING_RE.match(text)
-    if plain:
-        return _unescape_literal(plain.group(1), line)
-    raise MalformedGraphError(f"line {line}: unreadable object term {text!r}")
+        return text[1:-1]
+    literal = _LITERAL_RE.match(text)
+    if not literal:
+        raise MalformedGraphError(f"line {line}: unreadable object term {text!r}")
+    body, datatype = literal.groups()
+    if datatype is None:
+        return (str, _unescape_literal(body, line))
+    if datatype != XSD_INTEGER_IRI:
+        raise MalformedGraphError(f"line {line}: unsupported literal type {datatype!r}")
+    body = _unescape_literal(body, line)
+    try:
+        return (int, int(body))
+    except ValueError:
+        raise MalformedGraphError(f"line {line}: bad integer literal {body!r}") from None
 
 
+@gc_paused()
 def load_store(text: str, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
-    """Parse a dump back into a store; `#` comment lines and blanks allowed."""
+    """Parse a dump back into a store; `#` comment lines and blanks allowed.
+    Each distinct object text is parsed once, at the first line holding it."""
     store = GraphStore(namespace)
+    intern, add = store._id, store._add
+    objects: dict[str, int] = {}  # object text -> id
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -646,7 +644,8 @@ def load_store(text: str, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
         if not matched:
             raise MalformedGraphError(f"line {line_no}: not a triple line")
         subject, predicate, object_text = matched.groups()
-        store.add(
-            Triple(Iri(subject), Iri(predicate), _parse_object(object_text.strip(), line_no))
-        )
+        o = objects.get(object_text)
+        if o is None:
+            o = objects[object_text] = intern(_object_key(object_text.strip(), line_no))
+        add((intern(subject), intern(predicate), o))
     return store

@@ -32,7 +32,7 @@ from .corpus import (
     AnnotationCorpus,
     CorpusDiff,
     VisualRelationship,
-    _reject_duplicate_keys,
+    _load_json,
     diff_corpora,
     load_corpus,
     save_corpus,
@@ -416,14 +416,14 @@ def _parse_step(entry, ordinal: int, base_dir: Path) -> Step:
 def load_workflow_config(path) -> WorkflowConfig:
     """Read a config file; relative paths resolve against the file's directory."""
     path = Path(path)
-    if not path.exists():
-        raise FileMissingError(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_reject_duplicate_keys)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raw = _load_json(path, detect_duplicate_keys=True)
     except MalformedRecordError as exc:
-        raise ConfigError(f"{path}: {exc.reason}") from None
+        raise ConfigError(str(exc)) from None
+    try:  # a lone surrogate from a \ud800 escape would fail only when written out
+        json.dumps(raw, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"{path}: a string is not valid Unicode") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     missing = [k for k in (*_PATH_KEYS, "steps") if k not in raw]

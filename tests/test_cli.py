@@ -1,6 +1,8 @@
+import errno
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +69,31 @@ class TestValidate:
         assert code == 3
         assert out == ""
         assert err == f"error: {bad}: duplicate key 'predicate'\n"
+
+    @pytest.mark.parametrize(
+        "position,text,reason",
+        [
+            (1, "[" * 200_000, "nested too deeply"),
+            (3, "[" * 200_000, "nested too deeply"),
+            (5, "[" * 200_000, "nested too deeply"),
+            (1, '{"\\ud800.jpg": []}', "image key '\\ud800.jpg' is not valid Unicode"),
+            (5, '["on", "\\udc00"]', "predicate name '\\udc00' is not valid Unicode"),
+        ],
+        ids=["deep annotations", "deep classes", "deep predicates", "surrogate key", "surrogate name"],
+    )
+    def test_hostile_input_is_a_data_error(self, tmp_path, position, text, reason):
+        """Checked in a fresh process: stderr holds the one error line, no traceback."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        args = corpus_args()
+        args[position] = str(bad)
+        src = Path(vrannot.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "vrannot.cli", "validate", *args],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
+        )
+        assert (result.returncode, result.stdout) == (3, b"")
+        assert result.stderr == f"error: {bad}: {reason}\n".encode()
 
 
 class TestStats:
@@ -368,23 +395,57 @@ class TestWorkflow:
         assert (out / "classes.json").read_bytes() == b"previous classes\n"
 
     def test_outputs_identical_across_hash_seeds(self, tmp_path):
-        """Two processes with different string hashing print the same report
-        and write the same bytes."""
+        """Two processes with different string hashing print the same reports
+        and write the same bytes: the workflow, lint, diff and the kg chain."""
         src = Path(vrannot.__file__).resolve().parent.parent
+        inputs = list(OUTPUT_NAMES)
+        outputs = [f"out/{name}" for name in OUTPUT_NAMES]
+        schema = ["--schema", "axioms.txt"]
+        commands = [
+            ["workflow", "run", "config.json"],
+            ["lint", "--annotations", inputs[0], "--classes", inputs[1], "--predicates", inputs[2]],
+            ["diff", *inputs, *outputs],
+            ["kg", "lower", "--annotations", inputs[0], "--classes", inputs[1],
+             "--predicates", inputs[2], *schema, "--out", "g.nt"],
+            ["kg", "materialize", "g.nt", *schema, "--out", "closed.nt"],
+            ["kg", "extract", "closed.nt", *schema, "--classes", inputs[1],
+             "--predicates", inputs[2], "--out", "extracted.json"],
+        ]
         results = []
         for seed in ("0", "1"):
             workdir = self.prepared(tmp_path, f"seed{seed}")
+            (workdir / "axioms.txt").write_text(demo_axioms(), encoding="utf-8")
             env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
-            result = subprocess.run(
-                [sys.executable, "-m", "vrannot.cli", "workflow", "run", "config.json"],
-                cwd=workdir, env=env, capture_output=True, check=True, timeout=120,
-            )
-            assert result.stderr == b""
-            results.append(
-                (result.stdout, *((workdir / "out" / name).read_bytes() for name in OUTPUT_NAMES))
-            )
+            stdouts = []
+            for argv in commands:
+                result = subprocess.run(
+                    [sys.executable, "-m", "vrannot.cli", *argv],
+                    cwd=workdir, env=env, capture_output=True, timeout=120,
+                )
+                assert (result.returncode, result.stderr) == (0, b""), argv
+                stdouts.append(result.stdout)
+            written = [(workdir / name).read_bytes() for name in (*outputs, "g.nt", "closed.nt")]
+            results.append((stdouts, written, (workdir / "extracted.json").read_bytes()))
         assert results[0] == results[1]
-        assert results[0][0].endswith(b"done: 11 steps\n")
+        stdouts = results[0][0]
+        assert stdouts[0].endswith(b"done: 11 steps\n")
+        assert b"(added 0)" not in stdouts[4]  # the axioms infer something
+
+
+def demo_axioms() -> str:
+    """The default designations of the workflow demo corpus plus one axiom
+    of each kind the materializer joins on."""
+    corpus = load_corpus(*(DEMO_DIR / name for name in OUTPUT_NAMES))
+    schema = kg.default_schema(corpus)
+    lines = [f"class {term}" for term in sorted(schema.classes | {"Agent", "Worn"})]
+    lines += [f"prop {term}" for term in sorted(schema.properties)]
+    lines += [f"annclass {name} {term}" for name, term in schema.ann_classes.items()]
+    lines += [f"annprop {name} {term}" for name, term in schema.ann_properties.items()]
+    lines += [
+        "symmetric beside", "inverse on under", "transitive on", "subprop sitOn on",
+        "eqprop walk walkOn", "subclass TeddyBear Bear", "domain wear Agent", "range wear Worn",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 class TestKgCommands:
@@ -539,6 +600,24 @@ class TestKgCommands:
             main(["kg", command, *inputs, *schema, "--out", str(out)])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.nt", "kgdata", "previous.nt"]
         assert out.read_bytes() == b"previous dump\n"
+
+
+class TestDurableOutputs:
+    def test_failed_directory_fsync_exits_4(self, capsys, tmp_path, monkeypatch):
+        real_fsync = os.fsync
+
+        def fail_on_directory(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fail_on_directory)
+        out = tmp_path / "out"
+        out.mkdir()
+        code, stdout, err = run(capsys, "kg", "lower", *corpus_args(), "--out", str(out / "g.nt"))
+        assert (code, stdout) == (4, "")
+        assert err == f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"
+        assert [path.name for path in out.iterdir()] == ["g.nt"]  # renamed, no temp file left
 
 
 class TestDiff:

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import stat
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -126,6 +127,45 @@ class TestLoad:
         paths = write_corpus_files(tmp_path, annotations, ["person"], ["on"])
         corpus = load_corpus(*paths)
         assert not corpus.images["a.jpg"][0].subject.bbox.well_formed
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_deep_nesting_is_a_load_error(self, tmp_path, which):
+        paths = write_corpus_files(tmp_path, {}, [], [])
+        paths[which].write_text("[" * 200_000)
+        with pytest.raises(MalformedRecordError, match="nested too deeply") as err:
+            load_corpus(*paths)
+        assert err.value.location == str(paths[which])
+
+    def test_lone_surrogate_image_key(self, tmp_path):
+        _, c, p = write_corpus_files(tmp_path, {}, [], [])
+        a = tmp_path / "annotations.json"
+        a.write_text('{"a.jpg": [], "\\ud800.jpg": []}')
+        with pytest.raises(MalformedRecordError, match=r"image key '\\ud800\.jpg'") as err:
+            load_corpus(a, c, p)
+        assert err.value.location == str(a)
+
+    def test_lone_surrogate_after_an_earlier_problem(self, tmp_path):
+        _, c, p = write_corpus_files(tmp_path, {}, [], [])
+        a = tmp_path / "annotations.json"
+        a.write_text('{"a.jpg": 7, "\\udc00.jpg": []}')
+        with pytest.raises(MalformedRecordError, match="array of records"):
+            load_corpus(a, c, p)
+
+    @pytest.mark.parametrize("which,what", [(1, "object class name"), (2, "predicate name")])
+    def test_lone_surrogate_master_name(self, tmp_path, which, what):
+        paths = write_corpus_files(tmp_path, {}, ["person"], ["on"])
+        paths[which].write_text('["ok", "\\udfff"]')
+        with pytest.raises(MalformedRecordError, match=what):
+            load_corpus(*paths)
+
+    def test_escaped_surrogate_pair_round_trips(self, tmp_path):
+        _, c, p = write_corpus_files(tmp_path, {}, ["person"], ["on"])
+        a = tmp_path / "annotations.json"
+        a.write_text('{"\\ud83d\\ude00.jpg": []}')
+        corpus = load_corpus(a, c, p)
+        assert list(corpus.images) == ["\U0001f600.jpg"]
+        save_corpus(corpus, tmp_path / "saved.json")
+        assert (tmp_path / "saved.json").read_text(encoding="utf-8") == '{\n  "\U0001f600.jpg": []\n}\n'
 
 
 # --------------------------------------------------------------------------
@@ -544,6 +584,43 @@ class TestAllOrNothingSave:
         assert {k: v for k, v in after.items() if k != "out/annotations.json"} == {
             k: v for k, v in before.items() if k != "out/annotations.json"
         }
+
+    def test_directory_fsynced_after_the_renames(self, tmp_path, monkeypatch):
+        out, paths = self.outputs(tmp_path)
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                events.append("directory fsync")
+            real_fsync(fd)
+
+        def record_replace(source, target):
+            events.append("rename")
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        save_corpus(load_listing_corpus(), *paths)
+        # all three targets share one directory, synced once after the last rename
+        assert events == ["rename", "rename", "rename", "directory fsync"]
+
+    def test_failed_directory_fsync_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        corpus = load_listing_corpus()
+        out, paths = self.outputs(tmp_path)
+        real_fsync = os.fsync
+
+        def fail_on_directory(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fail_on_directory)
+        with pytest.raises(OSError):
+            save_corpus(corpus, *paths)
+        # the renames were made; only their durability is in doubt
+        assert sorted(tree(out)) == ["annotations.json", "classes.json", "predicates.json"]
+        assert paths[0].read_bytes() == canonical_annotations_bytes(corpus)
 
     def test_symlinked_output_is_written_through(self, tmp_path):
         corpus = load_listing_corpus()

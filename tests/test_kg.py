@@ -43,6 +43,7 @@ from vrannot.kg import (
 )
 
 from helpers import canonicalize_corpus, random_corpus
+from test_acceptance import _NS, naive_closure
 
 
 def iri(local):
@@ -346,6 +347,30 @@ class TestGraphStore:
         assert len(store) == 1 and len(dup) == 2
 
 
+class TestTermDictionary:
+    def test_literals_and_iris_stay_apart(self):
+        a, p = iri("a"), iri("p")
+        objects = [1, "1", Iri("1"), True, DEFAULT_NAMESPACE + "a"]
+        store = store_of(*(t(a, p, o) for o in objects))
+        assert len(store) == len(objects)
+        assert all(t(a, p, o) in store for o in objects)
+        decoded = sorted((type(x.object).__name__, str(x.object)) for x in store)
+        assert decoded == [("Iri", "1"), ("bool", "True"), ("int", "1"), ("str", "1"),
+                           ("str", DEFAULT_NAMESPACE + "a")]
+        assert t(a, p, 2) not in store and t(iri("x"), p, 1) not in store
+
+    def test_copy_clones_the_indexes(self):
+        a, b, p = iri("a"), iri("b"), iri("p")
+        store = store_of(t(a, p, b))
+        dup = store.copy()
+        dup.add(t(a, p, 5))
+        dup.add(t(b, iri("q"), a))
+        assert store.match(subject=a) == [t(a, p, b)]
+        assert store.match(predicate=p) == [t(a, p, b)]
+        assert t(b, iri("q"), a) not in store
+        assert set(dup.match(subject=a)) == {t(a, p, b), t(a, p, 5)}
+
+
 class TestLower:
     def test_exact_triples_for_one_vr(self):
         store = lower_annotations(tiny_corpus(), default_schema(tiny_corpus()))
@@ -524,6 +549,28 @@ class TestMaterialize:
         for triple in result:
             assert isinstance(triple.subject, Iri)
         assert t(5, RDF_TYPE, iri("C")) not in result
+
+    def test_transitive_join_with_a_later_right_partner(self):
+        """(b p c) is derived two rounds after (a p b) was drawn, so (a p c)
+        needs the backward join from (b p c) to the triples drawn before it."""
+        schema = props("p", "r", "s")
+        schema.subprop_of += [("r", "s"), ("s", "p")]
+        schema.transitive.append("p")
+        a, b, c, p = iri("a"), iri("b"), iri("c"), iri("p")
+        result = materialize(store_of(t(a, p, b), t(b, iri("r"), c)), schema)
+        assert t(b, p, c) in result
+        assert t(a, p, c) in result
+        assert len(result) == 5
+
+    def test_literal_is_never_a_join_node(self):
+        """(a p 5) and (5 p b) do not chain to (a p b), whichever is drawn
+        first: the naive oracle joins only through IRIs."""
+        schema = props("p")
+        schema.transitive.append("p")
+        a, b, p = iri("a"), iri("b"), iri("p")
+        for triples in ([t(a, p, 5), t(5, p, b)], [t(5, p, b), t(a, p, 5)]):
+            result = materialize(store_of(*triples), schema)
+            assert set(result) == set(triples)
 
     def test_subproperty_carries_literals(self):
         schema = props("p", "q")
@@ -770,6 +817,19 @@ class TestSerialization:
         store = load_store(text)
         assert len(store) == 1
 
+    def test_error_names_the_first_line_of_a_repeated_object_text(self):
+        """Object texts are parsed once per load; a bad one must still be
+        reported at the first line that holds it."""
+        head = f"<{DEFAULT_NAMESPACE}a> <{DEFAULT_NAMESPACE}p>"
+        bad = '"x"^^<http://example.org/custom>'
+        lines = [f'{head} "ok" .', f"{head} {bad} .", f'{head} "ok" .', "", f"{head} {bad} ."]
+        with pytest.raises(MalformedGraphError, match=r"^line 2: unsupported literal type"):
+            load_store("\n".join(lines) + "\n")
+        # a text parsed fine earlier does not hide a new bad one
+        lines[1] = f'{head} "ok" .'
+        with pytest.raises(MalformedGraphError, match=r"^line 5: "):
+            load_store("\n".join(lines) + "\n")
+
     @pytest.mark.parametrize(
         "line,detail",
         [
@@ -785,3 +845,62 @@ class TestSerialization:
     def test_malformed_lines(self, line, detail):
         with pytest.raises(MalformedGraphError, match=detail):
             load_store("# leading comment\n" + line + "\n")
+
+
+def pooled_corpus(rng):
+    """A random corpus whose VRs reuse three objects per image, so that
+    relations chain and transitive joins have work in both directions."""
+    corpus = random_corpus(rng, max_images=4, max_vrs=8, n_predicates=3)
+    for name, vrs in corpus.images.items():
+        pool = [vr.subject for vr in vrs[:3]]
+        corpus.images[name] = [
+            VisualRelationship(rng.choice(pool), vr.predicate_id, rng.choice(pool)) for vr in vrs
+        ]
+    return corpus
+
+
+def random_axioms(rng, schema):
+    """Random axioms over a lowered corpus's terms, including the reserved
+    vocabulary, so that rules also meet literal objects and image nodes."""
+    pools = {
+        "class": sorted(schema.classes) + ["Image"],
+        "prop": sorted(schema.properties) + ["hasObject", "hasFilename", "bboxYmin"],
+    }
+    for _ in range(rng.randrange(1, 9)):
+        keyword = rng.choice(sorted(_AXIOMS))
+        field, kinds, _ = _AXIOMS[keyword]
+        terms = tuple(rng.choice(pools[kind]) for kind in kinds)
+        if len(terms) == 1:
+            getattr(schema, field).append(terms[0])
+        elif kinds[0] != kinds[1] or terms[0] != terms[1]:
+            getattr(schema, field).append(terms)
+    return schema
+
+
+class TestLoweredCorpusOracles:
+    """The id-level lower, materialize, dump and load paths against the naive
+    oracles, on seeded random corpora."""
+
+    def test_closure_equals_naive_oracle(self):
+        rng = random.Random(6061)
+        for _ in range(40):
+            corpus = pooled_corpus(rng)
+            schema = random_axioms(rng, default_schema(corpus))
+            store = lower_annotations(corpus, schema, namespace=_NS)
+            closed = materialize(store, schema)
+            assert set(closed) == naive_closure(set(store), schema)
+            assert len(set(store)) == len(store)
+
+    def test_dump_load_dump_is_a_fixed_point(self):
+        rng = random.Random(6062)
+        for _ in range(40):
+            corpus = random_corpus(rng, max_images=4, max_vrs=6)
+            # filenames that need escaping in a string literal
+            corpus.images = {f'{name} "q"\\\t\n€': vrs for name, vrs in corpus.images.items()}
+            schema = random_axioms(rng, default_schema(corpus))
+            store = lower_annotations(corpus, schema)
+            for graph in (store, materialize(store, schema)):
+                text = dump_store(graph)
+                loaded = load_store(text)
+                assert dump_store(loaded) == text
+                assert set(loaded) == set(graph)

@@ -422,6 +422,18 @@ class TestConfigLoading:
         with pytest.raises(FileMissingError):
             load_workflow_config(tmp_path / "absent.json")
 
+    def test_deep_nesting(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"steps": ' + "[" * 200_000, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: nested too deeply$"):
+            load_workflow_config(path)
+
+    def test_lone_surrogate_name(self, tmp_path):
+        raw = self.base_config()
+        raw["steps"] = [{"kind": "merge_class", "from": "a", "to": "\ud800"}]
+        with pytest.raises(ConfigError, match="not valid Unicode"):
+            load_workflow_config(self.write(tmp_path, raw))
+
     def test_duplicate_step_key(self, tmp_path):
         text = json.dumps(self.base_config())
         text = text.replace(
