@@ -55,6 +55,7 @@ from .kg import (
     load_store,
     lower_annotations,
     materialize,
+    read_dump,
 )
 from .protocol import (
     ImageBlock,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .corpus import AnnotationCorpus, BoundingBox, find_exact_duplicates, replace_files
+from .corpus import AnnotatedObject, AnnotationCorpus, BoundingBox, find_exact_duplicates, replace_files
 from .errors import ConfigError, DegenerateBoxError, IdOutOfRangeError, ImageNotFoundError
 from .protocol import strip_quotes
 
@@ -135,9 +135,9 @@ def distribution(corpus: AnnotationCorpus, metric: str) -> Histogram:
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union with half-open pixel intervals [min, max)."""
     if not a.well_formed:
-        raise DegenerateBoxError(f"degenerate box {a.to_list()}")
+        raise DegenerateBoxError(f"degenerate box {list(a)}")
     if not b.well_formed:
-        raise DegenerateBoxError(f"degenerate box {b.to_list()}")
+        raise DegenerateBoxError(f"degenerate box {list(b)}")
     inter_h = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
     inter_w = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
     if inter_h <= 0 or inter_w <= 0:
@@ -178,12 +178,10 @@ class LintFinding:
     severity: str
 
 
-def _image_objects(corpus: AnnotationCorpus, image: str) -> list[tuple[int, BoundingBox]]:
-    """Distinct (class id, box) pairs of an image, sorted for determinism."""
-    objects = {
-        (o.class_id, o.bbox) for vr in corpus.images[image] for o in (vr.subject, vr.object)
-    }
-    return sorted(objects, key=lambda pair: (pair[1], pair[0]))
+def _image_objects(vrs: list) -> list[AnnotatedObject]:
+    """Distinct participants of some VRs, sorted by box, then class, for determinism."""
+    objects = {o for vr in vrs for o in (vr.subject, vr.object)}
+    return sorted(objects, key=lambda o: (o.bbox, o.class_id))
 
 
 def lint(corpus: AnnotationCorpus, near_dup_iou_threshold: float = 0.9) -> list[LintFinding]:
@@ -203,13 +201,13 @@ def lint(corpus: AnnotationCorpus, near_dup_iou_threshold: float = 0.9) -> list[
             s, p, o = corpus.vr_type_names(vrs[i])
             add(LintRule.EXACT_DUPLICATE_VR, image, f"vr[{i}] == vr[{j}]: ({s}, {p}, {o})")
 
-        objects = _image_objects(corpus, image)
+        objects = _image_objects(vrs)
         for class_id, bbox in objects:
             if not bbox.well_formed:
                 add(
                     LintRule.DEGENERATE_BBOX,
                     image,
-                    f"class '{corpus.class_name(class_id)}' box {bbox.to_list()}",
+                    f"class '{corpus.class_name(class_id)}' box {list(bbox)}",
                 )
 
         by_bbox: dict[BoundingBox, list[int]] = {}
@@ -221,10 +219,10 @@ def lint(corpus: AnnotationCorpus, near_dup_iou_threshold: float = 0.9) -> list[
                 add(
                     LintRule.MULTI_CLASS_BBOX,
                     image,
-                    f"box {bbox.to_list()} classes {names}",
+                    f"box {list(bbox)} classes {names}",
                 )
 
-        usable = [(c, b) for c, b in objects if b.well_formed]
+        usable = [o for o in objects if o.bbox.well_formed]
         for index, (class_a, box_a) in enumerate(usable):
             for class_b, box_b in usable[index + 1 :]:
                 if class_a != class_b or box_a == box_b:
@@ -236,7 +234,7 @@ def lint(corpus: AnnotationCorpus, near_dup_iou_threshold: float = 0.9) -> list[
                         LintRule.NEAR_DUPLICATE_BBOX,
                         image,
                         f"class '{corpus.class_name(class_a)}' boxes "
-                        f"{first.to_list()} ~ {second.to_list()} iou {ratio:.3f}",
+                        f"{list(first)} ~ {list(second)} iou {ratio:.3f}",
                     )
 
     findings.sort(key=lambda f: (f.image, f.rule.value, f.detail))
@@ -293,10 +291,7 @@ def render_overlay(
                 raise IdOutOfRangeError(filename, index, "selection", index, len(vrs))
         picked = [vrs[i] for i in selection]
 
-    objects = sorted(
-        {(o.class_id, o.bbox) for vr in picked for o in (vr.subject, vr.object)},
-        key=lambda pair: (pair[1], pair[0]),
-    )
+    objects = _image_objects(picked)
     width = max((bbox.xmax for _, bbox in objects), default=1)
     height = max((bbox.ymax for _, bbox in objects), default=1)
 

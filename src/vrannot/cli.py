@@ -198,8 +198,7 @@ def _cmd_kg_lower(args) -> int:
 
 def _cmd_kg_materialize(args) -> int:
     schema = kg.load_schema(args.schema)
-    with open(args.graph, encoding="utf-8") as handle:
-        store = kg.load_store(handle.read(), namespace=args.namespace)
+    store = kg.load_store(kg.read_dump(args.graph), namespace=args.namespace)
     closed = kg.materialize(store, schema)
     replace_files([(args.out, kg.dump_store(closed).encode("utf-8"))])
     print(f"triples: {len(closed)} (added {len(closed) - len(store)})")
@@ -209,8 +208,7 @@ def _cmd_kg_materialize(args) -> int:
 def _cmd_kg_extract(args) -> int:
     classes = load_master_list(args.classes, "object class")
     predicates = load_master_list(args.predicates, "predicate")
-    with open(args.graph, encoding="utf-8") as handle:
-        store = kg.load_store(handle.read(), namespace=args.namespace)
+    store = kg.load_store(kg.read_dump(args.graph), namespace=args.namespace)
     if args.schema:
         schema = kg.load_schema(args.schema)
     else:

@@ -4,6 +4,11 @@ A corpus maps image filenames to ordered lists of visual relationships.
 Object classes and predicates are referenced by integer id; the id is the
 position of the name in one of two master lists carried with the corpus.
 
+The three value types -- `BoundingBox`, `AnnotatedObject` and
+`VisualRelationship` -- are named tuples: immutable, unpackable, hashed,
+compared and ordered field by field like the plain tuple of their fields
+(which they also compare equal to).  Edit one with `_replace`.
+
 On disk a corpus is three UTF-8 JSON files: the annotations object
 (filename -> list of relationship records) and the two master lists (plain
 string arrays).  `save_corpus` writes a canonical form -- image keys sorted,
@@ -23,6 +28,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     DuplicateMasterNameError,
@@ -33,8 +39,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class BoundingBox:
+class BoundingBox(NamedTuple):
     """Pixel box stored in [ymin, ymax, xmin, xmax] order."""
 
     ymin: int
@@ -47,23 +52,15 @@ class BoundingBox:
         """False for degenerate boxes: empty extent or negative coordinates."""
         return 0 <= self.ymin < self.ymax and 0 <= self.xmin < self.xmax
 
-    def to_list(self) -> list[int]:
-        return [self.ymin, self.ymax, self.xmin, self.xmax]
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.ymin, self.ymax, self.xmin, self.xmax)
-
-
-@dataclass(frozen=True)
-class AnnotatedObject:
+class AnnotatedObject(NamedTuple):
     """A localized object: class id plus bounding box."""
 
     class_id: int
     bbox: BoundingBox
 
 
-@dataclass(frozen=True)
-class VisualRelationship:
+class VisualRelationship(NamedTuple):
     """One (subject, predicate, object) annotation."""
 
     subject: AnnotatedObject
@@ -216,10 +213,22 @@ def _load_json(path: Path, detect_duplicate_keys: bool = False):
         return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedRecordError(str(path), str(exc)) from None
+    except ValueError:  # int() refuses a literal over the interpreter's digit limit
+        raise MalformedRecordError(str(path), "integer literal has too many digits") from None
     except RecursionError:  # the decoder recurses once per nesting level
         raise MalformedRecordError(str(path), "nested too deeply") from None
     except MalformedRecordError as exc:  # from the duplicate-key hook
         raise MalformedRecordError(str(path), exc.reason) from None
+
+
+def decode_utf8(data: bytes, error) -> str:
+    """Decode a line-oriented input file; for invalid UTF-8, raise
+    `error(line, reason)` naming the 1-based line of the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].count(b"\n") + 1
+        raise error(line, f"invalid UTF-8 ({exc.reason})") from None
 
 
 def _check_utf8(text: str, path, what: str) -> None:
@@ -277,8 +286,8 @@ def _load_images(annotations_path, n_classes: int, n_predicates: int) -> dict:
         if not isinstance(records, list):
             raise MalformedRecordError(image, "image entry must be an array of records")
         vrs: list[VisualRelationship] = []
-        # Frozen, so value-equal participants in one image can share one object.
-        shared: dict[tuple, AnnotatedObject] = {}
+        # Immutable, so value-equal participants in one image can share one object.
+        shared: dict[AnnotatedObject, AnnotatedObject] = {}
         for index, record in enumerate(records):
             if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
                 raise MalformedRecordError(
@@ -295,8 +304,8 @@ def _load_images(annotations_path, n_classes: int, n_predicates: int) -> dict:
                 raise IdOutOfRangeError(image, index, "object.category", obj.class_id, n_classes)
             if not 0 <= predicate < n_predicates:
                 raise IdOutOfRangeError(image, index, "predicate", predicate, n_predicates)
-            subject = shared.setdefault((subject.class_id, subject.bbox.as_tuple()), subject)
-            obj = shared.setdefault((obj.class_id, obj.bbox.as_tuple()), obj)
+            subject = shared.setdefault(subject, subject)
+            obj = shared.setdefault(obj, obj)
             vrs.append(VisualRelationship(subject, predicate, obj))
         images[image] = vrs
     return images
@@ -347,13 +356,8 @@ _VR_TEMPLATE = """\
 
 
 def _vr_text(vr: VisualRelationship) -> str:
-    s, o = vr.subject, vr.object
-    sb, ob = s.bbox, o.bbox
-    return _VR_TEMPLATE % (
-        ob.ymin, ob.ymax, ob.xmin, ob.xmax, o.class_id,
-        vr.predicate_id,
-        sb.ymin, sb.ymax, sb.xmin, sb.xmax, s.class_id,
-    )
+    (s_class, s_box), predicate, (o_class, o_box) = vr
+    return _VR_TEMPLATE % (*o_box, o_class, predicate, *s_box, s_class)
 
 
 def _image_entry(image: str, vrs: list[VisualRelationship]) -> bytes:
@@ -549,10 +553,10 @@ def _resolved_vrs(corpus: AnnotationCorpus, image: str) -> Counter:
     return Counter(
         (
             corpus.class_name(vr.subject.class_id),
-            vr.subject.bbox.as_tuple(),
+            vr.subject.bbox,
             corpus.predicate_name(vr.predicate_id),
             corpus.class_name(vr.object.class_id),
-            vr.object.bbox.as_tuple(),
+            vr.object.bbox,
         )
         for vr in corpus.images[image]
     )
@@ -564,7 +568,7 @@ def diff_corpora(before: AnnotationCorpus, after: AnnotationCorpus) -> CorpusDif
     VR counters."""
     # When every id of `before` keeps its name in `after`, equal VR lists
     # resolve to equal name multisets, so such an image is skipped unresolved.
-    # A step's copy shares the frozen VRs, so that `==` compares pointers.
+    # A step's copy shares the immutable VRs, so that `==` compares pointers.
     names_kept = (
         after.object_class_names[: len(before.object_class_names)] == before.object_class_names
         and after.predicate_names[: len(before.predicate_names)] == before.predicate_names

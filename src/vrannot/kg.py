@@ -28,7 +28,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import quote
 
-from .corpus import AnnotatedObject, AnnotationCorpus, BoundingBox, VisualRelationship, gc_paused
+from .corpus import (
+    AnnotatedObject,
+    AnnotationCorpus,
+    BoundingBox,
+    VisualRelationship,
+    decode_utf8,
+    gc_paused,
+)
 from .errors import (
     AmbiguousClassError,
     ConfigError,
@@ -214,7 +221,8 @@ def load_schema(path) -> Schema:
             raise UndeclaredTermError(line, name)
         return name
 
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    text = decode_utf8(path.read_bytes(), MalformedAxiomError)
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -345,21 +353,19 @@ def lower_annotations(
         img = iri(img_local)
         add((img, rdf_type, image_class))
         add((img, has_filename, intern((str, filename))))
-        nodes: dict[int, int] = {}  # id(participant) -> node; the loader shares equal ones
+        nodes: dict[AnnotatedObject, int] = {}
 
         def node_of(obj: AnnotatedObject) -> int:
-            node = nodes.get(id(obj))
+            node = nodes.get(obj)
             if node is not None:
                 return node
             if class_terms[obj.class_id] is None:
                 raise UnmappedNameError(corpus.class_name(obj.class_id), "object class")
             term, term_id = class_terms[obj.class_id]
-            box = obj.bbox
-            coords = (box.ymin, box.ymax, box.xmin, box.xmax)
-            node = nodes[id(obj)] = iri("{}_obj_{}_{}_{}_{}_{}".format(img_local, term, *coords))
+            node = nodes[obj] = iri("{}_obj_{}_{}_{}_{}_{}".format(img_local, term, *obj.bbox))
             if add((img, has_object, node)):
                 add((node, rdf_type, term_id))
-                for prop, value in zip(coordinate_properties, coords):
+                for prop, value in zip(coordinate_properties, obj.bbox):
                     add((node, prop, intern((int, value))))
             return node
 
@@ -522,8 +528,8 @@ def extract_annotations(
         filenames[s] = filename
         used.add(filename)
 
-    def read_object(node: int) -> tuple[tuple[int, ...], int, AnnotatedObject]:
-        """(box, class id, object) of a node, from one pass over its triples."""
+    def read_object(node: int) -> AnnotatedObject:
+        """The object of a node, from one pass over its triples."""
         coords, candidates = [[], [], [], []], set()  # value ids per coordinate; class terms
         for _, p, o in by_subject.get(node, ()):
             if p in coordinate_slots:
@@ -543,7 +549,7 @@ def extract_annotations(
         name = class_of_term[minima[0]]
         if name not in class_ids:
             raise UnknownNameError(name, "object class")
-        return box, class_ids[name], AnnotatedObject(class_ids[name], BoundingBox(*box))
+        return AnnotatedObject(class_ids[name], BoundingBox(*box))
 
     images: dict[str, list[VisualRelationship]] = {}
     for img in sorted(filenames, key=filenames.__getitem__):
@@ -557,11 +563,12 @@ def extract_annotations(
         # keyed by the VR's sort key, which fixes it, so equal VRs collapse
         vrs: dict[tuple, VisualRelationship] = {}
         for node in members:
-            s_box, s_class, subject = objects[node]
+            subject = objects[node]
             for _, p, o in by_subject.get(node, ()):
                 if p in property_ids and o in members:
-                    o_box, o_class, object_ = objects[o]
-                    key = (s_box, property_ids[p], o_box, s_class, o_class)
+                    object_ = objects[o]
+                    key = (subject.bbox, property_ids[p], object_.bbox,
+                           subject.class_id, object_.class_id)
                     vrs[key] = VisualRelationship(subject, property_ids[p], object_)
         images[filenames[img]] = [vrs[key] for key in sorted(vrs)]
     return AnnotationCorpus(images, list(object_class_names), list(predicate_names))
@@ -627,6 +634,13 @@ def _object_key(text: str, line: int) -> str | tuple:
         return (int, int(body))
     except ValueError:
         raise MalformedGraphError(f"line {line}: bad integer literal {body!r}") from None
+
+
+def read_dump(path) -> str:
+    """The text of a dump file, which must be UTF-8."""
+    return decode_utf8(
+        Path(path).read_bytes(), lambda line, reason: MalformedGraphError(f"line {line}: {reason}")
+    )
 
 
 @gc_paused()

@@ -29,7 +29,7 @@ not representable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .corpus import (
@@ -38,6 +38,7 @@ from .corpus import (
     BoundingBox,
     CorpusDiff,
     VisualRelationship,
+    decode_utf8,
     diff_corpora,
 )
 from .errors import ApplyError, ParseError, UnknownNameError
@@ -111,9 +112,12 @@ def strip_quotes(name: str) -> str:
 
 
 def _parse_index(text: str, line: int) -> int:
-    if not text.isdigit():
-        raise ParseError(line, f"expected a non-negative index, got {text!r}")
-    return int(text)
+    try:  # int() also refuses digits such as '²' and a literal over the digit limit
+        if text.isdigit():
+            return int(text)
+    except ValueError:
+        pass
+    raise ParseError(line, f"expected a non-negative index, got {text!r}")
 
 
 def _parse_name(text: str, line: int, what: str) -> str:
@@ -127,9 +131,12 @@ def _parse_bbox_literal(text: str, line: int) -> BoundingBox:
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(line, f"expected a [ymin,ymax,xmin,xmax] literal, got {text!r}")
     parts = [p.strip() for p in text[1:-1].split(",")]
-    if len(parts) != 4 or any(not _INT_RE.match(p) for p in parts):
-        raise ParseError(line, f"bounding box must hold 4 integers, got {text!r}")
-    return BoundingBox(*(int(p) for p in parts))
+    try:  # int() refuses a literal over the interpreter's digit limit
+        if len(parts) == 4 and all(_INT_RE.match(p) for p in parts):
+            return BoundingBox(*map(int, parts))
+    except ValueError:
+        pass
+    raise ParseError(line, f"bounding box must hold 4 integers, got {text!r}")
 
 
 def _parse_ref_tuple(text: str, line: int) -> tuple[str, str, str]:
@@ -141,22 +148,12 @@ def _parse_ref_tuple(text: str, line: int) -> tuple[str, str, str]:
     return tuple(_parse_name(p, line, "reference-tuple name") for p in parts)  # type: ignore[return-value]
 
 
-def _decode_source(source: str | bytes) -> str:
-    if isinstance(source, str):
-        return source
-    try:
-        return source.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = source[: exc.start].count(b"\n") + 1
-        raise ParseError(line, f"invalid UTF-8 ({exc.reason})") from None
-
-
 def parse_script(source: str | bytes) -> list[ImageBlock]:
     """Parse script text into image blocks; total over arbitrary byte input.
 
     Every failure raises ParseError carrying the 1-based source line.
     """
-    text = _decode_source(source)
+    text = source if isinstance(source, str) else decode_utf8(source, ParseError)
     blocks: list[ImageBlock] = []
     current: ImageBlock | None = None
 
@@ -247,7 +244,7 @@ def _render_tuple(ref: tuple[str, str, str]) -> str:
 
 
 def _render_bbox(bbox: BoundingBox) -> str:
-    return "[{},{},{},{}]".format(*bbox.to_list())
+    return "[{},{},{},{}]".format(*bbox)
 
 
 def render_script(blocks: list[ImageBlock]) -> str:
@@ -352,7 +349,7 @@ def _apply_instruction(corpus: AnnotationCorpus, image: str, ins: Instruction) -
         new = AnnotatedObject(_resolve_class(corpus, ins.new_name, ins.source_line), old.bbox)
     else:
         new = AnnotatedObject(old.class_id, ins.new_bbox)
-    vrs[ins.vr_index] = replace(vr, **{part: new})
+    vrs[ins.vr_index] = vr._replace(**{part: new})
 
 
 def validate_and_apply(

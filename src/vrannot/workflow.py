@@ -23,7 +23,7 @@ docs/formats.md.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import protocol
@@ -157,7 +157,7 @@ def merge_predicate(
     from_id = corpus.predicate_id(from_name)
     to_id = corpus.predicate_id(to_name)
     work = _rewrite_vrs(
-        corpus, lambda vr: replace(vr, predicate_id=to_id) if vr.predicate_id == from_id else vr
+        corpus, lambda vr: vr._replace(predicate_id=to_id) if vr.predicate_id == from_id else vr
     )
     work.retired_predicate_ids.add(from_id)
     return work

@@ -353,9 +353,9 @@ def reference_canonical(images):
                 kept.append(vr)
         kept.sort(
             key=lambda vr: (
-                vr.subject.bbox.as_tuple(),
+                tuple(vr.subject.bbox),
                 vr.predicate_id,
-                vr.object.bbox.as_tuple(),
+                tuple(vr.object.bbox),
                 vr.subject.class_id,
                 vr.object.class_id,
             )

@@ -78,8 +78,12 @@ class TestValidate:
             (5, "[" * 200_000, "nested too deeply"),
             (1, '{"\\ud800.jpg": []}', "image key '\\ud800.jpg' is not valid Unicode"),
             (5, '["on", "\\udc00"]', "predicate name '\\udc00' is not valid Unicode"),
+            (1, "[" + "9" * 5000 + "]", "integer literal has too many digits"),
         ],
-        ids=["deep annotations", "deep classes", "deep predicates", "surrogate key", "surrogate name"],
+        ids=[
+            "deep annotations", "deep classes", "deep predicates", "surrogate key", "surrogate name",
+            "huge integer",
+        ],
     )
     def test_hostile_input_is_a_data_error(self, tmp_path, position, text, reason):
         """Checked in a fresh process: stderr holds the one error line, no traceback."""
@@ -396,17 +400,22 @@ class TestWorkflow:
 
     def test_outputs_identical_across_hash_seeds(self, tmp_path):
         """Two processes with different string hashing print the same reports
-        and write the same bytes: the workflow, lint, diff and the kg chain."""
+        and write the same bytes: the workflow, the inspect commands (stats,
+        query, lint), diff and the kg chain."""
         src = Path(vrannot.__file__).resolve().parent.parent
         inputs = list(OUTPUT_NAMES)
         outputs = [f"out/{name}" for name in OUTPUT_NAMES]
         schema = ["--schema", "axioms.txt"]
+        corpus = ["--annotations", inputs[0], "--classes", inputs[1], "--predicates", inputs[2]]
+        structured = ["--format", "structured"]
         commands = [
             ["workflow", "run", "config.json"],
-            ["lint", "--annotations", inputs[0], "--classes", inputs[1], "--predicates", inputs[2]],
+            ["stats", *corpus, *structured],
+            ["query", *corpus, "--pattern", "*, *, *", *structured],
+            ["query", *corpus, "--count", "1..", *structured],
+            ["lint", *corpus],
             ["diff", *inputs, *outputs],
-            ["kg", "lower", "--annotations", inputs[0], "--classes", inputs[1],
-             "--predicates", inputs[2], *schema, "--out", "g.nt"],
+            ["kg", "lower", *corpus, *schema, "--out", "g.nt"],
             ["kg", "materialize", "g.nt", *schema, "--out", "closed.nt"],
             ["kg", "extract", "closed.nt", *schema, "--classes", inputs[1],
              "--predicates", inputs[2], "--out", "extracted.json"],
@@ -429,7 +438,8 @@ class TestWorkflow:
         assert results[0] == results[1]
         stdouts = results[0][0]
         assert stdouts[0].endswith(b"done: 11 steps\n")
-        assert b"(added 0)" not in stdouts[4]  # the axioms infer something
+        assert json.loads(stdouts[2])["images"] and json.loads(stdouts[3])["images"]
+        assert b"(added 0)" not in stdouts[7]  # the axioms infer something
 
 
 def demo_axioms() -> str:

@@ -136,6 +136,15 @@ class TestLoad:
             load_corpus(*paths)
         assert err.value.location == str(paths[which])
 
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_huge_integer_is_a_load_error(self, tmp_path, which):
+        """More digits than int() converts (4300 by default) is malformed data."""
+        paths = write_corpus_files(tmp_path, {}, [], [])
+        paths[which].write_text("[" + "9" * 5000 + "]")
+        with pytest.raises(MalformedRecordError, match="integer literal has too many digits") as err:
+            load_corpus(*paths)
+        assert err.value.location == str(paths[which])
+
     def test_lone_surrogate_image_key(self, tmp_path):
         _, c, p = write_corpus_files(tmp_path, {}, [], [])
         a = tmp_path / "annotations.json"
@@ -450,6 +459,74 @@ class TestLoaderOracle:
             gc.enable() if was_enabled else gc.disable()
 
 
+def plain(value):
+    """The nested plain tuple of a value's fields, read by attribute name."""
+    if isinstance(value, VisualRelationship):
+        return (plain(value.subject), value.predicate_id, plain(value.object))
+    if isinstance(value, AnnotatedObject):
+        return (value.class_id, plain(value.bbox))
+    return (value.ymin, value.ymax, value.xmin, value.xmax)
+
+
+class TestValueLayout:
+    """The value types hash, compare and order as the tuples of their fields;
+    sorted outputs and the loader's participant sharing rest on that."""
+
+    def seeded_values(self, seed):
+        rng = random.Random(seed)
+        vrs = [random_vr(rng, 3, 2) for _ in range(60)]
+        vrs += [VisualRelationship(vr.object, vr.predicate_id, vr.subject) for vr in vrs[:20]]
+        vrs += [VisualRelationship(*vr) for vr in vrs[:10]]  # value-equal, not identical
+        objects = [o for vr in vrs for o in (vr.subject, vr.object)]
+        return [vrs, objects, [o.bbox for o in objects]]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hash_equality_and_order_follow_the_field_tuple(self, seed):
+        for values in self.seeded_values(seed):
+            for a in values:
+                assert hash(a) == hash(plain(a))
+                assert a == plain(a) and not a != plain(a)
+            for a, b in itertools.product(values[:40], repeat=2):
+                assert (a == b) == (plain(a) == plain(b))
+                assert (a < b) == (plain(a) < plain(b))
+                assert (a <= b) == (plain(a) <= plain(b))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sorted_boxes_keep_the_field_order(self, seed):
+        boxes = self.seeded_values(seed)[2]
+        by_fields = sorted(boxes, key=lambda b: (b.ymin, b.ymax, b.xmin, b.xmax))
+        assert sorted(boxes) == by_fields
+        assert [plain(b) for b in sorted(boxes)] == [plain(b) for b in by_fields]
+
+    def test_fields_keep_their_names_and_order(self):
+        vr = VisualRelationship(
+            AnnotatedObject(1, BoundingBox(2, 3, 4, 5)), 6, AnnotatedObject(7, BoundingBox(8, 9, 10, 11))
+        )
+        assert BoundingBox._fields == ("ymin", "ymax", "xmin", "xmax")
+        assert AnnotatedObject._fields == ("class_id", "bbox")
+        assert VisualRelationship._fields == ("subject", "predicate_id", "object")
+        assert vr == ((1, (2, 3, 4, 5)), 6, (7, (8, 9, 10, 11)))
+        assert vr._replace(predicate_id=0) == ((1, (2, 3, 4, 5)), 0, (7, (8, 9, 10, 11)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_loaded_equal_participants_are_one_object(self, tmp_path, seed):
+        rng = random.Random(seed)
+        corpus = random_corpus(rng, max_vrs=12)
+        for image, vrs in corpus.images.items():  # draw participants from a small pool
+            pool = [AnnotatedObject(*o) for vr in vrs[:2] for o in (vr.subject, vr.object)]
+            vrs[:] = [
+                VisualRelationship(rng.choice(pool), vr.predicate_id, rng.choice(pool)) for vr in vrs
+            ]
+        paths = [tmp_path / "a.json", tmp_path / "c.json", tmp_path / "p.json"]
+        save_corpus(corpus, *paths)
+        loaded = load_corpus(*paths)
+        assert loaded.images == corpus.images
+        for vrs in loaded.images.values():
+            first = {}
+            for o in (o for vr in vrs for o in (vr.subject, vr.object)):
+                assert first.setdefault(o, o) is o
+
+
 class TestSave:
     def test_round_trip_value_equality(self, tmp_path):
         corpus = load_listing_corpus()
@@ -643,10 +720,10 @@ def reference_annotations_bytes(corpus):
         image: [
             vr_record(
                 vr.subject.class_id,
-                vr.subject.bbox.to_list(),
+                list(vr.subject.bbox),
                 vr.predicate_id,
                 vr.object.class_id,
-                vr.object.bbox.to_list(),
+                list(vr.object.bbox),
             )
             for vr in vrs
         ]
@@ -822,10 +899,10 @@ def resolved_multiset(corpus, image):
     return Counter(
         (
             corpus.object_class_names[vr.subject.class_id],
-            vr.subject.bbox.as_tuple(),
+            tuple(vr.subject.bbox),
             corpus.predicate_names[vr.predicate_id],
             corpus.object_class_names[vr.object.class_id],
-            vr.object.bbox.as_tuple(),
+            tuple(vr.object.bbox),
         )
         for vr in corpus.images[image]
     )

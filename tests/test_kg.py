@@ -40,6 +40,7 @@ from vrannot.kg import (
     lower_annotations,
     materialize,
     property_local,
+    read_dump,
 )
 
 from helpers import canonicalize_corpus, random_corpus
@@ -213,6 +214,13 @@ class TestLoadSchema:
     def test_malformed(self, tmp_path, body):
         with pytest.raises(MalformedAxiomError):
             self.load(tmp_path, body)
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "axioms.txt"
+        path.write_bytes(b"class A\nclass B\xff\n")
+        with pytest.raises(MalformedAxiomError) as err:
+            load_schema(path)
+        assert str(err.value) == "line 2: invalid UTF-8 (invalid start byte)"
 
     @pytest.mark.parametrize("line", ["nope", "nope A", "nope A B"])
     def test_unknown_keyword_with_or_without_arguments(self, tmp_path, line):
@@ -816,6 +824,18 @@ class TestSerialization:
         text = "# a comment\n\n" + f'<{DEFAULT_NAMESPACE}a> <{DEFAULT_NAMESPACE}p> "x" .\n'
         store = load_store(text)
         assert len(store) == 1
+
+    def test_read_dump(self, tmp_path):
+        store = store_of(t(iri("a"), iri("hasFilename"), "\u00e9t\u00e9.jpg"))
+        (tmp_path / "g.nt").write_bytes(dump_store(store).encode("utf-8"))
+        assert set(load_store(read_dump(tmp_path / "g.nt"))) == set(store)
+
+    def test_read_dump_rejects_invalid_utf8(self, tmp_path):
+        line = f'<{DEFAULT_NAMESPACE}a> <{DEFAULT_NAMESPACE}p> "x" .\n'.encode()
+        (tmp_path / "g.nt").write_bytes(line + line.replace(b'"x"', b'"\xc3("'))
+        with pytest.raises(MalformedGraphError) as err:
+            read_dump(tmp_path / "g.nt")
+        assert str(err.value) == "line 2: invalid UTF-8 (invalid continuation byte)"
 
     def test_error_names_the_first_line_of_a_repeated_object_text(self):
         """Object texts are parsed once per load; a bad one must still be

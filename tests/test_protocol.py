@@ -84,6 +84,24 @@ class TestParse:
             parse_script(f"imname; a.jpg\n{line}\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("cvrsbb; 4; (a, b, c); [{},234,231,270]", "bounding box must hold 4 integers"),
+            ("avrxxx; a; [1,2,3,4]; p; b; [1,{},3,4]", "bounding box must hold 4 integers"),
+            ("cvrsoc; {}; (a, b, c); d", "expected a non-negative index"),
+            ("rvrxxx; {}; (a, b, c);", "expected a non-negative index"),
+        ],
+    )
+    def test_integer_over_the_digit_limit(self, line, reason):
+        with pytest.raises(ParseError, match=reason) as err:
+            parse_script(f"imname; a.jpg\n{line.format('9' * 5000)}\n")
+        assert err.value.line == 2
+
+    def test_index_digits_int_refuses(self):
+        with pytest.raises(ParseError, match="expected a non-negative index, got '²'"):
+            parse_script("imname; a.jpg\ncvrsoc; ²; (a, b, c); d\n")
+
     def test_imname_malformed(self):
         with pytest.raises(ParseError):
             parse_script("imname; a.jpg; b.jpg\n")
@@ -314,10 +332,10 @@ class TestApply:
                 image: Counter(
                     (
                         c.object_class_names[vr.subject.class_id],
-                        vr.subject.bbox.as_tuple(),
+                        tuple(vr.subject.bbox),
                         c.predicate_names[vr.predicate_id],
                         c.object_class_names[vr.object.class_id],
-                        vr.object.bbox.as_tuple(),
+                        tuple(vr.object.bbox),
                     )
                     for vr in vrs
                 )
@@ -355,16 +373,16 @@ class TestApply:
 # Instruction field and value parsing must store, and the VR that applying it
 # to (person, on, shelf) must give.
 CHANGE_CASES = {
-    "cvrsoc": ("dog", "new_name", "dog", lambda vr, c: dataclasses.replace(
-        vr, subject=AnnotatedObject(c.class_id("dog"), vr.subject.bbox))),
-    "cvrsbb": ("[1,2,3,4]", "new_bbox", BoundingBox(1, 2, 3, 4), lambda vr, c: dataclasses.replace(
-        vr, subject=AnnotatedObject(vr.subject.class_id, BoundingBox(1, 2, 3, 4)))),
-    "cvrooc": ("'dog'", "new_name", "dog", lambda vr, c: dataclasses.replace(
-        vr, object=AnnotatedObject(c.class_id("dog"), vr.object.bbox))),
-    "cvrobb": ("[1,2,3,4]", "new_bbox", BoundingBox(1, 2, 3, 4), lambda vr, c: dataclasses.replace(
-        vr, object=AnnotatedObject(vr.object.class_id, BoundingBox(1, 2, 3, 4)))),
-    "cvrpxx": ("sit on", "new_name", "sit on", lambda vr, c: dataclasses.replace(
-        vr, predicate_id=c.predicate_id("sit on"))),
+    "cvrsoc": ("dog", "new_name", "dog", lambda vr, c: vr._replace(
+        subject=AnnotatedObject(c.class_id("dog"), vr.subject.bbox))),
+    "cvrsbb": ("[1,2,3,4]", "new_bbox", BoundingBox(1, 2, 3, 4), lambda vr, c: vr._replace(
+        subject=AnnotatedObject(vr.subject.class_id, BoundingBox(1, 2, 3, 4)))),
+    "cvrooc": ("'dog'", "new_name", "dog", lambda vr, c: vr._replace(
+        object=AnnotatedObject(c.class_id("dog"), vr.object.bbox))),
+    "cvrobb": ("[1,2,3,4]", "new_bbox", BoundingBox(1, 2, 3, 4), lambda vr, c: vr._replace(
+        object=AnnotatedObject(vr.object.class_id, BoundingBox(1, 2, 3, 4)))),
+    "cvrpxx": ("sit on", "new_name", "sit on", lambda vr, c: vr._replace(
+        predicate_id=c.predicate_id("sit on"))),
 }
 EMPTY_PAYLOAD = {
     "cvrsoc": "empty class name",

@@ -428,6 +428,13 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: nested too deeply$"):
             load_workflow_config(path)
 
+    def test_huge_integer(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"steps": ' + "9" * 5000 + "}", encoding="utf-8")
+        message = f"^{re.escape(str(path))}: integer literal has too many digits$"
+        with pytest.raises(ConfigError, match=message):
+            load_workflow_config(path)
+
     def test_lone_surrogate_name(self, tmp_path):
         raw = self.base_config()
         raw["steps"] = [{"kind": "merge_class", "from": "a", "to": "\ud800"}]
@@ -606,10 +613,10 @@ def _oracle_resolved_vrs(corpus, image):
     return Counter(
         (
             corpus.class_name(vr.subject.class_id),
-            vr.subject.bbox.as_tuple(),
+            tuple(vr.subject.bbox),
             corpus.predicate_name(vr.predicate_id),
             corpus.class_name(vr.object.class_id),
-            vr.object.bbox.as_tuple(),
+            tuple(vr.object.bbox),
         )
         for vr in corpus.images[image]
     )
