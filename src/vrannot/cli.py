@@ -9,6 +9,7 @@ function of the inputs; nothing timestamped, nothing host-dependent.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -22,7 +23,7 @@ from .corpus import (
     replace_files,
     save_corpus,
 )
-from .errors import FileMissingError, VrannotError
+from .errors import FileMissingError, StepFailedError, VrannotError
 
 
 def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
@@ -226,16 +227,7 @@ def _cmd_diff(args) -> int:
     if args.format == "structured":
         _emit_structured(
             {
-                "images": [
-                    {
-                        "filename": d.filename,
-                        "status": d.status,
-                        "changed": d.changed,
-                        "added": d.added,
-                        "removed": d.removed,
-                    }
-                    for d in diff.deltas
-                ],
+                "images": [dataclasses.asdict(delta) for delta in diff.deltas],
                 "images_touched": diff.images_touched,
                 "vrs_changed": diff.vrs_changed,
                 "vrs_added": diff.vrs_added,
@@ -368,15 +360,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except FileMissingError as exc:
+    except (VrannotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except VrannotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        # a workflow step that cannot read its file fails on I/O all the same
+        cause = exc.cause if isinstance(exc, StepFailedError) else exc
+        return 4 if isinstance(cause, (FileMissingError, OSError)) else 3
 
 
 if __name__ == "__main__":

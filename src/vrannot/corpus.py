@@ -549,30 +549,23 @@ class CorpusDiff:
         return sum(d.removed for d in self.deltas)
 
 
-def _resolved_vrs(corpus: AnnotationCorpus, image: str) -> Counter:
-    return Counter(
-        (
-            corpus.class_name(vr.subject.class_id),
-            vr.subject.bbox,
-            corpus.predicate_name(vr.predicate_id),
-            corpus.class_name(vr.object.class_id),
-            vr.object.bbox,
-        )
-        for vr in corpus.images[image]
-    )
+def _ids_by_name(before: list[str], after: list[str]) -> list[int]:
+    """For each id of `after`, the id of `before` with the same name; a name
+    that `before` lacks gets a fresh id past the end of `before`."""
+    ids = {name: i for i, name in enumerate(before)}
+    return [ids.setdefault(name, len(ids)) for name in after]
 
 
 def diff_corpora(before: AnnotationCorpus, after: AnnotationCorpus) -> CorpusDiff:
     """Name-level value diff; VR removals and additions of an image that pair
     up one-to-one count as changes.  Image-level adds/removes do not feed the
     VR counters."""
-    # When every id of `before` keeps its name in `after`, equal VR lists
-    # resolve to equal name multisets, so such an image is skipped unresolved.
-    # A step's copy shares the immutable VRs, so that `==` compares pointers.
-    names_kept = (
-        after.object_class_names[: len(before.object_class_names)] == before.object_class_names
-        and after.predicate_names[: len(before.predicate_names)] == before.predicate_names
-    )
+    # `after`'s VRs are compared in `before`'s ids, where equal ids mean equal
+    # names.  When every id keeps its name, as after most steps, `after`'s lists
+    # are used as they are; `==` on the VRs a step's copy shares compares pointers.
+    classes = _ids_by_name(before.object_class_names, after.object_class_names)
+    predicates = _ids_by_name(before.predicate_names, after.predicate_names)
+    same_ids = classes == [*range(len(classes))] and predicates == [*range(len(predicates))]
     deltas: list[ImageDelta] = []
     for image in sorted(set(before.images) | set(after.images)):
         if image not in after.images:
@@ -581,10 +574,13 @@ def diff_corpora(before: AnnotationCorpus, after: AnnotationCorpus) -> CorpusDif
         if image not in before.images:
             deltas.append(ImageDelta(image, "added"))
             continue
-        if names_kept and before.images[image] == after.images[image]:
+        old, new = before.images[image], after.images[image]
+        if not same_ids:
+            new = [((classes[s], s_box), predicates[p], (classes[o], o_box))
+                   for (s, s_box), p, (o, o_box) in new]
+        if old == new:
             continue
-        old = _resolved_vrs(before, image)
-        new = _resolved_vrs(after, image)
+        old, new = Counter(old), Counter(new)
         if old == new:
             continue
         gone = sum((old - new).values())

@@ -650,7 +650,7 @@ def load_store(text: str, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
     store = GraphStore(namespace)
     intern, add = store._id, store._add
     objects: dict[str, int] = {}  # object text -> id
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):  # the writer's only line break
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -234,6 +234,12 @@ def _string(value, where: str) -> str:
     return value
 
 
+def _path(value, where: str) -> str:
+    if "\0" in _string(value, where):  # no filesystem path can hold a NUL
+        raise ConfigError(f"{where} must not contain a NUL character")
+    return value
+
+
 def _string_list(value, where: str) -> list[str]:
     if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
         raise ConfigError(f"{where} must be an array of strings")
@@ -283,7 +289,7 @@ STEPS = {
         },
         ("renames", "additions"),
     ),
-    "apply_protocol_file": ("apply_protocol_file", {"path": ("path", _string)}, ()),
+    "apply_protocol_file": ("apply_protocol_file", {"path": ("path", _path)}, ()),
     "change_class_for_image_set": (
         "change_class_for_image_set",
         {"images": ("image_filenames", _string_list), **_FROM_TO_NAMES},
@@ -434,7 +440,7 @@ def load_workflow_config(path) -> WorkflowConfig:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
     base_dir = path.parent
-    resolved = {key: base_dir / _string(raw[key], key) for key in _PATH_KEYS}
+    resolved = {key: base_dir / _path(raw[key], key) for key in _PATH_KEYS}
     for side in ("annotations", "classes", "predicates"):
         if resolved[f"input_{side}"].resolve() == resolved[f"output_{side}"].resolve():
             raise ConfigError(f"input and output {side} paths must differ")

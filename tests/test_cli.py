@@ -369,6 +369,26 @@ class TestWorkflow:
         code, _, _ = run(capsys, "workflow", "run", str(tmp_path / "absent.json"))
         assert code == 4
 
+    @pytest.mark.parametrize("script", ["missing", "directory"])
+    def test_unreadable_script_step_is_an_io_error(self, capsys, tmp_path, script):
+        """A step that cannot read its file exits 4, like `apply` on that file."""
+        workdir = self.prepared(tmp_path, script)
+        raw = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+        raw["steps"].insert(0, {"kind": "apply_protocol_file", "path": "edit.txt"})
+        (workdir / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+        if script == "directory":
+            (workdir / "edit.txt").mkdir()
+        code, out, err = run(capsys, "workflow", "run", str(workdir / "config.json"))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: step 1 (apply_protocol_file) failed: ")
+        assert str(workdir / "edit.txt") in err
+        assert not (workdir / "out").exists()
+        apply_code, _, _ = run(
+            capsys, "apply", str(workdir / "edit.txt"), *corpus_args(workdir),
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert apply_code == 4
+
     def test_duplicate_step_key(self, capsys, tmp_path):
         workdir = self.prepared(tmp_path, "dup")
         config = workdir / "config.json"

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import stat
 import tracemalloc
 from collections import Counter
@@ -89,6 +90,15 @@ class TestLoad:
     def test_duplicate_master_name(self, tmp_path):
         paths = write_corpus_files(tmp_path, {}, ["person", "person"], ["on"])
         with pytest.raises(DuplicateMasterNameError):
+            load_corpus(*paths)
+
+    @pytest.mark.parametrize("which, what", [(1, "object class"), (2, "predicate")])
+    @pytest.mark.parametrize("master", [{"person": 0}, ["person", 1], "person", None])
+    def test_master_list_must_be_an_array_of_strings(self, tmp_path, which, what, master):
+        paths = list(write_corpus_files(tmp_path, {}, ["person"], ["on"]))
+        paths[which].write_text(json.dumps(master))
+        message = f"^{re.escape(str(paths[which]))}: {what} master list must be an array of strings$"
+        with pytest.raises(MalformedRecordError, match=message):
             load_corpus(*paths)
 
     def test_duplicate_image_key(self, tmp_path):
@@ -857,6 +867,9 @@ class TestNameResolution:
         corpus.retired_class_ids.add(corpus.class_id("bear"))
         with pytest.raises(UnknownNameError):
             corpus.class_id("bear")
+        corpus.retired_predicate_ids.add(corpus.predicate_id("on"))
+        with pytest.raises(UnknownNameError, match=r"^unknown predicate \(retired\): 'on'$"):
+            corpus.predicate_id("on")
 
     def test_validate_catches_bad_ids(self):
         corpus = load_listing_corpus()
@@ -868,6 +881,30 @@ class TestNameResolution:
         ]
         with pytest.raises(IdOutOfRangeError):
             corpus.validate()
+
+    @pytest.mark.parametrize("names", ["object_class_names", "predicate_names"])
+    def test_validate_catches_a_duplicate_name(self, names):
+        corpus = load_listing_corpus()
+        getattr(corpus, names).append(getattr(corpus, names)[0])
+        with pytest.raises(DuplicateMasterNameError):
+            corpus.validate()
+
+    @pytest.mark.parametrize("field", ["subject.category", "object.category", "predicate"])
+    def test_validate_names_the_field_out_of_range(self, field):
+        corpus = load_listing_corpus()
+        image = sorted(corpus.images)[0]
+        vr = corpus.images[image][1]
+        bound = len(corpus.predicate_names if field == "predicate" else corpus.object_class_names)
+        if field == "predicate":
+            vr = vr._replace(predicate_id=bound)
+        else:
+            side = field.split(".")[0]
+            vr = vr._replace(**{side: getattr(vr, side)._replace(class_id=bound)})
+        corpus.images[image][1] = vr
+        with pytest.raises(IdOutOfRangeError) as err:
+            corpus.validate()
+        assert (err.value.image, err.value.vr_index, err.value.field) == (image, 1, field)
+        assert (err.value.value, err.value.bound) == (bound, bound)
 
 
 class TestFindExactDuplicates:

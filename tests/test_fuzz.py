@@ -83,12 +83,16 @@ def _nest(data, rng, kind):
     return _insert(data, rng, b"[" * 100_000)
 
 
-def _surrogate(data, rng, kind):
-    if kind in JSON_INPUTS:  # a \ud800 escape right after an opening quote
-        opening = [m.start() for m in re.finditer(rb'"', data)][::2]
-        at = rng.choice(opening) + 1
-        return data[:at] + b"\\ud800" + data[at:]
-    return _insert(data, rng, "\ud800".encode("utf-8", "surrogatepass"))
+def _in_a_string(char: str):
+    """A mutation that writes `char` as a JSON escape right after an opening
+    quote of a JSON input, and as itself anywhere in any other input."""
+    def mutate(data, rng, kind):
+        if kind in JSON_INPUTS:
+            opening = [m.start() for m in re.finditer(rb'"', data)][::2]
+            at = rng.choice(opening) + 1
+            return data[:at] + b"\\u%04x" % ord(char) + data[at:]
+        return _insert(data, rng, char.encode("utf-8", "surrogatepass"))
+    return mutate
 
 
 def _huge_int(data, rng, kind):
@@ -109,10 +113,11 @@ MUTATIONS = {
     "flip": _flip,
     "truncate": _truncate,
     "nest": _nest,
-    "surrogate": _surrogate,
+    "surrogate": _in_a_string("\ud800"),
     "huge-int": _huge_int,
     "non-utf8": _non_utf8,
     "directory": None,  # the input path names a directory
+    "nul": _in_a_string("\x00"),
 }
 
 

@@ -45,6 +45,7 @@ from vrannot.kg import (
 
 from helpers import canonicalize_corpus, random_corpus
 from test_acceptance import _NS, naive_closure
+from test_corpus import FILENAME_ALPHABET
 
 
 def iri(local):
@@ -448,6 +449,12 @@ class TestLower:
         with pytest.raises(UnmappedNameError):
             lower_annotations(tiny_corpus(), schema)
 
+    def test_unmapped_class(self):
+        schema = default_schema(tiny_corpus())
+        del schema.ann_classes["hat"]
+        with pytest.raises(UnmappedNameError, match="^no schema designation for object class 'hat'$"):
+            lower_annotations(tiny_corpus(), schema)
+
     def test_custom_namespace(self):
         ns = "urn:x-test:"
         store = lower_annotations(tiny_corpus(), default_schema(tiny_corpus()), namespace=ns)
@@ -752,6 +759,13 @@ class TestExtract:
         with pytest.raises(UnknownNameError):
             extract_annotations(store, schema, corpus.object_class_names, ["hold"])
 
+    def test_designated_class_missing_from_master_list(self):
+        corpus = tiny_corpus()
+        schema = default_schema(corpus)
+        store = lower_annotations(corpus, schema)
+        with pytest.raises(UnknownNameError, match="^unknown object class: 'hat'$"):
+            extract_annotations(store, schema, ["person"], corpus.predicate_names)
+
     def test_non_vr_triples_ignored(self):
         corpus = tiny_corpus()
         schema = default_schema(corpus)
@@ -819,6 +833,20 @@ class TestSerialization:
     def test_round_trip_of_lowered_corpus(self):
         store = lower_annotations(tiny_corpus(), default_schema(tiny_corpus()))
         assert set(load_store(dump_store(store))) == set(store)
+
+    def test_round_trip_of_every_filename_character(self):
+        """Dump lines end only at a line feed: the other line breaks that
+        str.splitlines knows stay inside a filename literal."""
+        corpus = tiny_corpus()
+        vr = corpus.images.pop("i1.jpg")
+        for char in FILENAME_ALPHABET + "\x0b\x0c\x1c\x1d\x1e\x85":
+            corpus.images[f"a{char}b.jpg"] = vr
+        schema = default_schema(corpus)
+        store = lower_annotations(corpus, schema)
+        loaded = load_store(dump_store(store))
+        assert set(loaded) == set(store)
+        back = extract_annotations(loaded, schema, corpus.object_class_names, corpus.predicate_names)
+        assert back.images == corpus.images
 
     def test_load_skips_comments_and_blanks(self):
         text = "# a comment\n\n" + f'<{DEFAULT_NAMESPACE}a> <{DEFAULT_NAMESPACE}p> "x" .\n'

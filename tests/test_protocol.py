@@ -108,6 +108,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_script("imname; \n")
 
+    @pytest.mark.parametrize("line", ["imname", "imname; a.jpg; rimxxx; b.jpg"])
+    def test_imname_field_count(self, line):
+        message = "^line 2: imname takes a filename and an optional rimxxx flag$"
+        with pytest.raises(ParseError, match=message):
+            parse_script("# header\n" + line + "\n")
+
     def test_instruction_after_removal_header(self):
         with pytest.raises(ParseError) as err:
             parse_script("imname; a.jpg; rimxxx\ncvrpxx; 0; (a, b, c); d\n")
@@ -289,6 +295,26 @@ class TestApply:
             validate_and_apply(corpus, parse_script(script))
         assert err.value.cause == ApplyError.UNKNOWN_NAME
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "instruction",
+        ["cvrpxx; 4; (person, on, shelf); hover", "avrxxx; person; [1,2,3,4]; hover; shelf; [1,2,3,4]"],
+    )
+    def test_unknown_predicate_name(self, instruction):
+        corpus = load_listing_corpus()
+        script = f"imname; 3223670633_7d3d72dfe8_b.jpg\n{instruction}\n"
+        with pytest.raises(ApplyError) as err:
+            validate_and_apply(corpus, parse_script(script))
+        assert (err.value.cause, err.value.line) == (ApplyError.UNKNOWN_NAME, 2)
+        assert err.value.detail == "predicate 'hover'"
+
+    def test_index_into_an_empty_list(self):
+        corpus = load_listing_corpus()
+        corpus.images["empty.jpg"] = []
+        with pytest.raises(ApplyError) as err:
+            validate_and_apply(corpus, parse_script("imname; empty.jpg\nrvrxxx; 0; (a, b, c);\n"))
+        assert (err.value.cause, err.value.line) == (ApplyError.INDEX_OUT_OF_RANGE, 2)
+        assert err.value.detail == "index 0 into empty list of empty.jpg"
 
     def test_input_corpus_never_mutated(self):
         corpus = load_listing_corpus()

@@ -8,14 +8,19 @@ from pathlib import Path
 import pytest
 
 from vrannot import workflow
+from vrannot.cli import main
 from vrannot.corpus import (
+    AnnotatedObject,
+    AnnotationCorpus,
     CorpusDiff,
     ImageDelta,
+    VisualRelationship,
     canonical_annotations_bytes,
     canonical_master_list_bytes,
     diff_corpora,
     find_exact_duplicates,
     load_corpus,
+    save_corpus,
 )
 from vrannot.errors import (
     ConfigError,
@@ -435,6 +440,20 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=message):
             load_workflow_config(path)
 
+    @pytest.mark.parametrize("key", [*workflow._PATH_KEYS, "steps[0].path"])
+    def test_nul_in_a_path(self, tmp_path, key):
+        raw = self.base_config()
+        if key == "steps[0].path":
+            raw["steps"] = [{"kind": "apply_protocol_file", "path": "p\u0000.txt"}]
+        else:
+            raw[key] = "x\u0000.json"
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must not contain a NUL character$"):
+            load_workflow_config(self.write(tmp_path, raw))
+
+    def test_config_root_must_be_an_object(self, tmp_path):
+        with pytest.raises(ConfigError, match="^config root must be an object$"):
+            load_workflow_config(self.write(tmp_path, [self.base_config()]))
+
     def test_lone_surrogate_name(self, tmp_path):
         raw = self.base_config()
         raw["steps"] = [{"kind": "merge_class", "from": "a", "to": "\ud800"}]
@@ -758,6 +777,31 @@ class _StepArgs:
         return {}
 
 
+def relabeled(corpus, classes, predicates):
+    """`corpus` over the given master lists, which must hold every name its
+    VRs use: each VR keeps its names and boxes, its ids follow the names."""
+    class_ids = {name: i for i, name in enumerate(classes)}
+    predicate_ids = {name: i for i, name in enumerate(predicates)}
+
+    def moved(vr):
+        (s, s_box), p, (o, o_box) = vr
+        return VisualRelationship(
+            AnnotatedObject(class_ids[corpus.class_name(s)], s_box),
+            predicate_ids[corpus.predicate_name(p)],
+            AnnotatedObject(class_ids[corpus.class_name(o)], o_box),
+        )
+
+    images = {image: [moved(vr) for vr in vrs] for image, vrs in corpus.images.items()}
+    return AnnotationCorpus(images, list(classes), list(predicates))
+
+
+def saved_and_loaded(corpus, directory):
+    paths = [directory / name for name in ("annotations.json", "classes.json", "predicates.json")]
+    directory.mkdir()
+    save_corpus(corpus, *paths)
+    return load_corpus(*paths), paths
+
+
 class TestDiffOracle:
     def seeded_corpus(self, rng):
         corpus = random_corpus(
@@ -767,6 +811,21 @@ class TestDiffOracle:
             if vrs and rng.random() < 0.3:
                 vrs.append(rng.choice(vrs))
         return corpus
+
+    def stepped(self, rng, make, corpus, script_path, steps=4):
+        """`corpus` after a few seeded steps of any kind."""
+        for _ in range(steps):
+            kind = rng.choice(sorted(STEPS))
+            args = make.for_kind(kind, corpus, script_path)
+            if args is not None:
+                corpus = getattr(workflow, STEPS[kind][0])(corpus, **args)
+        return corpus
+
+    def shuffled(self, rng, names, extra):
+        """`names` in a seeded order, with `extra` fresh names mixed in."""
+        names = list(names) + extra
+        rng.shuffle(names)
+        return names
 
     def test_every_step_output_matches_oracle(self, tmp_path):
         rng = random.Random(5150)
@@ -814,3 +873,131 @@ class TestDiffOracle:
         expected = [ImageDelta(image, "modified", changed=n) for image, n in sorted(uses.items()) if n]
         assert expected
         assert diff_corpora(corpus, after) == CorpusDiff(expected) == oracle_diff_corpora(corpus, after)
+
+    def test_separately_loaded_corpora_match_oracle(self, tmp_path):
+        rng = random.Random(8180)
+        make = _StepArgs(rng)
+        for case in range(40):
+            corpus = self.seeded_corpus(rng)
+            after = self.stepped(rng, make, corpus, tmp_path / "script.txt")
+            left, _ = saved_and_loaded(corpus, tmp_path / f"left{case}")
+            right, _ = saved_and_loaded(after, tmp_path / f"right{case}")
+            shared = {id(vr) for vrs in left.images.values() for vr in vrs}
+            assert not any(id(vr) in shared for vrs in right.images.values() for vr in vrs)
+            assert diff_corpora(left, right) == oracle_diff_corpora(left, right)
+
+    def test_renames_on_both_sides_match_oracle(self, tmp_path):
+        rng = random.Random(9190)
+        make = _StepArgs(rng)
+        for _ in range(60):
+            corpus = self.seeded_corpus(rng)
+            after = self.stepped(rng, make, corpus, tmp_path / "script.txt")
+            before = update_master_lists(corpus, **make.master_lists(corpus, True, False))
+            after = update_master_lists(after, **make.master_lists(after, True, False))
+            both = set(make.classes(before)) & set(make.classes(after))
+            if both and rng.random() < 0.5:  # one more rename, the same on both sides
+                rename = [(rng.choice(sorted(both)), make.new_name())]
+                before = update_master_lists(before, CLASSES, renames=rename)
+                after = update_master_lists(after, CLASSES, renames=rename)
+            assert diff_corpora(before, after) == oracle_diff_corpora(before, after)
+
+    def test_reordered_lists_and_one_sided_names_match_oracle(self, tmp_path):
+        rng = random.Random(10200)
+        make = _StepArgs(rng)
+        for _ in range(60):
+            corpus = self.seeded_corpus(rng)
+            after = self.stepped(rng, make, corpus, tmp_path / "script.txt")
+            sides = []
+            for side in (corpus, after):
+                classes, predicates = side.object_class_names, side.predicate_names
+                if rng.random() < 0.8:
+                    classes = self.shuffled(rng, classes, [make.new_name()] * rng.randrange(2))
+                if rng.random() < 0.8:
+                    predicates = self.shuffled(rng, predicates, [make.new_name()] * rng.randrange(2))
+                sides.append(relabeled(side, classes, predicates))
+            before, after = sides
+            assert diff_corpora(before, after) == oracle_diff_corpora(before, after)
+            assert diff_corpora(after, before) == oracle_diff_corpora(after, before)
+
+    def test_shorter_after_lists_match_oracle(self):
+        rng = random.Random(11210)
+        for case in range(60):
+            before = self.seeded_corpus(rng)
+            gone = {before.object_class_names[-1]}
+            if case % 2:
+                gone.add(before.predicate_names[-1])
+            kept = before.copy()
+            for image, vrs in kept.images.items():
+                kept.images[image] = [vr for vr in vrs if not gone & set(kept.vr_type_names(vr))]
+            classes = [name for name in before.object_class_names if name not in gone]
+            predicates = [name for name in before.predicate_names if name not in gone]
+            if case % 3 == 0:  # not a prefix of `before`'s list either
+                classes = self.shuffled(rng, classes, [])
+            after = relabeled(kept, classes, predicates)
+            assert len(after.object_class_names) < len(before.object_class_names)
+            assert diff_corpora(before, after) == oracle_diff_corpora(before, after)
+            assert diff_corpora(after, before) == oracle_diff_corpora(after, before)
+
+    def test_retired_names_still_count_as_names(self):
+        rng = random.Random(12220)
+        make = _StepArgs(rng)
+        for _ in range(60):
+            before = self.seeded_corpus(rng)
+            used = sorted({vr.subject.class_id for vrs in before.images.values() for vr in vrs})
+            if not used:
+                continue
+            name = before.class_name(rng.choice(used))
+            before.retired_class_ids.add(before.object_class_names.index(name))  # VRs keep using it
+            after = update_master_lists(before, **make.master_lists(before, True, True))
+            if rng.random() < 0.5:  # the retired name moves to another id
+                classes = self.shuffled(rng, after.object_class_names, [])
+                after = relabeled(after, classes, after.predicate_names)
+                after.retired_class_ids.add(classes.index(name))
+            assert diff_corpora(before, after) == oracle_diff_corpora(before, after)
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_diff_command_on_saved_corpora_matches_oracle(self, tmp_path, capsys, fmt):
+        rng = random.Random(13230)
+        make = _StepArgs(rng)
+        touched = 0
+        for case in range(12):
+            corpus = self.seeded_corpus(rng)
+            after = self.stepped(rng, make, corpus, tmp_path / "script.txt")
+            after = update_master_lists(after, **make.master_lists(after, True, True))
+            classes = self.shuffled(rng, after.object_class_names, [])
+            after = relabeled(after, classes, after.predicate_names)
+            left, left_paths = saved_and_loaded(corpus, tmp_path / f"left{case}")
+            right, right_paths = saved_and_loaded(after, tmp_path / f"right{case}")
+            assert main(["diff", *map(str, left_paths), *map(str, right_paths), "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            expected = oracle_diff_corpora(left, right)
+            touched += expected.images_touched
+            totals = {
+                "images_touched": expected.images_touched,
+                "vrs_changed": expected.vrs_changed,
+                "vrs_added": expected.vrs_added,
+                "vrs_removed": expected.vrs_removed,
+                "images_added": expected.images_added,
+                "images_removed": expected.images_removed,
+            }
+            if fmt == "structured":
+                images = [
+                    {"filename": d.filename, "status": d.status, "changed": d.changed,
+                     "added": d.added, "removed": d.removed}
+                    for d in expected.deltas
+                ]
+                payload = {"images": images, **totals}
+                assert out == json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+                continue
+            lines = [
+                f"modified {d.filename} changed={d.changed} added={d.added} removed={d.removed}"
+                if d.status == "modified" else f"{d.status} {d.filename}"
+                for d in expected.deltas
+            ]
+            lines.append(
+                "total: images_touched={images_touched} changed={vrs_changed} added={vrs_added} "
+                "removed={vrs_removed} images_added={images_added} "
+                "images_removed={images_removed}".format(**totals)
+            )
+            assert out == "\n".join(lines) + "\n"
+        assert touched
