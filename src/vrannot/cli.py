@@ -20,10 +20,11 @@ from .corpus import (
     diff_corpora,
     load_corpus,
     load_master_list,
+    read_input,
     replace_files,
     save_corpus,
 )
-from .errors import FileMissingError, StepFailedError, VrannotError
+from .errors import ConfigError, FileMissingError, StepFailedError, VrannotError
 
 
 def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
@@ -120,7 +121,11 @@ def _cmd_query(args) -> int:
             for image in images:
                 print(image)
         return 0
-    pattern = analyze.parse_pattern(args.pattern)
+    try:
+        pattern = analyze.parse_pattern(args.pattern)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result = analyze.query_images(corpus, pattern)
     if args.format == "structured":
         _emit_structured({"images": result.images, "bindings": result.bindings})
@@ -156,8 +161,7 @@ def _cmd_overlay(args) -> int:
 
 def _cmd_apply(args) -> int:
     corpus = _load(args)
-    with open(args.script, "rb") as handle:
-        blocks = protocol.parse_script(handle.read())
+    blocks = protocol.parse_script(read_input(args.script))
     result, report = protocol.validate_and_apply(corpus, blocks)
     save_corpus(result, args.out)
     print(f"images touched: {report.images_touched}")

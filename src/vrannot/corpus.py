@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import errno
 import gc
+import io
 import json
 import os
 from collections import Counter
@@ -106,22 +107,11 @@ class AnnotationCorpus:
 
     def class_id(self, name: str) -> int:
         """Resolve a live object-class name; retired names do not resolve."""
-        try:
-            class_id = self.object_class_names.index(name)
-        except ValueError:
-            raise UnknownNameError(name, "object class") from None
-        if class_id in self.retired_class_ids:
-            raise UnknownNameError(name, "object class (retired)")
-        return class_id
+        return _live_id(self.object_class_names, self.retired_class_ids, name, "object class")
 
     def predicate_id(self, name: str) -> int:
-        try:
-            predicate_id = self.predicate_names.index(name)
-        except ValueError:
-            raise UnknownNameError(name, "predicate") from None
-        if predicate_id in self.retired_predicate_ids:
-            raise UnknownNameError(name, "predicate (retired)")
-        return predicate_id
+        """Resolve a live predicate name; retired names do not resolve."""
+        return _live_id(self.predicate_names, self.retired_predicate_ids, name, "predicate")
 
     def vr_type_names(self, vr: VisualRelationship) -> tuple[str, str, str]:
         """The (subject class, predicate, object class) name triple of a VR."""
@@ -155,6 +145,16 @@ class AnnotationCorpus:
                     raise IdOutOfRangeError(
                         image, index, "predicate", vr.predicate_id, n_predicates
                     )
+
+
+def _live_id(names: list[str], retired: set[int], name: str, what: str) -> int:
+    try:
+        index = names.index(name)
+    except ValueError:
+        raise UnknownNameError(name, what) from None
+    if index in retired:
+        raise UnknownNameError(name, f"{what} (retired)")
+    return index
 
 
 @dataclass(frozen=True)
@@ -204,10 +204,8 @@ def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _load_json(path: Path, detect_duplicate_keys: bool = False):
-    if not path.exists():
-        raise FileMissingError(path)
-    try:
-        text = path.read_text(encoding="utf-8")
+    try:  # decoded in text mode: JSON error positions count `\r\n` and `\r` as one `\n`
+        text = io.TextIOWrapper(io.BytesIO(read_input(path)), encoding="utf-8").read()
         if detect_duplicate_keys:
             return json.loads(text, object_pairs_hook=_reject_duplicate_keys)
         return json.loads(text)
@@ -221,6 +219,14 @@ def _load_json(path: Path, detect_duplicate_keys: bool = False):
         raise MalformedRecordError(str(path), exc.reason) from None
 
 
+def read_input(path) -> bytes:
+    """The bytes of an input file; a missing path raises FileMissingError."""
+    path = Path(path)
+    if not path.exists():
+        raise FileMissingError(path)
+    return path.read_bytes()
+
+
 def decode_utf8(data: bytes, error) -> str:
     """Decode a line-oriented input file; for invalid UTF-8, raise
     `error(line, reason)` naming the 1-based line of the first bad byte."""
@@ -229,6 +235,17 @@ def decode_utf8(data: bytes, error) -> str:
     except UnicodeDecodeError as exc:
         line = data[: exc.start].count(b"\n") + 1
         raise error(line, f"invalid UTF-8 ({exc.reason})") from None
+
+
+def text_lines(text: str):
+    """Yield (1-based line number, stripped line) for each line of a decoded
+    script, axiom file or dump that is neither blank nor a `#` comment.  A line
+    ends only at `\\n`, the break `decode_utf8` counts: a `\\r\\n` file reads the
+    same, and every other Unicode line break stays inside its line."""
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
 
 
 def _check_utf8(text: str, path, what: str) -> None:

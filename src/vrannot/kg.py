@@ -25,7 +25,6 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from pathlib import Path
 from urllib.parse import quote
 
 from .corpus import (
@@ -35,11 +34,12 @@ from .corpus import (
     VisualRelationship,
     decode_utf8,
     gc_paused,
+    read_input,
+    text_lines,
 )
 from .errors import (
     AmbiguousClassError,
     ConfigError,
-    FileMissingError,
     ImageNotFoundError,
     MalformedAxiomError,
     MalformedGraphError,
@@ -209,9 +209,7 @@ def _schema_local(token: str, line: int) -> str:
 def load_schema(path) -> Schema:
     """Parse a line-oriented axiom file; every term must be declared on an
     earlier line than its first use."""
-    path = Path(path)
-    if not path.exists():
-        raise FileMissingError(path)
+    text = decode_utf8(read_input(path), MalformedAxiomError)
     schema = Schema()
     declared = {"class": schema.classes, "prop": schema.properties}
 
@@ -221,11 +219,7 @@ def load_schema(path) -> Schema:
             raise UndeclaredTermError(line, name)
         return name
 
-    text = decode_utf8(path.read_bytes(), MalformedAxiomError)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in text_lines(text):
         fields = line.split(None, 1)
         keyword = fields[0]
         rest = fields[1].strip() if len(fields) == 2 else ""
@@ -639,7 +633,7 @@ def _object_key(text: str, line: int) -> str | tuple:
 def read_dump(path) -> str:
     """The text of a dump file, which must be UTF-8."""
     return decode_utf8(
-        Path(path).read_bytes(), lambda line, reason: MalformedGraphError(f"line {line}: {reason}")
+        read_input(path), lambda line, reason: MalformedGraphError(f"line {line}: {reason}")
     )
 
 
@@ -650,10 +644,7 @@ def load_store(text: str, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
     store = GraphStore(namespace)
     intern, add = store._id, store._add
     objects: dict[str, int] = {}  # object text -> id
-    for line_no, raw in enumerate(text.split("\n"), start=1):  # the writer's only line break
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in text_lines(text):
         matched = _LINE_RE.match(line)
         if not matched:
             raise MalformedGraphError(f"line {line_no}: not a triple line")

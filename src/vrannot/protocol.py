@@ -9,8 +9,8 @@ names the expected (subject, predicate, object) class triple.  The applier
 checks that triple before touching anything and aborts the whole run on the
 first mismatch, reporting the offending source line.
 
-Grammar (one instruction per line, fields split on `;`, whitespace trimmed,
-`#` starts a comment line, blank lines ignored):
+Grammar (one instruction per line, ending only at `\n`; fields split on `;`,
+whitespace trimmed, `#` starts a comment line, blank lines ignored):
 
     imname; <filename>[; rimxxx]
     cvrsoc; <idx>; (<s>, <p>, <o>); <new subject class>
@@ -40,6 +40,7 @@ from .corpus import (
     VisualRelationship,
     decode_utf8,
     diff_corpora,
+    text_lines,
 )
 from .errors import ApplyError, ParseError, UnknownNameError
 
@@ -157,10 +158,7 @@ def parse_script(source: str | bytes) -> list[ImageBlock]:
     blocks: list[ImageBlock] = []
     current: ImageBlock | None = None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in text_lines(text):
         fields = [f.strip() for f in line.split(";")]
         mnemonic = fields[0]
         try:
@@ -280,18 +278,12 @@ def render_script(blocks: list[ImageBlock]) -> str:
 # --------------------------------------------------------------------------
 
 
-def _resolve_class(corpus: AnnotationCorpus, name: str, line: int) -> int:
+def _resolve(corpus: AnnotationCorpus, what: str, name: str, line: int) -> int:
+    """The live id of a name; `what` is "object class" or "predicate"."""
     try:
-        return corpus.class_id(name)
+        return corpus.predicate_id(name) if what == "predicate" else corpus.class_id(name)
     except UnknownNameError:
-        raise ApplyError(line, ApplyError.UNKNOWN_NAME, f"object class {name!r}") from None
-
-
-def _resolve_predicate(corpus: AnnotationCorpus, name: str, line: int) -> int:
-    try:
-        return corpus.predicate_id(name)
-    except UnknownNameError:
-        raise ApplyError(line, ApplyError.UNKNOWN_NAME, f"predicate {name!r}") from None
+        raise ApplyError(line, ApplyError.UNKNOWN_NAME, f"{what} {name!r}") from None
 
 
 def _checked_vr(
@@ -321,20 +313,12 @@ def _checked_vr(
 def _apply_instruction(corpus: AnnotationCorpus, image: str, ins: Instruction) -> None:
     vrs = corpus.images[image]
     if ins.kind is InstructionKind.AVRXXX:
-        spec = ins.new_vr
-        vrs.append(
-            VisualRelationship(
-                AnnotatedObject(
-                    _resolve_class(corpus, spec.subject_class, ins.source_line),
-                    spec.subject_bbox,
-                ),
-                _resolve_predicate(corpus, spec.predicate, ins.source_line),
-                AnnotatedObject(
-                    _resolve_class(corpus, spec.object_class, ins.source_line),
-                    spec.object_bbox,
-                ),
-            )
-        )
+        spec, line = ins.new_vr, ins.source_line
+        subject = _resolve(corpus, "object class", spec.subject_class, line)
+        predicate = _resolve(corpus, "predicate", spec.predicate, line)
+        obj = _resolve(corpus, "object class", spec.object_class, line)
+        vrs.append(VisualRelationship(AnnotatedObject(subject, spec.subject_bbox), predicate,
+                                      AnnotatedObject(obj, spec.object_bbox)))
         return
 
     vr = _checked_vr(corpus, image, ins)
@@ -344,9 +328,10 @@ def _apply_instruction(corpus: AnnotationCorpus, image: str, ins: Instruction) -
     part, payload = _CHANGES[ins.kind]
     old = getattr(vr, part)
     if payload == "predicate":
-        new = _resolve_predicate(corpus, ins.new_name, ins.source_line)
+        new = _resolve(corpus, "predicate", ins.new_name, ins.source_line)
     elif payload == "class":
-        new = AnnotatedObject(_resolve_class(corpus, ins.new_name, ins.source_line), old.bbox)
+        new = AnnotatedObject(_resolve(corpus, "object class", ins.new_name, ins.source_line),
+                              old.bbox)
     else:
         new = AnnotatedObject(old.class_id, ins.new_bbox)
     vrs[ins.vr_index] = vr._replace(**{part: new})

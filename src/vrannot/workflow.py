@@ -35,12 +35,12 @@ from .corpus import (
     _load_json,
     diff_corpora,
     load_corpus,
+    read_input,
     save_corpus,
 )
 from .errors import (
     ConfigError,
     DuplicateMasterNameError,
-    FileMissingError,
     ImageNotFoundError,
     MalformedRecordError,
     SelfMergeError,
@@ -88,10 +88,7 @@ def update_master_lists(
 
 def apply_protocol_file(corpus: AnnotationCorpus, path) -> AnnotationCorpus:
     """Parse and apply one protocol script from disk."""
-    path = Path(path)
-    if not path.exists():
-        raise FileMissingError(path)
-    blocks = protocol.parse_script(path.read_bytes())
+    blocks = protocol.parse_script(read_input(path))
     new, _ = protocol.validate_and_apply(corpus, blocks)
     return new
 
@@ -437,7 +434,7 @@ def load_workflow_config(path) -> WorkflowConfig:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
     unknown = set(raw) - {*_PATH_KEYS, "steps"}
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown config keys: {', '.join(map(repr, sorted(unknown)))}")
 
     base_dir = path.parent
     resolved = {key: base_dir / _path(raw[key], key) for key in _PATH_KEYS}

@@ -206,6 +206,14 @@ class TestQuery:
         code, _, _ = run(capsys, "query", *corpus_args())
         assert code == 2
 
+    @pytest.mark.parametrize("pattern", ["a, b", "a, , c", "(a, b, c, d)"])
+    def test_pattern_malformed(self, capsys, pattern):
+        code, out, err = run(capsys, "query", *corpus_args(), "--pattern", pattern)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: pattern must be three comma-separated names, got {pattern!r}\n"
+        )
+
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "query", *corpus_args(), "--pattern", "(zebra, *, *)")
         assert code == 3
@@ -388,6 +396,17 @@ class TestWorkflow:
             "--out", str(tmp_path / "r.json"),
         )
         assert apply_code == 4
+
+    def test_unknown_config_keys_are_quoted(self, capsys, tmp_path):
+        """A key's control characters reach stderr escaped, never raw."""
+        workdir = self.prepared(tmp_path, "keys")
+        raw = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+        raw["bad\x1b[31mkey"] = raw["nul\x00key"] = 1
+        (workdir / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+        code, out, err = run(capsys, "workflow", "run", str(workdir / "config.json"))
+        assert (code, out) == (3, "")
+        assert err == "error: unknown config keys: 'bad\\x1b[31mkey', 'nul\\x00key'\n"
+        assert "\x1b" not in err and "\x00" not in err
 
     def test_duplicate_step_key(self, capsys, tmp_path):
         workdir = self.prepared(tmp_path, "dup")

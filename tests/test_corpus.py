@@ -24,7 +24,9 @@ from vrannot.corpus import (
     find_exact_duplicates,
     load_corpus,
     load_master_list,
+    read_input,
     save_corpus,
+    text_lines,
 )
 from vrannot.errors import (
     DuplicateMasterNameError,
@@ -350,6 +352,33 @@ def load_outcome(loader, paths):
         return loader(*paths)
     except VrannotError as exc:
         return type(exc), str(exc)
+
+
+class TestLineReader:
+    """The one reading policy of scripts, axiom files and dumps."""
+
+    def test_lines_end_only_at_a_line_feed(self):
+        text = "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i\r\n  # note\n\n \t\n  j \rk \x0c\n"
+        assert list(text_lines(text)) == [(1, "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i"),
+                                          (5, "j \rk")]
+
+    def test_missing_input(self, tmp_path):
+        with pytest.raises(FileMissingError) as err:
+            read_input(tmp_path / "absent.txt")
+        assert str(err.value) == f"file not found: {tmp_path / 'absent.txt'}"
+
+    def test_json_error_offsets_count_translated_line_breaks(self, tmp_path):
+        """JSON inputs read as in text mode: `\\r\\n` and `\\r` count as one
+        character each in the decoder's error position."""
+        path = tmp_path / "classes.json"
+        path.write_bytes(b'[\r\n  "a",\r\n]\r\n')
+        with pytest.raises(MalformedRecordError) as err:
+            load_master_list(path)
+        assert str(err.value) == f"{path}: Expecting value: line 3 column 1 (char 9)"
+        path.write_bytes(b'[\r"a",\r]')
+        with pytest.raises(MalformedRecordError) as err:
+            load_master_list(path)
+        assert str(err.value) == f"{path}: Expecting value: line 3 column 1 (char 7)"
 
 
 class TestLoaderOracle:
@@ -857,15 +886,15 @@ class TestStats:
 class TestNameResolution:
     def test_unknown_name(self):
         corpus = load_listing_corpus()
-        with pytest.raises(UnknownNameError):
+        with pytest.raises(UnknownNameError, match=r"^unknown object class: 'zebra'$"):
             corpus.class_id("zebra")
-        with pytest.raises(UnknownNameError):
+        with pytest.raises(UnknownNameError, match=r"^unknown predicate: 'hover'$"):
             corpus.predicate_id("hover")
 
     def test_retired_name_does_not_resolve(self):
         corpus = load_listing_corpus()
         corpus.retired_class_ids.add(corpus.class_id("bear"))
-        with pytest.raises(UnknownNameError):
+        with pytest.raises(UnknownNameError, match=r"^unknown object class \(retired\): 'bear'$"):
             corpus.class_id("bear")
         corpus.retired_predicate_ids.add(corpus.predicate_id("on"))
         with pytest.raises(UnknownNameError, match=r"^unknown predicate \(retired\): 'on'$"):

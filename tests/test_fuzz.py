@@ -4,7 +4,8 @@ Each case copies the listing-1 corpus, its script, a workflow config, an
 axiom file and a lowered dump into its own directory, applies one mutation
 to one input and runs one command.  Whatever the input, the command must end
 in a documented exit code without a traceback, and a failed command must
-leave every output as it was: absent, or byte-identical to before.
+leave every output as it was: absent, or byte-identical to before.  A
+missing input must end in exit code 4 and `error: file not found: <path>`.
 """
 
 from __future__ import annotations
@@ -118,6 +119,7 @@ MUTATIONS = {
     "non-utf8": _non_utf8,
     "directory": None,  # the input path names a directory
     "nul": _in_a_string("\x00"),
+    "missing": None,  # the input is not written
 }
 
 
@@ -185,7 +187,7 @@ def _run_case(case_dir: Path, originals, command, case) -> str | None:
             path.write_bytes(data)
         elif mutation == "directory":
             path.mkdir()
-        else:
+        elif mutation != "missing":
             path.write_bytes(MUTATIONS[mutation](data, rng, kind))
     for output in outputs:  # some outputs exist beforehand, some do not
         if output == output_dir:
@@ -207,6 +209,11 @@ def _run_case(case_dir: Path, originals, command, case) -> str | None:
         changed = [o for o in outputs if _state(case_dir / o) != before[o]]
         if changed or sorted(os.listdir(case_dir / "out")) != listing:
             problems.append(f"outputs changed: {changed or sorted(os.listdir(case_dir / 'out'))}")
+    if mutation == "missing":  # a workflow step puts its ordinal and kind before the cause
+        expected = rb"error: (step \d+ \(\w+\) failed: )?file not found: %s\n" % re.escape(
+            f"in/{INPUTS[target]}".encode())
+        if result.returncode != 4 or not re.fullmatch(expected, result.stderr):
+            problems.append(f"exit code {result.returncode} and another message for a missing input")
     if output_dir is not None and result.returncode != 4:
         problems.append(f"exit code {result.returncode} for a directory as output")
     if mutation is None and (result.returncode not in (0, 1)

@@ -223,6 +223,15 @@ class TestLoadSchema:
             load_schema(path)
         assert str(err.value) == "line 2: invalid UTF-8 (invalid start byte)"
 
+    def test_lines_end_only_at_a_line_feed(self, tmp_path):
+        schema = self.load(tmp_path, "class A\nannclass a\u2028b A\n")
+        assert schema.ann_classes == {"a\u2028b": "A"}
+        with pytest.raises(MalformedAxiomError) as err:
+            self.load(tmp_path, "class A\n# page\x0cbreak\x85here\nwidget A\n")
+        assert str(err.value) == "line 3: unknown keyword 'widget'"
+        text = "class A\nclass B\nsubclass A B\nannclass a b A\n"
+        assert self.load(tmp_path, text.replace("\n", "\r\n")) == self.load(tmp_path, text)
+
     @pytest.mark.parametrize("line", ["nope", "nope A", "nope A B"])
     def test_unknown_keyword_with_or_without_arguments(self, tmp_path, line):
         with pytest.raises(MalformedAxiomError) as err:
@@ -847,6 +856,12 @@ class TestSerialization:
         assert set(loaded) == set(store)
         back = extract_annotations(loaded, schema, corpus.object_class_names, corpus.predicate_names)
         assert back.images == corpus.images
+
+    def test_error_line_after_a_line_break_inside_a_literal(self):
+        text = f'<{DEFAULT_NAMESPACE}a> <{DEFAULT_NAMESPACE}p> "x\x0cy\u2028z" .\nnot a triple\n'
+        with pytest.raises(MalformedGraphError) as err:
+            load_store(text)
+        assert str(err.value) == "line 2: not a triple line"
 
     def test_load_skips_comments_and_blanks(self):
         text = "# a comment\n\n" + f'<{DEFAULT_NAMESPACE}a> <{DEFAULT_NAMESPACE}p> "x" .\n'

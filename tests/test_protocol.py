@@ -20,6 +20,7 @@ from vrannot.protocol import (
 )
 
 from helpers import LISTING_DIR, load_listing_corpus, load_listing_expected, random_corpus
+from test_corpus import FILENAME_ALPHABET
 
 K = InstructionKind
 
@@ -143,6 +144,27 @@ class TestParse:
             parse_script(b"imname; a.jpg\ncvr\xffsoc\n")
         assert err.value.line == 2
 
+    def test_lines_end_only_at_a_line_feed(self):
+        """Line numbers are those of `decode_utf8`, which counts only `\\n`."""
+        for source, line in [("imname; a\x0cb.jpg\nbogus; 0\n", 2),
+                             (b"imname; a\x0cb.jpg\nbogus; 0\n", 2),
+                             ("imname; a\u2028b\x85c\x1cd.jpg\n# x\x0by\nbogus; 0\n", 3)]:
+            with pytest.raises(ParseError) as err:
+                parse_script(source)
+            assert (err.value.line, err.value.reason) == (line, "unknown mnemonic 'bogus'")
+        with pytest.raises(ParseError) as err:
+            parse_script(b"imname; a\x0cb.jpg\ncvr\xffsoc\n")
+        assert err.value.line == 2
+
+    def test_crlf_reads_as_lf_and_a_bare_cr_ends_no_line(self):
+        text = (LISTING_DIR / "script.txt").read_text(encoding="utf-8")
+        assert parse_script(text.replace("\n", "\r\n")) == parse_script(text)
+        with pytest.raises(ParseError) as err:
+            parse_script("imname; a.jpg\rrvrxxx; 0; (a, b, c);\n")
+        assert (err.value.line, err.value.reason) == (
+            1, "imname takes a filename and an optional rimxxx flag"
+        )
+
     def test_parse_is_total_over_noise(self):
         rng = random.Random(99)
         for _ in range(200):
@@ -216,6 +238,18 @@ class TestRender:
             again = parse_script(render_script(blocks))
             assert self.strip_lines(again) == self.strip_lines(blocks)
 
+    def test_round_trip_of_every_filename_character(self):
+        """Every character but `\\n` and `;` can stand inside an imname
+        filename, the line breaks that str.splitlines knows among them."""
+        instruction = Instruction(K.RVRXXX, 0, vr_index=1, ref_tuple=("a", "b", "c"))
+        for char in FILENAME_ALPHABET + "\x0b\x0c\x1c\x1d\x1e\x85":
+            if char in "\n;":
+                continue
+            blocks = [ImageBlock(f"a{char}b.jpg", 0, instructions=[instruction]),
+                      ImageBlock(f"a{char}c.jpg", 0, remove_image=True)]
+            again = parse_script(render_script(blocks))
+            assert self.strip_lines(again) == self.strip_lines(blocks), repr(char)
+
 
 class TestApply:
     def test_first_block_semantics(self):
@@ -284,6 +318,7 @@ class TestApply:
         with pytest.raises(ApplyError) as err:
             validate_and_apply(corpus, parse_script(script))
         assert err.value.cause == ApplyError.UNKNOWN_NAME
+        assert err.value.detail == "object class 'zebra'"
 
     def test_unknown_avrxxx_name(self):
         corpus = load_listing_corpus()
