@@ -98,7 +98,13 @@ def images_with_vr_count(corpus: AnnotationCorpus, target: int | range) -> list[
 # distributions
 # --------------------------------------------------------------------------
 
-METRICS = ("vrs_per_image", "distinct_classes_per_image", "distinct_predicates_per_image")
+_METRIC_VALUES = {  # metric -> its value for one image's VR list
+    "vrs_per_image": len,
+    "distinct_classes_per_image":
+        lambda vrs: len({o.class_id for vr in vrs for o in (vr.subject, vr.object)}),
+    "distinct_predicates_per_image": lambda vrs: len({vr.predicate_id for vr in vrs}),
+}
+METRICS = tuple(_METRIC_VALUES)
 
 
 @dataclass(frozen=True)
@@ -112,13 +118,8 @@ class Histogram:
 
 
 def distribution(corpus: AnnotationCorpus, metric: str) -> Histogram:
-    if metric == "vrs_per_image":
-        value = lambda vrs: len(vrs)
-    elif metric == "distinct_classes_per_image":
-        value = lambda vrs: len({o.class_id for vr in vrs for o in (vr.subject, vr.object)})
-    elif metric == "distinct_predicates_per_image":
-        value = lambda vrs: len({vr.predicate_id for vr in vrs})
-    else:
+    value = _METRIC_VALUES.get(metric)
+    if value is None:
         raise ConfigError(f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}")
     counts: dict[int, int] = {}
     for vrs in corpus.images.values():

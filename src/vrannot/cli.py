@@ -62,36 +62,29 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     corpus = _load(args)
-    stats = compute_stats(corpus)
     if args.distribution:
         histogram = analyze.distribution(corpus, args.distribution)
         if args.format == "structured":
-            _emit_structured(
-                {"metric": histogram.metric, "buckets": [list(b) for b in histogram.buckets]}
-            )
+            _emit_structured({"metric": histogram.metric, "buckets": histogram.buckets})
         else:
             print(f"{histogram.metric}:")
             for value, count in histogram.buckets:
                 print(f"  {value}: {count}")
         return 0
+    stats = compute_stats(corpus)
+    counts = {
+        "object_classes": stats.object_class_count,
+        "predicates": stats.predicate_count,
+        "images": stats.image_count,
+        "relationships": stats.vr_count,
+        "mean_relationships_per_image": stats.mean_vrs_per_image,
+        "images_with_duplicate_relationships": stats.images_with_exact_duplicate_vrs,
+    }
     if args.format == "structured":
-        _emit_structured(
-            {
-                "object_classes": stats.object_class_count,
-                "predicates": stats.predicate_count,
-                "images": stats.image_count,
-                "relationships": stats.vr_count,
-                "mean_relationships_per_image": stats.mean_vrs_per_image,
-                "images_with_duplicate_relationships": stats.images_with_exact_duplicate_vrs,
-            }
-        )
+        _emit_structured(counts)
         return 0
-    print(f"object classes: {stats.object_class_count}")
-    print(f"predicates: {stats.predicate_count}")
-    print(f"images: {stats.image_count}")
-    print(f"relationships: {stats.vr_count}")
-    print(f"mean relationships per image: {stats.mean_vrs_per_image:.2f}")
-    print(f"images with duplicate relationships: {stats.images_with_exact_duplicate_vrs}")
+    for key, value in counts.items():
+        print(f"{key.replace('_', ' ')}: {value:{'.2f' if isinstance(value, float) else ''}}")
     return 0
 
 
@@ -214,32 +207,24 @@ def _cmd_kg_extract(args) -> int:
     classes = load_master_list(args.classes, "object class")
     predicates = load_master_list(args.predicates, "predicate")
     store = kg.load_store(kg.read_dump(args.graph), namespace=args.namespace)
-    if args.schema:
-        schema = kg.load_schema(args.schema)
-    else:
-        schema = kg.default_schema(AnnotationCorpus({}, classes, predicates))
+    schema = _schema_for(args, AnnotationCorpus({}, classes, predicates))
     corpus = kg.extract_annotations(store, schema, classes, predicates)
     save_corpus(corpus, args.out)
     print(f"images: {len(corpus.images)}, relationships: {corpus.vr_count}")
     return 0
 
 
+_DIFF_TOTALS = ("images_touched", "vrs_changed", "vrs_added", "vrs_removed",
+                "images_added", "images_removed")  # CorpusDiff attributes, in print order
+
+
 def _cmd_diff(args) -> int:
     before = load_corpus(args.a_annotations, args.a_classes, args.a_predicates)
     after = load_corpus(args.b_annotations, args.b_classes, args.b_predicates)
     diff = diff_corpora(before, after)
+    totals = {name: getattr(diff, name) for name in _DIFF_TOTALS}
     if args.format == "structured":
-        _emit_structured(
-            {
-                "images": [dataclasses.asdict(delta) for delta in diff.deltas],
-                "images_touched": diff.images_touched,
-                "vrs_changed": diff.vrs_changed,
-                "vrs_added": diff.vrs_added,
-                "vrs_removed": diff.vrs_removed,
-                "images_added": diff.images_added,
-                "images_removed": diff.images_removed,
-            }
-        )
+        _emit_structured({"images": [dataclasses.asdict(delta) for delta in diff.deltas], **totals})
         return 0
     for delta in diff.deltas:
         if delta.status == "modified":
@@ -249,11 +234,7 @@ def _cmd_diff(args) -> int:
             )
         else:
             print(f"{delta.status} {delta.filename}")
-    print(
-        f"total: images_touched={diff.images_touched} changed={diff.vrs_changed} "
-        f"added={diff.vrs_added} removed={diff.vrs_removed} "
-        f"images_added={diff.images_added} images_removed={diff.images_removed}"
-    )
+    print("total: " + " ".join(f"{name.removeprefix('vrs_')}={n}" for name, n in totals.items()))
     return 0
 
 

@@ -192,31 +192,25 @@ def gc_paused():
             gc.enable()
 
 
-def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
-    out = dict(pairs)
-    if len(out) != len(pairs):
-        seen: set[str] = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise MalformedRecordError("annotations", f"duplicate key {key!r}")
-            seen.add(key)
-    return out
-
-
-def _load_json(path: Path, detect_duplicate_keys: bool = False):
+def _load_json(path: Path):
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        out = dict(pairs)
+        if len(out) != len(pairs):
+            seen: set[str] = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise MalformedRecordError(str(path), f"duplicate key {key!r}")
+                seen.add(key)
+        return out
     try:  # decoded in text mode: JSON error positions count `\r\n` and `\r` as one `\n`
         text = io.TextIOWrapper(io.BytesIO(read_input(path)), encoding="utf-8").read()
-        if detect_duplicate_keys:
-            return json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedRecordError(str(path), str(exc)) from None
     except ValueError:  # int() refuses a literal over the interpreter's digit limit
         raise MalformedRecordError(str(path), "integer literal has too many digits") from None
     except RecursionError:  # the decoder recurses once per nesting level
         raise MalformedRecordError(str(path), "nested too deeply") from None
-    except MalformedRecordError as exc:  # from the duplicate-key hook
-        raise MalformedRecordError(str(path), exc.reason) from None
 
 
 def read_input(path) -> bytes:
@@ -293,7 +287,7 @@ def _parse_annotated_object(raw: object, image: str, index: int, side: str) -> A
 
 
 def _load_images(annotations_path, n_classes: int, n_predicates: int) -> dict:
-    raw = _load_json(Path(annotations_path), detect_duplicate_keys=True)
+    raw = _load_json(Path(annotations_path))
     if not isinstance(raw, dict):
         raise MalformedRecordError(str(annotations_path), "annotations root must be an object")
 
@@ -416,28 +410,35 @@ def _fsync_directory(directory: str) -> None:
 
 
 def replace_files(targets) -> None:
-    """Write each (path, bytes) pair through a temp file next to its path.
+    """Write each (path, bytes) pair through a temp file next to its path,
+    making its missing parent directories, which stay if a later step fails.
 
     Every temp file is written and fsynced before the first one is renamed
-    over its target, so a failure while writing changes no target and leaves
-    no temp file.  The renames run in order; only a failure between two of
-    them can leave earlier targets replaced and later ones not.  Then each
-    target's directory is fsynced, so that the renames survive a power loss.
+    over its target, so a failure while writing changes no target, leaves no
+    temp file and names the path given.  The renames run in order; only a
+    failure between two of them can leave earlier targets replaced and later
+    ones not.  Then each target's directory is fsynced, so that the renames
+    survive a power loss.
     """
     staged: list[tuple[str, str]] = []
     try:
         for path, payload in targets:
             target = os.path.realpath(path)  # a symlinked output is written where it points
-            if os.path.isdir(target):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
             directory, name = os.path.split(target)
             temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            staged.append((temp, target))
-            with open(fd, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(fd)
+            try:
+                if os.path.isdir(target):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                if not os.path.exists(directory):  # under a regular file, open fails with ENOTDIR
+                    os.makedirs(directory, exist_ok=True)
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                staged.append((temp, target))
+                with open(fd, "wb") as handle:
+                    handle.write(payload)
+                    handle.flush()
+                    os.fsync(fd)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         for temp, target in staged:
             os.replace(temp, target)
         for directory in dict.fromkeys(os.path.dirname(target) for _, target in staged):
@@ -468,8 +469,6 @@ def save_corpus(
         targets.append((classes_path, canonical_master_list_bytes(corpus.object_class_names)))
     if predicates_path is not None:
         targets.append((predicates_path, canonical_master_list_bytes(corpus.predicate_names)))
-    for path, _ in targets:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
     replace_files(targets)
 
 

@@ -488,7 +488,8 @@ def extract_annotations(
     Per image, every triple between two of its object individuals whose
     predicate is a designated annotation property yields one VR.  VRs come
     out in canonical order (subject box, predicate id, object box) with
-    exact duplicates collapsed.
+    exact duplicates collapsed.  A non-empty store with no filename triple
+    under its namespace raises MalformedGraphError.
     """
     terms, by_subject = store._terms, store._by_subject
 
@@ -521,6 +522,8 @@ def extract_annotations(
             raise MalformedGraphError(f"filename {filename!r} used by two image individuals")
         filenames[s] = filename
         used.add(filename)
+    if not filenames and len(store):  # most likely a dump lowered under another namespace
+        raise MalformedGraphError(f"no {HAS_FILENAME} triple under namespace {store.namespace!r}")
 
     def read_object(node: int) -> AnnotatedObject:
         """The object of a node, from one pass over its triples."""

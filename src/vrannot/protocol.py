@@ -22,14 +22,14 @@ whitespace trimmed, `#` starts a comment line, blank lines ignored):
     avrxxx; <subject class>; [bbox]; <predicate>; <object class>; [bbox]
 
 Names inside tuples may be bare or wrapped in straight, typographic, or
-backtick-and-apostrophe quotes; names containing `;`, `,`, `(` or `)` are
-not representable.
+backtick-and-apostrophe quotes.  `render_script` refuses a filename or name
+that would not read back as itself (see docs/formats.md).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .corpus import (
@@ -245,31 +245,42 @@ def _render_bbox(bbox: BoundingBox) -> str:
     return "[{},{},{},{}]".format(*bbox)
 
 
+def _render_instruction(ins: Instruction) -> str:
+    kind = ins.kind.value
+    if ins.kind is InstructionKind.AVRXXX:
+        vr = ins.new_vr
+        return (
+            f"{kind}; {vr.subject_class}; {_render_bbox(vr.subject_bbox)}; "
+            f"{vr.predicate}; {vr.object_class}; {_render_bbox(vr.object_bbox)}"
+        )
+    if ins.kind is InstructionKind.RVRXXX:
+        return f"{kind}; {ins.vr_index}; {_render_tuple(ins.ref_tuple)};"
+    bbox = _CHANGES[ins.kind][1] == "bbox"
+    payload = _render_bbox(ins.new_bbox) if bbox else ins.new_name
+    return f"{kind}; {ins.vr_index}; {_render_tuple(ins.ref_tuple)}; {payload}"
+
+
 def render_script(blocks: list[ImageBlock]) -> str:
     """Render blocks back to script text; parse(render(blocks)) == blocks
-    up to source line numbers."""
+    up to source line numbers.  Each line is parsed back as it is rendered,
+    an instruction under its block's header, so a filename or name that the
+    grammar cannot hold raises ParseError naming the rendered line."""
     lines: list[str] = []
     for block in blocks:
         if lines:
             lines.append("")
-        if block.remove_image:
-            lines.append(f"imname; {block.filename}; rimxxx")
-            continue
-        lines.append(f"imname; {block.filename}")
-        for ins in block.instructions:
-            kind = ins.kind.value
-            if ins.kind is InstructionKind.AVRXXX:
-                vr = ins.new_vr
-                lines.append(
-                    f"{kind}; {vr.subject_class}; {_render_bbox(vr.subject_bbox)}; "
-                    f"{vr.predicate}; {vr.object_class}; {_render_bbox(vr.object_bbox)}"
-                )
-            elif ins.kind is InstructionKind.RVRXXX:
-                lines.append(f"{kind}; {ins.vr_index}; {_render_tuple(ins.ref_tuple)};")
-            else:
-                bbox = _CHANGES[ins.kind][1] == "bbox"
-                payload = _render_bbox(ins.new_bbox) if bbox else ins.new_name
-                lines.append(f"{kind}; {ins.vr_index}; {_render_tuple(ins.ref_tuple)}; {payload}")
+        header = f"imname; {block.filename}" + ("; rimxxx" if block.remove_image else "")
+        for ins in [None, *block.instructions]:  # None stands for the header
+            line = header if ins is None else _render_instruction(ins)
+            want = [] if ins is None else [replace(ins, source_line=2)]
+            try:
+                again = parse_script(line if ins is None else f"{header}\n{line}")
+                same = again == [ImageBlock(block.filename, 1, block.remove_image, want)]
+            except ParseError:
+                same = False
+            if not same:
+                raise ParseError(len(lines) + 1, f"{line!r} does not read back as written")
+            lines.append(line)
     return "\n".join(lines) + "\n" if lines else ""
 
 

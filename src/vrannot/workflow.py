@@ -23,7 +23,7 @@ docs/formats.md.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import protocol
@@ -318,16 +318,6 @@ class Step:
     args: dict = field(default_factory=dict)
 
 
-_PATH_KEYS = (
-    "input_annotations",
-    "input_classes",
-    "input_predicates",
-    "output_annotations",
-    "output_classes",
-    "output_predicates",
-)
-
-
 @dataclass
 class WorkflowConfig:
     steps: list[Step]
@@ -337,6 +327,9 @@ class WorkflowConfig:
     output_annotations: Path | None = None
     output_classes: Path | None = None
     output_predicates: Path | None = None
+
+
+_PATH_KEYS = tuple(f.name for f in fields(WorkflowConfig)[1:])  # every field after steps
 
 
 @dataclass(frozen=True)
@@ -420,7 +413,7 @@ def load_workflow_config(path) -> WorkflowConfig:
     """Read a config file; relative paths resolve against the file's directory."""
     path = Path(path)
     try:
-        raw = _load_json(path, detect_duplicate_keys=True)
+        raw = _load_json(path)
     except MalformedRecordError as exc:
         raise ConfigError(str(exc)) from None
     try:  # a lone surrogate from a \ud800 escape would fail only when written out

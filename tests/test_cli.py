@@ -142,6 +142,22 @@ class TestStats:
             "buckets": [[2, 1], [5, 2], [6, 1], [8, 1]],
         }
 
+    @pytest.mark.parametrize(
+        "metric, buckets",
+        [
+            ("vrs_per_image", [[2, 1], [5, 2], [6, 1], [8, 1]]),
+            ("distinct_classes_per_image", [[3, 1], [4, 1], [5, 1], [6, 2]]),
+            ("distinct_predicates_per_image", [[2, 1], [3, 1], [4, 2], [6, 1]]),
+        ],
+    )
+    def test_distribution_bytes(self, capsys, metric, buckets):
+        _, text, _ = run(capsys, "stats", *corpus_args(), "--distribution", metric)
+        assert text == f"{metric}:\n" + "".join(f"  {value}: {n}\n" for value, n in buckets)
+        _, structured, _ = run(
+            capsys, "stats", *corpus_args(), "--distribution", metric, "--format", "structured"
+        )
+        assert structured == json.dumps({"buckets": buckets, "metric": metric}, indent=2) + "\n"
+
     def test_unknown_metric_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "stats", *corpus_args(), "--distribution", "colors")
         assert code == 2
@@ -190,6 +206,10 @@ class TestQuery:
         code, out, _ = run(capsys, "query", *corpus_args(), "--count", "7..")
         assert code == 0
         assert out == "8934043045_251b42d19a_b.jpg\n"
+
+    def test_count_structured(self, capsys):
+        code, out, _ = run(capsys, "query", *corpus_args(), "--count", "2", "--format", "structured")
+        assert (code, out) == (0, '{\n  "images": [\n    "7171463996_900cb4ce33_b.jpg"\n  ]\n}\n')
 
     def test_count_malformed(self, capsys):
         code, _, err = run(capsys, "query", *corpus_args(), "--count", "many")
@@ -612,6 +632,21 @@ class TestKgCommands:
         assert out == "images: 1, relationships: 2\n"
         assert extracted.read_bytes() == (directory / "annotations.json").read_bytes()
 
+    def test_extract_under_another_namespace(self, capsys, tmp_path):
+        directory = self.seed(tmp_path)
+        graph, out = tmp_path / "g.nt", tmp_path / "back.json"
+        run(capsys, "kg", "lower", *corpus_args(directory), "--out", str(graph))
+        argv = ["kg", "extract", str(graph), "--classes", str(directory / "classes.json"),
+                "--predicates", str(directory / "predicates.json"),
+                "--namespace", "http://other/ns#", "--out", str(out)]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (3, "")
+        assert err == "error: no hasFilename triple under namespace 'http://other/ns#'\n"
+        assert not out.exists()
+        graph.write_bytes(b"")  # an empty dump still extracts to an empty corpus
+        code, stdout, _ = run(capsys, *argv)
+        assert (code, stdout, out.read_bytes()) == (0, "images: 0, relationships: 0\n", b"{}\n")
+
     def test_materialize_requires_schema(self, capsys, tmp_path):
         code, _, _ = run(capsys, "kg", "materialize", "g.nt", "--out", "x.nt")
         assert code == 2
@@ -667,6 +702,64 @@ class TestDurableOutputs:
         assert (code, stdout) == (4, "")
         assert err == f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"
         assert [path.name for path in out.iterdir()] == ["g.nt"]  # renamed, no temp file left
+
+
+class TestOutputDirectories:
+    """Every writing command makes the missing directories of its output and
+    writes there the bytes it writes into an existing directory; a staging
+    error names the output given, never the temp file."""
+
+    def argv(self, tmp_path, command, out):
+        graph, axioms = str(tmp_path / "g.nt"), str(tmp_path / "axioms.txt")
+        masters = ["--classes", str(LISTING_DIR / "classes.json"),
+                   "--predicates", str(LISTING_DIR / "predicates.json")]
+        return {
+            "kg lower": ["kg", "lower", *corpus_args()],
+            "kg materialize": ["kg", "materialize", graph, "--schema", axioms],
+            "overlay": ["overlay", *corpus_args(), "--image", "7171463996_900cb4ce33_b.jpg"],
+            "apply": ["apply", str(LISTING_DIR / "script.txt"), *corpus_args()],
+            "kg extract": ["kg", "extract", graph, *masters],
+        }[command] + ["--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["kg lower", "kg materialize", "overlay", "apply", "kg extract"])
+    def test_missing_nested_directory_is_made(self, capsys, tmp_path, command):
+        assert run(capsys, *self.argv(tmp_path, "kg lower", tmp_path / "g.nt"))[0] == 0
+        (tmp_path / "axioms.txt").write_text("prop near\nsymmetric near\n", encoding="utf-8")
+        (tmp_path / "existing").mkdir()
+        results = []
+        for out in (tmp_path / "existing" / "out", tmp_path / "new" / "deeper" / "out"):
+            code, stdout, err = run(capsys, *self.argv(tmp_path, command, out))
+            results.append((code, stdout, err, out.read_bytes() if code == 0 else None))
+        assert results[0][0] == 0, results[0]
+        assert results[1] == results[0]
+        assert sorted(p.name for p in (tmp_path / "new" / "deeper").iterdir()) == ["out"]
+
+    def test_staging_error_names_the_output(self, capsys, tmp_path, monkeypatch):
+        real_open = os.open
+
+        def deny_temp_files(path, *args, **kwargs):
+            # root ignores the mode bits, so the denial is injected here
+            if os.fspath(path).endswith(".tmp"):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", deny_temp_files)
+        out = tmp_path / "new" / "g.nt"
+        code, stdout, err = run(capsys, *self.argv(tmp_path, "kg lower", out))
+        assert (code, stdout) == (4, "")
+        assert err == f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{out}'\n"
+        assert list((tmp_path / "new").iterdir()) == []  # the directory stays, empty
+
+    @pytest.mark.parametrize("under", ["file", "file/deeper"])
+    def test_output_under_a_regular_file(self, capsys, tmp_path, under):
+        (tmp_path / "file").write_bytes(b"a file\n")
+        out = tmp_path / under / "g.nt"
+        code, stdout, err = run(capsys, *self.argv(tmp_path, "kg lower", out))
+        assert (code, stdout) == (4, "")
+        assert ".tmp" not in err
+        assert err == f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_bytes() == b"a file\n"
 
 
 class TestDiff:

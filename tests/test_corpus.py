@@ -103,6 +103,14 @@ class TestLoad:
         with pytest.raises(MalformedRecordError, match=message):
             load_corpus(*paths)
 
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_duplicate_key_in_master_list(self, tmp_path, which):
+        paths = list(write_corpus_files(tmp_path, {}, ["person"], ["on"]))
+        paths[which].write_text('{"a": 1, "a": 2}')
+        message = f"^{re.escape(str(paths[which]))}: duplicate key 'a'$"
+        with pytest.raises(MalformedRecordError, match=message):
+            load_corpus(*paths)
+
     def test_duplicate_image_key(self, tmp_path):
         _, c, p = write_corpus_files(tmp_path, {}, ["person"], ["on"])
         a = tmp_path / "annotations.json"
@@ -634,6 +642,25 @@ class TestAllOrNothingSave:
         with pytest.raises(IsADirectoryError) as err:
             save_corpus(load_listing_corpus(), *paths)
         assert err.value.filename == str(paths[2])
+        assert tree(tmp_path) == before
+
+    def test_missing_directories_are_made(self, tmp_path):
+        corpus = load_listing_corpus()
+        out, paths = self.outputs(tmp_path)
+        save_corpus(corpus, *paths)
+        nested = [tmp_path / "new" / "deeper" / path.name for path in paths]
+        save_corpus(corpus, *nested)
+        assert [path.read_bytes() for path in nested] == [path.read_bytes() for path in paths]
+        assert sorted(tree(tmp_path / "new")) == ["deeper", *(f"deeper/{p.name}" for p in paths)]
+
+    @pytest.mark.parametrize("under", ["file", "file/deeper"])
+    def test_output_under_a_regular_file(self, tmp_path, under):
+        (tmp_path / "file").write_bytes(b"a file\n")
+        before = tree(tmp_path)
+        target = tmp_path / under / "annotations.json"
+        with pytest.raises(NotADirectoryError) as err:
+            save_corpus(load_listing_corpus(), target)
+        assert err.value.filename == str(target)
         assert tree(tmp_path) == before
 
     def test_unwritable_directory(self, tmp_path, monkeypatch):

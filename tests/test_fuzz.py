@@ -121,12 +121,14 @@ MUTATIONS = {
     "nul": _in_a_string("\x00"),
     "missing": None,  # the input is not written
 }
+UNMADE = "out/new/deeper/"  # where the unmade_dir case writes every output
 
 
 def _cases(command: str):
     """Each mutation hits each script, config, axiom file and dump the command
     reads, and one corpus file, rotating over them from command to command.
-    A writing command also meets a directory in place of an output."""
+    A writing command also meets a directory in place of an output, and
+    writes every output under a directory that does not exist yet."""
     _, inputs, outputs = COMMANDS[command]
     corpus = [kind for kind in inputs if kind in CORPUS]
     offset = list(COMMANDS).index(command)
@@ -136,6 +138,7 @@ def _cases(command: str):
         targets += [corpus[(offset + i) % len(corpus)]] if corpus else []
         cases += [(mutation, target, None) for target in targets]
     cases += [("output-directory", None, output) for output in outputs[-1:]]
+    cases += [("unmade_dir", None, None)] if outputs else []
     return cases
 
 
@@ -196,11 +199,26 @@ def _run_case(case_dir: Path, originals, command, case) -> str | None:
             (case_dir / output).write_bytes(b"previous " + output.encode() + b"\n")
     before = {output: _state(case_dir / output) for output in outputs}
     listing = sorted(os.listdir(case_dir / "out"))
-    result = subprocess.run(
-        [sys.executable, "-m", "vrannot.cli", *argv], cwd=case_dir,
-        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, timeout=120,
-    )
+
+    def vrannot(argv):
+        return subprocess.run(
+            [sys.executable, "-m", "vrannot.cli", *argv], cwd=case_dir,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, timeout=120,
+        )
+
     problems = []
+    if mutation != "unmade_dir":
+        result = vrannot(argv)
+    else:  # the same run twice: under an unmade directory, then into the existing one
+        config = case_dir / "in" / INPUTS["W"]
+        config.write_bytes(originals["W"].replace(b'"../out/', b'"../' + UNMADE.encode()))
+        result = vrannot([arg.replace("out/", UNMADE, 1) for arg in argv])
+        config.write_bytes(originals["W"])
+        reference = vrannot(argv)
+        made = [_state(case_dir / output.replace("out/", UNMADE, 1)) for output in outputs]
+        existing = [_state(case_dir / output) for output in outputs]
+        if (result.returncode, result.stdout, made) != (0, reference.stdout, existing):
+            problems.append("other outputs under an unmade directory than in an existing one")
     if result.returncode not in DOCUMENTED_EXIT_CODES:
         problems.append(f"exit code {result.returncode}")
     if b"Traceback" in result.stderr:

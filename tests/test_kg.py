@@ -638,6 +638,17 @@ class TestExtract:
         back = extract_annotations(store, schema, *self.names(corpus))
         assert back.images == canonicalize_corpus(corpus).images
 
+    def test_dump_under_another_namespace_is_an_error(self):
+        corpus = tiny_corpus()
+        schema = default_schema(corpus)
+        text = dump_store(lower_annotations(corpus, schema))
+        other = "http://other/ns#"
+        message = f"^no hasFilename triple under namespace {re.escape(repr(other))}$"
+        with pytest.raises(MalformedGraphError, match=message):
+            extract_annotations(load_store(text, namespace=other), schema, *self.names(corpus))
+        empty = extract_annotations(load_store("", namespace=other), schema, *self.names(corpus))
+        assert empty.images == {}
+
     def test_round_trip_randomized(self):
         rng = random.Random(73)
         for _ in range(25):

@@ -250,6 +250,25 @@ class TestRender:
             again = parse_script(render_script(blocks))
             assert self.strip_lines(again) == self.strip_lines(blocks), repr(char)
 
+    @pytest.mark.parametrize(
+        "filename, name, line, rendered",
+        [
+            (" a.jpg", "dog", 3, "imname;  a.jpg"),  # would read back as a.jpg
+            ("a.jpg\x1c", "dog", 3, "imname; a.jpg\x1c"),
+            ("a;b.jpg", "dog", 3, "imname; a;b.jpg"),  # would not parse
+            ("a\nb.jpg", "dog", 3, "imname; a\nb.jpg"),
+            ("a.jpg", "'dog'", 4, "rvrxxx; 0; ('dog', on, cat);"),  # would read back as dog
+            ("a.jpg", "a,b", 4, "rvrxxx; 0; (a,b, on, cat);"),
+        ],
+    )
+    def test_unrepresentable_names_are_refused(self, filename, name, line, rendered):
+        instruction = Instruction(K.RVRXXX, 0, vr_index=0, ref_tuple=(name, "on", "cat"))
+        blocks = [ImageBlock("ok.jpg", 0, remove_image=True),
+                  ImageBlock(filename, 0, instructions=[instruction])]
+        with pytest.raises(ParseError) as err:
+            render_script(blocks)
+        assert str(err.value) == f"line {line}: {rendered!r} does not read back as written"
+
 
 class TestApply:
     def test_first_block_semantics(self):

@@ -885,6 +885,9 @@ class TestDiffOracle:
             shared = {id(vr) for vrs in left.images.values() for vr in vrs}
             assert not any(id(vr) in shared for vrs in right.images.values() for vr in vrs)
             assert diff_corpora(left, right) == oracle_diff_corpora(left, right)
+            permuted = AnnotationCorpus({image: vrs[::-1] for image, vrs in right.images.items()},
+                                        right.object_class_names, right.predicate_names)
+            assert diff_corpora(right, permuted) == oracle_diff_corpora(right, permuted)
 
     def test_renames_on_both_sides_match_oracle(self, tmp_path):
         rng = random.Random(9190)
