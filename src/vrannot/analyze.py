@@ -289,7 +289,8 @@ def render_overlay(
     else:
         for index in selection:
             if not 0 <= index < len(vrs):
-                raise IdOutOfRangeError(filename, index, "selection", index, len(vrs))
+                raise IdOutOfRangeError(filename, index, "selection", index, len(vrs),
+                                        "image has {} relationships")
         picked = [vrs[i] for i in selection]
 
     objects = _image_objects(picked)

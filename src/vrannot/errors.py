@@ -27,12 +27,12 @@ class MalformedRecordError(VrannotError):
 
 
 class IdOutOfRangeError(VrannotError):
-    """An annotation references an id outside its master list."""
+    """An annotation id outside its master list, or a VR selection outside its image."""
 
-    def __init__(self, image: str, vr_index: int, field: str, value: int, bound: int):
+    def __init__(self, image: str, vr_index: int, field: str, value: int, bound: int,
+                 counted: str = "master list has {} entries"):
         super().__init__(
-            f"{image}: vr {vr_index}: {field}={value} out of range "
-            f"(master list has {bound} entries)"
+            f"{image}: vr {vr_index}: {field}={value} out of range ({counted.format(bound)})"
         )
         self.image = image
         self.vr_index = vr_index

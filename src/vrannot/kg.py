@@ -16,8 +16,8 @@ superproperties or superclasses enrich the graph without leaking into the
 extracted annotations.
 
 The store is dictionary-encoded, as in HDT and RDFox: each term has an int
-id and a triple is a tuple of three ids.  Every stage works on ids; `Iri`
-and `Triple` are only the facade of `GraphStore`'s public methods.
+id, a triple is a tuple of three ids, and one index lists triples by subject.
+Stages work on ids; `Iri` and `Triple` are only the facade of `GraphStore`.
 """
 
 from __future__ import annotations
@@ -96,15 +96,15 @@ class GraphStore:
 
     `_terms[id]` is the key of a term (see `_key`) and `_ids` maps it back.
     Each triple is an `(s, p, o)` id tuple in `_triples`, listed in insertion
-    order under its subject and its predicate.  The public methods encode and
-    decode `Iri`/`Triple` values at the boundary."""
+    order under its subject in `_by_subject`, the one index.  The public
+    methods encode and decode `Iri`/`Triple` values at the boundary."""
 
     def __init__(self, namespace: str = DEFAULT_NAMESPACE):
         self.namespace = namespace
         self._ids: dict[str | tuple, int] = {}
         self._terms: list[str | tuple] = []
         self._triples: set[tuple[int, int, int]] = set()
-        self._by_subject, self._by_predicate = defaultdict(list), defaultdict(list)
+        self._by_subject = defaultdict(list)
 
     def _id(self, key) -> int:
         found = self._ids.get(key)
@@ -119,7 +119,6 @@ class GraphStore:
         if len(self._triples) == size:
             return False
         self._by_subject[triple[0]].append(triple)
-        self._by_predicate[triple[1]].append(triple)
         return True
 
     def _term(self, term_id: int):
@@ -143,20 +142,18 @@ class GraphStore:
         return self._add(self._encode(triple, self._id))
 
     def match(self, subject=None, predicate=None, object=None) -> list[Triple]:
-        """All triples matching the given positions (None = any).  There is
-        no object index: an object alone is matched by a scan."""
+        """All triples matching the given positions (None = any).  Only the
+        subject is indexed: without one, the match is a scan."""
         terms = (subject, predicate, object)
         keep = [(i, self._ids.get(_key(t), -1)) for i, t in enumerate(terms) if t is not None]
-        index = (self._by_subject, self._by_predicate, None)[keep[0][0]] if keep else None
-        candidates = self._triples if index is None else index.get(keep[0][1], ())
+        candidates = self._triples if subject is None else self._by_subject.get(keep[0][1], ())
         return [Triple(*map(self._term, t)) for t in candidates if all(t[i] == w for i, w in keep)]
 
     def copy(self) -> GraphStore:
-        """An independent store; the indexes are cloned, not rebuilt."""
+        """An independent store; the index is cloned, not rebuilt."""
         out = GraphStore(self.namespace)
         out._ids, out._terms, out._triples = dict(self._ids), list(self._terms), set(self._triples)
         out._by_subject.update((s, list(ts)) for s, ts in self._by_subject.items())
-        out._by_predicate.update((p, list(ts)) for p, ts in self._by_predicate.items())
         return out
 
 
@@ -416,10 +413,9 @@ def materialize(store: GraphStore, schema: Schema) -> GraphStore:
         for p in {*superprops, *mirrors, *domains, *ranges, *transitive} - {rdf_type}
     }
 
-    terms, by_subject, by_predicate = result._terms, result._by_subject, result._by_predicate
-    frontier = [t for p in rules for t in by_predicate.get(p, ())]
-    if superclasses:
-        frontier += by_predicate.get(rdf_type, ())
+    terms, by_subject = result._terms, result._by_subject
+    read = {*rules, rdf_type} if superclasses else rules
+    frontier = [t for triples in by_subject.values() for t in triples if t[1] in read]
     while frontier:
         pending: list[tuple[int, int, int]] = []
 
@@ -489,12 +485,12 @@ def extract_annotations(
     predicate is a designated annotation property yields one VR.  VRs come
     out in canonical order (subject box, predicate id, object box) with
     exact duplicates collapsed.  A non-empty store with no filename triple
-    under its namespace raises MalformedGraphError.
+    under its namespace, or with a subject outside it, raises MalformedGraphError.
     """
-    terms, by_subject = store._terms, store._by_subject
+    terms, by_subject, namespace = store._terms, store._by_subject, store.namespace
 
     def known(local: str) -> int | None:  # None, which no triple holds, if absent
-        return store._ids.get(store.namespace + local)
+        return store._ids.get(namespace + local)
 
     # name -> first position, as list.index would give
     class_ids = {name: i for i, name in reversed(list(enumerate(object_class_names)))}
@@ -507,23 +503,27 @@ def extract_annotations(
     class_of_term = {term: name for name, term in schema.ann_classes.items()}
     annotation_classes = {known(term): term for term in class_of_term}
     coordinate_slots = {known(prop): slot for slot, prop in enumerate(COORDINATE_PROPERTIES)}
-    rdf_type, has_object = store._ids.get(RDF_TYPE_IRI), known(HAS_OBJECT)
-    ancestors = _subclass_ancestors(schema)
+    has_object, has_filename = known(HAS_OBJECT), known(HAS_FILENAME)
+    rdf_type, ancestors = store._ids.get(RDF_TYPE_IRI), _subclass_ancestors(schema)
 
     filenames: dict[int, str] = {}
-    used: set[str] = set()
-    for s, _, o in store._by_predicate.get(known(HAS_FILENAME), ()):
-        filename = store._term(o)
-        if not isinstance(filename, str):
-            raise MalformedGraphError(f"{store._term(s)} has a non-string filename")
-        if s in filenames:
-            raise MalformedGraphError(f"{store._term(s)} carries two filenames")
-        if filename in used:
-            raise MalformedGraphError(f"filename {filename!r} used by two image individuals")
-        filenames[s] = filename
-        used.add(filename)
+    used, foreign = set(), []  # filenames taken; subjects that are not IRIs under the namespace
+    for s, triples in by_subject.items():
+        if terms[s].__class__ is not str or not terms[s].startswith(namespace):
+            foreign.append(str(store._term(s)))
+        for filename in [store._term(o) for _, p, o in triples if p == has_filename]:
+            if not isinstance(filename, str):
+                raise MalformedGraphError(f"{store._term(s)} has a non-string filename")
+            if s in filenames:
+                raise MalformedGraphError(f"{store._term(s)} carries two filenames")
+            if filename in used:
+                raise MalformedGraphError(f"filename {filename!r} used by two image individuals")
+            filenames[s] = filename
+            used.add(filename)
     if not filenames and len(store):  # most likely a dump lowered under another namespace
-        raise MalformedGraphError(f"no {HAS_FILENAME} triple under namespace {store.namespace!r}")
+        raise MalformedGraphError(f"no {HAS_FILENAME} triple under namespace {namespace!r}")
+    if foreign:
+        raise MalformedGraphError(f"subject {min(foreign)} is not under namespace {namespace!r}")
 
     def read_object(node: int) -> AnnotatedObject:
         """The object of a node, from one pass over its triples."""

@@ -318,6 +318,18 @@ class TestOverlay:
         assert code == 3
         assert "ghost.jpg" in err
 
+    def test_selection_out_of_range_names_the_image_bound(self, capsys, tmp_path):
+        out_path = tmp_path / "x.svg"
+        code, out, err = run(
+            capsys,
+            "overlay", *corpus_args(),
+            "--image", "1426904233_ee344879b6_b.jpg", "--vr", "99", "--out", str(out_path),
+        )
+        assert (code, out) == (3, "")
+        assert err == ("error: 1426904233_ee344879b6_b.jpg: vr 99: selection=99 out of range "
+                       "(image has 6 relationships)\n")
+        assert not out_path.exists()
+
 
 class TestApply:
     def test_bundled_script(self, capsys, tmp_path):
@@ -646,6 +658,30 @@ class TestKgCommands:
         graph.write_bytes(b"")  # an empty dump still extracts to an empty corpus
         code, stdout, _ = run(capsys, *argv)
         assert (code, stdout, out.read_bytes()) == (0, "images: 0, relationships: 0\n", b"{}\n")
+
+    def test_extract_refuses_a_subject_under_another_namespace(self, capsys, tmp_path):
+        images = list(json.loads((LISTING_DIR / "annotations.json").read_bytes()))[:2]
+        dumps = [tmp_path / "a.nt", tmp_path / "b.nt"]
+        for image, dump, namespace in zip(images, dumps, ([], ["--namespace", "http://other/ns#"])):
+            argv = ["kg", "lower", *corpus_args(), "--image", image, *namespace, "--out", str(dump)]
+            assert run(capsys, *argv)[0] == 0
+        mixed, out = tmp_path / "mixed.nt", tmp_path / "back.json"
+        mixed.write_bytes(dumps[0].read_bytes() + dumps[1].read_bytes())
+        code, stdout, err = run(
+            capsys, "kg", "extract", str(mixed), "--classes", str(LISTING_DIR / "classes.json"),
+            "--predicates", str(LISTING_DIR / "predicates.json"), "--out", str(out),
+        )
+        assert (code, stdout) == (3, "")
+        assert err == (f"error: subject http://other/ns#img_{images[1]} is not under namespace "
+                       f"'{kg.DEFAULT_NAMESPACE}'\n")
+        assert not out.exists()
+        axioms = tmp_path / "axioms.txt"
+        axioms.write_bytes(b"")
+        closed = tmp_path / "closed.nt"
+        code, stdout, _ = run(capsys, "kg", "materialize", str(mixed), "--schema", str(axioms),
+                              "--out", str(closed))
+        triples = len(load_store(mixed.read_text(encoding="utf-8")))
+        assert (code, stdout) == (0, f"triples: {triples} (added 0)\n")
 
     def test_materialize_requires_schema(self, capsys, tmp_path):
         code, _, _ = run(capsys, "kg", "materialize", "g.nt", "--out", "x.nt")

@@ -5,7 +5,9 @@ axiom file and a lowered dump into its own directory, applies one mutation
 to one input and runs one command.  Whatever the input, the command must end
 in a documented exit code without a traceback, and a failed command must
 leave every output as it was: absent, or byte-identical to before.  A
-missing input must end in exit code 4 and `error: file not found: <path>`.
+missing input must end in exit code 4 and `error: file not found: <path>`,
+and `kg extract` on a dump with one subject moved under another namespace
+in exit code 3 and a message naming that subject.
 """
 
 from __future__ import annotations
@@ -110,6 +112,19 @@ def _non_utf8(data, rng, kind):
     return _insert(data, rng, rng.choice([b"\xff", b"\xc3(", b"\x80", b"\xf4\x90\x80\x80"]))
 
 
+FOREIGN = b"http://other/ns#"
+
+
+def _foreign_namespace(data, rng, kind):
+    """In a dump, moves the subject of one line under another namespace."""
+    if kind != "G":
+        return _insert(data, rng, FOREIGN)
+    lines = data.split(b"\n")
+    at = rng.randrange(len(lines) - 1)  # the last line is empty
+    lines[at] = lines[at].replace(kg.DEFAULT_NAMESPACE.encode(), FOREIGN, 1)
+    return b"\n".join(lines)
+
+
 MUTATIONS = {
     "flip": _flip,
     "truncate": _truncate,
@@ -120,6 +135,7 @@ MUTATIONS = {
     "directory": None,  # the input path names a directory
     "nul": _in_a_string("\x00"),
     "missing": None,  # the input is not written
+    "foreign-namespace": _foreign_namespace,
 }
 UNMADE = "out/new/deeper/"  # where the unmade_dir case writes every output
 
@@ -232,6 +248,11 @@ def _run_case(case_dir: Path, originals, command, case) -> str | None:
             f"in/{INPUTS[target]}".encode())
         if result.returncode != 4 or not re.fullmatch(expected, result.stderr):
             problems.append(f"exit code {result.returncode} and another message for a missing input")
+    if (command, mutation, target) == ("kg-extract", "foreign-namespace", "G"):
+        expected = rb"error: subject %s\S+ is not under namespace %s\n" % (
+            re.escape(FOREIGN), re.escape(repr(kg.DEFAULT_NAMESPACE).encode()))
+        if result.returncode != 3 or not re.fullmatch(expected, result.stderr):
+            problems.append(f"exit code {result.returncode} and another message for a foreign one")
     if output_dir is not None and result.returncode != 4:
         problems.append(f"exit code {result.returncode} for a directory as output")
     if mutation is None and (result.returncode not in (0, 1)

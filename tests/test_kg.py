@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from pathlib import Path
@@ -649,6 +650,24 @@ class TestExtract:
         empty = extract_annotations(load_store("", namespace=other), schema, *self.names(corpus))
         assert empty.images == {}
 
+    def test_subject_under_another_namespace_is_an_error(self):
+        corpus = tiny_corpus()
+        schema = default_schema(corpus)
+        other = "http://other/ns#"
+        text = dump_store(lower_annotations(corpus, schema))
+        text += dump_store(lower_annotations(corpus, schema, namespace=other))
+        store = load_store(text)
+        # checked before any image is read, so the literal member is not reached
+        store.add(t(iri("img_i1.jpg"), iri("hasObject"), "oops"))
+        under = re.escape(repr(DEFAULT_NAMESPACE))
+        message = f"^subject {re.escape(other)}img_i1.jpg is not under namespace {under}$"
+        with pytest.raises(MalformedGraphError, match=message):
+            extract_annotations(store, schema, *self.names(corpus))
+        literal = lower_annotations(corpus, schema)
+        literal.add(t("i1.jpg", iri("hasObject"), iri("x")))
+        with pytest.raises(MalformedGraphError, match="^subject i1.jpg is not under namespace"):
+            extract_annotations(literal, schema, *self.names(corpus))
+
     def test_round_trip_randomized(self):
         rng = random.Random(73)
         for _ in range(25):
@@ -978,3 +997,40 @@ class TestLoweredCorpusOracles:
                 loaded = load_store(text)
                 assert dump_store(loaded) == text
                 assert set(loaded) == set(graph)
+
+
+class TestStoreLayout:
+    """The one subject index against brute force, and order independence."""
+
+    def test_match_equals_a_filter_of_every_triple(self):
+        rng = random.Random(1101)
+        nodes, predicates = [iri(f"n{i}") for i in range(5)], [iri(f"p{i}") for i in range(3)]
+        objects = [*nodes, 1, 2, "1", "x"]
+        probes = ([*nodes, iri("absent")], [*predicates, iri("absent")], [*objects, 3])
+        for _ in range(30):
+            store = store_of(*(t(rng.choice(nodes), rng.choice(predicates), rng.choice(objects))
+                               for _ in range(rng.randrange(30))))
+            dup = store.copy()
+            dup.add(t(iri("n9"), iri("p9"), 9))
+            for graph in (store, dup):
+                every = list(graph)
+                for bound in itertools.product((False, True), repeat=3):
+                    pattern = [rng.choice(pool) if b else None for b, pool in zip(bound, probes)]
+                    expected = [x for x in every if all(
+                        want is None or want == got
+                        for want, got in zip(pattern, (x.subject, x.predicate, x.object)))]
+                    found = graph.match(*pattern)
+                    assert sorted(found, key=repr) == sorted(expected, key=repr)
+
+    def test_insertion_order_changes_no_closure_and_no_dump(self):
+        rng = random.Random(1102)
+        for _ in range(20):
+            corpus = pooled_corpus(rng)
+            schema = random_axioms(rng, default_schema(corpus))
+            triples = list(lower_annotations(corpus, schema))
+            results = []
+            for _ in range(2):
+                rng.shuffle(triples)
+                closed = materialize(store_of(*triples), schema)
+                results.append((set(closed), dump_store(closed)))
+            assert results[0] == results[1]
