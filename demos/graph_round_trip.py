@@ -88,6 +88,7 @@ for image in sorted(extracted.images):
         print(f"  {image}: ({s}, {p}, {o})")
 
 print("\ninferred triples:")
-for line in dump_store(closed).splitlines():
-    if "riddenBy" in line or "Animal" in line:
-        print(f"  {line}")
+for line in dump_store(closed):  # UTF-8 bytes, each ending in a line break
+    text = line.decode("utf-8").rstrip("\n")
+    if "riddenBy" in text or "Animal" in text:
+        print(f"  {text}")

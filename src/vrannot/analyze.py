@@ -317,4 +317,4 @@ def render_overlay(
             f'font-family="sans-serif" font-size="12" fill="{color}">{label}</text>\n'
         )
     parts.append("</svg>\n")
-    replace_files([(out_path, "".join(parts).encode("utf-8"))])
+    replace_files([(out_path, ["".join(parts).encode("utf-8")])])

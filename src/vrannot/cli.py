@@ -189,16 +189,17 @@ def _cmd_kg_lower(args) -> int:
     corpus = _load(args)
     schema = _schema_for(args, corpus)
     store = kg.lower_annotations(corpus, schema, namespace=args.namespace, image=args.image)
-    replace_files([(args.out, kg.dump_store(store).encode("utf-8"))])
+    replace_files([(args.out, kg.dump_store(store))])
     print(f"triples: {len(store)}")
     return 0
 
 
 def _cmd_kg_materialize(args) -> int:
     schema = kg.load_schema(args.schema)
-    store = kg.load_store(kg.read_dump(args.graph), namespace=args.namespace)
+    with kg.read_dump(args.graph) as lines:
+        store = kg.load_store(lines, namespace=args.namespace)
     closed = kg.materialize(store, schema)
-    replace_files([(args.out, kg.dump_store(closed).encode("utf-8"))])
+    replace_files([(args.out, kg.dump_store(closed))])
     print(f"triples: {len(closed)} (added {len(closed) - len(store)})")
     return 0
 
@@ -206,7 +207,8 @@ def _cmd_kg_materialize(args) -> int:
 def _cmd_kg_extract(args) -> int:
     classes = load_master_list(args.classes, "object class")
     predicates = load_master_list(args.predicates, "predicate")
-    store = kg.load_store(kg.read_dump(args.graph), namespace=args.namespace)
+    with kg.read_dump(args.graph) as lines:
+        store = kg.load_store(lines, namespace=args.namespace)
     schema = _schema_for(args, AnnotationCorpus({}, classes, predicates))
     corpus = kg.extract_annotations(store, schema, classes, predicates)
     save_corpus(corpus, args.out)

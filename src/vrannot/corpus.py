@@ -37,6 +37,7 @@ from .errors import (
     IdOutOfRangeError,
     MalformedRecordError,
     UnknownNameError,
+    VrannotError,
 )
 
 
@@ -213,12 +214,18 @@ def _load_json(path: Path):
         raise MalformedRecordError(str(path), "nested too deeply") from None
 
 
-def read_input(path) -> bytes:
-    """The bytes of an input file; a missing path raises FileMissingError."""
+def _open_input(path):
+    """An input file opened for binary reading; a missing path raises FileMissingError."""
     path = Path(path)
     if not path.exists():
         raise FileMissingError(path)
-    return path.read_bytes()
+    return path.open("rb")
+
+
+def read_input(path) -> bytes:
+    """The bytes of an input file (see `_open_input`)."""
+    with _open_input(path) as handle:
+        return handle.read()
 
 
 def decode_utf8(data: bytes, error) -> str:
@@ -240,6 +247,38 @@ def text_lines(text: str):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line_no, line
+
+
+def _decoded_lines(handle, error):
+    """`text_lines` of a binary file, decoding one line at a time.  A line
+    is decoded with its `\\n`, which no UTF-8 sequence spans, so a bad byte
+    gets the line and reason `decode_utf8` gives it."""
+    for line_no, raw in enumerate(handle, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise error(line_no, f"invalid UTF-8 ({exc.reason})") from None
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
+@contextmanager
+def input_lines(path, error):
+    """Open a line-oriented UTF-8 input file and give an iterator of its
+    `text_lines`, read a line at a time; the file is closed on exit.
+
+    Invalid UTF-8 raises `error(line, reason)`, as `decode_utf8` does, and
+    wins over a VrannotError raised on an earlier line while the lines are
+    read: before that error propagates, the rest of the file is read for one.
+    """
+    with _open_input(path) as handle:
+        lines = _decoded_lines(handle, error)
+        try:
+            yield lines
+        except VrannotError:
+            for _ in lines:
+                pass
+            raise
 
 
 def _check_utf8(text: str, path, what: str) -> None:
@@ -410,8 +449,9 @@ def _fsync_directory(directory: str) -> None:
 
 
 def replace_files(targets) -> None:
-    """Write each (path, bytes) pair through a temp file next to its path,
-    making its missing parent directories, which stay if a later step fails.
+    """Write each (path, chunks) pair, `chunks` a sequence of `bytes` joined
+    on disk, through a temp file next to its path, making its missing parent
+    directories, which stay if a later step fails.
 
     Every temp file is written and fsynced before the first one is renamed
     over its target, so a failure while writing changes no target, leaves no
@@ -422,7 +462,7 @@ def replace_files(targets) -> None:
     """
     staged: list[tuple[str, str]] = []
     try:
-        for path, payload in targets:
+        for path, chunks in targets:
             target = os.path.realpath(path)  # a symlinked output is written where it points
             directory, name = os.path.split(target)
             temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
@@ -434,7 +474,7 @@ def replace_files(targets) -> None:
                 fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 staged.append((temp, target))
                 with open(fd, "wb") as handle:
-                    handle.write(payload)
+                    handle.writelines(chunks)
                     handle.flush()
                     os.fsync(fd)
             except OSError as exc:
@@ -464,11 +504,11 @@ def save_corpus(
     in the lists (ids must not shift); retirement itself is not persisted.
     Every payload is computed before any file is touched (see replace_files).
     """
-    targets = [(annotations_path, canonical_annotations_bytes(corpus))]
+    targets = [(annotations_path, [canonical_annotations_bytes(corpus)])]
     if classes_path is not None:
-        targets.append((classes_path, canonical_master_list_bytes(corpus.object_class_names)))
+        targets.append((classes_path, [canonical_master_list_bytes(corpus.object_class_names)]))
     if predicates_path is not None:
-        targets.append((predicates_path, canonical_master_list_bytes(corpus.predicate_names)))
+        targets.append((predicates_path, [canonical_master_list_bytes(corpus.predicate_names)]))
     replace_files(targets)
 
 

@@ -22,6 +22,7 @@ Stages work on ids; `Iri` and `Triple` are only the facade of `GraphStore`.
 
 from __future__ import annotations
 
+import codecs
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from .corpus import (
     VisualRelationship,
     decode_utf8,
     gc_paused,
+    input_lines,
     read_input,
     text_lines,
 )
@@ -60,6 +62,7 @@ COORDINATE_PROPERTIES = ("bboxYmin", "bboxYmax", "bboxXmin", "bboxXmax")
 RESERVED_LOCALS = frozenset({IMAGE_CLASS, HAS_OBJECT, HAS_FILENAME, *COORDINATE_PROPERTIES})
 
 _LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_NESTED = re.compile(r"[/#]")  # past a namespace in an IRI, the mark of a longer namespace
 
 
 @dataclass(frozen=True)
@@ -486,6 +489,8 @@ def extract_annotations(
     out in canonical order (subject box, predicate id, object box) with
     exact duplicates collapsed.  A non-empty store with no filename triple
     under its namespace, or with a subject outside it, raises MalformedGraphError.
+    A subject is inside when the rest of its IRI holds no `/` or `#`, as no
+    local name made by lowering does.
     """
     terms, by_subject, namespace = store._terms, store._by_subject, store.namespace
 
@@ -509,7 +514,9 @@ def extract_annotations(
     filenames: dict[int, str] = {}
     used, foreign = set(), []  # filenames taken; subjects that are not IRIs under the namespace
     for s, triples in by_subject.items():
-        if terms[s].__class__ is not str or not terms[s].startswith(namespace):
+        key = terms[s]
+        under = key.__class__ is str and key.startswith(namespace)
+        if not under or _NESTED.search(key, len(namespace)):
             foreign.append(str(store._term(s)))
         for filename in [store._term(o) for _, p, o in triples if p == has_filename]:
             if not isinstance(filename, str):
@@ -599,15 +606,30 @@ def format_term(term) -> str:
     return f'"{term.translate(_ESCAPE_TABLE)}"'
 
 
-def dump_store(store: GraphStore) -> str:
-    """One ` .`-terminated line per triple, sorted; each term is formatted once.
-    Made subject by subject, the lines come nearly sorted and in memory order."""
-    text = [f"<{key}>" if key.__class__ is str else format_term(key[1]) for key in store._terms]
-    lines = [f"{text[s]} {text[p]} {text[o]} ."
-             for triples in store._by_subject.values() for s, p, o in triples]
+class Dump(list):
+    """The lines of a dump in order, each UTF-8 `bytes` ending in a line break."""
+
+    def encode(self, encoding: str = "utf-8") -> bytes:
+        """The whole dump as one `bytes`; its lines are UTF-8 already."""
+        if codecs.lookup(encoding).name != "utf-8":
+            raise LookupError(f"a dump is UTF-8, not {encoding}")
+        return b"".join(self)
+
+
+def dump_store(store: GraphStore) -> Dump:
+    """One ` .`-terminated line per triple, sorted; each term is formatted and
+    encoded once.  UTF-8 bytes sort in code-point order, as text does.  Line
+    breaks are added after the sort, since a line may run on past the ` .` of
+    another with a byte below `\\n`.  Made subject by subject, the lines come
+    nearly sorted and in memory order."""
+    text = [(f"<{key}>" if key.__class__ is str else format_term(key[1])).encode("utf-8")
+            for key in store._terms]
+    lines = Dump(b" ".join((text[s], text[p], text[o], b"."))
+                 for triples in store._by_subject.values() for s, p, o in triples)
     lines.sort()
-    lines.append("")  # the final line break
-    return "\n".join(lines)
+    for i, line in enumerate(lines):
+        lines[i] = line + b"\n"
+    return lines
 
 
 _LINE_RE = re.compile(r"<([^<>]*)> <([^<>]*)> (.+) \.$")
@@ -633,21 +655,23 @@ def _object_key(text: str, line: int) -> str | tuple:
         raise MalformedGraphError(f"line {line}: bad integer literal {body!r}") from None
 
 
-def read_dump(path) -> str:
-    """The text of a dump file, which must be UTF-8."""
-    return decode_utf8(
-        read_input(path), lambda line, reason: MalformedGraphError(f"line {line}: {reason}")
-    )
+def read_dump(path):
+    """Open a dump file, which must be UTF-8, for `load_store`: a context
+    manager giving its (line number, line) pairs, read a line at a time.
+    Invalid UTF-8 anywhere wins over a malformed line (see `input_lines`)."""
+    return input_lines(path, lambda line, reason: MalformedGraphError(f"line {line}: {reason}"))
 
 
 @gc_paused()
-def load_store(text: str, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
-    """Parse a dump back into a store; `#` comment lines and blanks allowed.
-    Each distinct object text is parsed once, at the first line holding it."""
+def load_store(lines, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
+    """Parse the (line number, line) pairs of a dump back into a store, from
+    `read_dump` or, for a dump in memory, `text_lines`; `#` comment lines and
+    blanks are skipped there.  Each distinct object text is parsed once, at
+    the first line holding it."""
     store = GraphStore(namespace)
     intern, add = store._id, store._add
     objects: dict[str, int] = {}  # object text -> id
-    for line_no, line in text_lines(text):
+    for line_no, line in lines:
         matched = _LINE_RE.match(line)
         if not matched:
             raise MalformedGraphError(f"line {line_no}: not a triple line")

@@ -13,7 +13,7 @@ import vrannot
 from vrannot import kg
 from vrannot.cli import main
 from vrannot.corpus import canonical_annotations_bytes, load_corpus, save_corpus
-from vrannot.kg import load_store
+from vrannot.kg import load_store, read_dump
 
 from helpers import DEMO_DIR, LISTING_DIR, load_listing_corpus, load_listing_expected
 
@@ -28,6 +28,11 @@ def corpus_args(directory=LISTING_DIR):
         "--classes", str(directory / "classes.json"),
         "--predicates", str(directory / "predicates.json"),
     ]
+
+
+def load_file(path):
+    with read_dump(path) as lines:
+        return load_store(lines)
 
 
 def run(capsys, *argv):
@@ -574,7 +579,7 @@ class TestKgCommands:
             capsys, "kg", "lower", *corpus_args(directory), "--out", str(graph)
         )
         assert code == 0
-        store = load_store(graph.read_text(encoding="utf-8"))
+        store = load_file(graph)
         assert out == f"triples: {len(store)}\n"
         lines = graph.read_text(encoding="utf-8").splitlines()
         assert lines == sorted(lines)
@@ -601,7 +606,7 @@ class TestKgCommands:
         )
         assert code == 0
         # the single wear VR gains exactly one wornBy counterpart
-        assert out == f"triples: {len(load_store(closed.read_text(encoding='utf-8')))} (added 1)\n"
+        assert out == f"triples: {len(load_file(closed))} (added 1)\n"
 
         code, out, _ = run(
             capsys,
@@ -660,27 +665,37 @@ class TestKgCommands:
         assert (code, stdout, out.read_bytes()) == (0, "images: 0, relationships: 0\n", b"{}\n")
 
     def test_extract_refuses_a_subject_under_another_namespace(self, capsys, tmp_path):
+        namespaces = (kg.DEFAULT_NAMESPACE, "http://other/ns#")
+        self.check_foreign_subject_refused(capsys, tmp_path, *namespaces)
+
+    def test_extract_refuses_a_subject_under_a_longer_namespace(self, capsys, tmp_path):
+        self.check_foreign_subject_refused(capsys, tmp_path, "http://a/", "http://a/b#")
+
+    def check_foreign_subject_refused(self, capsys, tmp_path, inside, outside):
+        """One image lowered under each namespace, concatenated: extracting
+        under `inside` names the other image's subject and exits 3."""
         images = list(json.loads((LISTING_DIR / "annotations.json").read_bytes()))[:2]
         dumps = [tmp_path / "a.nt", tmp_path / "b.nt"]
-        for image, dump, namespace in zip(images, dumps, ([], ["--namespace", "http://other/ns#"])):
-            argv = ["kg", "lower", *corpus_args(), "--image", image, *namespace, "--out", str(dump)]
+        for image, dump, namespace in zip(images, dumps, (inside, outside)):
+            argv = ["kg", "lower", *corpus_args(), "--image", image, "--namespace", namespace,
+                    "--out", str(dump)]
             assert run(capsys, *argv)[0] == 0
         mixed, out = tmp_path / "mixed.nt", tmp_path / "back.json"
         mixed.write_bytes(dumps[0].read_bytes() + dumps[1].read_bytes())
         code, stdout, err = run(
             capsys, "kg", "extract", str(mixed), "--classes", str(LISTING_DIR / "classes.json"),
-            "--predicates", str(LISTING_DIR / "predicates.json"), "--out", str(out),
+            "--predicates", str(LISTING_DIR / "predicates.json"), "--namespace", inside,
+            "--out", str(out),
         )
         assert (code, stdout) == (3, "")
-        assert err == (f"error: subject http://other/ns#img_{images[1]} is not under namespace "
-                       f"'{kg.DEFAULT_NAMESPACE}'\n")
+        assert err == f"error: subject {outside}img_{images[1]} is not under namespace '{inside}'\n"
         assert not out.exists()
         axioms = tmp_path / "axioms.txt"
         axioms.write_bytes(b"")
         closed = tmp_path / "closed.nt"
         code, stdout, _ = run(capsys, "kg", "materialize", str(mixed), "--schema", str(axioms),
-                              "--out", str(closed))
-        triples = len(load_store(mixed.read_text(encoding="utf-8")))
+                              "--namespace", inside, "--out", str(closed))
+        triples = len(load_file(mixed))
         assert (code, stdout) == (0, f"triples: {triples} (added 0)\n")
 
     def test_materialize_requires_schema(self, capsys, tmp_path):
@@ -700,6 +715,22 @@ class TestKgCommands:
         )
         assert code == 3
         assert "line 1" in err
+
+    @pytest.mark.parametrize("command", ["materialize", "extract"])
+    def test_invalid_utf8_wins_over_an_earlier_bad_line(self, capsys, tmp_path, command):
+        directory = self.seed(tmp_path)
+        graph = tmp_path / "g.nt"
+        graph.write_bytes(b"garbage\n<a> <p> <b> .\n<a> <p> \"\xc3(\" .\n")
+        if command == "materialize":
+            rest = ["--schema", str(directory / "axioms.txt")]
+        else:
+            rest = ["--classes", str(directory / "classes.json"),
+                    "--predicates", str(directory / "predicates.json")]
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "kg", command, str(graph), *rest, "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == "error: line 3: invalid UTF-8 (invalid continuation byte)\n"
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("command", ["lower", "materialize"])

@@ -1,0 +1,229 @@
+"""The streamed dump reader and the byte-line dump writer against whole-file oracles.
+
+`reference_load` is the whole-file reader: the dump is decoded in one piece,
+split into lines, and parsed by the same line loop as `load_store`.
+`reference_dump` sorts the dump's lines as text, joins them and encodes the
+result.  The streamed forms must give the same store, bytes and errors.
+"""
+
+import random
+import tracemalloc
+
+import pytest
+
+from vrannot import corpus
+from vrannot.corpus import AnnotationCorpus, decode_utf8, text_lines
+from vrannot.errors import MalformedGraphError, VrannotError
+from vrannot.kg import (
+    _LINE_RE,
+    DEFAULT_NAMESPACE,
+    XSD_INTEGER_IRI,
+    GraphStore,
+    Iri,
+    Triple,
+    _object_key,
+    default_schema,
+    dump_store,
+    format_term,
+    load_store,
+    lower_annotations,
+    read_dump,
+)
+
+from helpers import random_class_names, random_predicate_names, random_vr
+from test_corpus import FILENAME_ALPHABET, INTS
+
+
+def reference_load(data: bytes, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
+    text = decode_utf8(data, lambda line, reason: MalformedGraphError(f"line {line}: {reason}"))
+    store = GraphStore(namespace)
+    objects = {}
+    for line_no, line in text_lines(text):
+        matched = _LINE_RE.match(line)
+        if not matched:
+            raise MalformedGraphError(f"line {line_no}: not a triple line")
+        subject, predicate, object_text = matched.groups()
+        o = objects.get(object_text)
+        if o is None:
+            o = objects[object_text] = store._id(_object_key(object_text.strip(), line_no))
+        store._add((store._id(subject), store._id(predicate), o))
+    return store
+
+
+def reference_dump(store: GraphStore) -> bytes:
+    lines = sorted(" ".join(map(format_term, (t.subject, t.predicate, t.object))) + " ."
+                   for t in store)
+    lines.append("")
+    return "\n".join(lines).encode("utf-8")
+
+
+def streamed_load(data: bytes, path) -> GraphStore:
+    path.write_bytes(data)
+    with read_dump(path) as lines:
+        return load_store(lines)
+
+
+def outcome(load, *args):
+    """The dump of the loaded store, or the type and message of the error."""
+    try:
+        return dump_store(load(*args)).encode()
+    except VrannotError as exc:
+        return type(exc), str(exc)
+
+
+def exotic_text(rng) -> str:
+    return "".join(rng.choice(FILENAME_ALPHABET) for _ in range(rng.randrange(0, 6)))
+
+
+def valid_dump(rng) -> bytes:
+    """A lowered corpus with exotic filenames, as a dump."""
+    names = [exotic_text(rng) + f"{k}.jpg" for k in range(rng.randrange(1, 4))]
+    images = {name: [random_vr(rng, 4, 3) for _ in range(rng.randrange(1, 4))] for name in names}
+    annotations = AnnotationCorpus(
+        images, random_class_names(rng, 4), random_predicate_names(rng, 3)
+    )
+    return dump_store(lower_annotations(annotations, default_schema(annotations))).encode()
+
+
+BAD_UTF8 = (b"\xff", b"\xc3(", b"\xe4\xb8A", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf0\x9f\x98",
+            b"\xe4\n\xb8\xad")
+BAD_OBJECTS = ('"x\\q"', '"x\\"', f'"1.5"^^<{XSD_INTEGER_IRI}>', f'""^^<{XSD_INTEGER_IRI}>',
+               f'"{"9" * 5000}"^^<{XSD_INTEGER_IRI}>', '"x"^^<http://example.org/t>', "naked")
+
+
+def _at_line(rng, data: bytes, insert: bytes) -> bytes:
+    lines = data.split(b"\n")
+    lines.insert(rng.randrange(len(lines) + 1), insert)
+    return b"\n".join(lines)
+
+
+def _space_in_iri(rng, data):
+    cut = data.find(b"#", rng.randrange(len(data)))
+    return data if cut < 0 else data[:cut + 1] + b" " + data[cut + 1:]
+
+
+def _bad_utf8(rng, data):
+    cut = rng.randrange(len(data) + 1)
+    return data[:cut] + rng.choice(BAD_UTF8) + data[cut:]
+
+
+def _bad_object(rng, data):
+    line = f"<{DEFAULT_NAMESPACE}a> <{DEFAULT_NAMESPACE}p> {rng.choice(BAD_OBJECTS)} ."
+    return _at_line(rng, data, line.encode())
+
+
+MUTATIONS = (
+    _space_in_iri,
+    lambda rng, data: data.replace(b"\n", b"\r\n"),
+    lambda rng, data: data.replace(b"\n", b"\r\n", rng.randrange(1, 4)),
+    lambda rng, data: data.replace(b"\n", b"\r", rng.randrange(1, 3)),
+    _bad_utf8,
+    lambda rng, data: data + rng.choice(BAD_UTF8[-3:]),  # at the end, no line break after it
+    _bad_object,
+    lambda rng, data: _at_line(rng, data, rng.choice((b"garbage", b"<a> <p>", b"<a> <p> <b>"))),
+    lambda rng, data: _at_line(rng, data, rng.choice((b"", b"   ", b"# comment \xe4\xb8\xad"))),
+    lambda rng, data: data[: rng.randrange(len(data) + 1)],
+)
+
+
+class TestStreamedReader:
+    def test_matches_the_whole_file_reader_on_seeded_malformed_dumps(self, tmp_path):
+        rng = random.Random(1201)
+        path = tmp_path / "g.nt"
+        errors = set()
+        for _ in range(400):
+            data = valid_dump(rng)
+            for _ in range(rng.randrange(1, 4)):
+                data = rng.choice(MUTATIONS)(rng, data)
+            expected = outcome(reference_load, data)
+            assert outcome(streamed_load, data, path) == expected, data
+            if isinstance(expected, tuple):
+                errors.add(expected[1].split(":")[1].split("(")[0].strip())
+        # every kind of error was reached
+        assert errors >= {"invalid UTF-8", "not a triple line", "unknown escape \\q",
+                          "bad integer literal '1.5'", "unreadable object term 'naked'"}
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"garbage\n# ok\n<a> <p> \"\xc3(\" .\n",
+             "line 3: invalid UTF-8 (invalid continuation byte)"),
+            (b'<a> <p> "x\\q" .\n\n\xff\n', "line 3: invalid UTF-8 (invalid start byte)"),
+            (b"garbage\r\n<a> <p> <b> .\xe4\n\xb8\xad\n",
+             "line 2: invalid UTF-8 (invalid continuation byte)"),
+            (b"garbage\n<a> <p> <b> .\n\xf0\x9f\x98", "line 3: invalid UTF-8 (unexpected end of data)"),
+            (b"<a b> <p> <c d> .\r\n<a> <p> \"x\" .\r<b> <q> <c> .\n",
+             "line 2: unreadable object term"),
+            (b"<a> <p> <b> .\ngarbage\n", "line 2: not a triple line"),
+        ],
+        ids=["bad-line-before-bad-byte", "bad-escape-before-bad-byte", "split-across-line-break",
+             "bad-byte-at-end", "spaces-and-carriage-returns", "bad-line-alone"],
+    )
+    def test_utf8_errors_win_over_earlier_lines(self, tmp_path, data, message):
+        expected = outcome(reference_load, data)
+        assert expected[0] is MalformedGraphError and expected[1].startswith(message)
+        assert outcome(streamed_load, data, tmp_path / "g.nt") == expected
+
+    def test_failed_loads_close_the_file(self, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(path):
+            opened.append(real_open(path))
+            return opened[-1]
+
+        real_open = corpus._open_input
+        monkeypatch.setattr(corpus, "_open_input", recording_open)
+        for data in (b"garbage\n", b"\xff\n", b"garbage\n\xff\n", b"<a> <p> <b> .\n<a> <p>\n"):
+            with pytest.raises(MalformedGraphError):
+                streamed_load(data, tmp_path / "g.nt")
+        assert len(opened) == 4 and all(handle.closed for handle in opened)
+
+
+def random_term(rng, kind: str):
+    if kind == "iri":
+        local = rng.choice(("a", "b", "a b", "b> .\x01", "b> .", "東", "\U0001f600"))
+        return Iri(DEFAULT_NAMESPACE + local + exotic_text(rng))
+    if kind == "int":
+        return rng.choice(INTS)
+    return exotic_text(rng) + rng.choice(('"', "\\", "\x01", "京", "\U0001f600", ""))
+
+
+class TestByteLineDump:
+    def test_matches_the_sorted_text_dump_on_seeded_stores(self):
+        rng = random.Random(1202)
+        for _ in range(300):
+            store = GraphStore()
+            for _ in range(rng.randrange(0, 30)):
+                kind = rng.choice(("iri", "int", "str"))
+                store.add(Triple(random_term(rng, "iri"), random_term(rng, "iri"),
+                                 random_term(rng, kind)))
+            assert dump_store(store).encode() == reference_dump(store)
+
+    def test_a_line_that_runs_on_past_another_sorts_after_it(self):
+        """Read back from a dump, an object IRI may hold ` .` and a control
+        character; the text order puts the shorter line first."""
+        data = f"<{DEFAULT_NAMESPACE}a> <{DEFAULT_NAMESPACE}p> <x> .\x01> .\n".encode()
+        store = reference_load(data + data.replace(b" .\x01> .", b" ."))
+        assert len(store) == 2
+        assert dump_store(store).encode() == reference_dump(store)
+        assert dump_store(store)[0].endswith(b"<x> .\n")
+
+    def test_peak_memory_stays_near_the_dump_size(self):
+        # One CJK filename would make a whole-dump str two bytes per character.
+        rng = random.Random(1203)
+        images = {f"img_{k:04d}.jpg": [random_vr(rng, 60, 30) for _ in range(8)]
+                  for k in range(300)}
+        images["img_東京.jpg"] = [random_vr(rng, 60, 30)]
+        annotations = AnnotationCorpus(
+            images, [f"class {k}" for k in range(60)], [f"predicate {k}" for k in range(30)]
+        )
+        store = lower_annotations(annotations, default_schema(annotations))
+        tracemalloc.start()
+        try:
+            dump = dump_store(store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        data = dump.encode()
+        assert data == reference_dump(store)
+        assert peak < 2 * len(data)

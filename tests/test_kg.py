@@ -10,6 +10,7 @@ from vrannot.corpus import (
     AnnotationCorpus,
     BoundingBox,
     VisualRelationship,
+    text_lines,
 )
 from vrannot.errors import (
     AmbiguousClassError,
@@ -51,6 +52,14 @@ from test_corpus import FILENAME_ALPHABET
 
 def iri(local):
     return Iri.of(DEFAULT_NAMESPACE, local)
+
+
+def dump_text(store) -> str:
+    return dump_store(store).encode().decode("utf-8")
+
+
+def load_text(text: str, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
+    return load_store(text_lines(text), namespace)
 
 
 def t(subject, predicate, object_):
@@ -642,21 +651,21 @@ class TestExtract:
     def test_dump_under_another_namespace_is_an_error(self):
         corpus = tiny_corpus()
         schema = default_schema(corpus)
-        text = dump_store(lower_annotations(corpus, schema))
+        text = dump_text(lower_annotations(corpus, schema))
         other = "http://other/ns#"
         message = f"^no hasFilename triple under namespace {re.escape(repr(other))}$"
         with pytest.raises(MalformedGraphError, match=message):
-            extract_annotations(load_store(text, namespace=other), schema, *self.names(corpus))
-        empty = extract_annotations(load_store("", namespace=other), schema, *self.names(corpus))
+            extract_annotations(load_text(text, namespace=other), schema, *self.names(corpus))
+        empty = extract_annotations(load_text("", namespace=other), schema, *self.names(corpus))
         assert empty.images == {}
 
     def test_subject_under_another_namespace_is_an_error(self):
         corpus = tiny_corpus()
         schema = default_schema(corpus)
         other = "http://other/ns#"
-        text = dump_store(lower_annotations(corpus, schema))
-        text += dump_store(lower_annotations(corpus, schema, namespace=other))
-        store = load_store(text)
+        text = dump_text(lower_annotations(corpus, schema))
+        text += dump_text(lower_annotations(corpus, schema, namespace=other))
+        store = load_text(text)
         # checked before any image is read, so the literal member is not reached
         store.add(t(iri("img_i1.jpg"), iri("hasObject"), "oops"))
         under = re.escape(repr(DEFAULT_NAMESPACE))
@@ -853,7 +862,7 @@ class TestSerialization:
             t(iri("b"), iri("p"), iri("c")),
             t(iri("a"), iri("p"), iri("b")),
         )
-        text = dump_store(store)
+        text = dump_text(store)
         lines = text.splitlines()
         assert lines == sorted(lines)
         assert all(line.endswith(" .") for line in lines)
@@ -865,13 +874,13 @@ class TestSerialization:
             t(iri("a"), iri("bboxYmin"), 42),
             t(iri("a"), iri("hasFilename"), 'tricky "name"\twith\nstuff\\end.jpg'),
         )
-        loaded = load_store(dump_store(store))
+        loaded = load_text(dump_text(store))
         assert set(loaded) == set(store)
         assert dump_store(loaded) == dump_store(store)
 
     def test_round_trip_of_lowered_corpus(self):
         store = lower_annotations(tiny_corpus(), default_schema(tiny_corpus()))
-        assert set(load_store(dump_store(store))) == set(store)
+        assert set(load_text(dump_text(store))) == set(store)
 
     def test_round_trip_of_every_filename_character(self):
         """Dump lines end only at a line feed: the other line breaks that
@@ -882,7 +891,7 @@ class TestSerialization:
             corpus.images[f"a{char}b.jpg"] = vr
         schema = default_schema(corpus)
         store = lower_annotations(corpus, schema)
-        loaded = load_store(dump_store(store))
+        loaded = load_text(dump_text(store))
         assert set(loaded) == set(store)
         back = extract_annotations(loaded, schema, corpus.object_class_names, corpus.predicate_names)
         assert back.images == corpus.images
@@ -890,24 +899,25 @@ class TestSerialization:
     def test_error_line_after_a_line_break_inside_a_literal(self):
         text = f'<{DEFAULT_NAMESPACE}a> <{DEFAULT_NAMESPACE}p> "x\x0cy\u2028z" .\nnot a triple\n'
         with pytest.raises(MalformedGraphError) as err:
-            load_store(text)
+            load_text(text)
         assert str(err.value) == "line 2: not a triple line"
 
     def test_load_skips_comments_and_blanks(self):
         text = "# a comment\n\n" + f'<{DEFAULT_NAMESPACE}a> <{DEFAULT_NAMESPACE}p> "x" .\n'
-        store = load_store(text)
+        store = load_text(text)
         assert len(store) == 1
 
     def test_read_dump(self, tmp_path):
         store = store_of(t(iri("a"), iri("hasFilename"), "\u00e9t\u00e9.jpg"))
         (tmp_path / "g.nt").write_bytes(dump_store(store).encode("utf-8"))
-        assert set(load_store(read_dump(tmp_path / "g.nt"))) == set(store)
+        with read_dump(tmp_path / "g.nt") as lines:
+            assert set(load_store(lines)) == set(store)
 
     def test_read_dump_rejects_invalid_utf8(self, tmp_path):
         line = f'<{DEFAULT_NAMESPACE}a> <{DEFAULT_NAMESPACE}p> "x" .\n'.encode()
         (tmp_path / "g.nt").write_bytes(line + line.replace(b'"x"', b'"\xc3("'))
-        with pytest.raises(MalformedGraphError) as err:
-            read_dump(tmp_path / "g.nt")
+        with pytest.raises(MalformedGraphError) as err, read_dump(tmp_path / "g.nt") as lines:
+            load_store(lines)
         assert str(err.value) == "line 2: invalid UTF-8 (invalid continuation byte)"
 
     def test_error_names_the_first_line_of_a_repeated_object_text(self):
@@ -917,11 +927,11 @@ class TestSerialization:
         bad = '"x"^^<http://example.org/custom>'
         lines = [f'{head} "ok" .', f"{head} {bad} .", f'{head} "ok" .', "", f"{head} {bad} ."]
         with pytest.raises(MalformedGraphError, match=r"^line 2: unsupported literal type"):
-            load_store("\n".join(lines) + "\n")
+            load_text("\n".join(lines) + "\n")
         # a text parsed fine earlier does not hide a new bad one
         lines[1] = f'{head} "ok" .'
         with pytest.raises(MalformedGraphError, match=r"^line 5: "):
-            load_store("\n".join(lines) + "\n")
+            load_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize(
         "line,detail",
@@ -937,7 +947,7 @@ class TestSerialization:
     )
     def test_malformed_lines(self, line, detail):
         with pytest.raises(MalformedGraphError, match=detail):
-            load_store("# leading comment\n" + line + "\n")
+            load_text("# leading comment\n" + line + "\n")
 
 
 def pooled_corpus(rng):
@@ -993,9 +1003,9 @@ class TestLoweredCorpusOracles:
             schema = random_axioms(rng, default_schema(corpus))
             store = lower_annotations(corpus, schema)
             for graph in (store, materialize(store, schema)):
-                text = dump_store(graph)
-                loaded = load_store(text)
-                assert dump_store(loaded) == text
+                text = dump_text(graph)
+                loaded = load_text(text)
+                assert dump_text(loaded) == text
                 assert set(loaded) == set(graph)
 
 
