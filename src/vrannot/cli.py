@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 
 from . import analyze, kg, protocol, workflow
@@ -38,6 +39,16 @@ def _add_format_argument(parser: argparse.ArgumentParser) -> None:
         "--format", choices=("text", "structured"), default="text",
         help="output style (structured = JSON)",
     )
+
+
+def _namespace(text: str) -> str:
+    """A --namespace value; `<`, `>`, a line feed or no UTF-8 form is refused: no dump IRI holds it."""
+    bad = re.search(r"[<>\n\ud800-\udfff]", text)
+    if bad and bad[0] in "<>\n":
+        raise argparse.ArgumentTypeError(f"{text!r} holds {bad[0]!r}, which no IRI in a dump can hold")
+    if bad:  # a lone surrogate, as an undecodable command-line byte arrives
+        raise argparse.ArgumentTypeError(f"{text!r} is not valid UTF-8")
+    return text
 
 
 def _load(args) -> "AnnotationCorpus":
@@ -305,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = kgsub.add_parser("lower", help="lower a corpus to a triple dump")
     _add_corpus_arguments(p)
     p.add_argument("--schema", help="axiom file; omitted = designations derived from names")
-    p.add_argument("--namespace", default=kg.DEFAULT_NAMESPACE)
+    p.add_argument("--namespace", type=_namespace, default=kg.DEFAULT_NAMESPACE)
     p.add_argument("--image", help="lower only this image")
     p.add_argument("--out", required=True, help="output triple dump path")
     p.set_defaults(handler=_cmd_kg_lower)
@@ -313,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = kgsub.add_parser("materialize", help="compute the inference closure of a dump")
     p.add_argument("graph", help="input triple dump")
     p.add_argument("--schema", required=True, help="axiom file")
-    p.add_argument("--namespace", default=kg.DEFAULT_NAMESPACE)
+    p.add_argument("--namespace", type=_namespace, default=kg.DEFAULT_NAMESPACE)
     p.add_argument("--out", required=True, help="output triple dump path")
     p.set_defaults(handler=_cmd_kg_materialize)
 
@@ -322,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", help="axiom file; omitted = designations derived from names")
     p.add_argument("--classes", required=True, help="object-class master list")
     p.add_argument("--predicates", required=True, help="predicate master list")
-    p.add_argument("--namespace", default=kg.DEFAULT_NAMESPACE)
+    p.add_argument("--namespace", type=_namespace, default=kg.DEFAULT_NAMESPACE)
     p.add_argument("--out", required=True, help="output annotations path")
     p.set_defaults(handler=_cmd_kg_extract)
 

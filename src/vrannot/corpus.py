@@ -228,55 +228,32 @@ def read_input(path) -> bytes:
         return handle.read()
 
 
-def decode_utf8(data: bytes, error) -> str:
-    """Decode a line-oriented input file; for invalid UTF-8, raise
-    `error(line, reason)` naming the 1-based line of the first bad byte."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data[: exc.start].count(b"\n") + 1
-        raise error(line, f"invalid UTF-8 ({exc.reason})") from None
-
-
-def text_lines(text: str):
-    """Yield (1-based line number, stripped line) for each line of a decoded
-    script, axiom file or dump that is neither blank nor a `#` comment.  A line
-    ends only at `\\n`, the break `decode_utf8` counts: a `\\r\\n` file reads the
-    same, and every other Unicode line break stays inside its line."""
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield line_no, line
-
-
-def _decoded_lines(handle, error):
-    """`text_lines` of a binary file, decoding one line at a time.  A line
-    is decoded with its `\\n`, which no UTF-8 sequence spans, so a bad byte
-    gets the line and reason `decode_utf8` gives it."""
-    for line_no, raw in enumerate(handle, start=1):
-        try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError as exc:
-            raise error(line_no, f"invalid UTF-8 ({exc.reason})") from None
-        if line and not line.startswith("#"):
-            yield line_no, line
-
-
 @contextmanager
-def input_lines(path, error):
-    """Open a line-oriented UTF-8 input file and give an iterator of its
-    `text_lines`, read a line at a time; the file is closed on exit.
+def input_lines(handle, error):
+    """Give an iterator of the (1-based line number, stripped line) pairs of a
+    script, axiom file or dump, read from the open binary `handle` a line at a
+    time; blank and `#` comment lines are skipped; the handle is closed on exit.
+    A line ends only at `\\n`: a `\\r\\n` file reads the same, and every other
+    Unicode line break stays inside its line.  It is decoded with its `\\n`,
+    which no UTF-8 sequence spans, so invalid UTF-8 raises `error(line,
+    "invalid UTF-8 (reason)")` with the line and reason of a whole-file decode.
+    That error wins over a VrannotError raised on an earlier line while the
+    lines are read: before that one propagates, the rest is read for it."""
+    def lines():
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise error(line_no, f"invalid UTF-8 ({exc.reason})") from None
+            if line and not line.startswith("#"):
+                yield line_no, line
 
-    Invalid UTF-8 raises `error(line, reason)`, as `decode_utf8` does, and
-    wins over a VrannotError raised on an earlier line while the lines are
-    read: before that error propagates, the rest of the file is read for one.
-    """
-    with _open_input(path) as handle:
-        lines = _decoded_lines(handle, error)
+    with handle:
+        pairs = lines()
         try:
-            yield lines
+            yield pairs
         except VrannotError:
-            for _ in lines:
+            for _ in pairs:
                 pass
             raise
 

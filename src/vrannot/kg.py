@@ -33,11 +33,9 @@ from .corpus import (
     AnnotationCorpus,
     BoundingBox,
     VisualRelationship,
-    decode_utf8,
+    _open_input,
     gc_paused,
     input_lines,
-    read_input,
-    text_lines,
 )
 from .errors import (
     AmbiguousClassError,
@@ -209,7 +207,6 @@ def _schema_local(token: str, line: int) -> str:
 def load_schema(path) -> Schema:
     """Parse a line-oriented axiom file; every term must be declared on an
     earlier line than its first use."""
-    text = decode_utf8(read_input(path), MalformedAxiomError)
     schema = Schema()
     declared = {"class": schema.classes, "prop": schema.properties}
 
@@ -219,43 +216,44 @@ def load_schema(path) -> Schema:
             raise UndeclaredTermError(line, name)
         return name
 
-    for line_no, line in text_lines(text):
-        fields = line.split(None, 1)
-        keyword = fields[0]
-        rest = fields[1].strip() if len(fields) == 2 else ""
-        if keyword not in _KEYWORDS:
-            raise MalformedAxiomError(line_no, f"unknown keyword {keyword!r}")
-        if not rest:
-            raise MalformedAxiomError(line_no, f"{keyword} needs arguments")
-        if keyword in declared:
-            declared[keyword].add(_schema_local(rest, line_no))
-            continue
-        if keyword in ("annclass", "annprop"):
-            # the last token is the schema term; the rest is the corpus name
-            split = rest.rsplit(None, 1)
-            if len(split) != 2:
-                raise MalformedAxiomError(line_no, f"{keyword} needs a corpus name and a term")
-            corpus_name, term = split
-            term = need(keyword[3:], term, line_no)  # annclass -> class, annprop -> prop
-            mapping = schema.ann_classes if keyword == "annclass" else schema.ann_properties
-            if corpus_name in mapping:
-                raise MalformedAxiomError(line_no, f"{corpus_name!r} designated twice")
-            if term in mapping.values():
-                raise MalformedAxiomError(line_no, f"term {term!r} designated twice")
-            mapping[corpus_name] = term
-            continue
-        target, kinds, arity = _AXIOMS[keyword]
-        args = rest.split()
-        if len(args) != len(kinds):
-            raise MalformedAxiomError(line_no, f"{keyword} takes {arity}")
-        terms = tuple(need(kind, token, line_no) for kind, token in zip(kinds, args))
-        if len(terms) == 1:
-            getattr(schema, target).append(terms[0])
-            continue
-        # relating a term to itself is rejected; domain/range relate two kinds
-        if kinds[0] == kinds[1] and terms[0] == terms[1]:
-            raise SelfAxiomError(line_no, terms[0])
-        getattr(schema, target).append(terms)
+    with input_lines(_open_input(path), MalformedAxiomError) as lines:
+        for line_no, line in lines:
+            fields = line.split(None, 1)
+            keyword = fields[0]
+            rest = fields[1].strip() if len(fields) == 2 else ""
+            if keyword not in _KEYWORDS:
+                raise MalformedAxiomError(line_no, f"unknown keyword {keyword!r}")
+            if not rest:
+                raise MalformedAxiomError(line_no, f"{keyword} needs arguments")
+            if keyword in declared:
+                declared[keyword].add(_schema_local(rest, line_no))
+                continue
+            if keyword in ("annclass", "annprop"):
+                # the last token is the schema term; the rest is the corpus name
+                split = rest.rsplit(None, 1)
+                if len(split) != 2:
+                    raise MalformedAxiomError(line_no, f"{keyword} needs a corpus name and a term")
+                corpus_name, term = split
+                term = need(keyword[3:], term, line_no)  # annclass -> class, annprop -> prop
+                mapping = schema.ann_classes if keyword == "annclass" else schema.ann_properties
+                if corpus_name in mapping:
+                    raise MalformedAxiomError(line_no, f"{corpus_name!r} designated twice")
+                if term in mapping.values():
+                    raise MalformedAxiomError(line_no, f"term {term!r} designated twice")
+                mapping[corpus_name] = term
+                continue
+            target, kinds, arity = _AXIOMS[keyword]
+            args = rest.split()
+            if len(args) != len(kinds):
+                raise MalformedAxiomError(line_no, f"{keyword} takes {arity}")
+            terms = tuple(need(kind, token, line_no) for kind, token in zip(kinds, args))
+            if len(terms) == 1:
+                getattr(schema, target).append(terms[0])
+                continue
+            # relating a term to itself is rejected; domain/range relate two kinds
+            if kinds[0] == kinds[1] and terms[0] == terms[1]:
+                raise SelfAxiomError(line_no, terms[0])
+            getattr(schema, target).append(terms)
     return schema
 
 
@@ -633,17 +631,17 @@ def dump_store(store: GraphStore) -> Dump:
 
 
 _LINE_RE = re.compile(r"<([^<>]*)> <([^<>]*)> (.+) \.$")
-_LITERAL_RE = re.compile(r'"((?:[^"\\]|\\.)*)"(?:\^\^<([^<>]*)>)?$')  # body, datatype
+_OBJECT_RE = re.compile(r'<([^<>]*)>$|"((?:[^"\\]|\\.)*)"(?:\^\^<([^<>]*)>)?$')  # iri | literal
 
 
 def _object_key(text: str, line: int) -> str | tuple:
     """The dictionary key of a dumped object term (see `_key`)."""
-    if text.startswith("<") and text.endswith(">"):
-        return text[1:-1]
-    literal = _LITERAL_RE.match(text)
-    if not literal:
+    term = _OBJECT_RE.match(text)
+    if not term:
         raise MalformedGraphError(f"line {line}: unreadable object term {text!r}")
-    body, datatype = literal.groups()
+    iri, body, datatype = term.groups()
+    if iri is not None:
+        return iri
     if datatype is None:
         return (str, _unescape_literal(body, line))
     if datatype != XSD_INTEGER_IRI:
@@ -659,13 +657,14 @@ def read_dump(path):
     """Open a dump file, which must be UTF-8, for `load_store`: a context
     manager giving its (line number, line) pairs, read a line at a time.
     Invalid UTF-8 anywhere wins over a malformed line (see `input_lines`)."""
-    return input_lines(path, lambda line, reason: MalformedGraphError(f"line {line}: {reason}"))
+    return input_lines(_open_input(path),
+                       lambda line, reason: MalformedGraphError(f"line {line}: {reason}"))
 
 
 @gc_paused()
 def load_store(lines, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
     """Parse the (line number, line) pairs of a dump back into a store, from
-    `read_dump` or, for a dump in memory, `text_lines`; `#` comment lines and
+    `read_dump` or `input_lines` over a dump in memory; `#` comment lines and
     blanks are skipped there.  Each distinct object text is parsed once, at
     the first line holding it."""
     store = GraphStore(namespace)

@@ -28,6 +28,7 @@ that would not read back as itself (see docs/formats.md).
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -38,9 +39,8 @@ from .corpus import (
     BoundingBox,
     CorpusDiff,
     VisualRelationship,
-    decode_utf8,
     diff_corpora,
-    text_lines,
+    input_lines,
 )
 from .errors import ApplyError, ParseError, UnknownNameError
 
@@ -152,83 +152,85 @@ def _parse_ref_tuple(text: str, line: int) -> tuple[str, str, str]:
 def parse_script(source: str | bytes) -> list[ImageBlock]:
     """Parse script text into image blocks; total over arbitrary byte input.
 
-    Every failure raises ParseError carrying the 1-based source line.
+    Every failure raises ParseError carrying the 1-based source line.  Text
+    is read as its UTF-8 form, so a lone surrogate in it is invalid UTF-8.
     """
-    text = source if isinstance(source, str) else decode_utf8(source, ParseError)
+    data = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
     blocks: list[ImageBlock] = []
     current: ImageBlock | None = None
 
-    for line_no, line in text_lines(text):
-        fields = [f.strip() for f in line.split(";")]
-        mnemonic = fields[0]
-        try:
-            kind = InstructionKind(mnemonic)
-        except ValueError:
-            raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}") from None
+    with input_lines(io.BytesIO(data), ParseError) as lines:
+        for line_no, line in lines:
+            fields = [f.strip() for f in line.split(";")]
+            mnemonic = fields[0]
+            try:
+                kind = InstructionKind(mnemonic)
+            except ValueError:
+                raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}") from None
 
-        if kind is InstructionKind.IMNAME:
-            if len(fields) not in (2, 3):
-                raise ParseError(line_no, "imname takes a filename and an optional rimxxx flag")
-            filename = fields[1]
-            if not filename:
-                raise ParseError(line_no, "empty filename")
-            remove = False
-            if len(fields) == 3:
-                if fields[2] != InstructionKind.RIMXXX.value:
-                    raise ParseError(line_no, f"unexpected trailing field {fields[2]!r}")
-                remove = True
-            current = ImageBlock(filename, line_no, remove_image=remove)
-            blocks.append(current)
-            continue
+            if kind is InstructionKind.IMNAME:
+                if len(fields) not in (2, 3):
+                    raise ParseError(line_no, "imname takes a filename and an optional rimxxx flag")
+                filename = fields[1]
+                if not filename:
+                    raise ParseError(line_no, "empty filename")
+                remove = False
+                if len(fields) == 3:
+                    if fields[2] != InstructionKind.RIMXXX.value:
+                        raise ParseError(line_no, f"unexpected trailing field {fields[2]!r}")
+                    remove = True
+                current = ImageBlock(filename, line_no, remove_image=remove)
+                blocks.append(current)
+                continue
 
-        if kind is InstructionKind.RIMXXX:
-            raise ParseError(line_no, "rimxxx is only valid as a flag on an imname line")
-        if current is None:
-            raise ParseError(line_no, "instruction before any imname line")
-        if current.remove_image:
-            raise ParseError(line_no, "instruction after an image-removal header")
+            if kind is InstructionKind.RIMXXX:
+                raise ParseError(line_no, "rimxxx is only valid as a flag on an imname line")
+            if current is None:
+                raise ParseError(line_no, "instruction before any imname line")
+            if current.remove_image:
+                raise ParseError(line_no, "instruction after an image-removal header")
 
-        if kind is InstructionKind.AVRXXX:
-            if len(fields) != 6:
-                raise ParseError(line_no, "avrxxx takes 5 fields: class; [bbox]; predicate; class; [bbox]")
-            spec = NewVRSpec(
-                subject_class=_parse_name(fields[1], line_no, "subject class name"),
-                subject_bbox=_parse_bbox_literal(fields[2], line_no),
-                predicate=_parse_name(fields[3], line_no, "predicate name"),
-                object_class=_parse_name(fields[4], line_no, "object class name"),
-                object_bbox=_parse_bbox_literal(fields[5], line_no),
-            )
-            current.instructions.append(Instruction(kind, line_no, new_vr=spec))
-            continue
-
-        if kind is InstructionKind.RVRXXX:
-            # a trailing `;` yields one empty extra field; both forms accepted
-            if len(fields) == 4 and fields[3] == "":
-                fields = fields[:3]
-            if len(fields) != 3:
-                raise ParseError(line_no, "rvrxxx takes 2 fields: index; (tuple)")
-            current.instructions.append(
-                Instruction(
-                    kind,
-                    line_no,
-                    vr_index=_parse_index(fields[1], line_no),
-                    ref_tuple=_parse_ref_tuple(fields[2], line_no),
+            if kind is InstructionKind.AVRXXX:
+                if len(fields) != 6:
+                    raise ParseError(line_no, "avrxxx takes 5 fields: class; [bbox]; predicate; class; [bbox]")
+                spec = NewVRSpec(
+                    subject_class=_parse_name(fields[1], line_no, "subject class name"),
+                    subject_bbox=_parse_bbox_literal(fields[2], line_no),
+                    predicate=_parse_name(fields[3], line_no, "predicate name"),
+                    object_class=_parse_name(fields[4], line_no, "object class name"),
+                    object_bbox=_parse_bbox_literal(fields[5], line_no),
                 )
-            )
-            continue
+                current.instructions.append(Instruction(kind, line_no, new_vr=spec))
+                continue
 
-        # remaining kinds: the index-addressed changes of _CHANGES
-        if len(fields) != 4:
-            raise ParseError(line_no, f"{mnemonic} takes 3 fields: index; (tuple); payload")
-        index = _parse_index(fields[1], line_no)
-        ref = _parse_ref_tuple(fields[2], line_no)
-        payload = _CHANGES[kind][1]
-        if payload == "bbox":
-            new = {"new_bbox": _parse_bbox_literal(fields[3], line_no)}
-        else:
-            new = {"new_name": _parse_name(fields[3], line_no, f"{payload} name")}
-        instruction = Instruction(kind, line_no, vr_index=index, ref_tuple=ref, **new)
-        current.instructions.append(instruction)
+            if kind is InstructionKind.RVRXXX:
+                # a trailing `;` yields one empty extra field; both forms accepted
+                if len(fields) == 4 and fields[3] == "":
+                    fields = fields[:3]
+                if len(fields) != 3:
+                    raise ParseError(line_no, "rvrxxx takes 2 fields: index; (tuple)")
+                current.instructions.append(
+                    Instruction(
+                        kind,
+                        line_no,
+                        vr_index=_parse_index(fields[1], line_no),
+                        ref_tuple=_parse_ref_tuple(fields[2], line_no),
+                    )
+                )
+                continue
+
+            # remaining kinds: the index-addressed changes of _CHANGES
+            if len(fields) != 4:
+                raise ParseError(line_no, f"{mnemonic} takes 3 fields: index; (tuple); payload")
+            index = _parse_index(fields[1], line_no)
+            ref = _parse_ref_tuple(fields[2], line_no)
+            payload = _CHANGES[kind][1]
+            if payload == "bbox":
+                new = {"new_bbox": _parse_bbox_literal(fields[3], line_no)}
+            else:
+                new = {"new_name": _parse_name(fields[3], line_no, f"{payload} name")}
+            instruction = Instruction(kind, line_no, vr_index=index, ref_tuple=ref, **new)
+            current.instructions.append(instruction)
     return blocks
 
 

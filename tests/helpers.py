@@ -101,3 +101,24 @@ def canonicalize_corpus(corpus: AnnotationCorpus) -> AnnotationCorpus:
             ),
         )
     return work
+
+
+def decode_utf8(data: bytes, error) -> str:
+    """The whole-file decode that `corpus.input_lines` replaced, kept as its
+    oracle: invalid UTF-8 anywhere raises `error(line, reason)` naming the
+    1-based line of the first bad byte, before any line is read."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].count(b"\n") + 1
+        raise error(line, f"invalid UTF-8 ({exc.reason})") from None
+
+
+def text_lines(text: str):
+    """The oracle's line split, after `decode_utf8`: (1-based line number,
+    stripped line) for each line that is neither blank nor a `#` comment; a
+    line ends only at `\\n`."""
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line

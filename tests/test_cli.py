@@ -716,20 +716,63 @@ class TestKgCommands:
         assert code == 3
         assert "line 1" in err
 
-    @pytest.mark.parametrize("command", ["materialize", "extract"])
+    def input_argv(self, directory, command, path):
+        """The arguments of `command` reading `path` as its line-oriented
+        input: a dump, a script (`apply`) or an axiom file (`lower`)."""
+        lists = ["--classes", str(directory / "classes.json"),
+                 "--predicates", str(directory / "predicates.json")]
+        return {
+            "materialize": ["kg", "materialize", str(path), "--schema", str(directory / "axioms.txt")],
+            "extract": ["kg", "extract", str(path), *lists],
+            "apply": ["apply", str(path), *corpus_args(directory)],
+            "lower": ["kg", "lower", *corpus_args(directory), "--schema", str(path)],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["materialize", "extract", "apply", "lower"])
     def test_invalid_utf8_wins_over_an_earlier_bad_line(self, capsys, tmp_path, command):
         directory = self.seed(tmp_path)
-        graph = tmp_path / "g.nt"
-        graph.write_bytes(b"garbage\n<a> <p> <b> .\n<a> <p> \"\xc3(\" .\n")
-        if command == "materialize":
-            rest = ["--schema", str(directory / "axioms.txt")]
-        else:
-            rest = ["--classes", str(directory / "classes.json"),
-                    "--predicates", str(directory / "predicates.json")]
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"garbage\n<a> <p> <b> .\n<a> <p> \"\xc3(\" .\n")
         out = tmp_path / "out"
-        code, stdout, err = run(capsys, "kg", command, str(graph), *rest, "--out", str(out))
+        code, stdout, err = run(capsys, *self.input_argv(directory, command, bad), "--out", str(out))
         assert (code, stdout) == (3, "")
         assert err == "error: line 3: invalid UTF-8 (invalid continuation byte)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("namespace,reason", [
+        ("http://a>b#", "holds '>', which no IRI in a dump can hold"),
+        ("http://a<b#", "holds '<', which no IRI in a dump can hold"),
+        ("http://a\nb#", "holds '\\n', which no IRI in a dump can hold"),
+        ("http://a\udcff#", "is not valid UTF-8"),  # an undecodable byte on the command line
+    ], ids=["gt", "lt", "line-feed", "not-utf8"])
+    @pytest.mark.parametrize("command", ["lower", "materialize", "extract"])
+    def test_namespace_a_dump_cannot_hold_is_a_usage_error(self, capsys, tmp_path, command,
+                                                           namespace, reason):
+        directory = self.seed(tmp_path)
+        graph = tmp_path / "g.nt"
+        assert run(capsys, "kg", "lower", *corpus_args(directory), "--out", str(graph))[0] == 0
+        if command == "lower":
+            argv = ["kg", "lower", *corpus_args(directory)]
+        else:
+            argv = self.input_argv(directory, command, graph)
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *argv, "--namespace", namespace, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.endswith(f"error: argument --namespace: {namespace!r} {reason}\n")
+        assert not out.exists()
+
+    def test_undecodable_namespace_byte_is_a_usage_error(self, tmp_path):
+        directory = self.seed(tmp_path)
+        out = tmp_path / "g.nt"
+        src = Path(vrannot.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "vrannot.cli", "kg", "lower", *corpus_args(directory),
+             "--namespace", b"http://a\xff#", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
+        )
+        assert (result.returncode, result.stdout) == (2, b"")
+        message = b"error: argument --namespace: 'http://a\\udcff#' is not valid UTF-8\n"
+        assert result.stderr.endswith(message)
         assert not out.exists()
 
 

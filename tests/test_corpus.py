@@ -1,5 +1,6 @@
 import errno
 import gc
+import io
 import itertools
 import json
 import os
@@ -22,22 +23,30 @@ from vrannot.corpus import (
     compute_stats,
     diff_corpora,
     find_exact_duplicates,
+    input_lines,
     load_corpus,
     load_master_list,
     read_input,
     save_corpus,
-    text_lines,
 )
 from vrannot.errors import (
     DuplicateMasterNameError,
     FileMissingError,
     IdOutOfRangeError,
     MalformedRecordError,
+    ParseError,
     UnknownNameError,
     VrannotError,
 )
 
-from helpers import LISTING_DIR, load_listing_corpus, random_corpus, random_vr
+from helpers import (
+    LISTING_DIR,
+    decode_utf8,
+    load_listing_corpus,
+    random_corpus,
+    random_vr,
+    text_lines,
+)
 
 
 def write_corpus_files(tmp_path, annotations, classes, predicates):
@@ -362,13 +371,68 @@ def load_outcome(loader, paths):
         return type(exc), str(exc)
 
 
+def read_pairs(lines) -> list[tuple[int, str]]:
+    """The pairs of a line reader; a line holding `bad` is refused, as a
+    parser refuses a malformed line."""
+    pairs = []
+    for line_no, line in lines:
+        if "bad" in line:
+            raise ParseError(line_no, "bad line")
+        pairs.append((line_no, line))
+    return pairs
+
+
+def whole_file_outcome(data: bytes):
+    try:
+        return read_pairs(text_lines(decode_utf8(data, ParseError)))
+    except VrannotError as exc:
+        return type(exc), str(exc)
+
+
+def streamed_outcome(data: bytes):
+    handle = io.BytesIO(data)
+    try:
+        with input_lines(handle, ParseError) as lines:
+            return read_pairs(lines)
+    except VrannotError as exc:
+        return type(exc), str(exc)
+    finally:
+        assert handle.closed
+
+
+LINE_PIECES = (b"a", b" b\t", b"#c", b"bad", b"\n", b"\n", b"\r\n", b"\r", "\x85".encode(),
+               "\u2028".encode(), "\u6771".encode(), b"\xff", b"\xe4", b"\xb8\xad", b"\xc3(",
+               b"\xed\xa0\x80", b"\xf0\x9f\x98")
+
+
 class TestLineReader:
     """The one reading policy of scripts, axiom files and dumps."""
 
     def test_lines_end_only_at_a_line_feed(self):
         text = "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i\r\n  # note\n\n \t\n  j \rk \x0c\n"
-        assert list(text_lines(text)) == [(1, "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i"),
-                                          (5, "j \rk")]
+        assert streamed_outcome(text.encode()) == [
+            (1, "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i"), (5, "j \rk")]
+
+    @pytest.mark.parametrize("data", [
+        b"a\n\xff\nb\n", b"a\nb\n\xf0\x9f\x98", b"a\n\xe4\n\xb8\xad\n", b"a\r\nb \r\n\r\n",
+        b"a\rb\r#c\n", "a\x85b\n\u2028\n#\u2028c\n".encode(), b"bad\na\n\xc3(\n",
+        b"a\nbad\n", b"\xff bad\n", b"", b"\n\n",
+    ], ids=["bad-byte-mid-file", "bad-byte-at-end", "split-across-line-break", "crlf", "bare-cr",
+            "unicode-breaks", "bad-line-before-bad-byte", "bad-line", "bad-byte-on-bad-line",
+            "empty", "blank"])
+    def test_matches_the_whole_file_reader(self, data):
+        assert streamed_outcome(data) == whole_file_outcome(data)
+
+    def test_matches_the_whole_file_reader_on_seeded_inputs(self):
+        rng = random.Random(1301)
+        kinds = Counter()
+        for _ in range(3000):
+            data = b"".join(rng.choice(LINE_PIECES) for _ in range(rng.randrange(12)))
+            expected = whole_file_outcome(data)
+            assert streamed_outcome(data) == expected, data
+            kinds[expected[1].split(": ", 1)[1][:7] if isinstance(expected, tuple) else "ok"] += 1
+        # lines read, bad lines and bad bytes were all reached
+        assert min(kinds[k] for k in ("ok", "bad lin", "invalid")) > 50, kinds
 
     def test_missing_input(self, tmp_path):
         with pytest.raises(FileMissingError) as err:

@@ -1,7 +1,8 @@
 """The streamed dump reader and the byte-line dump writer against whole-file oracles.
 
-`reference_load` is the whole-file reader: the dump is decoded in one piece,
-split into lines, and parsed by the same line loop as `load_store`.
+`reference_load` is the whole-file reader: the dump is decoded in one piece
+and split into lines (`helpers.decode_utf8` and `helpers.text_lines`), then
+parsed by the same line loop as `load_store`.
 `reference_dump` sorts the dump's lines as text, joins them and encodes the
 result.  The streamed forms must give the same store, bytes and errors.
 """
@@ -11,9 +12,9 @@ import tracemalloc
 
 import pytest
 
-from vrannot import corpus
-from vrannot.corpus import AnnotationCorpus, decode_utf8, text_lines
-from vrannot.errors import MalformedGraphError, VrannotError
+from vrannot import kg
+from vrannot.corpus import AnnotationCorpus
+from vrannot.errors import MalformedAxiomError, MalformedGraphError, VrannotError
 from vrannot.kg import (
     _LINE_RE,
     DEFAULT_NAMESPACE,
@@ -26,11 +27,12 @@ from vrannot.kg import (
     dump_store,
     format_term,
     load_store,
+    load_schema,
     lower_annotations,
     read_dump,
 )
 
-from helpers import random_class_names, random_predicate_names, random_vr
+from helpers import decode_utf8, random_class_names, random_predicate_names, random_vr, text_lines
 from test_corpus import FILENAME_ALPHABET, INTS
 
 
@@ -63,6 +65,11 @@ def streamed_load(data: bytes, path) -> GraphStore:
         return load_store(lines)
 
 
+def streamed_schema(data: bytes, path):
+    path.write_bytes(data)
+    return load_schema(path)
+
+
 def outcome(load, *args):
     """The dump of the loaded store, or the type and message of the error."""
     try:
@@ -88,7 +95,8 @@ def valid_dump(rng) -> bytes:
 BAD_UTF8 = (b"\xff", b"\xc3(", b"\xe4\xb8A", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf0\x9f\x98",
             b"\xe4\n\xb8\xad")
 BAD_OBJECTS = ('"x\\q"', '"x\\"', f'"1.5"^^<{XSD_INTEGER_IRI}>', f'""^^<{XSD_INTEGER_IRI}>',
-               f'"{"9" * 5000}"^^<{XSD_INTEGER_IRI}>', '"x"^^<http://example.org/t>', "naked")
+               f'"{"9" * 5000}"^^<{XSD_INTEGER_IRI}>', '"x"^^<http://example.org/t>', "naked",
+               "<b> <c>")
 
 
 def _at_line(rng, data: bytes, insert: bytes) -> bytes:
@@ -164,19 +172,35 @@ class TestStreamedReader:
         assert expected[0] is MalformedGraphError and expected[1].startswith(message)
         assert outcome(streamed_load, data, tmp_path / "g.nt") == expected
 
-    def test_failed_loads_close_the_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("load,error", [
+        (streamed_load, MalformedGraphError),
+        (streamed_schema, MalformedAxiomError),
+    ], ids=["dump", "axiom-file"])
+    def test_failed_loads_close_the_file(self, tmp_path, monkeypatch, load, error):
         opened = []
 
         def recording_open(path):
             opened.append(real_open(path))
             return opened[-1]
 
-        real_open = corpus._open_input
-        monkeypatch.setattr(corpus, "_open_input", recording_open)
+        real_open = kg._open_input
+        monkeypatch.setattr(kg, "_open_input", recording_open)
         for data in (b"garbage\n", b"\xff\n", b"garbage\n\xff\n", b"<a> <p> <b> .\n<a> <p>\n"):
-            with pytest.raises(MalformedGraphError):
-                streamed_load(data, tmp_path / "g.nt")
+            with pytest.raises(error):
+                load(data, tmp_path / "g.nt")
         assert len(opened) == 4 and all(handle.closed for handle in opened)
+
+    @pytest.mark.parametrize("line,term", [
+        (b"<a> <p> <b> <c> .", "<b> <c>"),
+        (b"<a> <p> <b> .\x01> .", "<b> .\x01>"),
+    ], ids=["two-objects", "runs-on-past-a-line"])
+    def test_an_object_iri_holding_an_angle_bracket_is_refused(self, tmp_path, line, term):
+        """As in subjects and predicates, `<` and `>` end an object IRI, so a
+        line that runs on past another line's ` .` cannot be read back."""
+        message = f"line 2: unreadable object term {term!r}"
+        data = b"<a> <p> <b> .\n" + line + b"\n"
+        assert outcome(reference_load, data) == (MalformedGraphError, message)
+        assert outcome(streamed_load, data, tmp_path / "g.nt") == (MalformedGraphError, message)
 
 
 def random_term(rng, kind: str):
@@ -198,15 +222,6 @@ class TestByteLineDump:
                 store.add(Triple(random_term(rng, "iri"), random_term(rng, "iri"),
                                  random_term(rng, kind)))
             assert dump_store(store).encode() == reference_dump(store)
-
-    def test_a_line_that_runs_on_past_another_sorts_after_it(self):
-        """Read back from a dump, an object IRI may hold ` .` and a control
-        character; the text order puts the shorter line first."""
-        data = f"<{DEFAULT_NAMESPACE}a> <{DEFAULT_NAMESPACE}p> <x> .\x01> .\n".encode()
-        store = reference_load(data + data.replace(b" .\x01> .", b" ."))
-        assert len(store) == 2
-        assert dump_store(store).encode() == reference_dump(store)
-        assert dump_store(store)[0].endswith(b"<x> .\n")
 
     def test_peak_memory_stays_near_the_dump_size(self):
         # One CJK filename would make a whole-dump str two bytes per character.

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 import re
@@ -10,7 +11,7 @@ from vrannot.corpus import (
     AnnotationCorpus,
     BoundingBox,
     VisualRelationship,
-    text_lines,
+    input_lines,
 )
 from vrannot.errors import (
     AmbiguousClassError,
@@ -59,7 +60,9 @@ def dump_text(store) -> str:
 
 
 def load_text(text: str, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
-    return load_store(text_lines(text), namespace)
+    with input_lines(io.BytesIO(text.encode("utf-8")),
+                     lambda line, reason: MalformedGraphError(f"line {line}: {reason}")) as lines:
+        return load_store(lines, namespace)
 
 
 def t(subject, predicate, object_):

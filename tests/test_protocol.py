@@ -144,8 +144,15 @@ class TestParse:
             parse_script(b"imname; a.jpg\ncvr\xffsoc\n")
         assert err.value.line == 2
 
+    def test_lone_surrogate_in_text(self):
+        """Text is read as its UTF-8 form, which a lone surrogate lacks."""
+        for source, line in [("imname; a\ud800.jpg\n", 1), ("# ok\nimname; a.jpg\n\udcff\n", 3)]:
+            with pytest.raises(ParseError) as err:
+                parse_script(source)
+            assert str(err.value) == f"line {line}: invalid UTF-8 (invalid continuation byte)"
+
     def test_lines_end_only_at_a_line_feed(self):
-        """Line numbers are those of `decode_utf8`, which counts only `\\n`."""
+        """Line numbers count only `\\n`, for text and bytes alike."""
         for source, line in [("imname; a\x0cb.jpg\nbogus; 0\n", 2),
                              (b"imname; a\x0cb.jpg\nbogus; 0\n", 2),
                              ("imname; a\u2028b\x85c\x1cd.jpg\n# x\x0by\nbogus; 0\n", 3)]:
@@ -259,6 +266,8 @@ class TestRender:
             ("a\nb.jpg", "dog", 3, "imname; a\nb.jpg"),
             ("a.jpg", "'dog'", 4, "rvrxxx; 0; ('dog', on, cat);"),  # would read back as dog
             ("a.jpg", "a,b", 4, "rvrxxx; 0; (a,b, on, cat);"),
+            ("a\udcff.jpg", "dog", 3, "imname; a\udcff.jpg"),  # no UTF-8 form
+            ("a.jpg", "d\ud800g", 4, "rvrxxx; 0; (d\ud800g, on, cat);"),
         ],
     )
     def test_unrepresentable_names_are_refused(self, filename, name, line, rendered):
