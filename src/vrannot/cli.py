@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import re
 import sys
 
 from . import analyze, kg, protocol, workflow
@@ -25,7 +24,7 @@ from .corpus import (
     replace_files,
     save_corpus,
 )
-from .errors import ConfigError, FileMissingError, StepFailedError, VrannotError
+from .errors import ConfigError, FileMissingError, MalformedGraphError, StepFailedError, VrannotError
 
 
 def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
@@ -42,12 +41,13 @@ def _add_format_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _namespace(text: str) -> str:
-    """A --namespace value; `<`, `>`, a line feed or no UTF-8 form is refused: no dump IRI holds it."""
-    bad = re.search(r"[<>\n\ud800-\udfff]", text)
-    if bad and bad[0] in "<>\n":
-        raise argparse.ArgumentTypeError(f"{text!r} holds {bad[0]!r}, which no IRI in a dump can hold")
-    if bad:  # a lone surrogate, as an undecodable command-line byte arrives
-        raise argparse.ArgumentTypeError(f"{text!r} is not valid UTF-8")
+    """A --namespace value; what no dump IRI holds (`kg.check_iri`) or no UTF-8 form is refused."""
+    try:
+        kg.check_iri(text).encode("utf-8")  # a lone surrogate, as an undecodable argv byte arrives
+    except MalformedGraphError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not valid UTF-8") from None
     return text
 
 

@@ -284,22 +284,24 @@ def load_master_list(path, what: str = "name") -> list[str]:
 
 _RECORD_KEYS = frozenset({"predicate", "subject", "object"})
 _OBJECT_KEYS = frozenset({"category", "bbox"})
+_new = tuple.__new__  # builds a named tuple from its fields without the generated Python `__new__`
 
 
 def _parse_annotated_object(raw: object, image: str, index: int, side: str) -> AnnotatedObject:
-    # The location string is built only on a raise; `type(x) is int` rejects bool.
-    if not isinstance(raw, dict) or raw.keys() != _OBJECT_KEYS:
-        raise MalformedRecordError(
-            f"{image}[{index}].{side}", "expected an object with keys 'category' and 'bbox'"
-        )
-    category, bbox = raw["category"], raw["bbox"]
-    if type(category) is not int:
-        raise MalformedRecordError(f"{image}[{index}].{side}", "category must be an integer")
-    if isinstance(bbox, list) and len(bbox) == 4:
-        ymin, ymax, xmin, xmax = bbox
-        if type(ymin) is type(ymax) is type(xmin) is type(xmax) is int:
-            return AnnotatedObject(category, BoundingBox(ymin, ymax, xmin, xmax))
-    raise MalformedRecordError(f"{image}[{index}].{side}", f"bbox must be 4 integers, got {bbox!r}")
+    # JSON yields exact classes, so `is int` tests suffice, and reject bool.  A
+    # value failing them is walked again by the ordered checks, which name it.
+    if raw.__class__ is dict and raw.keys() == _OBJECT_KEYS:
+        category, bbox = raw["category"], raw["bbox"]
+        if category.__class__ is int and bbox.__class__ is list and len(bbox) == 4:
+            ymin, ymax, xmin, xmax = bbox
+            if ymin.__class__ is ymax.__class__ is xmin.__class__ is xmax.__class__ is int:
+                return _new(AnnotatedObject, (category, _new(BoundingBox, bbox)))
+    where = f"{image}[{index}].{side}"
+    if raw.__class__ is not dict or raw.keys() != _OBJECT_KEYS:
+        raise MalformedRecordError(where, "expected an object with keys 'category' and 'bbox'")
+    if raw["category"].__class__ is not int:
+        raise MalformedRecordError(where, "category must be an integer")
+    raise MalformedRecordError(where, f"bbox must be 4 integers, got {raw['bbox']!r}")
 
 
 def _load_images(annotations_path, n_classes: int, n_predicates: int) -> dict:
@@ -316,12 +318,12 @@ def _load_images(annotations_path, n_classes: int, n_predicates: int) -> dict:
         # Immutable, so value-equal participants in one image can share one object.
         shared: dict[AnnotatedObject, AnnotatedObject] = {}
         for index, record in enumerate(records):
-            if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
+            if record.__class__ is not dict or record.keys() != _RECORD_KEYS:
                 raise MalformedRecordError(
                     f"{image}[{index}]", "expected keys 'predicate', 'subject' and 'object'"
                 )
             predicate = record["predicate"]
-            if type(predicate) is not int:
+            if predicate.__class__ is not int:
                 raise MalformedRecordError(f"{image}[{index}]", "predicate must be an integer")
             subject = _parse_annotated_object(record["subject"], image, index, "subject")
             obj = _parse_annotated_object(record["object"], image, index, "object")
@@ -331,9 +333,8 @@ def _load_images(annotations_path, n_classes: int, n_predicates: int) -> dict:
                 raise IdOutOfRangeError(image, index, "object.category", obj.class_id, n_classes)
             if not 0 <= predicate < n_predicates:
                 raise IdOutOfRangeError(image, index, "predicate", predicate, n_predicates)
-            subject = shared.setdefault(subject, subject)
-            obj = shared.setdefault(obj, obj)
-            vrs.append(VisualRelationship(subject, predicate, obj))
+            vrs.append(_new(VisualRelationship, (
+                shared.setdefault(subject, subject), predicate, shared.setdefault(obj, obj))))
         images[image] = vrs
     return images
 

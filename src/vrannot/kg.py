@@ -61,6 +61,15 @@ RESERVED_LOCALS = frozenset({IMAGE_CLASS, HAS_OBJECT, HAS_FILENAME, *COORDINATE_
 
 _LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _NESTED = re.compile(r"[/#]")  # past a namespace in an IRI, the mark of a longer namespace
+_IRI_BREAK = re.compile(r"[<>\n]")  # ends an IRI, or its line, in a dump
+
+
+def check_iri(text: str) -> str:
+    """`text`, if a dump can hold it inside an IRI; else MalformedGraphError."""
+    bad = _IRI_BREAK.search(text)
+    if bad:
+        raise MalformedGraphError(f"{text!r} holds {bad[0]!r}, which no IRI in a dump can hold")
+    return text
 
 
 @dataclass(frozen=True)
@@ -101,7 +110,7 @@ class GraphStore:
     methods encode and decode `Iri`/`Triple` values at the boundary."""
 
     def __init__(self, namespace: str = DEFAULT_NAMESPACE):
-        self.namespace = namespace
+        self.namespace = check_iri(namespace)
         self._ids: dict[str | tuple, int] = {}
         self._terms: list[str | tuple] = []
         self._triples: set[tuple[int, int, int]] = set()
@@ -139,7 +148,10 @@ class GraphStore:
         return self._encode(triple, self._ids.get) in self._triples
 
     def add(self, triple: Triple) -> bool:
-        """Insert; True when the triple is new."""
+        """Insert; True when the triple is new.  An IRI a dump cannot hold raises."""
+        for term in (triple.subject, triple.predicate, triple.object):
+            if isinstance(term, Iri):
+                check_iri(term.value)
         return self._add(self._encode(triple, self._id))
 
     def match(self, subject=None, predicate=None, object=None) -> list[Triple]:
@@ -616,17 +628,13 @@ class Dump(list):
 
 def dump_store(store: GraphStore) -> Dump:
     """One ` .`-terminated line per triple, sorted; each term is formatted and
-    encoded once.  UTF-8 bytes sort in code-point order, as text does.  Line
-    breaks are added after the sort, since a line may run on past the ` .` of
-    another with a byte below `\\n`.  Made subject by subject, the lines come
-    nearly sorted and in memory order."""
+    encoded once.  UTF-8 bytes sort in code-point order, as text does.  Made
+    subject by subject, the lines come nearly sorted and in memory order."""
     text = [(f"<{key}>" if key.__class__ is str else format_term(key[1])).encode("utf-8")
             for key in store._terms]
-    lines = Dump(b" ".join((text[s], text[p], text[o], b"."))
+    lines = Dump(b" ".join((text[s], text[p], text[o], b".\n"))
                  for triples in store._by_subject.values() for s, p, o in triples)
     lines.sort()
-    for i, line in enumerate(lines):
-        lines[i] = line + b"\n"
     return lines
 
 

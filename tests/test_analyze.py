@@ -547,6 +547,7 @@ class TestXmlEscaping:
             f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))"
         )
         result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, encoding="utf-8",
+            check=True,
         )
         assert result.stdout.strip() == "[]"

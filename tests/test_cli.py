@@ -67,7 +67,8 @@ class TestValidate:
     def test_duplicate_key_names_file(self, capsys, tmp_path):
         bad = tmp_path / "annotations.json"
         text = (LISTING_DIR / "annotations.json").read_text(encoding="utf-8")
-        bad.write_text(text.replace('{"predicate": 3,', '{"predicate": 3, "predicate": 3,', 1))
+        bad.write_text(text.replace('{"predicate": 3,', '{"predicate": 3, "predicate": 3,', 1),
+                       encoding="utf-8")
         args = corpus_args()
         args[1] = str(bad)
         code, out, err = run(capsys, "validate", *args)

@@ -53,9 +53,9 @@ def write_corpus_files(tmp_path, annotations, classes, predicates):
     a = tmp_path / "annotations.json"
     c = tmp_path / "classes.json"
     p = tmp_path / "predicates.json"
-    a.write_text(json.dumps(annotations))
-    c.write_text(json.dumps(classes))
-    p.write_text(json.dumps(predicates))
+    a.write_text(json.dumps(annotations), encoding="utf-8")
+    c.write_text(json.dumps(classes), encoding="utf-8")
+    p.write_text(json.dumps(predicates), encoding="utf-8")
     return a, c, p
 
 
@@ -107,7 +107,7 @@ class TestLoad:
     @pytest.mark.parametrize("master", [{"person": 0}, ["person", 1], "person", None])
     def test_master_list_must_be_an_array_of_strings(self, tmp_path, which, what, master):
         paths = list(write_corpus_files(tmp_path, {}, ["person"], ["on"]))
-        paths[which].write_text(json.dumps(master))
+        paths[which].write_text(json.dumps(master), encoding="utf-8")
         message = f"^{re.escape(str(paths[which]))}: {what} master list must be an array of strings$"
         with pytest.raises(MalformedRecordError, match=message):
             load_corpus(*paths)
@@ -115,7 +115,7 @@ class TestLoad:
     @pytest.mark.parametrize("which", [1, 2])
     def test_duplicate_key_in_master_list(self, tmp_path, which):
         paths = list(write_corpus_files(tmp_path, {}, ["person"], ["on"]))
-        paths[which].write_text('{"a": 1, "a": 2}')
+        paths[which].write_text('{"a": 1, "a": 2}', encoding="utf-8")
         message = f"^{re.escape(str(paths[which]))}: duplicate key 'a'$"
         with pytest.raises(MalformedRecordError, match=message):
             load_corpus(*paths)
@@ -123,7 +123,7 @@ class TestLoad:
     def test_duplicate_image_key(self, tmp_path):
         _, c, p = write_corpus_files(tmp_path, {}, ["person"], ["on"])
         a = tmp_path / "annotations.json"
-        a.write_text('{"a.jpg": [], "a.jpg": []}')
+        a.write_text('{"a.jpg": [], "a.jpg": []}', encoding="utf-8")
         with pytest.raises(MalformedRecordError):
             load_corpus(a, c, p)
 
@@ -160,7 +160,7 @@ class TestLoad:
     @pytest.mark.parametrize("which", [0, 1, 2])
     def test_deep_nesting_is_a_load_error(self, tmp_path, which):
         paths = write_corpus_files(tmp_path, {}, [], [])
-        paths[which].write_text("[" * 200_000)
+        paths[which].write_text("[" * 200_000, encoding="utf-8")
         with pytest.raises(MalformedRecordError, match="nested too deeply") as err:
             load_corpus(*paths)
         assert err.value.location == str(paths[which])
@@ -169,7 +169,7 @@ class TestLoad:
     def test_huge_integer_is_a_load_error(self, tmp_path, which):
         """More digits than int() converts (4300 by default) is malformed data."""
         paths = write_corpus_files(tmp_path, {}, [], [])
-        paths[which].write_text("[" + "9" * 5000 + "]")
+        paths[which].write_text("[" + "9" * 5000 + "]", encoding="utf-8")
         with pytest.raises(MalformedRecordError, match="integer literal has too many digits") as err:
             load_corpus(*paths)
         assert err.value.location == str(paths[which])
@@ -177,7 +177,7 @@ class TestLoad:
     def test_lone_surrogate_image_key(self, tmp_path):
         _, c, p = write_corpus_files(tmp_path, {}, [], [])
         a = tmp_path / "annotations.json"
-        a.write_text('{"a.jpg": [], "\\ud800.jpg": []}')
+        a.write_text('{"a.jpg": [], "\\ud800.jpg": []}', encoding="utf-8")
         with pytest.raises(MalformedRecordError, match=r"image key '\\ud800\.jpg'") as err:
             load_corpus(a, c, p)
         assert err.value.location == str(a)
@@ -185,21 +185,21 @@ class TestLoad:
     def test_lone_surrogate_after_an_earlier_problem(self, tmp_path):
         _, c, p = write_corpus_files(tmp_path, {}, [], [])
         a = tmp_path / "annotations.json"
-        a.write_text('{"a.jpg": 7, "\\udc00.jpg": []}')
+        a.write_text('{"a.jpg": 7, "\\udc00.jpg": []}', encoding="utf-8")
         with pytest.raises(MalformedRecordError, match="array of records"):
             load_corpus(a, c, p)
 
     @pytest.mark.parametrize("which,what", [(1, "object class name"), (2, "predicate name")])
     def test_lone_surrogate_master_name(self, tmp_path, which, what):
         paths = write_corpus_files(tmp_path, {}, ["person"], ["on"])
-        paths[which].write_text('["ok", "\\udfff"]')
+        paths[which].write_text('["ok", "\\udfff"]', encoding="utf-8")
         with pytest.raises(MalformedRecordError, match=what):
             load_corpus(*paths)
 
     def test_escaped_surrogate_pair_round_trips(self, tmp_path):
         _, c, p = write_corpus_files(tmp_path, {}, ["person"], ["on"])
         a = tmp_path / "annotations.json"
-        a.write_text('{"\\ud83d\\ude00.jpg": []}')
+        a.write_text('{"\\ud83d\\ude00.jpg": []}', encoding="utf-8")
         corpus = load_corpus(a, c, p)
         assert list(corpus.images) == ["\U0001f600.jpg"]
         save_corpus(corpus, tmp_path / "saved.json")
@@ -305,25 +305,43 @@ def with_repeat(mapping: dict, rng) -> Pairs:
     return pairs
 
 
-def mutate(raw: dict, rng, n_classes: int, n_predicates: int, touched: set):
-    """Apply one seeded single-field mutation to an image not yet in
-    `touched`; returns (kind, new root)."""
+MUTATION_KINDS = (
+    "drop record key", "extra record key", "drop object key", "extra object key",
+    "odd category", "odd predicate", "short bbox", "long bbox", "odd bbox value",
+    "bbox not a list", "category range", "predicate range", "non-dict record",
+    "non-dict object", "non-list image", "non-dict root", "repeat root key",
+    "repeat record key", "repeat object key",
+)
+# A participant retyped to hash and compare equal to an earlier one of its image:
+# `True == 1 == 1.0` and `7.0 == 7`, so only the type checks can refuse it.
+RETYPE_KINDS = ("category equal to an earlier one", "bbox value equal to an earlier one")
+
+
+def mutate(raw: dict, rng, n_classes: int, n_predicates: int, touched: set,
+           kinds=MUTATION_KINDS):
+    """Apply one seeded single-field mutation of one of `kinds` to an image
+    not yet in `touched`; returns (kind, new root)."""
     image = rng.choice([image for image, records in raw.items() if records and image not in touched])
     touched.add(image)
     records = raw[image]
     index = rng.randrange(len(records))
     record = records[index]
     side = rng.choice(("subject", "object"))
-    kind = rng.choice(
-        (
-            "drop record key", "extra record key", "drop object key", "extra object key",
-            "odd category", "odd predicate", "short bbox", "long bbox", "odd bbox value",
-            "bbox not a list", "category range", "predicate range", "non-dict record",
-            "non-dict object", "non-list image", "non-dict root", "repeat root key",
-            "repeat record key", "repeat object key",
-        )
-    )
-    if kind == "drop record key":
+    kind = rng.choice(kinds)
+    if kind in RETYPE_KINDS:
+        if (index, side) == (0, "subject"):
+            side = "object"
+        participants = [(i, s) for i in range(index + 1) for s in ("subject", "object")]
+        i, s = rng.choice(participants[:participants.index((index, side))])
+        category, bbox = records[i][s]["category"], list(records[i][s]["bbox"])
+        if kind == RETYPE_KINDS[0]:
+            category = rng.choice((float(category), bool(category)) if category in (0, 1)
+                                  else (float(category),))
+        else:
+            k = rng.randrange(4)
+            bbox[k] = float(bbox[k])
+        record[side] = {"category": category, "bbox": bbox}
+    elif kind == "drop record key":
         del record[rng.choice(sorted(record))]
     elif kind == "extra record key":
         record[rng.choice(("note", "score", "Predicate"))] = rng.choice((0, "x", None))
@@ -459,8 +477,8 @@ class TestLoaderOracle:
         c = tmp_path / "classes.json"
         p = tmp_path / "predicates.json"
         a.write_text(dumps(root), encoding="utf-8")
-        c.write_text(json.dumps(classes))
-        p.write_text(json.dumps(predicates))
+        c.write_text(json.dumps(classes), encoding="utf-8")
+        p.write_text(json.dumps(predicates), encoding="utf-8")
         expected = load_outcome(reference_load_corpus, (a, c, p))
         assert load_outcome(load_corpus, (a, c, p)) == expected
         return expected
@@ -551,7 +569,7 @@ class TestLoaderOracle:
         bad = write_corpus_files(
             bad_dir, {"a.jpg": [vr_record(3, [0, 1, 0, 1], 0, 0, [0, 1, 0, 1])]}, ["c"], ["p"]
         )
-        (bad_dir / "broken.json").write_text('{"a.jpg": [')
+        (bad_dir / "broken.json").write_text('{"a.jpg": [', encoding="utf-8")
         was_enabled = gc.isenabled()
         try:
             gc.enable() if enabled else gc.disable()
@@ -568,6 +586,45 @@ class TestLoaderOracle:
             assert gc.isenabled() is enabled
         finally:
             gc.enable() if was_enabled else gc.disable()
+
+
+class TestLoaderFastPath:
+    """The loader builds values without their Python constructors and tests
+    shapes by exact class; it must still refuse what the reference refuses."""
+
+    check = TestLoaderOracle.check
+
+    def test_retypes_equal_to_an_earlier_participant_are_refused(self, tmp_path):
+        rng = random.Random(47)
+        kinds = Counter()
+        for _ in range(120):
+            corpus = random_corpus(rng, max_images=4, max_vrs=5)
+            kind, root = mutate(raw_annotations(corpus), rng, len(corpus.object_class_names),
+                                len(corpus.predicate_names), set(), RETYPE_KINDS)
+            outcome = self.check(tmp_path, root, corpus.object_class_names, corpus.predicate_names)
+            assert outcome[0] is MalformedRecordError, (kind, root)
+            kinds[kind] += 1
+        assert min(kinds[kind] for kind in RETYPE_KINDS) > 30, kinds
+
+    def test_a_later_duplicate_key_wins_over_an_earlier_problem(self, tmp_path):
+        """Duplicate keys are found while the JSON is decoded, before any record is checked."""
+        lacking = vr_record(0, [0, 10, 0, 10], 0, 0, [5, 20, 5, 20])
+        del lacking["object"]
+        repeating = Pairs(vr_record(0, [0, 10, 0, 10], 0, 0, [5, 20, 5, 20]).items())
+        repeating.append(("predicate", 0))
+        outcome = self.check(tmp_path, {"x.jpg": [lacking], "y.jpg": [repeating]}, ["c"], ["p"])
+        assert outcome == (MalformedRecordError, f"{tmp_path / 'annotations.json'}: duplicate key 'predicate'")
+
+    def test_loaded_values_have_the_exact_types(self, tmp_path):
+        corpus = random_corpus(random.Random(53), max_images=12)
+        loaded = self.check(tmp_path, raw_annotations(corpus), corpus.object_class_names,
+                            corpus.predicate_names)
+        assert loaded == corpus
+        for vr in itertools.chain.from_iterable(loaded.images.values()):
+            assert type(vr) is VisualRelationship
+            for obj in (vr.subject, vr.object):
+                assert type(obj) is AnnotatedObject and type(obj.bbox) is BoundingBox
+                assert {type(value) for value in (vr.predicate_id, obj.class_id, *obj.bbox)} == {int}
 
 
 def plain(value):

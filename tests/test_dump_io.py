@@ -219,9 +219,38 @@ class TestByteLineDump:
             store = GraphStore()
             for _ in range(rng.randrange(0, 30)):
                 kind = rng.choice(("iri", "int", "str"))
-                store.add(Triple(random_term(rng, "iri"), random_term(rng, "iri"),
-                                 random_term(rng, kind)))
-            assert dump_store(store).encode() == reference_dump(store)
+                triple = Triple(random_term(rng, "iri"), random_term(rng, "iri"),
+                                random_term(rng, kind))
+                iris = [t.value for t in (triple.subject, triple.predicate, triple.object)
+                        if isinstance(t, Iri)]
+                if any(set(iri) & set("<>\n") for iri in iris):
+                    size = len(store)
+                    with pytest.raises(MalformedGraphError, match="which no IRI in a dump can hold"):
+                        store.add(triple)
+                    assert len(store) == size
+                else:
+                    store.add(triple)
+            data = dump_store(store).encode()
+            assert data == reference_dump(store)
+            assert outcome(reference_load, data) == data  # every store `add` builds reads back
+
+    @pytest.mark.parametrize("local", ["b> <c", "b<c", "b\nc"], ids=["two-terms", "lt", "line-feed"])
+    def test_no_store_holds_an_iri_a_dump_cannot(self, local):
+        ns, bad = DEFAULT_NAMESPACE, DEFAULT_NAMESPACE + local
+        for position in range(3):
+            store = GraphStore()
+            terms = [Iri(ns + "a"), Iri(ns + "p"), Iri(ns + "b")]
+            terms[position] = Iri(bad)
+            with pytest.raises(MalformedGraphError) as err:
+                store.add(Triple(*terms))
+            assert str(err.value) == f"{bad!r} holds {local[1]!r}, which no IRI in a dump can hold"
+            assert len(store) == 0 and store._terms == []
+        annotations = AnnotationCorpus({"a.jpg": []}, [], [])
+        for make in (GraphStore, lambda namespace: load_store([], namespace),
+                     lambda namespace: lower_annotations(annotations, default_schema(annotations),
+                                                         namespace)):
+            with pytest.raises(MalformedGraphError, match="which no IRI in a dump can hold"):
+                make(bad)
 
     def test_peak_memory_stays_near_the_dump_size(self):
         # One CJK filename would make a whole-dump str two bytes per character.

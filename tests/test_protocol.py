@@ -31,7 +31,7 @@ def block_kinds(block):
 
 class TestParse:
     def test_bundled_script_shape(self):
-        blocks = parse_script((LISTING_DIR / "script.txt").read_text())
+        blocks = parse_script((LISTING_DIR / "script.txt").read_text(encoding="utf-8"))
         assert len(blocks) == 5
         assert block_kinds(blocks[0]) == [K.CVRSOC, K.CVRSBB]
         assert block_kinds(blocks[1]) == [K.CVROOC, K.CVROBB]
@@ -195,7 +195,7 @@ class TestRender:
         return out
 
     def test_round_trip_bundled_script(self):
-        blocks = parse_script((LISTING_DIR / "script.txt").read_text())
+        blocks = parse_script((LISTING_DIR / "script.txt").read_text(encoding="utf-8"))
         again = parse_script(render_script(blocks))
         assert self.strip_lines(again) == self.strip_lines(blocks)
 
@@ -382,12 +382,13 @@ class TestApply:
     def test_input_corpus_never_mutated(self):
         corpus = load_listing_corpus()
         snapshot = canonical_annotations_bytes(corpus)
-        validate_and_apply(corpus, parse_script((LISTING_DIR / "script.txt").read_text()))
+        script = (LISTING_DIR / "script.txt").read_text(encoding="utf-8")
+        validate_and_apply(corpus, parse_script(script))
         assert canonical_annotations_bytes(corpus) == snapshot
 
     def test_full_script_against_expected(self):
         corpus = load_listing_corpus()
-        blocks = parse_script((LISTING_DIR / "script.txt").read_text())
+        blocks = parse_script((LISTING_DIR / "script.txt").read_text(encoding="utf-8"))
         result, report = validate_and_apply(corpus, blocks)
         assert result.images == load_listing_expected().images
         assert report.images_touched == 5
@@ -413,7 +414,7 @@ class TestApply:
 
     def test_report_matches_brute_force_diff(self):
         corpus = load_listing_corpus()
-        blocks = parse_script((LISTING_DIR / "script.txt").read_text())
+        blocks = parse_script((LISTING_DIR / "script.txt").read_text(encoding="utf-8"))
         result, report = validate_and_apply(corpus, blocks)
 
         def multisets(c):
