@@ -288,20 +288,19 @@ _new = tuple.__new__  # builds a named tuple from its fields without the generat
 
 
 def _parse_annotated_object(raw: object, image: str, index: int, side: str) -> AnnotatedObject:
-    # JSON yields exact classes, so `is int` tests suffice, and reject bool.  A
-    # value failing them is walked again by the ordered checks, which name it.
-    if raw.__class__ is dict and raw.keys() == _OBJECT_KEYS:
-        category, bbox = raw["category"], raw["bbox"]
-        if category.__class__ is int and bbox.__class__ is list and len(bbox) == 4:
-            ymin, ymax, xmin, xmax = bbox
-            if ymin.__class__ is ymax.__class__ is xmin.__class__ is xmax.__class__ is int:
-                return _new(AnnotatedObject, (category, _new(BoundingBox, bbox)))
-    where = f"{image}[{index}].{side}"
+    # The location string is built only on a raise; `x.__class__ is int` rejects bool.
     if raw.__class__ is not dict or raw.keys() != _OBJECT_KEYS:
-        raise MalformedRecordError(where, "expected an object with keys 'category' and 'bbox'")
-    if raw["category"].__class__ is not int:
-        raise MalformedRecordError(where, "category must be an integer")
-    raise MalformedRecordError(where, f"bbox must be 4 integers, got {raw['bbox']!r}")
+        raise MalformedRecordError(
+            f"{image}[{index}].{side}", "expected an object with keys 'category' and 'bbox'"
+        )
+    category, bbox = raw["category"], raw["bbox"]
+    if category.__class__ is not int:
+        raise MalformedRecordError(f"{image}[{index}].{side}", "category must be an integer")
+    if bbox.__class__ is list and len(bbox) == 4:
+        ymin, ymax, xmin, xmax = bbox
+        if ymin.__class__ is ymax.__class__ is xmin.__class__ is xmax.__class__ is int:
+            return _new(AnnotatedObject, (category, _new(BoundingBox, bbox)))
+    raise MalformedRecordError(f"{image}[{index}].{side}", f"bbox must be 4 integers, got {bbox!r}")
 
 
 def _load_images(annotations_path, n_classes: int, n_predicates: int) -> dict:
@@ -333,8 +332,9 @@ def _load_images(annotations_path, n_classes: int, n_predicates: int) -> dict:
                 raise IdOutOfRangeError(image, index, "object.category", obj.class_id, n_classes)
             if not 0 <= predicate < n_predicates:
                 raise IdOutOfRangeError(image, index, "predicate", predicate, n_predicates)
-            vrs.append(_new(VisualRelationship, (
-                shared.setdefault(subject, subject), predicate, shared.setdefault(obj, obj))))
+            subject = shared.setdefault(subject, subject)
+            obj = shared.setdefault(obj, obj)
+            vrs.append(_new(VisualRelationship, (subject, predicate, obj)))
         images[image] = vrs
     return images
 

@@ -345,7 +345,8 @@ def lower_annotations(
         return intern(namespace + local)
 
     def designations(names: list[str], mapping: dict[str, str]) -> list:  # (term, id) or None
-        return [(mapping[name], iri(mapping[name])) if name in mapping else None for name in names]
+        return [(mapping[name], iri(check_iri(mapping[name]))) if name in mapping else None
+                for name in names]
 
     class_terms = designations(corpus.object_class_names, schema.ann_classes)
     property_terms = designations(corpus.predicate_names, schema.ann_properties)
@@ -406,7 +407,7 @@ def materialize(store: GraphStore, schema: Schema) -> GraphStore:
     result = store.copy()
 
     def iri(local: str) -> int:
-        return result._id(store.namespace + local)
+        return result._id(check_iri(store.namespace + local))  # once per schema term use
 
     def links(pairs) -> dict[int, set[int]]:
         out: dict[int, set[int]] = {}

@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 from vrannot import kg
-from vrannot.corpus import AnnotationCorpus
+from vrannot.corpus import AnnotatedObject, AnnotationCorpus, BoundingBox, VisualRelationship
 from vrannot.errors import MalformedAxiomError, MalformedGraphError, VrannotError
 from vrannot.kg import (
     _LINE_RE,
@@ -21,6 +21,7 @@ from vrannot.kg import (
     XSD_INTEGER_IRI,
     GraphStore,
     Iri,
+    Schema,
     Triple,
     _object_key,
     default_schema,
@@ -29,6 +30,7 @@ from vrannot.kg import (
     load_store,
     load_schema,
     lower_annotations,
+    materialize,
     read_dump,
 )
 
@@ -251,6 +253,27 @@ class TestByteLineDump:
                                                          namespace)):
             with pytest.raises(MalformedGraphError, match="which no IRI in a dump can hold"):
                 make(bad)
+
+    @pytest.mark.parametrize("bad", ["a>b", "B> .\x01", "b\nc"], ids=["gt", "runs-on", "line-feed"])
+    def test_no_hand_built_schema_puts_such_an_iri_in_a_store(self, bad):
+        box = BoundingBox(0, 4, 0, 4)
+        vr = VisualRelationship(AnnotatedObject(0, box), 0, AnnotatedObject(0, box))
+        annotations = AnnotationCorpus({"a.jpg": [vr]}, ["person"], ["near"])
+        for ann_classes, ann_properties in (({"person": bad}, {"near": "near"}),
+                                            ({"person": "Person"}, {"near": bad})):
+            schema = Schema(classes={"Person"}, properties={"near"},
+                            ann_classes=ann_classes, ann_properties=ann_properties)
+            with pytest.raises(MalformedGraphError, match="which no IRI in a dump can hold"):
+                lower_annotations(annotations, schema)
+        store = lower_annotations(annotations, default_schema(annotations))
+        before = dump_store(store).encode()
+        for axioms in ({"subclass_of": [("Person", bad)]}, {"eq_class": [(bad, "Person")]},
+                       {"subprop_of": [("near", bad)]}, {"inverse_of": [(bad, "near")]},
+                       {"transitive": [bad]}, {"symmetric": [bad]},
+                       {"domain": [("near", bad)]}, {"range": [(bad, "Person")]}):
+            with pytest.raises(MalformedGraphError, match="which no IRI in a dump can hold"):
+                materialize(store, Schema(**axioms))
+        assert dump_store(store).encode() == before
 
     def test_peak_memory_stays_near_the_dump_size(self):
         # One CJK filename would make a whole-dump str two bytes per character.
