@@ -588,7 +588,7 @@ class TestLoaderOracle:
             gc.enable() if was_enabled else gc.disable()
 
 
-class TestLoaderFastPath:
+class TestLoaderExactTypes:
     """The loader builds values without their Python constructors and tests
     shapes by exact class; it must still refuse what the reference refuses."""
 
