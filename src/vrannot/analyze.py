@@ -9,18 +9,17 @@ the query operations exist to surface candidates for that kind of review.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .corpus import AnnotatedObject, AnnotationCorpus, BoundingBox, find_exact_duplicates, replace_files
+from .corpus import (METRICS, AnnotatedObject, AnnotationCorpus, BoundingBox, find_exact_duplicates,
+                     replace_files, strip_quotes)
 from .errors import ConfigError, DegenerateBoxError, IdOutOfRangeError, ImageNotFoundError
-from .protocol import strip_quotes
 
 WILDCARD = "*"
 
 
-@dataclass(frozen=True)
-class VRPattern:
+class VRPattern(NamedTuple):
     """A type query; None fields are wildcards."""
 
     subject: str | None
@@ -40,8 +39,7 @@ def parse_pattern(text: str) -> VRPattern:
     return VRPattern(*(None if p == WILDCARD else p for p in parts))
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     """Images matching a pattern plus the names seen at wildcard positions."""
 
     images: list[str]
@@ -98,17 +96,14 @@ def images_with_vr_count(corpus: AnnotationCorpus, target: int | range) -> list[
 # distributions
 # --------------------------------------------------------------------------
 
-_METRIC_VALUES = {  # metric -> its value for one image's VR list
-    "vrs_per_image": len,
-    "distinct_classes_per_image":
-        lambda vrs: len({o.class_id for vr in vrs for o in (vr.subject, vr.object)}),
-    "distinct_predicates_per_image": lambda vrs: len({vr.predicate_id for vr in vrs}),
-}
-METRICS = tuple(_METRIC_VALUES)
+_METRIC_VALUES = dict(zip(METRICS, (  # each metric, in METRICS order -> its value for one VR list
+    len,
+    lambda vrs: len({o.class_id for vr in vrs for o in (vr.subject, vr.object)}),
+    lambda vrs: len({vr.predicate_id for vr in vrs}),
+)))
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     metric: str
     buckets: list[tuple[int, int]]  # (value, image count), ascending by value
 
@@ -171,8 +166,7 @@ _SEVERITY = {
 }
 
 
-@dataclass(frozen=True)
-class LintFinding:
+class LintFinding(NamedTuple):
     rule: LintRule
     image: str
     detail: str

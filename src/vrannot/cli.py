@@ -4,17 +4,20 @@ One binary, one subcommand per operation.  Exit codes: 0 success, 1 lint
 findings under --strict, 2 usage error, 3 data error (malformed input,
 failed validation, aborted apply), 4 I/O error.  All output is a pure
 function of the inputs; nothing timestamped, nothing host-dependent.
+
+A handler imports the modules it runs (analyze, kg, protocol, workflow) when
+it is called, so a command loads only what it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
-from . import analyze, kg, protocol, workflow
 from .corpus import (
+    DEFAULT_NAMESPACE,
+    METRICS,
     AnnotationCorpus,
     compute_stats,
     diff_corpora,
@@ -41,14 +44,13 @@ def _add_format_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _namespace(text: str) -> str:
-    """A --namespace value; what no dump IRI holds (`kg.check_iri`) or no UTF-8 form is refused."""
+    """A --namespace value; what no dump IRI holds (`kg.check_iri`) is refused,
+    such as the lone surrogate an undecodable argv byte arrives as."""
+    from . import kg
     try:
-        kg.check_iri(text).encode("utf-8")  # a lone surrogate, as an undecodable argv byte arrives
+        return kg.check_iri(text)
     except MalformedGraphError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    except UnicodeEncodeError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not valid UTF-8") from None
-    return text
 
 
 def _load(args) -> "AnnotationCorpus":
@@ -74,6 +76,7 @@ def _cmd_validate(args) -> int:
 def _cmd_stats(args) -> int:
     corpus = _load(args)
     if args.distribution:
+        from . import analyze
         histogram = analyze.distribution(corpus, args.distribution)
         if args.format == "structured":
             _emit_structured({"metric": histogram.metric, "buckets": histogram.buckets})
@@ -111,6 +114,7 @@ def _parse_count(spec: str, corpus) -> "int | range":
 
 
 def _cmd_query(args) -> int:
+    from . import analyze
     corpus = _load(args)
     if args.count is not None:
         try:
@@ -143,6 +147,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_lint(args) -> int:
+    from . import analyze
     corpus = _load(args)
     findings = analyze.lint(corpus, near_dup_iou_threshold=args.threshold)
     if args.format == "structured":
@@ -158,12 +163,14 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_overlay(args) -> int:
+    from . import analyze
     corpus = _load(args)
     analyze.render_overlay(corpus, args.image, args.vr, args.out)
     return 0
 
 
 def _cmd_apply(args) -> int:
+    from . import protocol
     corpus = _load(args)
     blocks = protocol.parse_script(read_input(args.script))
     result, report = protocol.validate_and_apply(corpus, blocks)
@@ -177,6 +184,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_workflow_run(args) -> int:
+    from . import workflow
     config = workflow.load_workflow_config(args.config)
     report = workflow.run_workflow_files(config)
     for step in report.steps:
@@ -191,12 +199,14 @@ def _cmd_workflow_run(args) -> int:
 
 
 def _schema_for(args, corpus) -> "kg.Schema":
+    from . import kg
     if args.schema:
         return kg.load_schema(args.schema)
     return kg.default_schema(corpus)
 
 
 def _cmd_kg_lower(args) -> int:
+    from . import kg
     corpus = _load(args)
     schema = _schema_for(args, corpus)
     store = kg.lower_annotations(corpus, schema, namespace=args.namespace, image=args.image)
@@ -206,6 +216,7 @@ def _cmd_kg_lower(args) -> int:
 
 
 def _cmd_kg_materialize(args) -> int:
+    from . import kg
     schema = kg.load_schema(args.schema)
     with kg.read_dump(args.graph) as lines:
         store = kg.load_store(lines, namespace=args.namespace)
@@ -216,6 +227,7 @@ def _cmd_kg_materialize(args) -> int:
 
 
 def _cmd_kg_extract(args) -> int:
+    from . import kg
     classes = load_master_list(args.classes, "object class")
     predicates = load_master_list(args.predicates, "predicate")
     with kg.read_dump(args.graph) as lines:
@@ -237,7 +249,7 @@ def _cmd_diff(args) -> int:
     diff = diff_corpora(before, after)
     totals = {name: getattr(diff, name) for name in _DIFF_TOTALS}
     if args.format == "structured":
-        _emit_structured({"images": [dataclasses.asdict(delta) for delta in diff.deltas], **totals})
+        _emit_structured({"images": [delta._asdict() for delta in diff.deltas], **totals})
         return 0
     for delta in diff.deltas:
         if delta.status == "modified":
@@ -272,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_arguments(p)
     _add_format_argument(p)
     p.add_argument(
-        "--distribution", choices=analyze.METRICS, help="print a per-image histogram instead"
+        "--distribution", choices=METRICS, help="print a per-image histogram instead"
     )
     p.set_defaults(handler=_cmd_stats)
 
@@ -316,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = kgsub.add_parser("lower", help="lower a corpus to a triple dump")
     _add_corpus_arguments(p)
     p.add_argument("--schema", help="axiom file; omitted = designations derived from names")
-    p.add_argument("--namespace", type=_namespace, default=kg.DEFAULT_NAMESPACE)
+    p.add_argument("--namespace", type=_namespace, default=DEFAULT_NAMESPACE)
     p.add_argument("--image", help="lower only this image")
     p.add_argument("--out", required=True, help="output triple dump path")
     p.set_defaults(handler=_cmd_kg_lower)
@@ -324,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = kgsub.add_parser("materialize", help="compute the inference closure of a dump")
     p.add_argument("graph", help="input triple dump")
     p.add_argument("--schema", required=True, help="axiom file")
-    p.add_argument("--namespace", type=_namespace, default=kg.DEFAULT_NAMESPACE)
+    p.add_argument("--namespace", type=_namespace, default=DEFAULT_NAMESPACE)
     p.add_argument("--out", required=True, help="output triple dump path")
     p.set_defaults(handler=_cmd_kg_materialize)
 
@@ -333,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", help="axiom file; omitted = designations derived from names")
     p.add_argument("--classes", required=True, help="object-class master list")
     p.add_argument("--predicates", required=True, help="predicate master list")
-    p.add_argument("--namespace", type=_namespace, default=kg.DEFAULT_NAMESPACE)
+    p.add_argument("--namespace", type=_namespace, default=DEFAULT_NAMESPACE)
     p.add_argument("--out", required=True, help="output annotations path")
     p.set_defaults(handler=_cmd_kg_extract)
 

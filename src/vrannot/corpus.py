@@ -25,8 +25,6 @@ import json
 import os
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
@@ -39,6 +37,10 @@ from .errors import (
     UnknownNameError,
     VrannotError,
 )
+
+# Named here, where the CLI parser reads them without importing `analyze` or `kg`.
+METRICS = ("vrs_per_image", "distinct_classes_per_image", "distinct_predicates_per_image")
+DEFAULT_NAMESPACE = "http://example.org/vrannot#"
 
 
 class BoundingBox(NamedTuple):
@@ -70,21 +72,30 @@ class VisualRelationship(NamedTuple):
     object: AnnotatedObject
 
 
-@dataclass
 class AnnotationCorpus:
     """In-memory corpus: per-image relationship lists plus the master lists.
 
     `retired_class_ids` / `retired_predicate_ids` mark names tombstoned by a
     merge during the current run.  Retired ids keep their master-list slot
     (so ids never shift mid-run) but their names no longer resolve.  The sets
-    are runtime state only; they are not serialized.
+    are runtime state only; they are not serialized.  Corpora compare equal
+    field by field.
     """
 
-    images: dict[str, list[VisualRelationship]] = field(default_factory=dict)
-    object_class_names: list[str] = field(default_factory=list)
-    predicate_names: list[str] = field(default_factory=list)
-    retired_class_ids: set[int] = field(default_factory=set)
-    retired_predicate_ids: set[int] = field(default_factory=set)
+    def __init__(self, images=None, object_class_names=None, predicate_names=None,
+                 retired_class_ids=None, retired_predicate_ids=None):
+        self.images: dict[str, list[VisualRelationship]] = {} if images is None else images
+        self.object_class_names: list[str] = [] if object_class_names is None else object_class_names
+        self.predicate_names: list[str] = [] if predicate_names is None else predicate_names
+        self.retired_class_ids: set[int] = set() if retired_class_ids is None else retired_class_ids
+        self.retired_predicate_ids: set[int] = (
+            set() if retired_predicate_ids is None else retired_predicate_ids)
+
+    def __eq__(self, other):  # defining it leaves the corpus unhashable, as it is mutable
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"AnnotationCorpus({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def vr_count(self) -> int:
@@ -158,8 +169,18 @@ def _live_id(names: list[str], retired: set[int], name: str, what: str) -> int:
     return index
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+# Quotes that may wrap a name in a script or a query pattern.
+_OPEN_QUOTES = "`'\"‘“"
+_CLOSE_QUOTES = "'\"’”"
+
+
+def strip_quotes(name: str) -> str:
+    if len(name) >= 2 and name[0] in _OPEN_QUOTES and name[-1] in _CLOSE_QUOTES:
+        return name[1:-1].strip()
+    return name
+
+
+class CorpusStats(NamedTuple):
     """Headline corpus counts.
 
     `mean_vrs_per_image` is rounded half-up to 2 decimals for display; the
@@ -510,10 +531,10 @@ def find_exact_duplicates(vrs: list[VisualRelationship]) -> list[tuple[int, int]
 
 
 def _round_half_up(numerator: int, denominator: int) -> float:
+    """numerator / denominator (both >= 0) rounded half-up to 2 decimals, exactly."""
     if denominator == 0:
         return 0.0
-    exact = Decimal(numerator) / Decimal(denominator)
-    return float(exact.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return (200 * numerator + denominator) // (2 * denominator) / 100
 
 
 def compute_stats(corpus: AnnotationCorpus) -> CorpusStats:
@@ -538,8 +559,7 @@ def compute_stats(corpus: AnnotationCorpus) -> CorpusStats:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ImageDelta:
+class ImageDelta(NamedTuple):
     """Value delta of one image entry between two corpora.
 
     VRs are compared by resolved names and boxes (robust to id renumbering).
@@ -554,8 +574,7 @@ class ImageDelta:
     removed: int = 0
 
 
-@dataclass(frozen=True)
-class CorpusDiff:
+class CorpusDiff(NamedTuple):
     deltas: list[ImageDelta]
 
     @property

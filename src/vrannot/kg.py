@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from urllib.parse import quote
 
 from .corpus import (
+    DEFAULT_NAMESPACE,
     AnnotatedObject,
     AnnotationCorpus,
     BoundingBox,
@@ -49,7 +50,6 @@ from .errors import (
     UnmappedNameError,
 )
 
-DEFAULT_NAMESPACE = "http://example.org/vrannot#"
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 XSD_INTEGER_IRI = "http://www.w3.org/2001/XMLSchema#integer"
 
@@ -62,6 +62,7 @@ RESERVED_LOCALS = frozenset({IMAGE_CLASS, HAS_OBJECT, HAS_FILENAME, *COORDINATE_
 _LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _NESTED = re.compile(r"[/#]")  # past a namespace in an IRI, the mark of a longer namespace
 _IRI_BREAK = re.compile(r"[<>\n]")  # ends an IRI, or its line, in a dump
+_SURROGATE = re.compile(r"[\ud800-\udfff]")  # a lone surrogate has no UTF-8 form
 
 
 def check_iri(text: str) -> str:
@@ -69,6 +70,8 @@ def check_iri(text: str) -> str:
     bad = _IRI_BREAK.search(text)
     if bad:
         raise MalformedGraphError(f"{text!r} holds {bad[0]!r}, which no IRI in a dump can hold")
+    if _SURROGATE.search(text):
+        raise MalformedGraphError(f"{text!r} is not valid UTF-8")
     return text
 
 
@@ -148,10 +151,12 @@ class GraphStore:
         return self._encode(triple, self._ids.get) in self._triples
 
     def add(self, triple: Triple) -> bool:
-        """Insert; True when the triple is new.  An IRI a dump cannot hold raises."""
+        """Insert; True when the triple is new.  A term a dump cannot hold raises."""
         for term in (triple.subject, triple.predicate, triple.object):
             if isinstance(term, Iri):
                 check_iri(term.value)
+            elif isinstance(term, str) and _SURROGATE.search(term):
+                raise MalformedGraphError(f"literal {term!r} is not valid UTF-8")
         return self._add(self._encode(triple, self._id))
 
     def match(self, subject=None, predicate=None, object=None) -> list[Triple]:

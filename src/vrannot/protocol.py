@@ -41,6 +41,7 @@ from .corpus import (
     VisualRelationship,
     diff_corpora,
     input_lines,
+    strip_quotes,
 )
 from .errors import ApplyError, ParseError, UnknownNameError
 
@@ -101,15 +102,7 @@ class ImageBlock:
 # parsing
 # --------------------------------------------------------------------------
 
-_OPEN_QUOTES = "`'\"‘“"
-_CLOSE_QUOTES = "'\"’”"
 _INT_RE = re.compile(r"-?\d+$")
-
-
-def strip_quotes(name: str) -> str:
-    if len(name) >= 2 and name[0] in _OPEN_QUOTES and name[-1] in _CLOSE_QUOTES:
-        return name[1:-1].strip()
-    return name
 
 
 def _parse_index(text: str, line: int) -> int:

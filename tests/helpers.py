@@ -122,3 +122,18 @@ def text_lines(text: str):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line_no, line
+
+
+def check_result_tuple(value, text: str) -> None:
+    """A result named tuple has the repr `text`, equals its rebuilt twin and
+    no changed copy, and refuses assignment to each field."""
+    assert repr(value) == text
+    twin = type(value)(*value)
+    assert twin == value and not twin != value
+    assert value != type(value)(*value[:-1], "other")
+    for name in type(value)._fields:
+        try:
+            setattr(value, name, None)
+        except AttributeError:
+            continue
+        raise AssertionError(f"{type(value).__name__}.{name} is assignable")

@@ -11,7 +11,10 @@ import pytest
 import vrannot
 from vrannot.analyze import (
     METRICS,
+    Histogram,
+    LintFinding,
     LintRule,
+    QueryResult,
     VRPattern,
     distribution,
     format_findings,
@@ -39,7 +42,7 @@ from vrannot.errors import (
 )
 from vrannot.workflow import dedup_vrs
 
-from helpers import load_listing_corpus, random_bbox, random_corpus
+from helpers import check_result_tuple, load_listing_corpus, random_bbox, random_corpus
 
 CLASSES = ["person", "jacket", "watch", "dog", "hat", "road", "street"]
 PREDICATES = ["wear", "on", "beside"]
@@ -422,6 +425,28 @@ class TestLint:
 
             actual = Counter((f.image, f.rule) for f in lint(corpus, threshold))
             assert actual == naive
+
+
+class TestResultTuples:
+    """The result types keep the repr text, equality and immutability they
+    had as frozen dataclasses."""
+
+    @pytest.mark.parametrize("value,text", [
+        (VRPattern("person", None, "dog"), "VRPattern(subject='person', predicate=None, object='dog')"),
+        (QueryResult(["a.jpg"], {"predicate": ["on"]}),
+         "QueryResult(images=['a.jpg'], bindings={'predicate': ['on']})"),
+        (Histogram("vrs_per_image", [(1, 2), (3, 1)]),
+         "Histogram(metric='vrs_per_image', buckets=[(1, 2), (3, 1)])"),
+        (LintFinding(LintRule.EMPTY_IMAGE_ENTRY, "a.jpg", "no relationships", "warning"),
+         "LintFinding(rule=<LintRule.EMPTY_IMAGE_ENTRY: 'EmptyImageEntry'>, image='a.jpg', "
+         "detail='no relationships', severity='warning')"),
+    ], ids=["pattern", "query", "histogram", "finding"])
+    def test_repr_equality_and_immutability(self, value, text):
+        check_result_tuple(value, text)
+
+    def test_histogram_population(self):
+        assert Histogram("vrs_per_image", [(1, 2), (3, 1)]).population == 3
+        assert distribution(small_corpus(), "vrs_per_image").population == len(small_corpus().images)
 
 
 class TestFormatFindings:

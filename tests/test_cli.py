@@ -16,6 +16,7 @@ from vrannot.corpus import canonical_annotations_bytes, load_corpus, save_corpus
 from vrannot.kg import load_store, read_dump
 
 from helpers import DEMO_DIR, LISTING_DIR, load_listing_corpus, load_listing_expected
+from test_corpus import write_corpus_files
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -918,6 +919,37 @@ class TestDiff:
         assert payload["vrs_added"] == 1
         assert payload["images_removed"] == 1
         assert len(payload["images"]) == 5
+
+    def test_structured_bytes(self, capsys, tmp_path):
+        """Each delta is its fields as a JSON object; the bytes are fixed."""
+        def vr(predicate, box):
+            return {"subject": {"category": 0, "bbox": box}, "predicate": predicate,
+                    "object": {"category": 1, "bbox": [0, 5, 0, 5]}}
+
+        sides = {
+            "before": {"a.jpg": [vr(0, [1, 2, 3, 4])],
+                       "b.jpg": [vr(0, [1, 2, 3, 4]), vr(1, [2, 3, 4, 5])]},
+            "after": {"b.jpg": [vr(1, [2, 3, 4, 5]), vr(1, [1, 2, 3, 4]), vr(1, [1, 2, 3, 4])],
+                      'c "q" 東.jpg': []},
+        }
+        argv = []
+        for side, annotations in sides.items():
+            (tmp_path / side).mkdir()
+            argv += map(str, write_corpus_files(tmp_path / side, annotations,
+                                                ["person", "dog"], ["near", "on"]))
+        code, out, _ = run(capsys, "diff", *argv, "--format", "structured")
+        assert code == 0
+        deltas = [("a.jpg", "removed", 0, 0, 0), ("b.jpg", "modified", 1, 1, 0),
+                  ('c \\"q\\" 東.jpg', "added", 0, 0, 0)]
+        images = ",\n".join(
+            f'    {{\n      "added": {a},\n      "changed": {c},\n      "filename": "{name}",\n'
+            f'      "removed": {r},\n      "status": "{status}"\n    }}'
+            for name, status, c, a, r in deltas
+        )
+        assert out == (
+            f'{{\n  "images": [\n{images}\n  ],\n  "images_added": 1,\n  "images_removed": 1,\n'
+            '  "images_touched": 3,\n  "vrs_added": 1,\n  "vrs_changed": 1,\n  "vrs_removed": 0\n}\n'
+        )
 
     def test_identical_corpora(self, capsys):
         left = [

@@ -9,6 +9,7 @@ import re
 import stat
 import tracemalloc
 from collections import Counter
+from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,11 @@ from vrannot.corpus import (
     AnnotatedObject,
     AnnotationCorpus,
     BoundingBox,
+    CorpusDiff,
+    CorpusStats,
+    ImageDelta,
     VisualRelationship,
+    _round_half_up,
     canonical_annotations_bytes,
     canonical_master_list_bytes,
     compute_stats,
@@ -41,6 +46,7 @@ from vrannot.errors import (
 
 from helpers import (
     LISTING_DIR,
+    check_result_tuple,
     decode_utf8,
     load_listing_corpus,
     random_corpus,
@@ -1008,6 +1014,23 @@ class TestStats:
         corpus = AnnotationCorpus(images, ["u", "v"], ["p"])
         assert compute_stats(corpus).mean_vrs_per_image == 0.63
 
+    def test_round_half_up_matches_the_decimal_reference(self):
+        def reference(numerator, denominator):
+            if denominator == 0:
+                return 0.0
+            exact = Decimal(numerator) / Decimal(denominator)
+            return float(exact.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+        halves = [(5, 8), (1, 8), (3, 8), (7, 8), (1, 200), (3, 200), (1, 40), (201, 200), (0, 3)]
+        assert [_round_half_up(n, d) for n, d in halves[:3]] == [0.63, 0.13, 0.38]
+        rng = random.Random(4242)
+        pairs = halves + [(rng.randrange(0, 10 ** rng.randrange(1, 12)), rng.randrange(1, 10 ** 6))
+                          for _ in range(20000)]
+        pairs += [(k, d) for d in (0, 1, 2, 3, 7, 8, 16, 40, 200, 400, 1000) for k in range(0, 2001)]
+        for numerator, denominator in pairs:
+            assert _round_half_up(numerator, denominator) == reference(numerator, denominator), (
+                numerator, denominator)
+
     def test_listing_fixture_counts(self):
         stats = compute_stats(load_listing_corpus())
         assert stats.object_class_count == 14
@@ -1199,3 +1222,71 @@ class TestDiff:
         clone.object_class_names.append("extra")
         assert len(corpus.images[image]) + 1 == len(clone.images[image])
         assert "extra" not in corpus.object_class_names
+
+
+class TestResultTuples:
+    """The result types keep the repr text, equality and immutability they
+    had as frozen dataclasses."""
+
+    @pytest.mark.parametrize("value,text", [
+        (CorpusStats(3, 2, 5, 8, 1.6, 1),
+         "CorpusStats(object_class_count=3, predicate_count=2, image_count=5, vr_count=8, "
+         "mean_vrs_per_image=1.6, images_with_exact_duplicate_vrs=1)"),
+        (ImageDelta("a.jpg", "added"),
+         "ImageDelta(filename='a.jpg', status='added', changed=0, added=0, removed=0)"),
+        (ImageDelta('b"\'.jpg', "modified", changed=1, added=2, removed=3),
+         "ImageDelta(filename='b\"\\'.jpg', status='modified', changed=1, added=2, removed=3)"),
+        (CorpusDiff([ImageDelta("a.jpg", "removed")]),
+         "CorpusDiff(deltas=[ImageDelta(filename='a.jpg', status='removed', changed=0, added=0, "
+         "removed=0)])"),
+    ], ids=["stats", "delta", "delta-quotes", "diff"])
+    def test_repr_equality_and_immutability(self, value, text):
+        check_result_tuple(value, text)
+
+    def test_diff_totals(self):
+        diff = CorpusDiff([ImageDelta("a.jpg", "removed"), ImageDelta("b.jpg", "added"),
+                           ImageDelta("c.jpg", "modified", changed=1, added=2, removed=3)])
+        totals = (diff.images_touched, diff.images_added, diff.images_removed,
+                  diff.vrs_changed, diff.vrs_added, diff.vrs_removed)
+        assert totals == (3, 1, 1, 1, 2, 3)
+        assert diff.deltas[2]._asdict() == {"filename": "c.jpg", "status": "modified",
+                                            "changed": 1, "added": 2, "removed": 3}
+
+
+class TestCorpusClass:
+    def test_defaults_are_fresh_and_empty(self):
+        first, second = AnnotationCorpus(), AnnotationCorpus()
+        first.images["a.jpg"] = []
+        first.object_class_names.append("x")
+        first.retired_class_ids.add(0)
+        assert (second.images, second.object_class_names, second.predicate_names,
+                second.retired_class_ids, second.retired_predicate_ids) == ({}, [], [], set(), set())
+
+    def test_given_containers_are_kept_not_copied(self):
+        images, classes, predicates, retired = {}, [], [], set()
+        corpus = AnnotationCorpus(images, classes, predicates, retired_predicate_ids=retired)
+        assert corpus.images is images and corpus.object_class_names is classes
+        assert corpus.predicate_names is predicates and corpus.retired_predicate_ids is retired
+
+    def test_equality_is_field_wise(self):
+        corpus = load_listing_corpus()
+        assert corpus == corpus.copy() and not corpus != corpus.copy()
+        for name, change in (("images", lambda c: c.images.popitem()),
+                             ("object_class_names", lambda c: c.object_class_names.append("z")),
+                             ("predicate_names", lambda c: c.predicate_names.append("z")),
+                             ("retired_class_ids", lambda c: c.retired_class_ids.add(0)),
+                             ("retired_predicate_ids", lambda c: c.retired_predicate_ids.add(0))):
+            other = corpus.copy()
+            change(other)
+            assert other != corpus, name
+        assert corpus != (corpus.images, corpus.object_class_names, corpus.predicate_names)
+        with pytest.raises(TypeError):
+            hash(corpus)
+
+    def test_attributes_are_reassignable_and_repr_names_them(self):
+        corpus = AnnotationCorpus({"a.jpg": []}, ["x"], ["y"])
+        corpus.images = {}
+        assert corpus == AnnotationCorpus({}, ["x"], ["y"])
+        assert repr(corpus) == ("AnnotationCorpus(images={}, object_class_names=['x'], "
+                                "predicate_names=['y'], retired_class_ids=set(), "
+                                "retired_predicate_ids=set())")

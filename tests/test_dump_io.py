@@ -207,34 +207,82 @@ class TestStreamedReader:
 
 def random_term(rng, kind: str):
     if kind == "iri":
-        local = rng.choice(("a", "b", "a b", "b> .\x01", "b> .", "東", "\U0001f600"))
+        local = rng.choice(("a", "b", "a b", "b> .\x01", "b> .", "東", "\U0001f600", "a\udcff"))
         return Iri(DEFAULT_NAMESPACE + local + exotic_text(rng))
     if kind == "int":
         return rng.choice(INTS)
-    return exotic_text(rng) + rng.choice(('"', "\\", "\x01", "京", "\U0001f600", ""))
+    return exotic_text(rng) + rng.choice(('"', "\\", "\x01", "京", "\U0001f600", "", "\ud800"))
+
+
+def dump_cannot_hold(term) -> bool:
+    """An IRI holding `<`, `>` or a line feed, or any text term holding a lone surrogate."""
+    text = term.value if isinstance(term, Iri) else term
+    if not isinstance(text, str):
+        return False
+    return bool(isinstance(term, Iri) and set(text) & set("<>\n")
+                or any("\ud800" <= c <= "\udfff" for c in text))
 
 
 class TestByteLineDump:
-    def test_matches_the_sorted_text_dump_on_seeded_stores(self):
+    def test_matches_the_sorted_text_dump_on_seeded_stores(self, tmp_path):
         rng = random.Random(1202)
+        refused = 0
         for _ in range(300):
             store = GraphStore()
             for _ in range(rng.randrange(0, 30)):
                 kind = rng.choice(("iri", "int", "str"))
                 triple = Triple(random_term(rng, "iri"), random_term(rng, "iri"),
                                 random_term(rng, kind))
-                iris = [t.value for t in (triple.subject, triple.predicate, triple.object)
-                        if isinstance(t, Iri)]
-                if any(set(iri) & set("<>\n") for iri in iris):
+                if any(map(dump_cannot_hold, (triple.subject, triple.predicate, triple.object))):
                     size = len(store)
-                    with pytest.raises(MalformedGraphError, match="which no IRI in a dump can hold"):
+                    with pytest.raises(MalformedGraphError,
+                                       match="which no IRI in a dump can hold|is not valid UTF-8"):
                         store.add(triple)
                     assert len(store) == size
+                    refused += 1
                 else:
                     store.add(triple)
             data = dump_store(store).encode()
             assert data == reference_dump(store)
-            assert outcome(reference_load, data) == data  # every store `add` builds reads back
+            # every store `add` builds reads back, through either reader
+            assert outcome(reference_load, data) == data
+            assert outcome(streamed_load, data, tmp_path / "g.nt") == data
+        assert refused > 100
+
+    def test_no_store_holds_a_lone_surrogate(self):
+        """A lone surrogate has no UTF-8 form, so no dump could hold it."""
+        ns = DEFAULT_NAMESPACE
+        store = GraphStore()
+        with pytest.raises(MalformedGraphError) as err:
+            store.add(Triple(Iri(ns + "a"), Iri(ns + "p"), "\ud800"))
+        assert str(err.value) == "literal '\\ud800' is not valid UTF-8"
+        for position in range(3):
+            terms = [Iri(ns + "a"), Iri(ns + "p"), Iri(ns + "b")]
+            terms[position] = Iri(ns + "a\udcff")
+            with pytest.raises(MalformedGraphError) as err:
+                store.add(Triple(*terms))
+            assert str(err.value) == f"{ns + 'a' + chr(0xDCFF)!r} is not valid UTF-8"
+        assert len(store) == 0 and store._terms == []
+        # `<`, `>` or a line feed is named first, wherever the surrogate is
+        with pytest.raises(MalformedGraphError, match="holds '<'"):
+            store.add(Triple(Iri(ns + "\ud800<"), Iri(ns + "p"), Iri(ns + "b")))
+        bad = "http://a\udcff#"
+        annotations = AnnotationCorpus({"a.jpg": []}, [], [])
+        for make in (GraphStore, lambda namespace: load_store([], namespace),
+                     lambda namespace: lower_annotations(annotations, default_schema(annotations),
+                                                         namespace)):
+            with pytest.raises(MalformedGraphError, match="is not valid UTF-8"):
+                make(bad)
+        box = BoundingBox(0, 4, 0, 4)
+        vr = VisualRelationship(AnnotatedObject(0, box), 0, AnnotatedObject(0, box))
+        annotations = AnnotationCorpus({"a.jpg": [vr]}, ["person"], ["near"])
+        schema = Schema(classes={"Person"}, properties={"near"},
+                        ann_classes={"person": "P\ud800"}, ann_properties={"near": "near"})
+        with pytest.raises(MalformedGraphError, match="is not valid UTF-8"):
+            lower_annotations(annotations, schema)
+        store = lower_annotations(annotations, default_schema(annotations))
+        with pytest.raises(MalformedGraphError, match="is not valid UTF-8"):
+            materialize(store, Schema(symmetric=["near\udfff"]))
 
     @pytest.mark.parametrize("local", ["b> <c", "b<c", "b\nc"], ids=["two-terms", "lt", "line-feed"])
     def test_no_store_holds_an_iri_a_dump_cannot(self, local):

@@ -1,15 +1,24 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and the package
+imports each module only when it is used.
 
 A deleted function leaves its imports behind in the modules that called it;
-this check finds them.  `__init__.py` is exempt: its imports are re-exports.
+this check finds them.  `__init__.py` re-exports the public names through a
+lazy table, which is checked against the modules it names; a command loads
+only the modules it runs.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import vrannot
+
+from helpers import LISTING_DIR
 
 PACKAGE = Path(vrannot.__file__).resolve().parent
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -46,3 +55,147 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# --------------------------------------------------------------------------
+# the lazy re-export table of `vrannot/__init__.py`
+# --------------------------------------------------------------------------
+
+# The public names of the package, as they were when the table was introduced.
+PUBLIC_NAMES = [
+    "Histogram", "LintFinding", "LintRule", "QueryResult", "VRPattern", "distribution",
+    "images_with_vr_count", "iou", "lint", "parse_pattern", "query_images", "render_overlay",
+    "AnnotatedObject", "AnnotationCorpus", "BoundingBox", "CorpusDiff", "CorpusStats",
+    "ImageDelta", "VisualRelationship", "compute_stats", "diff_corpora", "find_exact_duplicates",
+    "load_corpus", "load_master_list", "save_corpus",
+    "AmbiguousClassError", "ApplyError", "ConfigError", "ParseError", "StepFailedError",
+    "UnknownNameError", "VrannotError",
+    "GraphStore", "Iri", "Schema", "Triple", "default_schema", "dump_store",
+    "extract_annotations", "load_schema", "load_store", "lower_annotations", "materialize",
+    "read_dump",
+    "ImageBlock", "Instruction", "InstructionKind", "NewVRSpec", "parse_script",
+    "render_script", "validate_and_apply",
+    "WorkflowConfig", "WorkflowReport", "load_workflow_config", "run_workflow",
+    "run_workflow_files",
+]
+
+
+def export_table(init_source: str) -> dict[str, tuple[str, ...]]:
+    """The `_HOMES` table (home module -> names) of an `__init__.py`, read without running it."""
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_HOMES"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("no _HOMES table")
+
+
+def module_names(source: str) -> set[str]:
+    """The names a module binds at its top level."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.partition(".")[0] for a in node.names)
+    return names
+
+
+def missing_exports(init_source: str, read_module) -> list[str]:
+    """`module.name` for each name of the table that its home module does not define."""
+    return [f"{module}.{name}" for module, names in export_table(init_source).items()
+            for name in names if name not in module_names(read_module(module))]
+
+
+def test_the_check_finds_a_name_missing_from_its_home():
+    init = "_HOMES = {'a': ('f', 'C', 'X', 'gone'), 'b': ('g', 'y')}\n"
+    sources = {"a": "def f(): pass\nclass C: pass\nX: int = 1\n",
+               "b": "from .a import f as g\nx, (y, z) = 1, (2, 3)\n"}
+    assert missing_exports(init, sources.__getitem__) == ["a.gone"]
+
+
+def test_every_exported_name_is_defined_in_its_home_module():
+    def read(module):
+        return (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+
+    assert missing_exports((PACKAGE / "__init__.py").read_text(encoding="utf-8"), read) == []
+
+
+def test_all_is_the_frozen_list_of_public_names():
+    assert sorted(vrannot.__all__) == sorted(PUBLIC_NAMES)
+    assert len(vrannot.__all__) == len(set(vrannot.__all__))
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_each_name_is_its_home_modules_object(name):
+    home = importlib.import_module(f"vrannot.{vrannot._HOME[name]}")
+    assert getattr(vrannot, name) is getattr(home, name)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from vrannot import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(PUBLIC_NAMES)
+    assert all(namespace[name] is getattr(vrannot, name) for name in PUBLIC_NAMES)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'vrannot' has no attribute 'nope'"):
+        vrannot.nope  # noqa: B018
+    assert not hasattr(vrannot, "_private")
+    with pytest.raises(ImportError):
+        exec("from vrannot import nope", {})
+
+
+# --------------------------------------------------------------------------
+# start-up: a command imports only the modules it runs
+# --------------------------------------------------------------------------
+
+SRC = PACKAGE.parent
+COMMON = ["vrannot", "vrannot.cli", "vrannot.corpus", "vrannot.errors"]
+
+LOADED = """
+import sys
+{code}
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("vrannot", "dataclasses", "decimal"))))
+"""
+
+
+def loaded_after(code: str) -> list[str]:
+    """The vrannot, dataclasses and decimal modules loaded in a fresh interpreter after `code`."""
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED.format(code=code)], capture_output=True, text=True,
+        encoding="utf-8", env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120, check=True,
+    )
+    return result.stdout.split()
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_after("import vrannot") == ["vrannot"]
+    # a submodule or a name loads its home module, and what that imports
+    assert loaded_after("import vrannot\nvrannot.kg.GraphStore") == [
+        "dataclasses", "vrannot", "vrannot.corpus", "vrannot.errors", "vrannot.kg"]
+    assert loaded_after("from vrannot import parse_pattern") == [
+        "vrannot", "vrannot.analyze", "vrannot.corpus", "vrannot.errors"]
+
+
+def test_importing_the_cli_loads_only_the_common_modules():
+    assert loaded_after("import vrannot.cli") == COMMON
+
+
+@pytest.mark.parametrize("argv,added", [
+    (["validate"], []),
+    (["stats"], []),
+    (["stats", "--distribution", "vrs_per_image"], ["vrannot.analyze"]),
+    (["query", "--pattern", "*,*,*"], ["vrannot.analyze"]),
+    (["query", "--count", "1.."], ["vrannot.analyze"]),
+    (["lint"], ["vrannot.analyze"]),
+], ids=["validate", "stats", "stats-distribution", "query", "query-count", "lint"])
+def test_a_read_only_command_adds_at_most_analyze(argv, added):
+    corpus = [f"--annotations={LISTING_DIR / 'annotations.json'}",
+              f"--classes={LISTING_DIR / 'classes.json'}", f"--predicates={LISTING_DIR / 'predicates.json'}"]
+    code = ("import contextlib, io, vrannot.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert vrannot.cli.main({[*argv, *corpus]!r}) == 0")
+    assert loaded_after(code) == sorted([*COMMON, *added])
