@@ -72,7 +72,17 @@ class VisualRelationship(NamedTuple):
     object: AnnotatedObject
 
 
-class AnnotationCorpus:
+class Record:
+    """A mutable record: its fields are its attributes, compared and shown in the order set."""
+
+    def __eq__(self, other):  # defining it leaves records unhashable, as they are mutable
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+class AnnotationCorpus(Record):
     """In-memory corpus: per-image relationship lists plus the master lists.
 
     `retired_class_ids` / `retired_predicate_ids` mark names tombstoned by a
@@ -90,12 +100,6 @@ class AnnotationCorpus:
         self.retired_class_ids: set[int] = set() if retired_class_ids is None else retired_class_ids
         self.retired_predicate_ids: set[int] = (
             set() if retired_predicate_ids is None else retired_predicate_ids)
-
-    def __eq__(self, other):  # defining it leaves the corpus unhashable, as it is mutable
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"AnnotationCorpus({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def vr_count(self) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import codecs
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from typing import NamedTuple
 from urllib.parse import quote
 
 from .corpus import (
@@ -33,6 +33,7 @@ from .corpus import (
     AnnotatedObject,
     AnnotationCorpus,
     BoundingBox,
+    Record,
     VisualRelationship,
     _open_input,
     gc_paused,
@@ -75,13 +76,18 @@ def check_iri(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class Iri:
+class Iri(NamedTuple):
+    """An IRI term; it equals only an `Iri`, never a string literal or a plain tuple."""
+
     value: str
 
-    @classmethod
-    def of(cls, namespace: str, local: str) -> Iri:
-        return cls(namespace + local)
+    def __eq__(self, other) -> bool:
+        return other.__class__ is Iri and self.value == other.value
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -90,8 +96,7 @@ class Iri:
 RDF_TYPE = Iri(RDF_TYPE_IRI)
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """Subject and predicate are IRIs; the object may also be an int or str literal."""
 
     subject: Iri
@@ -139,7 +144,7 @@ class GraphStore:
         return Iri(key) if key.__class__ is str else key[1]
 
     def _encode(self, triple: Triple, lookup) -> tuple:
-        return tuple(lookup(_key(t)) for t in (triple.subject, triple.predicate, triple.object))
+        return tuple(lookup(_key(t)) for t in triple)
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -151,11 +156,16 @@ class GraphStore:
         return self._encode(triple, self._ids.get) in self._triples
 
     def add(self, triple: Triple) -> bool:
-        """Insert; True when the triple is new.  A term a dump cannot hold raises."""
-        for term in (triple.subject, triple.predicate, triple.object):
+        """Insert; True when the triple is new.  A term a dump cannot write raises: a subject
+        or predicate that is not an `Iri`, an object that is not an `Iri`, `str` or `int`."""
+        for position, term in zip(Triple._fields, triple, strict=True):
             if isinstance(term, Iri):
                 check_iri(term.value)
-            elif isinstance(term, str) and _SURROGATE.search(term):
+            elif position != "object":
+                raise MalformedGraphError(f"{position} {term!r} is not an IRI")
+            elif term.__class__ not in (str, int):
+                raise MalformedGraphError(f"object {term!r} is not an IRI, a string or an integer")
+            elif term.__class__ is str and _SURROGATE.search(term):
                 raise MalformedGraphError(f"literal {term!r} is not valid UTF-8")
         return self._add(self._encode(triple, self._id))
 
@@ -180,25 +190,6 @@ class GraphStore:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class Schema:
-    """Declared terms, axioms over them, and the corpus-name designations."""
-
-    classes: set[str] = field(default_factory=set)
-    properties: set[str] = field(default_factory=set)
-    subclass_of: list[tuple[str, str]] = field(default_factory=list)
-    eq_class: list[tuple[str, str]] = field(default_factory=list)
-    subprop_of: list[tuple[str, str]] = field(default_factory=list)
-    eq_prop: list[tuple[str, str]] = field(default_factory=list)
-    inverse_of: list[tuple[str, str]] = field(default_factory=list)
-    transitive: list[str] = field(default_factory=list)
-    symmetric: list[str] = field(default_factory=list)
-    domain: list[tuple[str, str]] = field(default_factory=list)
-    range: list[tuple[str, str]] = field(default_factory=list)
-    ann_classes: dict[str, str] = field(default_factory=dict)
-    ann_properties: dict[str, str] = field(default_factory=dict)
-
-
 # axiom keyword -> (Schema field, argument kinds, arity text of its error)
 _AXIOMS = {
     "subclass": ("subclass_of", ("class", "class"), "2 class terms"),
@@ -213,6 +204,23 @@ _AXIOMS = {
 }
 
 _KEYWORDS = frozenset({"class", "prop", "annclass", "annprop", *_AXIOMS})
+
+# Schema field -> the type of its empty default: the declared terms, the axioms, the designations
+_SCHEMA_FIELDS = {"classes": set, "properties": set,
+                  **{name: list for name, _, _ in _AXIOMS.values()},
+                  "ann_classes": dict, "ann_properties": dict}
+
+
+class Schema(Record):
+    """Declared terms, axioms over them, and the corpus-name designations.
+    Built by keyword; each field not given is a fresh empty container."""
+
+    def __init__(self, **given):
+        unknown = given.keys() - _SCHEMA_FIELDS.keys()
+        if unknown:
+            raise TypeError(f"Schema() got an unexpected keyword argument {min(unknown)!r}")
+        for name, empty in _SCHEMA_FIELDS.items():
+            setattr(self, name, given[name] if name in given else empty())
 
 
 def _schema_local(token: str, line: int) -> str:
@@ -359,6 +367,8 @@ def lower_annotations(
     has_filename, has_object = iri(HAS_FILENAME), iri(HAS_OBJECT)
     coordinate_properties = [iri(prop) for prop in COORDINATE_PROPERTIES]
     for filename, vrs in selected.items():
+        if _SURROGATE.search(filename):  # which `quote` cannot encode
+            raise MalformedGraphError(f"{filename!r} is not valid UTF-8")
         img_local = "img_" + quote(filename, safe="")
         img = iri(img_local)
         add((img, rdf_type, image_class))
@@ -528,12 +538,11 @@ def extract_annotations(
     rdf_type, ancestors = store._ids.get(RDF_TYPE_IRI), _subclass_ancestors(schema)
 
     filenames: dict[int, str] = {}
-    used, foreign = set(), []  # filenames taken; subjects that are not IRIs under the namespace
+    used, foreign = set(), []  # filenames taken; subject IRIs outside the namespace
     for s, triples in by_subject.items():
-        key = terms[s]
-        under = key.__class__ is str and key.startswith(namespace)
-        if not under or _NESTED.search(key, len(namespace)):
-            foreign.append(str(store._term(s)))
+        key = terms[s]  # every subject is an IRI
+        if not key.startswith(namespace) or _NESTED.search(key, len(namespace)):
+            foreign.append(key)
         for filename in [store._term(o) for _, p, o in triples if p == has_filename]:
             if not isinstance(filename, str):
                 raise MalformedGraphError(f"{store._term(s)} has a non-string filename")

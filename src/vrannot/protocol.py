@@ -30,14 +30,15 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .corpus import (
     AnnotatedObject,
     AnnotationCorpus,
     BoundingBox,
     CorpusDiff,
+    Record,
     VisualRelationship,
     diff_corpora,
     input_lines,
@@ -68,8 +69,7 @@ _CHANGES = {
 }
 
 
-@dataclass(frozen=True)
-class NewVRSpec:
+class NewVRSpec(NamedTuple):
     """Payload of an `avrxxx` line: a full relationship given by names."""
 
     subject_class: str
@@ -79,8 +79,7 @@ class NewVRSpec:
     object_bbox: BoundingBox
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     kind: InstructionKind
     source_line: int
     vr_index: int | None = None
@@ -90,12 +89,13 @@ class Instruction:
     new_vr: NewVRSpec | None = None
 
 
-@dataclass
-class ImageBlock:
-    filename: str
-    source_line: int
-    remove_image: bool = False
-    instructions: list[Instruction] = field(default_factory=list)
+class ImageBlock(Record):
+    """One `imname` block; mutable, as `parse_script` appends its instructions."""
+
+    def __init__(self, filename: str, source_line: int, remove_image: bool = False,
+                 instructions: list[Instruction] | None = None):
+        self.filename, self.source_line, self.remove_image = filename, source_line, remove_image
+        self.instructions: list[Instruction] = [] if instructions is None else instructions
 
 
 # --------------------------------------------------------------------------
@@ -196,34 +196,23 @@ def parse_script(source: str | bytes) -> list[ImageBlock]:
                 current.instructions.append(Instruction(kind, line_no, new_vr=spec))
                 continue
 
+            # the rest address a VR by index and tuple: rvrxxx and the kinds of _CHANGES
             if kind is InstructionKind.RVRXXX:
                 # a trailing `;` yields one empty extra field; both forms accepted
                 if len(fields) == 4 and fields[3] == "":
                     fields = fields[:3]
                 if len(fields) != 3:
                     raise ParseError(line_no, "rvrxxx takes 2 fields: index; (tuple)")
-                current.instructions.append(
-                    Instruction(
-                        kind,
-                        line_no,
-                        vr_index=_parse_index(fields[1], line_no),
-                        ref_tuple=_parse_ref_tuple(fields[2], line_no),
-                    )
-                )
-                continue
-
-            # remaining kinds: the index-addressed changes of _CHANGES
-            if len(fields) != 4:
+            elif len(fields) != 4:
                 raise ParseError(line_no, f"{mnemonic} takes 3 fields: index; (tuple); payload")
             index = _parse_index(fields[1], line_no)
             ref = _parse_ref_tuple(fields[2], line_no)
-            payload = _CHANGES[kind][1]
+            new, payload = {}, _CHANGES[kind][1] if kind in _CHANGES else None
             if payload == "bbox":
                 new = {"new_bbox": _parse_bbox_literal(fields[3], line_no)}
-            else:
+            elif payload:
                 new = {"new_name": _parse_name(fields[3], line_no, f"{payload} name")}
-            instruction = Instruction(kind, line_no, vr_index=index, ref_tuple=ref, **new)
-            current.instructions.append(instruction)
+            current.instructions.append(Instruction(kind, line_no, vr_index=index, ref_tuple=ref, **new))
     return blocks
 
 
@@ -267,7 +256,7 @@ def render_script(blocks: list[ImageBlock]) -> str:
         header = f"imname; {block.filename}" + ("; rimxxx" if block.remove_image else "")
         for ins in [None, *block.instructions]:  # None stands for the header
             line = header if ins is None else _render_instruction(ins)
-            want = [] if ins is None else [replace(ins, source_line=2)]
+            want = [] if ins is None else [ins._replace(source_line=2)]
             try:
                 again = parse_script(line if ins is None else f"{header}\n{line}")
                 same = again == [ImageBlock(block.filename, 1, block.remove_image, want)]

@@ -23,8 +23,8 @@ docs/formats.md.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from . import protocol
 from .corpus import (
@@ -309,17 +309,17 @@ STEPS = {
 }
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple("Step", [("kind", str), ("args", dict)])):
     """One configured step: a kind of STEPS and the keyword arguments of its
-    function."""
+    function, by default a fresh empty dict."""
 
-    kind: str
-    args: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, kind: str, args: dict | None = None):
+        return super().__new__(cls, kind, {} if args is None else args)
 
 
-@dataclass
-class WorkflowConfig:
+class WorkflowConfig(NamedTuple):
     steps: list[Step]
     input_annotations: Path | None = None
     input_classes: Path | None = None
@@ -329,18 +329,16 @@ class WorkflowConfig:
     output_predicates: Path | None = None
 
 
-_PATH_KEYS = tuple(f.name for f in fields(WorkflowConfig)[1:])  # every field after steps
+_PATH_KEYS = WorkflowConfig._fields[1:]  # every field after steps
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     ordinal: int
     kind: str
     effect: CorpusDiff
 
 
-@dataclass(frozen=True)
-class WorkflowReport:
+class WorkflowReport(NamedTuple):
     steps: list[StepReport]
 
 

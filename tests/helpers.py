@@ -137,3 +137,22 @@ def check_result_tuple(value, text: str) -> None:
         except AttributeError:
             continue
         raise AssertionError(f"{type(value).__name__}.{name} is assignable")
+
+
+def check_record(make, text: str) -> None:
+    """A mutable record, built afresh by each call of `make`, has the repr
+    `text`, equals its twin field by field but no copy with a field changed,
+    equals no other type, and is unhashable."""
+    value = make()
+    assert repr(value) == text
+    assert value == make() and not value != make()
+    assert value != tuple(vars(value).values()) and value != vars(value)
+    for name in vars(value):
+        changed = make()
+        setattr(changed, name, "other")
+        assert value != changed, name
+    try:
+        hash(value)
+    except TypeError:
+        return
+    raise AssertionError(f"{type(value).__name__} is hashable")

@@ -205,7 +205,7 @@ _NS = "http://example.org/check#"
 
 
 def _iri(local):
-    return Iri.of(_NS, local)
+    return Iri(_NS + local)
 
 
 def naive_closure(triples, schema):

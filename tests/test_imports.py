@@ -10,6 +10,7 @@ only the modules it runs.
 import ast
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -175,7 +176,7 @@ def test_importing_the_package_loads_no_submodule():
     assert loaded_after("import vrannot") == ["vrannot"]
     # a submodule or a name loads its home module, and what that imports
     assert loaded_after("import vrannot\nvrannot.kg.GraphStore") == [
-        "dataclasses", "vrannot", "vrannot.corpus", "vrannot.errors", "vrannot.kg"]
+        "vrannot", "vrannot.corpus", "vrannot.errors", "vrannot.kg"]
     assert loaded_after("from vrannot import parse_pattern") == [
         "vrannot", "vrannot.analyze", "vrannot.corpus", "vrannot.errors"]
 
@@ -198,4 +199,37 @@ def test_a_read_only_command_adds_at_most_analyze(argv, added):
     code = ("import contextlib, io, vrannot.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert vrannot.cli.main({[*argv, *corpus]!r}) == 0")
+    assert loaded_after(code) == sorted([*COMMON, *added])
+
+
+KG = ["vrannot.kg"]
+SCRIPTED = ["vrannot.protocol"]
+WORKFLOW = ["vrannot.protocol", "vrannot.workflow"]
+CORPUS = ["--annotations={L}/annotations.json", "--classes={L}/classes.json",
+          "--predicates={L}/predicates.json"]
+
+
+@pytest.mark.parametrize("argv,added", [
+    (["apply", "{L}/script.txt", *CORPUS, "--out", "{T}/applied.json"], SCRIPTED),
+    (["workflow", "run", "{T}/workflow_demo/config.json"], WORKFLOW),
+    (["kg", "lower", *CORPUS, "--out", "{T}/lowered.nt"], KG),
+    (["kg", "materialize", "{T}/graph.nt", "--schema", "{T}/axioms.txt", "--out", "{T}/closed.nt"], KG),
+    (["kg", "extract", "{T}/graph.nt", *CORPUS[1:], "--out", "{T}/extracted.json"], KG),
+    (["diff", *[arg.split("=")[1] for arg in CORPUS] * 2], []),
+    (["overlay", *CORPUS, "--image", "{image}", "--out", "{T}/overlay.svg"], ["vrannot.analyze"]),
+], ids=["apply", "workflow-run", "kg-lower", "kg-materialize", "kg-extract", "diff", "overlay"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, added):
+    """No command loads `dataclasses` or `decimal`; each adds only its handler's modules."""
+    from vrannot import kg
+    from vrannot.corpus import load_corpus
+
+    corpus = load_corpus(*(LISTING_DIR / f"{name}.json" for name in ("annotations", "classes", "predicates")))
+    dump = kg.dump_store(kg.lower_annotations(corpus, kg.default_schema(corpus)))
+    (tmp_path / "graph.nt").write_bytes(dump.encode())
+    (tmp_path / "axioms.txt").write_text("prop near\nsymmetric near\n", encoding="utf-8")
+    shutil.copytree(LISTING_DIR.parent / "workflow_demo", tmp_path / "workflow_demo")
+    args = [arg.format(L=LISTING_DIR, T=tmp_path, image=next(iter(corpus.images))) for arg in argv]
+    code = ("import contextlib, io, vrannot.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert vrannot.cli.main({args!r}) == 0")
     assert loaded_after(code) == sorted([*COMMON, *added])

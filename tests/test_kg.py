@@ -46,13 +46,13 @@ from vrannot.kg import (
     read_dump,
 )
 
-from helpers import canonicalize_corpus, random_corpus
+from helpers import canonicalize_corpus, check_record, check_result_tuple, random_corpus
 from test_acceptance import _NS, naive_closure
 from test_corpus import FILENAME_ALPHABET
 
 
 def iri(local):
-    return Iri.of(DEFAULT_NAMESPACE, local)
+    return Iri(DEFAULT_NAMESPACE + local)
 
 
 def dump_text(store) -> str:
@@ -351,6 +351,68 @@ class TestAxiomTable:
         assert set(documented) == {"class", "prop", "annclass", "annprop", *_AXIOMS}
 
 
+SCHEMA_TEXT = (
+    "Schema(classes={'A'}, properties=set(), subclass_of=[('A', 'B')], eq_class=[], subprop_of=[], "
+    "eq_prop=[], inverse_of=[], transitive=[], symmetric=[], domain=[], range=[], "
+    "ann_classes={'a': 'A'}, ann_properties={})")
+
+
+class TestRecords:
+    """`Iri` and `Triple` are named tuples and `Schema` a mutable record; each
+    keeps the repr text and equality it had as a dataclass."""
+
+    @pytest.mark.parametrize("value,text", [
+        (Iri("http://x#a"), "Iri(value='http://x#a')"),
+        (Triple(Iri("http://x#a"), Iri("http://x#p"), 'l"it'),
+         "Triple(subject=Iri(value='http://x#a'), predicate=Iri(value='http://x#p'), "
+         "object='l\"it')"),
+        (Triple(Iri("s"), Iri("p"), 5), "Triple(subject=Iri(value='s'), predicate=Iri(value='p'), "
+                                        "object=5)"),
+    ], ids=["iri", "triple-str", "triple-int"])
+    def test_named_tuples(self, value, text):
+        check_result_tuple(value, text)
+
+    @pytest.mark.parametrize("other", ["x", ("x",)], ids=["str", "tuple"])
+    def test_an_iri_equals_only_an_iri(self, other):
+        iri_ = Iri("x")
+        assert iri_ != other and other != iri_
+        assert not iri_ == other and not other == iri_
+        assert len({iri_, other}) == 2 and iri_ == Iri("x") and hash(iri_) == hash(Iri("x"))
+
+    def test_a_triple_equals_the_plain_tuple_of_its_terms(self):
+        a, p = iri("a"), iri("p")
+        assert t(a, p, 5) == (a, p, 5) and (a, p, 5) == t(a, p, 5)
+        assert t(a, p, "x") != t(a, p, Iri("x")) and t(a, p, "x") != (a.value, p.value, "x")
+
+    @pytest.mark.parametrize("make,text", [
+        (Schema, "Schema(classes=set(), properties=set(), subclass_of=[], eq_class=[], "
+                 "subprop_of=[], eq_prop=[], inverse_of=[], transitive=[], symmetric=[], "
+                 "domain=[], range=[], ann_classes={}, ann_properties={})"),
+        (lambda: Schema(ann_classes={"a": "A"}, subclass_of=[("A", "B")], classes={"A"}),
+         SCHEMA_TEXT),
+    ], ids=["defaults", "given"])
+    def test_schema(self, make, text):
+        check_record(make, text)
+
+    def test_schema_defaults_are_fresh_and_given_containers_kept(self):
+        first, second = Schema(), Schema()
+        assert all(a is not b for a, b in zip(vars(first).values(), vars(second).values()))
+        first.classes.add("A")
+        first.transitive.append("p")
+        first.ann_classes["a"] = "A"
+        assert second == Schema() and first != second
+        classes = {"A"}
+        assert Schema(classes=classes).classes is classes
+
+    def test_schema_takes_only_its_fields_by_keyword(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+            Schema(bogus=1)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'a'"):
+            Schema(classes=set(), z=1, a=2)
+        with pytest.raises(TypeError):
+            Schema({"A"})
+
+
 class TestGraphStore:
     def test_add_and_contains(self):
         store = GraphStore()
@@ -371,6 +433,24 @@ class TestGraphStore:
         assert store.match(subject=a, predicate=p, object=5) == [t(a, p, 5)]
         assert len(store.match()) == 5
 
+    @pytest.mark.parametrize("position,term", [
+        (0, "lit"), (0, 5), (1, 5), (1, "p"), (2, 2.5), (2, None), (2, ("x",)), (2, b"x"),
+        (2, True),
+    ], ids=["str-subject", "int-subject", "int-predicate", "str-predicate", "float", "none",
+            "tuple", "bytes", "bool"])
+    def test_add_refuses_a_term_no_dump_can_write(self, position, term):
+        """Nothing is inserted, not even into the term dictionary, and the dump still loads."""
+        store = store_of(t(iri("a"), iri("p"), iri("b")))
+        ids = dict(store._ids)
+        terms = [iri("a"), iri("p"), iri("b")]
+        terms[position] = term
+        what = "is not an IRI" + (", a string or an integer" if position == 2 else "")
+        name = Triple._fields[position]
+        with pytest.raises(MalformedGraphError, match=f"^{name} {re.escape(repr(term))} {what}$"):
+            store.add(t(*terms))
+        assert store._ids == ids and list(store) == [t(iri("a"), iri("p"), iri("b"))]
+        assert set(load_text(dump_text(store))) == set(store)
+
     def test_copy_is_independent(self):
         store = store_of(t(iri("a"), iri("p"), iri("b")))
         dup = store.copy()
@@ -381,14 +461,18 @@ class TestGraphStore:
 class TestTermDictionary:
     def test_literals_and_iris_stay_apart(self):
         a, p = iri("a"), iri("p")
-        objects = [1, "1", Iri("1"), True, DEFAULT_NAMESPACE + "a"]
+        objects = [1, "1", Iri("1"), DEFAULT_NAMESPACE + "a"]
         store = store_of(*(t(a, p, o) for o in objects))
         assert len(store) == len(objects)
         assert all(t(a, p, o) in store for o in objects)
         decoded = sorted((type(x.object).__name__, str(x.object)) for x in store)
-        assert decoded == [("Iri", "1"), ("bool", "True"), ("int", "1"), ("str", "1"),
+        assert decoded == [("Iri", "1"), ("int", "1"), ("str", "1"),
                            ("str", DEFAULT_NAMESPACE + "a")]
         assert t(a, p, 2) not in store and t(iri("x"), p, 1) not in store
+        # a dump cannot write a bool (see format_term), so add refuses one
+        with pytest.raises(MalformedGraphError, match="^object True is not an IRI, a string"):
+            store.add(t(a, p, True))
+        assert t(a, p, True) not in store and len(store) == len(objects)
 
     def test_copy_clones_the_indexes(self):
         a, b, p = iri("a"), iri("b"), iri("p")
@@ -477,10 +561,16 @@ class TestLower:
         with pytest.raises(UnmappedNameError, match="^no schema designation for object class 'hat'$"):
             lower_annotations(tiny_corpus(), schema)
 
+    def test_lone_surrogate_in_a_filename_is_refused(self):
+        corpus = AnnotationCorpus({"a\udcff.jpg": []}, [], [])
+        message = f"^{re.escape(repr('a' + chr(0xDCFF) + '.jpg'))} is not valid UTF-8$"
+        with pytest.raises(MalformedGraphError, match=message):
+            lower_annotations(corpus, default_schema(corpus))
+
     def test_custom_namespace(self):
         ns = "urn:x-test:"
         store = lower_annotations(tiny_corpus(), default_schema(tiny_corpus()), namespace=ns)
-        assert store.match(predicate=Iri.of(ns, "hasFilename"))
+        assert store.match(predicate=Iri(ns + "hasFilename"))
 
 
 def props(*names):
@@ -600,14 +690,16 @@ class TestMaterialize:
         assert len(result) == 5
 
     def test_literal_is_never_a_join_node(self):
-        """(a p 5) and (5 p b) do not chain to (a p b), whichever is drawn
-        first: the naive oracle joins only through IRIs."""
+        """(b p a) and (a p 5) chain through the IRI a, but (a p 5) chains
+        on from 5 to nothing: no store holds a literal subject such as (5 p b)."""
         schema = props("p")
         schema.transitive.append("p")
         a, b, p = iri("a"), iri("b"), iri("p")
-        for triples in ([t(a, p, 5), t(5, p, b)], [t(5, p, b), t(a, p, 5)]):
-            result = materialize(store_of(*triples), schema)
-            assert set(result) == set(triples)
+        for triples in ([t(a, p, 5), t(b, p, a)], [t(b, p, a), t(a, p, 5)]):
+            store = store_of(*triples)
+            assert set(materialize(store, schema)) == {*triples, t(b, p, 5)}
+            with pytest.raises(MalformedGraphError, match="^subject 5 is not an IRI$"):
+                store.add(t(5, p, b))
 
     def test_subproperty_carries_literals(self):
         schema = props("p", "q")
@@ -675,10 +767,10 @@ class TestExtract:
         message = f"^subject {re.escape(other)}img_i1.jpg is not under namespace {under}$"
         with pytest.raises(MalformedGraphError, match=message):
             extract_annotations(store, schema, *self.names(corpus))
-        literal = lower_annotations(corpus, schema)
-        literal.add(t("i1.jpg", iri("hasObject"), iri("x")))
-        with pytest.raises(MalformedGraphError, match="^subject i1.jpg is not under namespace"):
-            extract_annotations(literal, schema, *self.names(corpus))
+        literal = lower_annotations(corpus, schema)  # a literal subject never enters a store
+        with pytest.raises(MalformedGraphError, match="^subject 'i1.jpg' is not an IRI$"):
+            literal.add(t("i1.jpg", iri("hasObject"), iri("x")))
+        assert len(literal) == len(lower_annotations(corpus, schema))
 
     def test_round_trip_randomized(self):
         rng = random.Random(73)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from collections import Counter
@@ -19,7 +18,14 @@ from vrannot.protocol import (
     validate_and_apply,
 )
 
-from helpers import LISTING_DIR, load_listing_corpus, load_listing_expected, random_corpus
+from helpers import (
+    LISTING_DIR,
+    check_record,
+    check_result_tuple,
+    load_listing_corpus,
+    load_listing_expected,
+    random_corpus,
+)
 from test_corpus import FILENAME_ALPHABET
 
 K = InstructionKind
@@ -186,9 +192,7 @@ class TestRender:
     def strip_lines(self, blocks):
         out = []
         for block in blocks:
-            instructions = [
-                dataclasses.replace(ins, source_line=0) for ins in block.instructions
-            ]
+            instructions = [ins._replace(source_line=0) for ins in block.instructions]
             out.append(
                 ImageBlock(block.filename, 0, block.remove_image, instructions)
             )
@@ -486,13 +490,49 @@ SHELF_IMAGE = "3223670633_7d3d72dfe8_b.jpg"  # its VR 4 is (person, on, shelf)
 
 def without_lines(blocks):
     return [
-        dataclasses.replace(
-            block,
-            source_line=0,
-            instructions=[dataclasses.replace(ins, source_line=0) for ins in block.instructions],
-        )
+        ImageBlock(block.filename, 0, block.remove_image,
+                   [ins._replace(source_line=0) for ins in block.instructions])
         for block in blocks
     ]
+
+
+SPEC = NewVRSpec("a", BoundingBox(1, 2, 3, 4), "on", "b", BoundingBox(5, 6, 7, 8))
+AVR = Instruction(InstructionKind.AVRXXX, 2, new_vr=SPEC)
+
+
+class TestRecords:
+    """Instructions are named tuples and an image block is a mutable record;
+    each keeps the repr text and equality it had as a dataclass."""
+
+    @pytest.mark.parametrize("value,text", [
+        (SPEC, "NewVRSpec(subject_class='a', subject_bbox=BoundingBox(ymin=1, ymax=2, xmin=3, "
+               "xmax=4), predicate='on', object_class='b', object_bbox=BoundingBox(ymin=5, ymax=6, "
+               "xmin=7, xmax=8))"),
+        (Instruction(InstructionKind.RVRXXX, 3, vr_index=0, ref_tuple=("a", "b", "c")),
+         "Instruction(kind=<InstructionKind.RVRXXX: 'rvrxxx'>, source_line=3, vr_index=0, "
+         "ref_tuple=('a', 'b', 'c'), new_name=None, new_bbox=None, new_vr=None)"),
+    ], ids=["spec", "instruction"])
+    def test_named_tuples(self, value, text):
+        check_result_tuple(value, text)
+
+    @pytest.mark.parametrize("make,text", [
+        (lambda: ImageBlock("a.jpg", 1),
+         "ImageBlock(filename='a.jpg', source_line=1, remove_image=False, instructions=[])"),
+        (lambda: ImageBlock("a.jpg", 1, True, [AVR]),
+         "ImageBlock(filename='a.jpg', source_line=1, remove_image=True, instructions=["
+         "Instruction(kind=<InstructionKind.AVRXXX: 'avrxxx'>, source_line=2, vr_index=None, "
+         "ref_tuple=None, new_name=None, new_bbox=None, new_vr=" + repr(SPEC) + ")])"),
+    ], ids=["defaults", "given"])
+    def test_image_block(self, make, text):
+        check_record(make, text)
+
+    def test_image_block_defaults_are_fresh(self):
+        first, second = ImageBlock("a.jpg", 1), ImageBlock("a.jpg", 1)
+        first.instructions.append(AVR)
+        assert second.instructions == []
+        given = [AVR]
+        block = ImageBlock("a.jpg", 1, instructions=given, remove_image=True)
+        assert block.instructions is given and block == ImageBlock("a.jpg", 1, True, [AVR])
 
 
 class TestChangeTable:

@@ -46,7 +46,9 @@ from vrannot.workflow import (
     PREDICATES,
     STEPS,
     Step,
+    StepReport,
     WorkflowConfig,
+    WorkflowReport,
     change_class_for_image_set,
     change_vr_type_global,
     dedup_vrs,
@@ -60,7 +62,7 @@ from vrannot.workflow import (
     update_master_lists,
 )
 
-from helpers import DEMO_DIR, random_bbox, random_corpus
+from helpers import DEMO_DIR, check_result_tuple, random_bbox, random_corpus
 
 
 def demo_corpus():
@@ -71,6 +73,39 @@ def demo_corpus():
 
 def type_counter(corpus):
     return Counter(corpus.vr_type_names(vr) for vrs in corpus.images.values() for vr in vrs)
+
+
+REPORT = StepReport(1, "dedup_vrs", CorpusDiff([ImageDelta("a.jpg", "added")]))
+
+
+class TestRecords:
+    """The step, config and report types are named tuples that keep the repr
+    text and equality they had as dataclasses."""
+
+    @pytest.mark.parametrize("value,text", [
+        (Step("dedup_vrs"), "Step(kind='dedup_vrs', args={})"),
+        (Step("merge_class", {"from_name": "a", "to_name": "b"}),
+         "Step(kind='merge_class', args={'from_name': 'a', 'to_name': 'b'})"),
+        (WorkflowConfig([Step("dedup_vrs")]),
+         "WorkflowConfig(steps=[Step(kind='dedup_vrs', args={})], input_annotations=None, "
+         "input_classes=None, input_predicates=None, output_annotations=None, "
+         "output_classes=None, output_predicates=None)"),
+        (REPORT, "StepReport(ordinal=1, kind='dedup_vrs', effect=CorpusDiff(deltas=[ImageDelta("
+                 "filename='a.jpg', status='added', changed=0, added=0, removed=0)]))"),
+        (WorkflowReport([REPORT]), f"WorkflowReport(steps=[{REPORT!r}])"),
+    ], ids=["step", "step-args", "config", "step-report", "report"])
+    def test_named_tuples(self, value, text):
+        check_result_tuple(value, text)
+
+    def test_step_args_default_is_fresh(self):
+        first, second = Step("dedup_vrs"), Step(kind="dedup_vrs")
+        first.args["x"] = 1
+        assert second.args == {} and Step("dedup_vrs").args == {}
+        args = {"from_name": "a", "to_name": "b"}
+        step = Step("merge_class", args)
+        assert step.args is args
+        assert step._replace(kind="merge_predicate") == Step("merge_predicate", args)
+        assert type(Step._make(["dedup_vrs", {}])) is Step
 
 
 class TestUpdateMasterLists:
