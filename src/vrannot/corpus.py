@@ -23,6 +23,7 @@ import gc
 import io
 import json
 import os
+import re
 from collections import Counter
 from contextlib import contextmanager
 from json.encoder import encode_basestring
@@ -38,6 +39,7 @@ from .errors import (
     VrannotError,
 )
 
+_SURROGATE = re.compile(r"[\ud800-\udfff]")  # a `str` has a UTF-8 form unless it holds one
 # Named here, where the CLI parser reads them without importing `analyze` or `kg`.
 METRICS = ("vrs_per_image", "distinct_classes_per_image", "distinct_predicates_per_image")
 DEFAULT_NAMESPACE = "http://example.org/vrannot#"
@@ -149,18 +151,17 @@ class AnnotationCorpus(Record):
         n_predicates = len(self.predicate_names)
         for image, vrs in self.images.items():
             for index, vr in enumerate(vrs):
-                if not 0 <= vr.subject.class_id < n_classes:
-                    raise IdOutOfRangeError(
-                        image, index, "subject.category", vr.subject.class_id, n_classes
-                    )
-                if not 0 <= vr.object.class_id < n_classes:
-                    raise IdOutOfRangeError(
-                        image, index, "object.category", vr.object.class_id, n_classes
-                    )
-                if not 0 <= vr.predicate_id < n_predicates:
-                    raise IdOutOfRangeError(
-                        image, index, "predicate", vr.predicate_id, n_predicates
-                    )
+                _check_ids(image, index, *vr, n_classes, n_predicates)
+
+
+def _check_ids(image, index, subject, predicate, obj, n_classes, n_predicates) -> None:
+    """Raise IdOutOfRangeError for the first id of a VR outside its master list."""
+    if not 0 <= subject.class_id < n_classes:
+        raise IdOutOfRangeError(image, index, "subject.category", subject.class_id, n_classes)
+    if not 0 <= obj.class_id < n_classes:
+        raise IdOutOfRangeError(image, index, "object.category", obj.class_id, n_classes)
+    if not 0 <= predicate < n_predicates:
+        raise IdOutOfRangeError(image, index, "predicate", predicate, n_predicates)
 
 
 def _live_id(names: list[str], retired: set[int], name: str, what: str) -> int:
@@ -284,12 +285,10 @@ def input_lines(handle, error):
 
 
 def _check_utf8(text: str, path, what: str) -> None:
-    """A `\\ud800` escape decodes to a lone surrogate, which no UTF-8 output
-    can hold; reject it on load rather than fail on a later save."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise MalformedRecordError(str(path), f"{what} {text!r} is not valid Unicode") from None
+    """Reject a text with no UTF-8 form, such as a `\\ud800` escape decodes to,
+    on load rather than fail on a later save."""
+    if _SURROGATE.search(text):
+        raise MalformedRecordError(str(path), f"{what} {text!r} is not valid Unicode")
 
 
 def load_master_list(path, what: str = "name") -> list[str]:
@@ -351,12 +350,7 @@ def _load_images(annotations_path, n_classes: int, n_predicates: int) -> dict:
                 raise MalformedRecordError(f"{image}[{index}]", "predicate must be an integer")
             subject = _parse_annotated_object(record["subject"], image, index, "subject")
             obj = _parse_annotated_object(record["object"], image, index, "object")
-            if not 0 <= subject.class_id < n_classes:
-                raise IdOutOfRangeError(image, index, "subject.category", subject.class_id, n_classes)
-            if not 0 <= obj.class_id < n_classes:
-                raise IdOutOfRangeError(image, index, "object.category", obj.class_id, n_classes)
-            if not 0 <= predicate < n_predicates:
-                raise IdOutOfRangeError(image, index, "predicate", predicate, n_predicates)
+            _check_ids(image, index, subject, predicate, obj, n_classes, n_predicates)
             subject = shared.setdefault(subject, subject)
             obj = shared.setdefault(obj, obj)
             vrs.append(_new(VisualRelationship, (subject, predicate, obj)))

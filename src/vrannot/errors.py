@@ -62,13 +62,17 @@ class ImageNotFoundError(VrannotError):
         self.filename = filename
 
 
-class ParseError(VrannotError):
-    """Script text rejected with a 1-based source line number."""
+class _LineError(VrannotError):
+    """Input text rejected with a 1-based line number."""
 
     def __init__(self, line: int, reason: str):
         super().__init__(f"line {line}: {reason}")
         self.line = line
         self.reason = reason
+
+
+class ParseError(_LineError):
+    """Script text rejected with a 1-based source line number."""
 
 
 class ApplyError(VrannotError):
@@ -116,13 +120,8 @@ class DegenerateBoxError(VrannotError):
     """Box arithmetic requested on a degenerate bounding box."""
 
 
-class SchemaError(VrannotError):
+class SchemaError(_LineError):
     """Base class for axiom-file problems."""
-
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
-        self.reason = reason
 
 
 class MalformedAxiomError(SchemaError):

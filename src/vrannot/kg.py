@@ -30,6 +30,7 @@ from urllib.parse import quote
 
 from .corpus import (
     DEFAULT_NAMESPACE,
+    _SURROGATE,
     AnnotatedObject,
     AnnotationCorpus,
     BoundingBox,
@@ -62,12 +63,15 @@ RESERVED_LOCALS = frozenset({IMAGE_CLASS, HAS_OBJECT, HAS_FILENAME, *COORDINATE_
 
 _LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _NESTED = re.compile(r"[/#]")  # past a namespace in an IRI, the mark of a longer namespace
-_IRI_BREAK = re.compile(r"[<>\n]")  # ends an IRI, or its line, in a dump
-_SURROGATE = re.compile(r"[\ud800-\udfff]")  # a lone surrogate has no UTF-8 form
+_IRI_STOPS = r"<>\n"  # the characters no IRI in a dump holds: each ends the IRI, or its line
+_IRI_BREAK = re.compile(f"[{_IRI_STOPS}]")
+_IRI = f"<([^{_IRI_STOPS}]*)>"  # an IRI term of a dump line, its text the group
 
 
 def check_iri(text: str) -> str:
     """`text`, if a dump can hold it inside an IRI; else MalformedGraphError."""
+    if not isinstance(text, str):
+        raise MalformedGraphError(f"IRI {text!r} is not a string")
     bad = _IRI_BREAK.search(text)
     if bad:
         raise MalformedGraphError(f"{text!r} holds {bad[0]!r}, which no IRI in a dump can hold")
@@ -159,7 +163,7 @@ class GraphStore:
         """Insert; True when the triple is new.  A term a dump cannot write raises: a subject
         or predicate that is not an `Iri`, an object that is not an `Iri`, `str` or `int`."""
         for position, term in zip(Triple._fields, triple, strict=True):
-            if isinstance(term, Iri):
+            if isinstance(term, Iri) and term.value.__class__ is str:
                 check_iri(term.value)
             elif position != "object":
                 raise MalformedGraphError(f"{position} {term!r} is not an IRI")
@@ -300,10 +304,9 @@ def class_local(name: str) -> str:
 
 
 def property_local(name: str) -> str:
-    """`sit on` -> `sitOn`."""
-    parts = _name_parts(name)
-    head = parts[0][:1].lower() + parts[0][1:]
-    return head + "".join(p[:1].upper() + p[1:] for p in parts[1:])
+    """`sit on` -> `sitOn`: the class form with its first letter, never a digit, lowered."""
+    local = class_local(name)
+    return local[0].lower() + local[1:]
 
 
 def default_schema(corpus: AnnotationCorpus) -> Schema:
@@ -422,7 +425,7 @@ def materialize(store: GraphStore, schema: Schema) -> GraphStore:
     result = store.copy()
 
     def iri(local: str) -> int:
-        return result._id(check_iri(store.namespace + local))  # once per schema term use
+        return result._id(store.namespace + check_iri(local))  # once per schema term use
 
     def links(pairs) -> dict[int, set[int]]:
         out: dict[int, set[int]] = {}
@@ -644,7 +647,12 @@ class Dump(list):
 def dump_store(store: GraphStore) -> Dump:
     """One ` .`-terminated line per triple, sorted; each term is formatted and
     encoded once.  UTF-8 bytes sort in code-point order, as text does.  Made
-    subject by subject, the lines come nearly sorted and in memory order."""
+    subject by subject, the lines come nearly sorted and in memory order.
+    The order rests on two premises.  No IRI holds `>` (`check_iri`), so no
+    line's text runs on past another line's ` .`, and sorting the lines with
+    ` .\\n` appended gives the order of their text.  Every subject is an IRI
+    (`add`, lowering, `materialize` and `load_store` see to it), so the
+    formatted subjects are prefix-free and alone order two subjects' lines."""
     text = [(f"<{key}>" if key.__class__ is str else format_term(key[1])).encode("utf-8")
             for key in store._terms]
     lines = Dump(b" ".join((text[s], text[p], text[o], b".\n"))
@@ -653,8 +661,8 @@ def dump_store(store: GraphStore) -> Dump:
     return lines
 
 
-_LINE_RE = re.compile(r"<([^<>]*)> <([^<>]*)> (.+) \.$")
-_OBJECT_RE = re.compile(r'<([^<>]*)>$|"((?:[^"\\]|\\.)*)"(?:\^\^<([^<>]*)>)?$')  # iri | literal
+_LINE_RE = re.compile(rf"{_IRI} {_IRI} (.+) \.$")
+_OBJECT_RE = re.compile(rf'{_IRI}$|"((?:[^"\\]|\\.)*)"(?:\^\^{_IRI})?$')  # iri | literal
 
 
 def _object_key(text: str, line: int) -> str | tuple:

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from . import protocol
 from .corpus import (
+    _SURROGATE,
     AnnotatedObject,
     AnnotationCorpus,
     CorpusDiff,
@@ -243,25 +244,23 @@ def _string_list(value, where: str) -> list[str]:
     return value
 
 
+def _names(value, k: int) -> bool:
+    """Whether `value` is an array of exactly `k` strings."""
+    return isinstance(value, list) and len(value) == k and all(isinstance(v, str) for v in value)
+
+
 def _name_pair_list(value, where: str) -> list[tuple[str, str]]:
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be an array of [old, new] pairs")
-    pairs = []
-    for entry in value:
-        if not isinstance(entry, list) or len(entry) != 2 or any(not isinstance(v, str) for v in entry):
-            raise ConfigError(f"{where} entries must be [old, new] string pairs")
-        pairs.append((entry[0], entry[1]))
-    return pairs
+    if not all(_names(entry, 2) for entry in value):
+        raise ConfigError(f"{where} entries must be [old, new] string pairs")
+    return [tuple(entry) for entry in value]
 
 
 def _name_triple(value, where: str) -> tuple[str, str, str]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 3
-        or any(not isinstance(v, str) for v in value)
-    ):
+    if not _names(value, 3):
         raise ConfigError(f"{where} must be a [subject, predicate, object] name triple")
-    return (value[0], value[1], value[2])
+    return tuple(value)
 
 
 def _name_triple_list(value, where: str) -> list[tuple[str, str, str]]:
@@ -414,10 +413,8 @@ def load_workflow_config(path) -> WorkflowConfig:
         raw = _load_json(path)
     except MalformedRecordError as exc:
         raise ConfigError(str(exc)) from None
-    try:  # a lone surrogate from a \ud800 escape would fail only when written out
-        json.dumps(raw, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError:
-        raise ConfigError(f"{path}: a string is not valid Unicode") from None
+    if _SURROGATE.search(json.dumps(raw, ensure_ascii=False)):  # from a \ud800 escape
+        raise ConfigError(f"{path}: a string is not valid Unicode")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     missing = [k for k in (*_PATH_KEYS, "steps") if k not in raw]

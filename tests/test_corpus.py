@@ -211,6 +211,23 @@ class TestLoad:
         save_corpus(corpus, tmp_path / "saved.json")
         assert (tmp_path / "saved.json").read_text(encoding="utf-8") == '{\n  "\U0001f600.jpg": []\n}\n'
 
+    @pytest.mark.parametrize("key", ["\\ud800a.jpg", "a\\udbffb.jpg", "a.jpg\\udc00", "\\ud83d.jpg"],
+                             ids=["start", "middle", "end", "half-a-pair"])
+    def test_lone_surrogate_anywhere_in_an_image_key(self, tmp_path, key):
+        _, c, p = write_corpus_files(tmp_path, {}, [], [])
+        a = tmp_path / "annotations.json"
+        a.write_text(f'{{"{key}": []}}', encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as err:
+            load_corpus(a, c, p)
+        text = json.loads(f'"{key}"')
+        assert (err.value.location, err.value.reason) == (str(a), f"image key {text!r} is not valid Unicode")
+
+    def test_astral_character_in_an_image_key_loads(self, tmp_path):
+        _, c, p = write_corpus_files(tmp_path, {}, [], [])
+        a = tmp_path / "annotations.json"
+        a.write_text('{"a\U0001f600.jpg": []}', encoding="utf-8")
+        assert list(load_corpus(a, c, p).images) == ["a\U0001f600.jpg"]
+
 
 # --------------------------------------------------------------------------
 # reference loader: the record loop as it was before load validation was
@@ -1105,6 +1122,43 @@ class TestNameResolution:
             corpus.validate()
         assert (err.value.image, err.value.vr_index, err.value.field) == (image, 1, field)
         assert (err.value.value, err.value.bound) == (bound, bound)
+
+
+class TestValidateMatchesTheLoader:
+    """`validate` raises what `load_corpus` raises on the saved files, so
+    `vrannot validate`, which only loads, reports what a second walk would."""
+
+    @pytest.mark.parametrize("fault", ["subject.category", "object.category", "predicate",
+                                       "object_class_names", "predicate_names"])
+    def test_same_error_on_seeded_corpora(self, tmp_path, fault):
+        rng = random.Random(1707)
+        for trial in range(20):
+            corpus = random_corpus(rng)
+            if fault.endswith("_names"):
+                names = getattr(corpus, fault)
+                names.append(rng.choice(names))
+                expected = DuplicateMasterNameError
+            else:
+                image = rng.choice(sorted(corpus.images))
+                index = rng.randrange(len(corpus.images[image]))
+                vr = corpus.images[image][index]
+                bound = len(corpus.predicate_names if fault == "predicate" else corpus.object_class_names)
+                bad = rng.choice((bound, bound + rng.randrange(1, 5), -1))
+                if fault == "predicate":
+                    vr = vr._replace(predicate_id=bad)
+                else:
+                    side = fault.split(".")[0]
+                    vr = vr._replace(**{side: getattr(vr, side)._replace(class_id=bad)})
+                corpus.images[image][index] = vr
+                expected = IdOutOfRangeError
+            paths = [tmp_path / f"{trial}_{name}.json" for name in ("a", "c", "p")]
+            save_corpus(corpus, *paths)
+            with pytest.raises(expected) as validated:
+                corpus.validate()
+            with pytest.raises(expected) as loaded:
+                load_corpus(*paths)
+            assert type(validated.value) is type(loaded.value)
+            assert str(validated.value) == str(loaded.value)
 
 
 class TestFindExactDuplicates:

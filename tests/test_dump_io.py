@@ -8,6 +8,7 @@ result.  The streamed forms must give the same store, bytes and errors.
 """
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -320,6 +321,56 @@ class TestByteLineDump:
             with pytest.raises(MalformedGraphError, match="which no IRI in a dump can hold"):
                 materialize(store, Schema(**axioms))
         assert dump_store(store).encode() == before
+
+    @pytest.mark.parametrize("value", [5, None, b"x", ["x"]], ids=["int", "none", "bytes", "list"])
+    def test_no_store_holds_iri_text_that_is_not_a_string(self, value):
+        """A namespace, a designated term or an axiom term that is not a `str` is refused by
+        name, and the input store is left as it was."""
+        message = f"^IRI {re.escape(repr(value))} is not a string$"
+        annotations = AnnotationCorpus({"a.jpg": []}, [], [])
+        for make in (GraphStore, lambda namespace: load_store([], namespace),
+                     lambda namespace: lower_annotations(annotations, default_schema(annotations),
+                                                         namespace)):
+            with pytest.raises(MalformedGraphError, match=message):
+                make(value)
+        box = BoundingBox(0, 4, 0, 4)
+        vr = VisualRelationship(AnnotatedObject(0, box), 0, AnnotatedObject(0, box))
+        annotations = AnnotationCorpus({"a.jpg": [vr]}, ["person"], ["near"])
+        for ann_classes, ann_properties in (({"person": value}, {"near": "near"}),
+                                            ({"person": "Person"}, {"near": value})):
+            schema = Schema(classes={"Person"}, properties={"near"},
+                            ann_classes=ann_classes, ann_properties=ann_properties)
+            with pytest.raises(MalformedGraphError, match=message):
+                lower_annotations(annotations, schema)
+        store = lower_annotations(annotations, default_schema(annotations))
+        before, terms = dump_store(store).encode(), list(store._terms)
+        for axioms in ({"subclass_of": [("Person", value)]}, {"eq_class": [(value, "Person")]},
+                       {"subprop_of": [("near", value)]}, {"eq_prop": [(value, "near")]},
+                       {"inverse_of": [(value, "near")]}, {"transitive": [value]},
+                       {"symmetric": [value]}, {"domain": [("near", value)]},
+                       {"range": [(value, "Person")]}):
+            with pytest.raises(MalformedGraphError, match=message):
+                materialize(store, Schema(**axioms))
+        assert dump_store(store).encode() == before and store._terms == terms
+
+    def test_prefix_subjects_and_a_string_beside_its_integer(self, tmp_path):
+        """Subject IRIs that are prefixes of one another, and the string `"5"`, a
+        prefix of the integer 5's `"5"^^<...>`, sort as the text of their lines."""
+        ns = DEFAULT_NAMESPACE
+        a, ab, a_bang, p = Iri(ns + "a"), Iri(ns + "ab"), Iri(ns + "a!"), Iri(ns + "p")
+        store = GraphStore()
+        for triple in ((ab, p, a), (a, p, 5), (a_bang, p, "5"), (a, p, "5"), (ab, p, "5 ."),
+                       (a_bang, p, 5)):
+            store.add(Triple(*triple))
+        data = dump_store(store).encode()
+        assert data == reference_dump(store)
+        integer = f"^^<{XSD_INTEGER_IRI}>"
+        assert data.decode("utf-8").splitlines() == [
+            f'<{ns}a!> <{ns}p> "5" .', f'<{ns}a!> <{ns}p> "5"{integer} .',
+            f'<{ns}a> <{ns}p> "5" .', f'<{ns}a> <{ns}p> "5"{integer} .',
+            f'<{ns}ab> <{ns}p> "5 ." .', f'<{ns}ab> <{ns}p> <{ns}a> .',
+        ]
+        assert outcome(streamed_load, data, tmp_path / "g.nt") == data
 
     def test_peak_memory_stays_near_the_dump_size(self):
         # One CJK filename would make a whole-dump str two bytes per character.

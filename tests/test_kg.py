@@ -435,9 +435,9 @@ class TestGraphStore:
 
     @pytest.mark.parametrize("position,term", [
         (0, "lit"), (0, 5), (1, 5), (1, "p"), (2, 2.5), (2, None), (2, ("x",)), (2, b"x"),
-        (2, True),
+        (2, True), (0, Iri(5)), (1, Iri(None)), (2, Iri(b"x")),
     ], ids=["str-subject", "int-subject", "int-predicate", "str-predicate", "float", "none",
-            "tuple", "bytes", "bool"])
+            "tuple", "bytes", "bool", "int-iri-subject", "none-iri-predicate", "bytes-iri-object"])
     def test_add_refuses_a_term_no_dump_can_write(self, position, term):
         """Nothing is inserted, not even into the term dictionary, and the dump still loads."""
         store = store_of(t(iri("a"), iri("p"), iri("b")))

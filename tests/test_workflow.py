@@ -495,6 +495,24 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="not valid Unicode"):
             load_workflow_config(self.write(tmp_path, raw))
 
+    @pytest.mark.parametrize("text", ["\ud800x", "x\udbffy", "xy\udc00", "\ud83d"],
+                             ids=["start", "middle", "end", "half-a-pair"])
+    def test_lone_surrogate_anywhere_in_a_name_or_key(self, tmp_path, text):
+        named, keyed = self.base_config(), self.base_config()
+        named["steps"] = [{"kind": "merge_class", "from": "a", "to": text}]
+        keyed[text] = "x"
+        for raw in (named, keyed):
+            path = self.write(tmp_path, raw)
+            message = f"^{re.escape(str(path))}: a string is not valid Unicode$"
+            with pytest.raises(ConfigError, match=message):
+                load_workflow_config(path)
+
+    def test_astral_character_in_a_name_loads(self, tmp_path):
+        raw = self.base_config()
+        raw["steps"] = [{"kind": "merge_class", "from": "a", "to": "\U0001f600"}]
+        config = load_workflow_config(self.write(tmp_path, raw))
+        assert config.steps[0].args == {"from_name": "a", "to_name": "\U0001f600"}
+
     def test_duplicate_step_key(self, tmp_path):
         text = json.dumps(self.base_config())
         text = text.replace(
