@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .corpus import (
     DEFAULT_NAMESPACE,
@@ -57,8 +58,15 @@ def _load(args) -> "AnnotationCorpus":
     return load_corpus(args.annotations, args.classes, args.predicates)
 
 
-def _emit_structured(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False))
+def _report(args, payload, lines) -> int:
+    """Print `payload` as JSON under `--format structured`, else each of `lines`
+    (which may be lazy, so only text mode builds the text)."""
+    if args.format == "structured":
+        print(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False))
+    else:
+        for line in lines:
+            print(line)
+    return 0
 
 
 # --------------------------------------------------------------------------
@@ -77,13 +85,9 @@ def _cmd_stats(args) -> int:
     if args.distribution:
         from . import analyze
         histogram = analyze.distribution(corpus, args.distribution)
-        if args.format == "structured":
-            _emit_structured({"metric": histogram.metric, "buckets": histogram.buckets})
-        else:
-            print(f"{histogram.metric}:")
-            for value, count in histogram.buckets:
-                print(f"  {value}: {count}")
-        return 0
+        return _report(args, {"metric": histogram.metric, "buckets": histogram.buckets},
+                       chain([f"{histogram.metric}:"],
+                             (f"  {value}: {count}" for value, count in histogram.buckets)))
     stats = compute_stats(corpus)
     counts = {
         "object_classes": stats.object_class_count,
@@ -93,12 +97,9 @@ def _cmd_stats(args) -> int:
         "mean_relationships_per_image": stats.mean_vrs_per_image,
         "images_with_duplicate_relationships": stats.images_with_exact_duplicate_vrs,
     }
-    if args.format == "structured":
-        _emit_structured(counts)
-        return 0
-    for key, value in counts.items():
-        print(f"{key.replace('_', ' ')}: {value:{'.2f' if isinstance(value, float) else ''}}")
-    return 0
+    return _report(args, counts, (
+        f"{key.replace('_', ' ')}: {value:{'.2f' if isinstance(value, float) else ''}}"
+        for key, value in counts.items()))
 
 
 def _parse_count(spec: str, corpus) -> "int | range":
@@ -122,42 +123,25 @@ def _cmd_query(args) -> int:
             print(f"error: bad count spec {args.count!r}", file=sys.stderr)
             return 2
         images = analyze.images_with_vr_count(corpus, target)
-        if args.format == "structured":
-            _emit_structured({"images": images})
-        else:
-            for image in images:
-                print(image)
-        return 0
+        return _report(args, {"images": images}, images)
     try:
         pattern = analyze.parse_pattern(args.pattern)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = analyze.query_images(corpus, pattern)
-    if args.format == "structured":
-        _emit_structured({"images": result.images, "bindings": result.bindings})
-        return 0
-    for image in result.images:
-        print(image)
-    for position in ("subject", "predicate", "object"):
-        if position in result.bindings:
-            print(f"{position}: {', '.join(result.bindings[position])}")
-    return 0
+    result = analyze.query_images(corpus, pattern)  # bindings in subject, predicate, object order
+    return _report(args, {"images": result.images, "bindings": result.bindings},
+                   chain(result.images, (f"{position}: {', '.join(names)}"
+                                         for position, names in result.bindings.items())))
 
 
 def _cmd_lint(args) -> int:
     from . import analyze
     corpus = _load(args)
     findings = analyze.lint(corpus, near_dup_iou_threshold=args.threshold)
-    if args.format == "structured":
-        _emit_structured(
-            [
-                {"image": f.image, "rule": f.rule.value, "detail": f.detail, "severity": f.severity}
-                for f in findings
-            ]
-        )
-    else:
-        sys.stdout.write(analyze.format_findings(findings))
+    _report(args, [{"image": f.image, "rule": f.rule.value, "detail": f.detail, "severity": f.severity}
+                   for f in findings],
+            (analyze.format_findings([f])[:-1] for f in findings))  # each line without its "\n"
     return 1 if args.strict and findings else 0
 
 
@@ -204,11 +188,18 @@ def _schema_for(args, corpus) -> "kg.Schema":
     return kg.default_schema(corpus)
 
 
+def _load_graph(args) -> "kg.GraphStore":
+    from . import kg
+    with kg.read_dump(args.graph) as lines:
+        return kg.load_store(lines, namespace=args.namespace)
+
+
 def _cmd_kg_lower(args) -> int:
     from . import kg
     corpus = _load(args)
     schema = _schema_for(args, corpus)
     store = kg.lower_annotations(corpus, schema, namespace=args.namespace, image=args.image)
+    del corpus  # each kg handler frees its input before its write, where its memory peaks
     replace_files([(args.out, kg.dump_store(store))])
     print(f"triples: {len(store)}")
     return 0
@@ -217,11 +208,12 @@ def _cmd_kg_lower(args) -> int:
 def _cmd_kg_materialize(args) -> int:
     from . import kg
     schema = kg.load_schema(args.schema)
-    with kg.read_dump(args.graph) as lines:
-        store = kg.load_store(lines, namespace=args.namespace)
+    store = _load_graph(args)
+    loaded = len(store)
     closed = kg.materialize(store, schema)
+    del store
     replace_files([(args.out, kg.dump_store(closed))])
-    print(f"triples: {len(closed)} (added {len(closed) - len(store)})")
+    print(f"triples: {len(closed)} (added {len(closed) - loaded})")
     return 0
 
 
@@ -229,10 +221,10 @@ def _cmd_kg_extract(args) -> int:
     from . import kg
     classes = load_master_list(args.classes, "object class")
     predicates = load_master_list(args.predicates, "predicate")
-    with kg.read_dump(args.graph) as lines:
-        store = kg.load_store(lines, namespace=args.namespace)
+    store = _load_graph(args)
     schema = _schema_for(args, AnnotationCorpus({}, classes, predicates))
     corpus = kg.extract_annotations(store, schema, classes, predicates)
+    del store
     save_corpus(corpus, args.out)
     print(f"images: {len(corpus.images)}, relationships: {corpus.vr_count}")
     return 0
@@ -247,19 +239,11 @@ def _cmd_diff(args) -> int:
     after = load_corpus(args.b_annotations, args.b_classes, args.b_predicates)
     diff = diff_corpora(before, after)
     totals = {name: getattr(diff, name) for name in _DIFF_TOTALS}
-    if args.format == "structured":
-        _emit_structured({"images": [delta._asdict() for delta in diff.deltas], **totals})
-        return 0
-    for delta in diff.deltas:
-        if delta.status == "modified":
-            print(
-                f"modified {delta.filename} changed={delta.changed} "
-                f"added={delta.added} removed={delta.removed}"
-            )
-        else:
-            print(f"{delta.status} {delta.filename}")
-    print("total: " + " ".join(f"{name.removeprefix('vrs_')}={n}" for name, n in totals.items()))
-    return 0
+    lines = (f"modified {delta.filename} changed={delta.changed} added={delta.added} removed={delta.removed}"
+             if delta.status == "modified" else f"{delta.status} {delta.filename}" for delta in diff.deltas)
+    total = "total: " + " ".join(f"{name.removeprefix('vrs_')}={n}" for name, n in totals.items())
+    return _report(args, {"images": [delta._asdict() for delta in diff.deltas], **totals},
+                   chain(lines, [total]))
 
 
 # --------------------------------------------------------------------------

@@ -405,6 +405,14 @@ def lower_annotations(
 # --------------------------------------------------------------------------
 
 
+def _check_pairs(schema: Schema) -> None:
+    """Refuse, in a hand-built schema, an axiom of two terms (`_AXIOMS`) that is not a pair."""
+    for target, kinds, _ in _AXIOMS.values():
+        for axiom in getattr(schema, target) if len(kinds) == 2 else ():
+            if not isinstance(axiom, (tuple, list)) or len(axiom) != 2:
+                raise MalformedGraphError(f"{target} holds {axiom!r}, which is not a pair of terms")
+
+
 def _both_ways(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
     """The pairs and their reverses, for the symmetric axioms."""
     return [*pairs, *((b, a) for a, b in pairs)]
@@ -422,6 +430,7 @@ def materialize(store: GraphStore, schema: Schema) -> GraphStore:
     triples of its predicate drawn so far: of two joinable triples, the later
     drawn finds the other.
     """
+    _check_pairs(schema)
     result = store.copy()
 
     def iri(local: str) -> int:
@@ -491,6 +500,11 @@ def materialize(store: GraphStore, schema: Schema) -> GraphStore:
 def _subclass_ancestors(schema: Schema) -> dict[str, set[str]]:
     """term -> every term it is a subclass of (reflexive, transitive, via equivalences)."""
     edges: dict[str, set[str]] = {c: {c} for c in schema.classes}
+    for target in ("subclass_of", "eq_class"):
+        for pair in getattr(schema, target):
+            for term in pair:
+                if not isinstance(term, str) or term not in edges:
+                    raise MalformedGraphError(f"{target} holds {pair!r}: {term!r} is not a declared class")
     for a, b in (*schema.subclass_of, *_both_ways(schema.eq_class)):
         edges[a].add(b)
     closure: dict[str, set[str]] = {}
@@ -521,10 +535,11 @@ def extract_annotations(
     A subject is inside when the rest of its IRI holds no `/` or `#`, as no
     local name made by lowering does.
     """
+    _check_pairs(schema)
     terms, by_subject, namespace = store._terms, store._by_subject, store.namespace
 
     def known(local: str) -> int | None:  # None, which no triple holds, if absent
-        return store._ids.get(namespace + local)
+        return store._ids.get(namespace + check_iri(local))
 
     # name -> first position, as list.index would give
     class_ids = {name: i for i, name in reversed(list(enumerate(object_class_names)))}
@@ -534,8 +549,8 @@ def extract_annotations(
         if name not in predicate_ids:
             raise UnknownNameError(name, "predicate")
         property_ids[known(term)] = predicate_ids[name]
+    annotation_classes = {known(term): term for term in schema.ann_classes.values()}
     class_of_term = {term: name for name, term in schema.ann_classes.items()}
-    annotation_classes = {known(term): term for term in class_of_term}
     coordinate_slots = {known(prop): slot for slot, prop in enumerate(COORDINATE_PROPERTIES)}
     has_object, has_filename = known(HAS_OBJECT), known(HAS_FILENAME)
     rdf_type, ancestors = store._ids.get(RDF_TYPE_IRI), _subclass_ancestors(schema)

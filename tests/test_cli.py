@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 import vrannot
-from vrannot import kg
+from vrannot import analyze, kg
 from vrannot.cli import main
-from vrannot.corpus import canonical_annotations_bytes, load_corpus, save_corpus
+from vrannot.corpus import canonical_annotations_bytes, diff_corpora, load_corpus, save_corpus
 from vrannot.kg import load_store, read_dump
 
 from helpers import DEMO_DIR, LISTING_DIR, load_listing_corpus, load_listing_expected
-from test_corpus import write_corpus_files
+from test_corpus import vr_record, write_corpus_files
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -963,6 +963,57 @@ class TestDiff:
             "total: images_touched=0 changed=0 added=0 removed=0 "
             "images_added=0 images_removed=0\n"
         )
+
+
+class TestLineBreaksInNames:
+    """A text report prints each name as it is, whatever line breaks it holds, so its
+    bytes equal those the library's own results give."""
+
+    CLASSES = ["per\nson", "ho\rrse", "ca\x85t", "do\u2028g"]
+    PREDICATES = ["ri\nde", "ne\x85ar", "o\u2028n", "by\r"]
+
+    def files(self, tmp_path, side, annotations):
+        (tmp_path / side).mkdir()
+        paths = write_corpus_files(tmp_path / side, annotations, self.CLASSES, self.PREDICATES)
+        return [str(path) for path in paths]
+
+    def test_text_reports_equal_the_library_output(self, capsys, tmp_path):
+        box, other = [0, 4, 0, 4], [1, 5, 1, 5]
+        kept = vr_record(2, box, 1, 3, box)  # one box under two classes
+        before = self.files(tmp_path, "before", {
+            "a\n.jpg": [vr_record(0, box, 0, 1, other)] * 2,  # an exact duplicate
+            "b\u2028.jpg": [kept, vr_record(3, other, 3, 0, box)],
+        })
+        after = self.files(tmp_path, "after", {
+            "b\u2028.jpg": [kept, vr_record(1, other, 2, 2, box)],
+            "c\x85\r.jpg": [vr_record(0, box, 0, 1, other)],
+        })
+        corpus = load_corpus(*before)
+        findings = analyze.lint(corpus)
+        assert {f.rule.value for f in findings} >= {"ExactDuplicateVR", "MultiClassBbox"}
+        histogram = analyze.distribution(corpus, "distinct_classes_per_image")
+        result = analyze.query_images(corpus, analyze.parse_pattern("*, *, *"))
+        diff = diff_corpora(corpus, load_corpus(*after))
+        expected = {
+            ("lint",): analyze.format_findings(findings),
+            ("stats", "--distribution", histogram.metric):
+                f"{histogram.metric}:\n" + "".join(f"  {v}: {n}\n" for v, n in histogram.buckets),
+            ("query", "--pattern", "*, *, *"):
+                "".join(f"{image}\n" for image in result.images)
+                + "".join(f"{position}: {', '.join(names)}\n" for position, names in result.bindings.items()),
+            ("query", "--count", "2"): "".join(f"{image}\n" for image in sorted(corpus.images)),
+        }
+        flags = ["--annotations", before[0], "--classes", before[1], "--predicates", before[2]]
+        for (command, *options), text in expected.items():
+            assert run(capsys, command, *flags, *options) == (0, text, "")
+        assert [(d.filename, d.status) for d in diff.deltas] == [
+            ("a\n.jpg", "removed"), ("b\u2028.jpg", "modified"), ("c\x85\r.jpg", "added")]
+        assert run(capsys, "diff", *before, *after) == (0, (
+            "removed a\n.jpg\n"
+            "modified b\u2028.jpg changed=1 added=0 removed=0\n"
+            "added c\x85\r.jpg\n"
+            "total: images_touched=3 changed=1 added=0 removed=0 images_added=1 images_removed=1\n"
+        ), "")
 
 
 class TestUsage:

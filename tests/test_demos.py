@@ -1,7 +1,9 @@
 """Each demo, run as a script, prints exactly its golden stdout.
 
 The golden files under `demos/expected/` write the demos directory as
-`<demos>`, since two demos print the paths of what they wrote.
+`<demos>`, since two demos print the paths of what they wrote.  Each demo runs
+under CI's interpreter flags, and a warning, such as the ResourceWarning of a
+file left open, fails it through the empty stderr it must leave.
 """
 
 import os
@@ -18,7 +20,8 @@ SRC = DEMOS.parent / "src"
 @pytest.mark.parametrize("name", ["edit_with_a_script", "run_a_workflow", "graph_round_trip"])
 def test_demo_stdout_is_golden(name):
     done = subprocess.run(
-        [sys.executable, "-W", "error", str(DEMOS / f"{name}.py")],
+        [sys.executable, "-X", "dev", "-X", "warn_default_encoding", "-W", "error",
+         str(DEMOS / f"{name}.py")],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, b"")

@@ -250,6 +250,11 @@ class TestByteLineDump:
             assert outcome(streamed_load, data, tmp_path / "g.nt") == data
         assert refused > 100
 
+    def test_a_dump_encodes_only_as_utf8(self):
+        assert kg.Dump([b"a\n"]).encode("UTF8") == b"a\n"
+        with pytest.raises(LookupError, match="^a dump is UTF-8, not latin-1$"):
+            kg.Dump([b"a\n"]).encode("latin-1")
+
     def test_no_store_holds_a_lone_surrogate(self):
         """A lone surrogate has no UTF-8 form, so no dump could hold it."""
         ns = DEFAULT_NAMESPACE

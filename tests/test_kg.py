@@ -926,6 +926,48 @@ class TestExtract:
         assert back.images == canonicalize_corpus(corpus).images
 
 
+class TestHandBuiltSchema:
+    """What `load_schema` cannot yield, a hand-built `Schema` may hold; `materialize` and
+    `extract_annotations` refuse it with MalformedGraphError and leave the store as it was."""
+
+    def check_refused(self, stage, message):
+        corpus = tiny_corpus()
+        store = lower_annotations(corpus, default_schema(corpus))
+        before = dump_store(store).encode()
+        with pytest.raises(MalformedGraphError, match=f"^{re.escape(message)}$"):
+            stage(store, corpus)
+        assert dump_store(store).encode() == before
+
+    @pytest.mark.parametrize("axioms, message", [
+        ({"subclass_of": [5]}, "subclass_of holds 5, which is not a pair of terms"),
+        ({"subprop_of": [("a",)]}, "subprop_of holds ('a',), which is not a pair of terms"),
+        ({"subclass_of": ["AB"]}, "subclass_of holds 'AB', which is not a pair of terms"),
+    ], ids=["int", "one-term", "two-letter-string"])
+    def test_materialize_refuses_an_axiom_that_is_not_a_pair(self, axioms, message):
+        self.check_refused(lambda store, _: materialize(store, Schema(**axioms)), message)
+
+    @pytest.mark.parametrize("value", [5, ["x"]], ids=["int", "list"])
+    @pytest.mark.parametrize("field", ["ann_classes", "ann_properties"])
+    def test_extract_refuses_a_designated_term_that_is_not_a_string(self, field, value):
+        def extract(store, corpus):
+            schema = default_schema(corpus)
+            designations = getattr(schema, field)
+            designations[next(iter(designations))] = value
+            return extract_annotations(store, schema, corpus.object_class_names, corpus.predicate_names)
+        self.check_refused(extract, f"IRI {value!r} is not a string")
+
+    @pytest.mark.parametrize("field, pair, undeclared", [
+        ("subclass_of", ("A", "B"), "B"), ("eq_class", ("B", "A"), "B"),
+        ("subclass_of", ("A", ["x"]), ["x"]),
+    ], ids=["subclass", "eqclass", "unhashable"])
+    def test_extract_refuses_an_undeclared_class(self, field, pair, undeclared):
+        schema = Schema(classes={"A"}, **{field: [pair]})
+        self.check_refused(
+            lambda store, corpus: extract_annotations(
+                store, schema, corpus.object_class_names, corpus.predicate_names),
+            f"{field} holds {pair!r}: {undeclared!r} is not a declared class")
+
+
 class TestCanonicalize:
     def test_orders_and_dedups(self):
         a = VisualRelationship(

@@ -353,6 +353,11 @@ class TestRunWorkflow:
         assert isinstance(err.value.cause, SelfMergeError)
         assert canonical_annotations_bytes(corpus) == snapshot
 
+    def test_a_file_based_run_needs_every_path(self):
+        message = "^config key 'input_annotations' is required for a file-based run$"
+        with pytest.raises(ConfigError, match=message):
+            run_workflow_files(WorkflowConfig(steps=[Step("dedup_vrs")]))
+
     def test_missing_protocol_file_fails_step(self):
         config = WorkflowConfig(steps=[Step("apply_protocol_file", {"path": "/nonexistent/x.txt"})])
         with pytest.raises(StepFailedError) as err:
