@@ -25,6 +25,7 @@ from __future__ import annotations
 import codecs
 import re
 from collections import defaultdict
+from itertools import zip_longest
 from typing import NamedTuple
 from urllib.parse import quote
 
@@ -649,8 +650,20 @@ def format_term(term) -> str:
     return f'"{term.translate(_ESCAPE_TABLE)}"'
 
 
-class Dump(list):
-    """The lines of a dump in order, each UTF-8 `bytes` ending in a line break."""
+class Dump:
+    """The lines of a dump in order, each UTF-8 `bytes` ending in a line break.
+    It can be iterated more than once; a store's dump (`dump_store`) is lazy
+    and makes its lines afresh each time.  Two dumps are equal when their
+    lines are."""
+
+    def __init__(self, lines):
+        self._lines = lines
+
+    def __iter__(self):
+        return iter(self._lines)
+
+    def __eq__(self, other):
+        return isinstance(other, Dump) and all(a == b for a, b in zip_longest(self, other))
 
     def encode(self, encoding: str = "utf-8") -> bytes:
         """The whole dump as one `bytes`; its lines are UTF-8 already."""
@@ -659,21 +672,31 @@ class Dump(list):
         return b"".join(self)
 
 
+class _StoreDump(Dump):
+    def __init__(self, store: GraphStore):
+        self._store = store
+
+    def __iter__(self):
+        by_subject = self._store._by_subject
+        text = [(f"<{key}>" if key.__class__ is str else format_term(key[1])).encode("utf-8")
+                for key in self._store._terms]
+        for s in sorted(by_subject, key=text.__getitem__):
+            subject = text[s]
+            yield from sorted([b" ".join((subject, text[p], text[o], b".\n"))
+                               for _, p, o in by_subject[s]])
+
+
 def dump_store(store: GraphStore) -> Dump:
-    """One ` .`-terminated line per triple, sorted; each term is formatted and
-    encoded once.  UTF-8 bytes sort in code-point order, as text does.  Made
-    subject by subject, the lines come nearly sorted and in memory order.
-    The order rests on two premises.  No IRI holds `>` (`check_iri`), so no
-    line's text runs on past another line's ` .`, and sorting the lines with
+    """One ` .`-terminated line per triple, sorted, made subject by subject as
+    the dump is iterated: so a write holds one subject's lines at a time, and
+    the dump reflects the store as it is then.  Each term is formatted and
+    encoded once per iteration.  UTF-8 bytes sort in code-point order, as text
+    does.  The order rests on two premises.  No IRI holds `>` (`check_iri`), so
+    no line's text runs on past another line's ` .`, and sorting the lines with
     ` .\\n` appended gives the order of their text.  Every subject is an IRI
     (`add`, lowering, `materialize` and `load_store` see to it), so the
     formatted subjects are prefix-free and alone order two subjects' lines."""
-    text = [(f"<{key}>" if key.__class__ is str else format_term(key[1])).encode("utf-8")
-            for key in store._terms]
-    lines = Dump(b" ".join((text[s], text[p], text[o], b".\n"))
-                 for triples in store._by_subject.values() for s, p, o in triples)
-    lines.sort()
-    return lines
+    return _StoreDump(store)
 
 
 _LINE_RE = re.compile(rf"{_IRI} {_IRI} (.+) \.$")

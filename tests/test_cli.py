@@ -797,6 +797,32 @@ class TestKgCommands:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.nt", "kgdata", "previous.nt"]
         assert out.read_bytes() == b"previous dump\n"
 
+    @pytest.mark.parametrize("command", ["lower", "materialize"])
+    def test_dump_failing_partway_keeps_previous_out(self, capsys, tmp_path, monkeypatch,
+                                                     command):
+        """The dump is written as it is made, so it can fail after its temp file
+        holds a line; the previous output still stands and no temp file is left."""
+        directory = self.seed(tmp_path)
+        schema = ["--schema", str(directory / "axioms.txt")]
+        lowered = tmp_path / "g.nt"
+        assert run(capsys, "kg", "lower", *corpus_args(directory), *schema, "--out", str(lowered))[0] == 0
+        out = tmp_path / "previous.nt"
+        out.write_bytes(b"previous dump\n")
+        staged = []
+
+        def lines():
+            yield lowered.read_bytes().splitlines(keepends=True)[0]
+            staged.extend(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp"))
+            raise RuntimeError("dump failed")
+
+        monkeypatch.setattr(kg, "dump_store", lambda store: kg.Dump(lines()))
+        inputs = corpus_args(directory) if command == "lower" else [str(lowered)]
+        with pytest.raises(RuntimeError, match="^dump failed$"):
+            main(["kg", command, *inputs, *schema, "--out", str(out)])
+        assert len(staged) == 1 and staged[0].startswith(".previous.nt.")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.nt", "kgdata", "previous.nt"]
+        assert out.read_bytes() == b"previous dump\n"
+
 
 class TestDurableOutputs:
     def test_failed_directory_fsync_exits_4(self, capsys, tmp_path, monkeypatch):

@@ -10,11 +10,18 @@ result.  The streamed forms must give the same store, bytes and errors.
 import random
 import re
 import tracemalloc
+from collections import deque
 
 import pytest
 
 from vrannot import kg
-from vrannot.corpus import AnnotatedObject, AnnotationCorpus, BoundingBox, VisualRelationship
+from vrannot.corpus import (
+    AnnotatedObject,
+    AnnotationCorpus,
+    BoundingBox,
+    VisualRelationship,
+    replace_files,
+)
 from vrannot.errors import MalformedAxiomError, MalformedGraphError, VrannotError
 from vrannot.kg import (
     _LINE_RE,
@@ -206,6 +213,18 @@ class TestStreamedReader:
         assert outcome(streamed_load, data, tmp_path / "g.nt") == (MalformedGraphError, message)
 
 
+def cjk_store() -> GraphStore:
+    """301 lowered images, one with a CJK filename, as in the construction memory test."""
+    rng = random.Random(1203)
+    images = {f"img_{k:04d}.jpg": [random_vr(rng, 60, 30) for _ in range(8)]
+              for k in range(300)}
+    images["img_東京.jpg"] = [random_vr(rng, 60, 30)]
+    annotations = AnnotationCorpus(
+        images, [f"class {k}" for k in range(60)], [f"predicate {k}" for k in range(30)]
+    )
+    return lower_annotations(annotations, default_schema(annotations))
+
+
 def random_term(rng, kind: str):
     if kind == "iri":
         local = rng.choice(("a", "b", "a b", "b> .\x01", "b> .", "東", "\U0001f600", "a\udcff"))
@@ -249,6 +268,44 @@ class TestByteLineDump:
             assert outcome(reference_load, data) == data
             assert outcome(streamed_load, data, tmp_path / "g.nt") == data
         assert refused > 100
+
+    def test_matches_the_sorted_text_dump_on_seeded_prefix_subjects(self, tmp_path):
+        """Subjects whose IRIs are prefixes of one another, with `a ` and `a\\t` sorting
+        before `a`'s closing `>`, and objects `"5"`, 5 and `"5 ."` beside one another."""
+        ns = DEFAULT_NAMESPACE
+        iris = [Iri(ns + local) for local in ("a", "ab", "a!", "a ", "a\t")]
+        objects = [*iris, "5", 5, "5 .", "5 ", 55]
+        rng = random.Random(1204)
+        for _ in range(200):
+            store = GraphStore()
+            for _ in range(rng.randrange(0, 25)):
+                store.add(Triple(rng.choice(iris), rng.choice(iris[:3]), rng.choice(objects)))
+            data = dump_store(store).encode()
+            assert data == reference_dump(store)
+            assert outcome(reference_load, data) == data
+            assert outcome(streamed_load, data, tmp_path / "g.nt") == data
+
+    def test_a_dump_is_re_iterable_and_equal_by_its_lines(self, tmp_path):
+        """A store's dump makes its lines afresh at each pass: reading it whole
+        first leaves a later write whole, and it shows the store as it is then."""
+        store = cjk_store()
+        dump = dump_store(store)
+        lines = list(dump)
+        assert len(lines) == len(store) and list(dump) == lines
+        replace_files([(tmp_path / "alone.nt", dump_store(store))])
+        assert dump.encode() == reference_dump(store)
+        replace_files([(tmp_path / "after.nt", dump)])
+        assert (tmp_path / "after.nt").read_bytes() == (tmp_path / "alone.nt").read_bytes() \
+            == reference_dump(store)
+        shuffled = list(store)
+        random.Random(1205).shuffle(shuffled)
+        same = GraphStore()
+        for triple in shuffled:
+            same.add(triple)
+        assert dump_store(same) == dump and dump_store(same) != kg.Dump(lines[:-1])
+        later = dump_store(same)
+        same.add(Triple(Iri(DEFAULT_NAMESPACE + "z"), Iri(DEFAULT_NAMESPACE + "p"), 1))
+        assert later != dump and len(list(later)) == len(lines) + 1
 
     def test_a_dump_encodes_only_as_utf8(self):
         assert kg.Dump([b"a\n"]).encode("UTF8") == b"a\n"
@@ -396,3 +453,16 @@ class TestByteLineDump:
         data = dump.encode()
         assert data == reference_dump(store)
         assert peak < 2 * len(data)
+
+    def test_a_write_holds_one_subject_at_a_time(self):
+        """Iterating the dump, as a write does, never holds its whole line list."""
+        store = cjk_store()
+        tracemalloc.start()
+        try:
+            deque(dump_store(store), maxlen=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        data = dump_store(store).encode()
+        assert data == reference_dump(store)
+        assert peak < 0.25 * len(data)
