@@ -26,6 +26,7 @@ import os
 import re
 from collections import Counter
 from contextlib import contextmanager
+from json.decoder import scanstring
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
@@ -219,6 +220,10 @@ def gc_paused():
             gc.enable()
 
 
+def _read_text(path: Path) -> str:  # JSON error positions count `\r\n` and `\r` as one `\n`
+    return io.TextIOWrapper(io.BytesIO(read_input(path)), encoding="utf-8").read()
+
+
 def _load_json(path: Path):
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         out = dict(pairs)
@@ -229,9 +234,8 @@ def _load_json(path: Path):
                     raise MalformedRecordError(str(path), f"duplicate key {key!r}")
                 seen.add(key)
         return out
-    try:  # decoded in text mode: JSON error positions count `\r\n` and `\r` as one `\n`
-        text = io.TextIOWrapper(io.BytesIO(read_input(path)), encoding="utf-8").read()
-        return json.loads(text, object_pairs_hook=unique_keys)
+    try:
+        return json.loads(_read_text(path), object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedRecordError(str(path), str(exc)) from None
     except ValueError:  # int() refuses a literal over the interpreter's digit limit
@@ -327,46 +331,90 @@ def _parse_annotated_object(raw: object, image: str, index: int, side: str) -> A
     raise MalformedRecordError(f"{image}[{index}].{side}", f"bbox must be 4 integers, got {bbox!r}")
 
 
+_WS = r"[ \t\n\r]*"  # JSON whitespace; below, the root's punctuation with the whitespace around it
+_ROOT_OPEN = re.compile(_WS + r"\{" + _WS).match
+_COLON = re.compile(_WS + ":" + _WS).match
+_COMMA = re.compile(_WS + "," + _WS + '(?=")').match
+_ROOT_CLOSE = re.compile(_WS + r"\}" + _WS + r"\Z").match
+_raw_decode = json.JSONDecoder().raw_decode  # the C scanner, with no Python hook
+
+
+def _image_vrs(image: str, records, n_classes: int, n_predicates: int, path) -> list:
+    """The checked VRs of one decoded image entry; raises on its first problem."""
+    _check_utf8(image, path, "image key")
+    if not isinstance(records, list):
+        raise MalformedRecordError(image, "image entry must be an array of records")
+    vrs: list[VisualRelationship] = []
+    # Immutable, so value-equal participants in one image can share one object.
+    shared: dict[AnnotatedObject, AnnotatedObject] = {}
+    for index, record in enumerate(records):
+        if record.__class__ is not dict or record.keys() != _RECORD_KEYS:
+            raise MalformedRecordError(
+                f"{image}[{index}]", "expected keys 'predicate', 'subject' and 'object'"
+            )
+        predicate = record["predicate"]
+        if predicate.__class__ is not int:
+            raise MalformedRecordError(f"{image}[{index}]", "predicate must be an integer")
+        subject = _parse_annotated_object(record["subject"], image, index, "subject")
+        obj = _parse_annotated_object(record["object"], image, index, "object")
+        _check_ids(image, index, subject, predicate, obj, n_classes, n_predicates)
+        subject = shared.setdefault(subject, subject)
+        obj = shared.setdefault(obj, obj)
+        vrs.append(_new(VisualRelationship, (subject, predicate, obj)))
+    return vrs
+
+
+def _scan_images(text: str, n_classes: int, n_predicates: int, path) -> dict:
+    """Decode and check a valid annotations object an image at a time: only the
+    root's punctuation is read here; each image's array is decoded by the C
+    scanner and checked.  Raises on anything it cannot prove valid."""
+    images: dict[str, list[VisualRelationship]] = {}
+    if (found := _ROOT_OPEN(text)) is None:
+        raise ValueError("root is not an object")
+    end = found.end()
+    while text.startswith('"', end):
+        image, end = scanstring(text, end + 1)
+        if image in images or (found := _COLON(text, end)) is None:
+            raise ValueError("repeated image or no ':'")
+        start = found.end()
+        records, end = _raw_decode(text, start)
+        images[image] = _image_vrs(image, records, n_classes, n_predicates, path)
+        # Each key of a checked record is one of its 7 field names and no value
+        # holds a `:`, so 7 pairs a record means that none of its keys repeats.
+        if text.count(":", start, end) != 7 * len(records):
+            raise ValueError("repeated key")
+        if (found := _COMMA(text, end)) is None:
+            break
+        end = found.end()
+    if _ROOT_CLOSE(text, end) is None:
+        raise ValueError("no '}' or data after it")
+    return images
+
+
 def _load_images(annotations_path, n_classes: int, n_predicates: int) -> dict:
+    try:
+        return _scan_images(_read_text(Path(annotations_path)), n_classes, n_predicates,
+                            annotations_path)
+    except (VrannotError, ValueError, RecursionError):
+        pass  # the strict decode below reports the file's first problem, as documented
     raw = _load_json(Path(annotations_path))
     if not isinstance(raw, dict):
         raise MalformedRecordError(str(annotations_path), "annotations root must be an object")
-
-    images: dict[str, list[VisualRelationship]] = {}
-    for image, records in raw.items():
-        _check_utf8(image, annotations_path, "image key")
-        if not isinstance(records, list):
-            raise MalformedRecordError(image, "image entry must be an array of records")
-        vrs: list[VisualRelationship] = []
-        # Immutable, so value-equal participants in one image can share one object.
-        shared: dict[AnnotatedObject, AnnotatedObject] = {}
-        for index, record in enumerate(records):
-            if record.__class__ is not dict or record.keys() != _RECORD_KEYS:
-                raise MalformedRecordError(
-                    f"{image}[{index}]", "expected keys 'predicate', 'subject' and 'object'"
-                )
-            predicate = record["predicate"]
-            if predicate.__class__ is not int:
-                raise MalformedRecordError(f"{image}[{index}]", "predicate must be an integer")
-            subject = _parse_annotated_object(record["subject"], image, index, "subject")
-            obj = _parse_annotated_object(record["object"], image, index, "object")
-            _check_ids(image, index, subject, predicate, obj, n_classes, n_predicates)
-            subject = shared.setdefault(subject, subject)
-            obj = shared.setdefault(obj, obj)
-            vrs.append(_new(VisualRelationship, (subject, predicate, obj)))
-        images[image] = vrs
-    return images
+    return {image: _image_vrs(image, records, n_classes, n_predicates, annotations_path)
+            for image, records in raw.items()}
 
 
 def load_corpus(annotations_path, classes_path, predicates_path) -> AnnotationCorpus:
     """Load a corpus from its three files and enforce the model invariants.
 
     Out-of-range ids are hard errors.  Degenerate bounding boxes are *not*:
-    they load fine and only surface through lint.
+    they load fine and only surface through lint.  A valid annotations file
+    is decoded image by image; any other is decoded whole, strictly, so that
+    its first problem is reported as `docs/formats.md` orders them.
     """
     classes = load_master_list(classes_path, "object class")
     predicates = load_master_list(predicates_path, "predicate")
-    with gc_paused():  # the decoded tree and the model are acyclic
+    with gc_paused():  # the decoded records and the model are acyclic
         images = _load_images(annotations_path, len(classes), len(predicates))
     return AnnotationCorpus(images, classes, predicates)
 
@@ -446,9 +494,11 @@ def _fsync_directory(directory: str) -> None:
 
 
 def replace_files(targets) -> None:
-    """Write each (path, chunks) pair, `chunks` a sequence of `bytes` joined
+    """Write each (path, chunks) pair, `chunks` an iterable of `bytes` joined
     on disk, through a temp file next to its path, making its missing parent
-    directories, which stay if a later step fails.
+    directories, which stay if a later step fails.  The chunks may be made
+    lazily while they are written, as a `kg` `Dump` makes its lines, and may
+    raise partway; the temp file is then removed and the error propagates.
 
     Every temp file is written and fsynced before the first one is renamed
     over its target, so a failure while writing changes no target, leaves no

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import vrannot.corpus
 from vrannot.corpus import (
     AnnotatedObject,
     AnnotationCorpus,
@@ -305,15 +306,31 @@ class Pairs(list):
     """A JSON object given as (key, value) pairs, so that keys may repeat."""
 
 
+class Repeating(dict):
+    """A dict that json.dumps writes as the pairs it was made from, repeats included."""
+
+    def __init__(self, pairs):
+        self.pairs = list(pairs)
+        super().__init__(self.pairs)
+
+    def items(self):
+        return self.pairs
+
+
+def encodable(value):
+    """The value with each Pairs as a Repeating, for json.dumps."""
+    if isinstance(value, Pairs):
+        return Repeating((key, encodable(v)) for key, v in value)
+    if isinstance(value, dict):
+        return {key: encodable(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [encodable(v) for v in value]
+    return value
+
+
 def dumps(value) -> str:
     """json.dumps that also writes Pairs, repeated keys included."""
-    if isinstance(value, dict):
-        value = Pairs(value.items())
-    if isinstance(value, Pairs):
-        return "{" + ", ".join(f"{json.dumps(k)}: {dumps(v)}" for k, v in value) + "}"
-    if isinstance(value, list):
-        return "[" + ", ".join(dumps(v) for v in value) + "]"
-    return json.dumps(value)
+    return json.dumps(encodable(value))
 
 
 def raw_annotations(corpus):
@@ -648,6 +665,141 @@ class TestLoaderExactTypes:
             for obj in (vr.subject, vr.object):
                 assert type(obj) is AnnotatedObject and type(obj.bbox) is BoundingBox
                 assert {type(value) for value in (vr.predicate_id, obj.class_id, *obj.bbox)} == {int}
+
+
+# Image-key characters that are JSON punctuation, need an escape or are not ASCII.
+KEY_ALPHABET = 'a.:{},[]"\\ \t\x01é東😀\u2028'
+
+
+def exotic_keys(corpus, rng):
+    """The corpus with its images renamed to keys drawn from KEY_ALPHABET."""
+    images = {
+        f"{n}{''.join(rng.choice(KEY_ALPHABET) for _ in range(rng.randrange(6)))}": vrs
+        for n, vrs in enumerate(corpus.images.values())
+    }
+    return AnnotationCorpus(images, corpus.object_class_names, corpus.predicate_names)
+
+
+# Ways to write one root: whitespace, line ends, key order and escapes vary.
+LAYOUTS = {
+    "dumps": dumps,
+    "indented-sorted": lambda root: json.dumps(
+        encodable(root), indent=2, sort_keys=True, ensure_ascii=False),
+    "compact": lambda root: json.dumps(
+        encodable(root), separators=(",", ":"), ensure_ascii=False),
+    "crlf": lambda root: json.dumps(
+        encodable(root), indent=1, ensure_ascii=False).replace("\n", "\r\n"),
+    "tabs": lambda root: " \t\r\n" + json.dumps(
+        encodable(root), indent="\t", ensure_ascii=False) + "\n\t ",
+    "ascii-escapes": lambda root: json.dumps(encodable(root), indent=2, ensure_ascii=True),
+}
+
+RECORD = '{"predicate": 0, "subject": {"category": 0, "bbox": [0, 1, 0, 1]}, ' \
+         '"object": {"category": 0, "bbox": [0, 1, 0, 1]}}'
+EDGE_TEXTS = {
+    "empty-object": "{}",
+    "spaced-empty-object": " \r\n{ \t}\n ",
+    "bom": "\ufeff{}",
+    "array-root": "[]",
+    "empty-file": "",
+    "whitespace-only": " \n",
+    "trailing-comma": f'{{"a.jpg": [{RECORD}],}}',
+    "trailing-data": '{"a.jpg": []} x',
+    "second-root": '{"a.jpg": []}{}',
+    "no-close": '{"a.jpg": []',
+    "no-colon": '{"a.jpg" []}',
+    "no-comma": '{"a.jpg": [] "b.jpg": []}',
+    "number-key": '{"a.jpg": [], 1: []}',
+    "raw-control-character-in-key": '{"a\x01.jpg": []}',
+    "bad-escape-in-key": '{"a\\x.jpg": []}',
+    "nan-entry": '{"a.jpg": NaN}',
+    "repeated-image-after-a-record-problem":
+        f'{{"a.jpg": [{{"predicate": 0}}], "b.jpg": [{RECORD}], "a.jpg": []}}',
+    "repeated-escaped-record-key": '{"a.jpg": [' + RECORD[:-1] + ', "\\u0070redicate": 0}]}',
+    "colon-in-a-string-value":
+        '{"a.jpg": [' + RECORD.replace('"predicate": 0', '"predicate": ":"') + "]}",
+    "equal-keys-escaped-differently": '{"a.jpg": [], "\\u0061.jpg": []}',
+}
+
+
+def check_text(tmp_path, text, classes=("c",), predicates=("p",)):
+    """Load `text` as the annotations file; the outcome must equal the reference's."""
+    paths = tuple(tmp_path / f"{name}.json" for name in ("annotations", "classes", "predicates"))
+    paths[0].write_bytes(text.encode("utf-8"))
+    paths[1].write_text(json.dumps(list(classes)), encoding="utf-8")
+    paths[2].write_text(json.dumps(list(predicates)), encoding="utf-8")
+    expected = load_outcome(reference_load_corpus, paths)
+    assert load_outcome(load_corpus, paths) == expected, text
+    return expected
+
+
+class TestLoaderLayouts:
+    """A valid file is decoded an image at a time, anything else strictly;
+    both must give the reference's outcome however the file is laid out."""
+
+    def test_valid_corpora_in_every_layout(self, tmp_path):
+        rng = random.Random(59)
+        for _ in range(30):
+            corpus = exotic_keys(random_corpus(rng, max_images=8, allow_empty_images=True), rng)
+            root = raw_annotations(corpus)
+            for layout in LAYOUTS.values():
+                outcome = check_text(tmp_path, layout(root), corpus.object_class_names,
+                                     corpus.predicate_names)
+                assert outcome == corpus
+
+    def test_mutations_in_every_layout(self, tmp_path):
+        rng = random.Random(61)
+        kinds, errors = set(), set()
+        for _ in range(150):
+            corpus = exotic_keys(random_corpus(rng, max_images=5, max_vrs=4), rng)
+            root = raw_annotations(corpus)
+            kind, root = mutate(root, rng, len(corpus.object_class_names),
+                                len(corpus.predicate_names), set())
+            kinds.add(kind)
+            for layout in LAYOUTS.values():
+                outcome = check_text(tmp_path, layout(root), corpus.object_class_names,
+                                     corpus.predicate_names)
+                errors.add(outcome[0])
+        assert len(kinds) == len(MUTATION_KINDS)
+        assert errors == {MalformedRecordError, IdOutOfRangeError}
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS.values(), ids=EDGE_TEXTS.keys())
+    def test_edge_texts(self, tmp_path, text):
+        check_text(tmp_path, text)
+
+    def test_a_valid_file_skips_the_strict_decode(self, tmp_path, monkeypatch):
+        corpus = exotic_keys(random_corpus(random.Random(67), max_images=10), random.Random(68))
+        corpus.images['a:b "c" \\d {e}, é.jpg'] = []
+        decoded = []
+        strict = vrannot.corpus._load_json
+        monkeypatch.setattr(vrannot.corpus, "_load_json",
+                            lambda path: decoded.append(path.name) or strict(path))
+        for layout in LAYOUTS.values():
+            text = layout(raw_annotations(corpus))
+            assert check_text(tmp_path, text, corpus.object_class_names,
+                              corpus.predicate_names) == corpus
+        assert set(decoded) == {"classes.json", "predicates.json"}  # only these are strict
+        check_text(tmp_path, EDGE_TEXTS["repeated-escaped-record-key"])
+        assert decoded[-1] == "annotations.json"  # an unproven file falls back to it
+
+    def test_peak_memory_stays_below_three_file_sizes(self, tmp_path):
+        # The decoded records of one image at a time are held next to the
+        # text and the model, never the dict tree of the whole file.
+        rng = random.Random(71)
+        images = {f"img_{k:04d}.jpg": [random_vr(rng, 60, 30) for _ in range(8)]
+                  for k in range(600)}
+        corpus = AnnotationCorpus(images, [f"c{k}" for k in range(60)],
+                                  [f"p{k}" for k in range(30)])
+        paths = tuple(tmp_path / name for name in ("a.json", "c.json", "p.json"))
+        save_corpus(corpus, *paths)
+        tracemalloc.start()
+        try:
+            loaded = load_corpus(*paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded == corpus
+        assert peak < 3 * paths[0].stat().st_size
 
 
 def plain(value):
