@@ -220,11 +220,14 @@ def gc_paused():
             gc.enable()
 
 
-def _read_text(path: Path) -> str:  # JSON error positions count `\r\n` and `\r` as one `\n`
-    return io.TextIOWrapper(io.BytesIO(read_input(path)), encoding="utf-8").read()
+class _OpenPath(type(Path())):
+    """An input path whose file is already open as the text `stream`: the strict
+    decode rereads that stream, since a pipe or a FIFO cannot be opened twice."""
 
 
 def _load_json(path: Path):
+    """The JSON value of the file at `path`, decoded strictly; an `_OpenPath` is
+    read from its stream."""
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         out = dict(pairs)
         if len(out) != len(pairs):
@@ -234,8 +237,11 @@ def _load_json(path: Path):
                     raise MalformedRecordError(str(path), f"duplicate key {key!r}")
                 seen.add(key)
         return out
+    stream = path.stream if isinstance(path, _OpenPath) else io.TextIOWrapper(
+        _open_input(path), encoding="utf-8")
     try:
-        return json.loads(_read_text(path), object_pairs_hook=unique_keys)
+        with stream:  # read as text: JSON error positions count `\r\n` and `\r` as one `\n`
+            return json.loads(stream.read(), object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedRecordError(str(path), str(exc)) from None
     except ValueError:  # int() refuses a literal over the interpreter's digit limit
@@ -337,6 +343,7 @@ _COLON = re.compile(_WS + ":" + _WS).match
 _COMMA = re.compile(_WS + "," + _WS + '(?=")').match
 _ROOT_CLOSE = re.compile(_WS + r"\}" + _WS + r"\Z").match
 _raw_decode = json.JSONDecoder().raw_decode  # the C scanner, with no Python hook
+_CHUNK = 1 << 16  # characters read at a time into the scan's window
 
 
 def _image_vrs(image: str, records, n_classes: int, n_predicates: int, path) -> list:
@@ -364,40 +371,66 @@ def _image_vrs(image: str, records, n_classes: int, n_predicates: int, path) -> 
     return vrs
 
 
-def _scan_images(text: str, n_classes: int, n_predicates: int, path) -> dict:
+def _scan_images(stream, n_classes: int, n_predicates: int, path) -> dict:
     """Decode and check a valid annotations object an image at a time: only the
     root's punctuation is read here; each image's array is decoded by the C
-    scanner and checked.  Raises on anything it cannot prove valid."""
+    scanner and checked.  `stream` is read in chunks into a window of text that
+    starts at the current image's key.  A step that the window's end may have cut
+    short reads more and retries the image, twice as much on each retry in a row,
+    so that an array is decoded O(log n) times; it raises with the file's end in
+    the window.  A problem that more text cannot mend raises at once."""
     images: dict[str, list[VisualRelationship]] = {}
-    if (found := _ROOT_OPEN(text)) is None:
-        raise ValueError("root is not an object")
-    end = found.end()
-    while text.startswith('"', end):
-        image, end = scanstring(text, end + 1)
-        if image in images or (found := _COLON(text, end)) is None:
-            raise ValueError("repeated image or no ':'")
-        start = found.end()
-        records, end = _raw_decode(text, start)
-        images[image] = _image_vrs(image, records, n_classes, n_predicates, path)
-        # Each key of a checked record is one of its 7 field names and no value
-        # holds a `:`, so 7 pairs a record means that none of its keys repeats.
-        if text.count(":", start, end) != 7 * len(records):
-            raise ValueError("repeated key")
-        if (found := _COMMA(text, end)) is None:
-            break
-        end = found.end()
-    if _ROOT_CLOSE(text, end) is None:
-        raise ValueError("no '}' or data after it")
-    return images
+    text, key, size, eof = "", 0, _CHUNK, False
+    while True:
+        try:
+            if not images:  # the window holds the file's start until an image is kept
+                if (found := _ROOT_OPEN(text)) is None:
+                    raise ValueError("root is not an object")
+                key = found.end()
+            end = key
+            while text.startswith('"', key):
+                image, end = scanstring(text, key + 1)
+                if image in images:
+                    raise VrannotError("repeated image")
+                if (found := _COLON(text, end)) is None:
+                    raise ValueError("no ':'")
+                start = found.end()
+                records, end = _raw_decode(text, start)
+                vrs = _image_vrs(image, records, n_classes, n_predicates, path)
+                # Each key of a checked record is one of its 7 field names and no value
+                # holds a `:`, so 7 pairs a record means that none of its keys repeats.
+                if text.count(":", start, end) != 7 * len(records):
+                    raise VrannotError("repeated key")
+                if (found := _COMMA(text, end)) is None:
+                    break
+                images[image] = vrs  # kept once the next key is in the window
+                key, size = found.end(), _CHUNK
+            if eof and _ROOT_CLOSE(text, end) is not None:
+                if end > key:  # the last image, read but not yet kept
+                    images[image] = vrs
+                return images
+            raise ValueError("no '}' or data after it")
+        except ValueError:  # the window's end may have cut a key, an array or the punctuation
+            if eof:
+                raise
+        more = stream.read(size)
+        text, key, size, eof = (text[key:] if images else text) + more, 0, 2 * size, len(more) < size
 
 
 def _load_images(annotations_path, n_classes: int, n_predicates: int) -> dict:
-    try:
-        return _scan_images(_read_text(Path(annotations_path)), n_classes, n_predicates,
-                            annotations_path)
-    except (VrannotError, ValueError, RecursionError):
-        pass  # the strict decode below reports the file's first problem, as documented
-    raw = _load_json(Path(annotations_path))
+    path = _OpenPath(annotations_path)
+    handle = _open_input(path)
+    if not handle.seekable():  # a pipe or FIFO is read whole, so that it can be reread
+        with handle:
+            handle = io.BytesIO(handle.read())
+    path.stream = io.TextIOWrapper(handle, encoding="utf-8")
+    with path.stream:
+        try:
+            return _scan_images(path.stream, n_classes, n_predicates, annotations_path)
+        except (VrannotError, ValueError, RecursionError):
+            pass  # the strict decode below reports the file's first problem, as documented
+        path.stream.seek(0)
+        raw = _load_json(path)
     if not isinstance(raw, dict):
         raise MalformedRecordError(str(annotations_path), "annotations root must be an object")
     return {image: _image_vrs(image, records, n_classes, n_predicates, annotations_path)
@@ -409,8 +442,9 @@ def load_corpus(annotations_path, classes_path, predicates_path) -> AnnotationCo
 
     Out-of-range ids are hard errors.  Degenerate bounding boxes are *not*:
     they load fine and only surface through lint.  A valid annotations file
-    is decoded image by image; any other is decoded whole, strictly, so that
-    its first problem is reported as `docs/formats.md` orders them.
+    is read in chunks and decoded image by image, so its memory follows the
+    model, not the file; any other is decoded whole, strictly, so that its
+    first problem is reported as `docs/formats.md` orders them.
     """
     classes = load_master_list(classes_path, "object class")
     predicates = load_master_list(predicates_path, "predicate")
@@ -455,11 +489,19 @@ def _vr_text(vr: VisualRelationship) -> str:
     return _VR_TEMPLATE % (*o_box, o_class, predicate, *s_box, s_class)
 
 
-def _image_entry(image: str, vrs: list[VisualRelationship]) -> bytes:
+def _image_entry(head: str, image: str, vrs: list[VisualRelationship]) -> bytes:
     key = encode_basestring(image)
     if not vrs:
-        return f"  {key}: []".encode("utf-8")
-    return (f"  {key}: [\n" + ",\n".join(map(_vr_text, vrs)) + "\n  ]").encode("utf-8")
+        return f"{head}  {key}: []".encode("utf-8")
+    return (f"{head}  {key}: [\n" + ",\n".join(map(_vr_text, vrs)) + "\n  ]").encode("utf-8")
+
+
+def _annotations_chunks(corpus: AnnotationCorpus):
+    head = "{\n"
+    for image in sorted(corpus.images):
+        yield _image_entry(head, image, corpus.images[image])
+        head = ",\n"
+    yield b"{}\n" if head == "{\n" else b"\n}\n"
 
 
 def canonical_annotations_bytes(corpus: AnnotationCorpus) -> bytes:
@@ -467,16 +509,12 @@ def canonical_annotations_bytes(corpus: AnnotationCorpus) -> bytes:
     ensure_ascii=False) + "\n", written without building the payload.
 
     Image keys are sorted; per-image VR order is semantic (scripts index into
-    it) and is preserved as-is.  Each image is encoded on its own and the file
-    is joined once, so no whole-file str is built: its size would follow the
-    widest character of any filename, and so would the peak memory of a save.
+    it) and is preserved as-is.  Each image's entry is encoded on its own, with
+    the `{` or `,` before it, and `save_corpus` writes these chunks one by one:
+    no whole-file str is built, whose size would follow the widest character of
+    any filename, and a save holds one entry at a time.
     """
-    entries = [_image_entry(image, vrs) for image, vrs in sorted(corpus.images.items())]
-    if not entries:
-        return b"{}\n"
-    entries[0] = b"{\n" + entries[0]
-    entries[-1] += b"\n}\n"
-    return b",\n".join(entries)
+    return b"".join(_annotations_chunks(corpus))
 
 
 def canonical_master_list_bytes(names: list[str]) -> bytes:
@@ -549,9 +587,11 @@ def save_corpus(
 
     Master lists are written when their paths are given.  Retired names stay
     in the lists (ids must not shift); retirement itself is not persisted.
-    Every payload is computed before any file is touched (see replace_files).
+    The annotations are encoded entry by entry while they are written, so an
+    entry may raise partway, as a filename with no UTF-8 form does; then no
+    file is replaced and no temp file is left (see replace_files).
     """
-    targets = [(annotations_path, [canonical_annotations_bytes(corpus)])]
+    targets = [(annotations_path, _annotations_chunks(corpus))]
     if classes_path is not None:
         targets.append((classes_path, [canonical_master_list_bytes(corpus.object_class_names)]))
     if predicates_path is not None:

@@ -5,6 +5,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,53 @@ class TestValidate:
         )
         assert (result.returncode, result.stdout) == (3, b"")
         assert result.stderr == f"error: {bad}: {reason}\n".encode()
+
+
+class TestAnnotationsFromAPipe:
+    """An annotations file that can be read only once, from a pipe or a FIFO,
+    gets the regular file's outcome.  Each runs in a fresh process with a timeout."""
+
+    BAD = b'{"x.jpg": [x]}'
+
+    def validate(self, annotations, stdin=None):
+        args = corpus_args()
+        args[1] = annotations
+        src = Path(vrannot.__file__).resolve().parent.parent
+        return subprocess.run(
+            [sys.executable, "-m", "vrannot.cli", "validate", *args], input=stdin,
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=60,
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("data", [BAD, b'{"x.jpg": []}\n\xff', b"{}\r\n"],
+                             ids=["invalid", "invalid-utf-8", "valid"])
+    def test_stdin_pipe(self, tmp_path, data):
+        regular = tmp_path / "annotations.json"
+        regular.write_bytes(data)
+        expected = self.validate(str(regular))
+        result = self.validate("/dev/stdin", stdin=data)  # `input` is sent through a pipe
+        assert result.returncode == expected.returncode
+        assert result.stdout == expected.stdout
+        assert result.stderr == expected.stderr.replace(str(regular).encode(), b"/dev/stdin")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe(self, tmp_path):
+        regular = tmp_path / "annotations.json"
+        regular.write_bytes(self.BAD)
+        fifo = tmp_path / "fifo.json"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(self.BAD,), daemon=True)
+        writer.start()
+        try:
+            result = self.validate(str(fifo))
+        finally:  # a reader end lets a writer still waiting for one finish
+            reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join(10)
+            os.close(reader)
+        assert (result.returncode, result.stdout) == (3, b"")
+        assert result.stderr == f"error: {fifo}: Expecting value: line 1 column 12 (char 11)\n".encode()
+        assert self.validate(str(regular)).stderr == result.stderr.replace(
+            str(fifo).encode(), str(regular).encode())
 
 
 class TestStats:

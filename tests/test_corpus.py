@@ -8,6 +8,7 @@ import random
 import re
 import stat
 import tracemalloc
+import types
 from collections import Counter
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -50,6 +51,7 @@ from helpers import (
     check_result_tuple,
     decode_utf8,
     load_listing_corpus,
+    random_bbox,
     random_corpus,
     random_vr,
     text_lines,
@@ -800,6 +802,192 @@ class TestLoaderLayouts:
             tracemalloc.stop()
         assert loaded == corpus
         assert peak < 3 * paths[0].stat().st_size
+
+
+class TestChunkedLoaderLayouts(TestLoaderLayouts):
+    """Every layout test again, with the scan's window read 1 to 7 characters
+    at a time, so that each step of the scan meets the window's end."""
+
+    @pytest.fixture(autouse=True, params=range(1, 8))
+    def small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(vrannot.corpus, "_CHUNK", request.param)
+
+
+class OneByteFile(io.FileIO):
+    """A file that gives at most one byte a read, so that the text decoder
+    meets every byte edge."""
+
+    def readinto(self, buffer):
+        return super().readinto(memoryview(buffer)[:1])
+
+
+class CountingText(io.TextIOWrapper):
+    """A text stream that records the sizes its reads ask for."""
+
+    sizes: list = []
+
+    def read(self, size=-1):
+        if size >= 0:  # not the strict decode's whole-file read of a master list
+            self.sizes.append(size)
+        return super().read(size)
+
+
+def uniform_corpus(rng, images=("a.jpg",), vrs=2000):
+    return AnnotationCorpus({image: [random_vr(rng, 6, 4) for _ in range(vrs)] for image in images},
+                            [f"c{k}" for k in range(6)], [f"p{k}" for k in range(4)])
+
+
+class TestChunkEdges:
+    """The window's end may cut a character, a line end or an image's array."""
+
+    TEXTS = {
+        "multi-byte-keys": '{"é中.jpg": [%s], "\U0001F600 .jpg": [], "bé": [%s]}'
+                           % (RECORD, RECORD),
+        "crlf": '{\r\n"a.jpg": [\r\n%s\r\n],\r\n"b.jpg": []\r\n}\r\n' % RECORD,
+        "bare-cr": '{\r"a.jpg":\r[%s],\r"b.jpg": []}\r' % RECORD,
+        "bom": "\ufeff{\"a.jpg\": []}",
+    }
+
+    @pytest.fixture
+    def one_byte_reads(self, monkeypatch):
+        monkeypatch.setattr(vrannot.corpus, "_open_input",
+                            lambda path: io.BufferedReader(OneByteFile(path)))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 16])
+    @pytest.mark.parametrize("name", TEXTS)
+    def test_every_byte_edge(self, tmp_path, monkeypatch, one_byte_reads, name, chunk):
+        monkeypatch.setattr(vrannot.corpus, "_CHUNK", chunk)
+        check_text(tmp_path, self.TEXTS[name])
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+    def test_invalid_utf_8_is_placed_in_the_whole_file(self, tmp_path, monkeypatch,
+                                                      one_byte_reads, chunk):
+        monkeypatch.setattr(vrannot.corpus, "_CHUNK", chunk)
+        data = b'{"a.jpg": [' + RECORD.encode() + b'],\r\n"\xe4\xb8.jpg": []}'
+        paths = tuple(tmp_path / f"{n}.json" for n in ("annotations", "classes", "predicates"))
+        paths[0].write_bytes(data)
+        paths[1].write_text('["c"]', encoding="utf-8")
+        paths[2].write_text('["p"]', encoding="utf-8")
+        outcome = load_outcome(load_corpus, paths)
+        assert outcome == load_outcome(reference_load_corpus_bytes, paths)
+        offset = data.index(b"\xe4")
+        assert f"position {offset}-" in outcome[1]  # a byte offset in the whole file
+
+    def counted_load(self, tmp_path, monkeypatch, corpus, edit=lambda text: text):
+        """The outcome of loading `corpus`'s files, its annotations text passed
+        through `edit`, with 7-character chunks; the sizes the scan read; and
+        the length of the text."""
+        paths = tuple(tmp_path / name for name in ("a.json", "c.json", "p.json"))
+        save_corpus(corpus, *paths)
+        text = edit(paths[0].read_text(encoding="utf-8"))
+        paths[0].write_text(text, encoding="utf-8")
+        monkeypatch.setattr(vrannot.corpus, "_CHUNK", 7)
+        monkeypatch.setattr(vrannot.corpus, "io", types.SimpleNamespace(
+            TextIOWrapper=CountingText, BytesIO=io.BytesIO))
+        monkeypatch.setattr(CountingText, "sizes", [])
+        return load_outcome(load_corpus, paths), CountingText.sizes, len(text)
+
+    def test_a_huge_image_is_read_in_doubling_chunks(self, tmp_path, monkeypatch):
+        corpus = uniform_corpus(random.Random(73))
+        outcome, sizes, length = self.counted_load(tmp_path, monkeypatch, corpus)
+        assert outcome == corpus
+        # One read a doubling, not one a chunk: the array is decoded O(log n) times.
+        assert sizes == [7 << k for k in range(len(sizes))]
+        assert len(sizes) <= (length // 7).bit_length() + 1
+
+    def test_the_read_size_resets_after_an_image(self, tmp_path, monkeypatch):
+        corpus = uniform_corpus(random.Random(79), ("a.jpg", "b.jpg", "c.jpg"), vrs=300)
+        outcome, sizes, _ = self.counted_load(tmp_path, monkeypatch, corpus)
+        assert outcome == corpus
+        starts = [k for k, size in enumerate(sizes) if size == 7]
+        assert len(starts) >= 2  # a kept image starts the doubling again
+        for start, stop in zip(starts, starts[1:] + [len(sizes)]):
+            assert sizes[start:stop] == [7 << k for k in range(stop - start)]
+
+    def test_a_record_problem_is_not_read_past(self, tmp_path, monkeypatch):
+        # More text cannot mend a decoded array, so the strict decode starts at once.
+        corpus = uniform_corpus(random.Random(89), [f"{k:02d}.jpg" for k in range(50)], vrs=20)
+        outcome, sizes, length = self.counted_load(
+            tmp_path, monkeypatch, corpus,
+            lambda text: re.sub(r'"predicate": \d+', '"predicate": 99', text, count=1))
+        assert outcome[0] is IdOutOfRangeError
+        assert sum(sizes) < length / 10
+
+
+def reference_load_corpus_bytes(annotations_path, classes_path, predicates_path):
+    """`reference_load_corpus`, with an undecodable file refused as a whole-file decode refuses it."""
+    try:
+        Path(annotations_path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecordError(str(annotations_path), str(exc)) from None
+    return reference_load_corpus(annotations_path, classes_path, predicates_path)
+
+
+class TestBoundedMemory:
+    """Load and save hold memory in proportion to one image, not to the file."""
+
+    def corpus(self):
+        # As in VRD, each object of an image takes part in several of its VRs, so
+        # the model is smaller than its file and a peak above it is the load's own.
+        rng = random.Random(83)
+        images = {}
+        for k in range(601):
+            objects = [AnnotatedObject(rng.randrange(60), random_bbox(rng)) for _ in range(4)]
+            images[f"img_{k:04d}.jpg"] = [
+                VisualRelationship(subject, rng.randrange(30), obj)
+                for subject, obj in (rng.sample(objects, 2) for _ in range(8))]
+        images["img_東京.jpg"] = images.pop("img_0600.jpg")
+        return AnnotationCorpus(images, [f"c{k}" for k in range(60)], [f"p{k}" for k in range(30)])
+
+    def test_load_peak_stays_near_the_model(self, tmp_path):
+        # One CJK filename made a whole-file str two bytes a character; the
+        # window holds only the text of the images read next.
+        corpus = self.corpus()
+        paths = tuple(tmp_path / name for name in ("a.json", "c.json", "p.json"))
+        save_corpus(corpus, *paths)
+        tracemalloc.start()
+        try:
+            loaded = load_corpus(*paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded == corpus
+        assert peak <= 1.5 * paths[0].stat().st_size
+
+    def test_save_peak_stays_near_one_entry(self, tmp_path):
+        corpus = self.corpus()
+        out = tmp_path / "a.json"
+        tracemalloc.start()
+        try:
+            save_corpus(corpus, out, tmp_path / "c.json", tmp_path / "p.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes() == canonical_annotations_bytes(corpus)
+        assert peak <= 0.05 * out.stat().st_size
+
+    def test_a_save_failing_partway_replaces_nothing(self, tmp_path, monkeypatch):
+        corpus = self.corpus()
+        corpus.images["zz_\ud800.jpg"] = []  # sorted last: no UTF-8 form
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = [out / "annotations.json", out / "classes.json", out / "predicates.json"]
+        for path in paths:
+            path.write_bytes(b"previous " + path.name.encode() + b"\n")
+        before = tree(tmp_path)
+        written = []
+        chunks = vrannot.corpus._annotations_chunks
+
+        def counted(corpus):
+            for chunk in chunks(corpus):
+                written.append(len(chunk))
+                yield chunk
+
+        monkeypatch.setattr(vrannot.corpus, "_annotations_chunks", counted)
+        with pytest.raises(UnicodeEncodeError):
+            save_corpus(corpus, *paths)
+        assert len(written) == len(corpus.images) - 1  # the entries before it were written
+        assert tree(tmp_path) == before
 
 
 def plain(value):
