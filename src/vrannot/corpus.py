@@ -344,6 +344,8 @@ _COMMA = re.compile(_WS + "," + _WS + '(?=")').match
 _ROOT_CLOSE = re.compile(_WS + r"\}" + _WS + r"\Z").match
 _raw_decode = json.JSONDecoder().raw_decode  # the C scanner, with no Python hook
 _CHUNK = 1 << 16  # characters read at a time into the scan's window
+_PUNCTUATION = re.compile(r"[ \t\n\r,}]*").match  # what a failed root punctuation check read
+_CUT_LAG = 8  # how far back the decoder fails on a cut token other than a string: `-Infinit`
 
 
 def _image_vrs(image: str, records, n_classes: int, n_predicates: int, path) -> list:
@@ -378,9 +380,12 @@ def _scan_images(stream, n_classes: int, n_predicates: int, path) -> dict:
     starts at the current image's key.  A step that the window's end may have cut
     short reads more and retries the image, twice as much on each retry in a row,
     so that an array is decoded O(log n) times; it raises with the file's end in
-    the window.  A problem that more text cannot mend raises at once."""
+    the window.  A problem that more text cannot mend raises at once.  So does a
+    syntax error that the scan or the decoder met short of the window's end, as
+    no cut lies behind it: a cut leaves the end inside the string, number,
+    literal or whitespace being read."""
     images: dict[str, list[VisualRelationship]] = {}
-    text, key, size, eof = "", 0, _CHUNK, False
+    text, key, end, size, eof = "", 0, 0, _CHUNK, False
     while True:
         try:
             if not images:  # the window holds the file's start until an image is kept
@@ -410,8 +415,15 @@ def _scan_images(stream, n_classes: int, n_predicates: int, path) -> dict:
                     images[image] = vrs
                 return images
             raise ValueError("no '}' or data after it")
-        except ValueError:  # the window's end may have cut a key, an array or the punctuation
-            if eof:
+        except ValueError as exc:  # the window's end may have cut a key, an array or punctuation
+            pos = getattr(exc, "pos", None)
+            if pos is None:  # the root's own punctuation, past the whitespace around it
+                reach = _PUNCTUATION(text, end).end()
+            elif text.startswith('"', pos):  # a string, which may run on past the window
+                reach = len(text)
+            else:  # the decoder stops at most `_CUT_LAG` short of a cut
+                reach = pos + _CUT_LAG
+            if eof or reach < len(text):  # more text cannot mend an error short of the end
                 raise
         more = stream.read(size)
         text, key, size, eof = (text[key:] if images else text) + more, 0, 2 * size, len(more) < size

@@ -701,6 +701,8 @@ def dump_store(store: GraphStore) -> Dump:
 
 _LINE_RE = re.compile(rf"{_IRI} {_IRI} (.+) \.$")
 _OBJECT_RE = re.compile(rf'{_IRI}$|"((?:[^"\\]|\\.)*)"(?:\^\^{_IRI})?$')  # iri | literal
+_IRI_TOKEN = re.compile(_IRI).fullmatch  # a subject or predicate token that `_LINE_RE` reads whole
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")  # the lexical space of xsd:integer, in ASCII digits
 
 
 def _object_key(text: str, line: int) -> str | tuple:
@@ -717,9 +719,11 @@ def _object_key(text: str, line: int) -> str | tuple:
         raise MalformedGraphError(f"line {line}: unsupported literal type {datatype!r}")
     body = _unescape_literal(body, line)
     try:
-        return (int, int(body))
-    except ValueError:
-        raise MalformedGraphError(f"line {line}: bad integer literal {body!r}") from None
+        if _INTEGER_RE.fullmatch(body):  # `int()` alone also takes `1_000`, ` 7` and `٣`
+            return (int, int(body))
+    except ValueError:  # past `int()`'s digit limit
+        pass
+    raise MalformedGraphError(f"line {line}: bad integer literal {body!r}")
 
 
 def read_dump(path):
@@ -734,18 +738,47 @@ def read_dump(path):
 def load_store(lines, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
     """Parse the (line number, line) pairs of a dump back into a store, from
     `read_dump` or `input_lines` over a dump in memory; `#` comment lines and
-    blanks are skipped there.  Each distinct object text is parsed once, at
-    the first line holding it."""
+    blanks are skipped there.
+
+    A line is split at its first two spaces.  When the third part ends in ` .`
+    after at least one character and the first two are IRI tokens, the split
+    gives `_LINE_RE`'s three groups; any other line is read by `_LINE_RE`, so
+    every message and line number is the regex's.  Each distinct term text is
+    checked once, when first seen: a subject against the last line's (a dump is
+    sorted by subject), a predicate in a dict of tokens, an IRI object `<x>` as
+    the store's key `x` (a `str` key is a checked IRI), a literal in a dict of
+    its texts.  Ids are given in the regex loop's order: object, subject, predicate."""
     store = GraphStore(namespace)
-    intern, add = store._id, store._add
-    objects: dict[str, int] = {}  # object text -> id
+    ids, intern, triples, by_subject = store._ids, store._id, store._triples, store._by_subject
+    literals: dict[str, int] = {}  # a literal object's text, with the line's " .", -> id
+    predicates: dict[str, int] = {}  # predicate token -> id
+    subject_token, s = None, None  # the last line's subject token and its id
     for line_no, line in lines:
-        matched = _LINE_RE.match(line)
-        if not matched:
-            raise MalformedGraphError(f"line {line_no}: not a triple line")
-        subject, predicate, object_text = matched.groups()
-        o = objects.get(object_text)
-        if o is None:
-            o = objects[object_text] = intern(_object_key(object_text.strip(), line_no))
-        add((intern(subject), intern(predicate), o))
+        parts = line.split(" ", 2)
+        if not (len(parts) == 3 and parts[2][-2:] == " ." and len(parts[2]) > 2
+                and (parts[0] == subject_token or _IRI_TOKEN(parts[0]))
+                and ((p := predicates.get(parts[1])) is not None or _IRI_TOKEN(parts[1]))):
+            matched = _LINE_RE.match(line)
+            if not matched:
+                raise MalformedGraphError(f"line {line_no}: not a triple line")
+            parts = (f"<{matched[1]}>", f"<{matched[2]}>", matched[3] + " .")
+            p = predicates.get(parts[1])
+        rest = parts[2]
+        o = ids.get(rest[1:-3]) if rest[0] == "<" and rest[-3] == ">" else literals.get(rest)
+        if o is None:  # a first sighting; ids count from 0, so no truth test
+            text = rest[:-2]
+            if "\n" in text:  # which `_LINE_RE`'s `.` does not match
+                raise MalformedGraphError(f"line {line_no}: not a triple line")
+            key = _object_key(text.strip(), line_no)
+            o = intern(key)
+            if key.__class__ is tuple:
+                literals[rest] = o
+        if parts[0] != subject_token:
+            subject_token, s = parts[0], intern(parts[0][1:-1])
+        if p is None:
+            p = predicates[parts[1]] = intern(parts[1][1:-1])
+        triple = (s, p, o)
+        if triple not in triples:
+            triples.add(triple)
+            by_subject[s].append(triple)
     return store

@@ -914,6 +914,57 @@ class TestChunkEdges:
         assert sum(sizes) < length / 10
 
 
+class TestSettledErrors:
+    """A syntax error short of the window's end is no cut: the strict decode
+    runs at once.  A string or whitespace run longer than a chunk is still read on."""
+
+    def load(self, tmp_path, monkeypatch, corpus, edit):
+        """The outcome of loading `corpus`'s files, its annotations text passed through
+        `edit`; the characters the scan asked for before each strict decode; the text."""
+        paths = tuple(tmp_path / name for name in ("a.json", "c.json", "p.json"))
+        save_corpus(corpus, *paths)
+        text = edit(paths[0].read_text(encoding="utf-8"))
+        paths[0].write_text(text, encoding="utf-8")
+        monkeypatch.setattr(vrannot.corpus, "io", types.SimpleNamespace(
+            TextIOWrapper=CountingText, BytesIO=io.BytesIO))
+        monkeypatch.setattr(CountingText, "sizes", [])
+        strict, decoded = vrannot.corpus._load_json, []
+        monkeypatch.setattr(vrannot.corpus, "_load_json", lambda path: decoded.append(
+            (path.name, sum(CountingText.sizes))) or strict(path))
+        return load_outcome(load_corpus, paths), decoded, text
+
+    def test_an_early_syntax_error_is_not_read_past(self, tmp_path, monkeypatch):
+        corpus = uniform_corpus(random.Random(97), [f"{k:03d}.jpg" for k in range(200)], vrs=8)
+        outcome, decoded, text = self.load(
+            tmp_path, monkeypatch, corpus,
+            lambda text: text.replace('"predicate":', '"predicate"', 1))
+        chunk = vrannot.corpus._CHUNK
+        assert len(text) > 4 * chunk
+        assert decoded[-1][0] == "a.json" and decoded[-1][1] <= 3 * chunk
+        paths = tuple(tmp_path / name for name in ("a.json", "c.json", "p.json"))
+        monkeypatch.undo()
+        assert outcome == load_outcome(reference_load_corpus, paths)
+        assert outcome[0] is MalformedRecordError and "Expecting ':' delimiter" in outcome[1]
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace('.jpg"', '.jpg' + "x" * 70000 + '"', 1),
+        lambda text: text.replace('":', '"' + " " * 70000 + ":", 1),
+        lambda text: text.replace('": [', '":' + "\n" * 70000 + " [", 1),
+        lambda text: text.replace("],", "]" + "\t" * 70000 + ",", 1),
+        lambda text: text.replace('\n  ],\n  "b.jpg"', '\n  ]' + "\t" * 70000 + ',\n  "b.jpg"'),
+        lambda text: text.replace('\n  ],\n  "b.jpg"', '\n  ],' + " " * 70000 + '"b.jpg"'),
+        lambda text: text + " " * 70000,
+    ], ids=["long-key", "before-colon", "after-colon", "inside-array", "before-comma",
+            "after-comma", "after-root"])
+    def test_a_valid_file_with_long_tokens_skips_the_strict_decode(self, tmp_path, monkeypatch,
+                                                                   edit):
+        corpus = uniform_corpus(random.Random(101), ("a.jpg", "b.jpg"), vrs=40)
+        outcome, decoded, text = self.load(tmp_path, monkeypatch, corpus, edit)
+        assert len(text) > 70000
+        assert [name for name, _ in decoded] == ["c.json", "p.json"]
+        assert list(outcome.images.values()) == list(corpus.images.values())
+
+
 def reference_load_corpus_bytes(annotations_path, classes_path, predicates_path):
     """`reference_load_corpus`, with an undecodable file refused as a whole-file decode refuses it."""
     try:
