@@ -102,34 +102,34 @@ def _cmd_stats(args) -> int:
         for key, value in counts.items()))
 
 
-def _parse_count(spec: str, corpus) -> "int | range":
+def _parse_count(spec: str) -> tuple[int, int | None]:
+    """`N`, `A..B` or `A..` (`A` may be empty for 0) as (low, high); high is None when open."""
     if ".." not in spec:
-        return int(spec)
+        return int(spec), int(spec)
     low_text, high_text = spec.split("..", 1)
-    low = int(low_text) if low_text else 0
-    if high_text:
-        return range(low, int(high_text) + 1)
-    longest = max((len(vrs) for vrs in corpus.images.values()), default=0)
-    return range(low, longest + 1)
+    return int(low_text) if low_text else 0, int(high_text) if high_text else None
 
 
 def _cmd_query(args) -> int:
+    # each flag is read before the corpus, so a malformed one exits 2 whatever the files
     from . import analyze
-    corpus = _load(args)
     if args.count is not None:
         try:
-            target = _parse_count(args.count, corpus)
+            low, high = _parse_count(args.count)
         except ValueError:
             print(f"error: bad count spec {args.count!r}", file=sys.stderr)
             return 2
-        images = analyze.images_with_vr_count(corpus, target)
+        corpus = _load(args)
+        if high is None:  # an open `A..` runs to the longest image
+            high = max((len(vrs) for vrs in corpus.images.values()), default=0)
+        images = analyze.images_with_vr_count(corpus, range(low, high + 1))
         return _report(args, {"images": images}, images)
     try:
         pattern = analyze.parse_pattern(args.pattern)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = analyze.query_images(corpus, pattern)  # bindings in subject, predicate, object order
+    result = analyze.query_images(_load(args), pattern)  # bindings in subject, predicate, object order
     return _report(args, {"images": result.images, "bindings": result.bindings},
                    chain(result.images, (f"{position}: {', '.join(names)}"
                                          for position, names in result.bindings.items())))
@@ -137,8 +137,12 @@ def _cmd_query(args) -> int:
 
 def _cmd_lint(args) -> int:
     from . import analyze
-    corpus = _load(args)
-    findings = analyze.lint(corpus, near_dup_iou_threshold=args.threshold)
+    try:  # `lint`'s own range check, over no images, so a bad threshold exits 2 before the load
+        analyze.lint(AnnotationCorpus({}, [], []), args.threshold)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    findings = analyze.lint(_load(args), near_dup_iou_threshold=args.threshold)
     _report(args, [{"image": f.image, "rule": f.rule.value, "detail": f.detail, "severity": f.severity}
                    for f in findings],
             (analyze.format_findings([f])[:-1] for f in findings))  # each line without its "\n"

@@ -64,7 +64,7 @@ RESERVED_LOCALS = frozenset({IMAGE_CLASS, HAS_OBJECT, HAS_FILENAME, *COORDINATE_
 
 _LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _NESTED = re.compile(r"[/#]")  # past a namespace in an IRI, the mark of a longer namespace
-_IRI_STOPS = r"<>\n"  # the characters no IRI in a dump holds: each ends the IRI, or its line
+_IRI_STOPS = r'\x00-\x20<>"{}|^`\\'  # what N-Triples' IRIREF excludes: no dump IRI holds one
 _IRI_BREAK = re.compile(f"[{_IRI_STOPS}]")
 _IRI = f"<([^{_IRI_STOPS}]*)>"  # an IRI term of a dump line, its text the group
 
@@ -633,7 +633,7 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 
 
 def _unescape_literal(text: str, line: int) -> str:
-    # The literal regexes pair every backslash with the character after it.
+    # `_OBJECT_RE` pairs every backslash with the character after it.
     try:
         return _ESCAPE_RE.sub(lambda match: _ESCAPES[match.group(1)], text)
     except KeyError as unknown:
@@ -651,28 +651,11 @@ def format_term(term) -> str:
 
 
 class Dump:
-    """The lines of a dump in order, each UTF-8 `bytes` ending in a line break.
-    It can be iterated more than once; a store's dump (`dump_store`) is lazy
-    and makes its lines afresh each time.  Two dumps are equal when their
+    """A store's dump: the lines in order, each UTF-8 `bytes` ending in a line
+    break.  It is lazy and can be iterated more than once: each pass makes the
+    lines afresh from the store as it is then.  Two dumps are equal when their
     lines are."""
 
-    def __init__(self, lines):
-        self._lines = lines
-
-    def __iter__(self):
-        return iter(self._lines)
-
-    def __eq__(self, other):
-        return isinstance(other, Dump) and all(a == b for a, b in zip_longest(self, other))
-
-    def encode(self, encoding: str = "utf-8") -> bytes:
-        """The whole dump as one `bytes`; its lines are UTF-8 already."""
-        if codecs.lookup(encoding).name != "utf-8":
-            raise LookupError(f"a dump is UTF-8, not {encoding}")
-        return b"".join(self)
-
-
-class _StoreDump(Dump):
     def __init__(self, store: GraphStore):
         self._store = store
 
@@ -685,6 +668,15 @@ class _StoreDump(Dump):
             yield from sorted([b" ".join((subject, text[p], text[o], b".\n"))
                                for _, p, o in by_subject[s]])
 
+    def __eq__(self, other):
+        return isinstance(other, Dump) and all(a == b for a, b in zip_longest(self, other))
+
+    def encode(self, encoding: str = "utf-8") -> bytes:
+        """The whole dump as one `bytes`; its lines are UTF-8 already."""
+        if codecs.lookup(encoding).name != "utf-8":
+            raise LookupError(f"a dump is UTF-8, not {encoding}")
+        return b"".join(self)
+
 
 def dump_store(store: GraphStore) -> Dump:
     """One ` .`-terminated line per triple, sorted, made subject by subject as
@@ -696,18 +688,17 @@ def dump_store(store: GraphStore) -> Dump:
     ` .\\n` appended gives the order of their text.  Every subject is an IRI
     (`add`, lowering, `materialize` and `load_store` see to it), so the
     formatted subjects are prefix-free and alone order two subjects' lines."""
-    return _StoreDump(store)
+    return Dump(store)
 
 
-_LINE_RE = re.compile(rf"{_IRI} {_IRI} (.+) \.$")
-_OBJECT_RE = re.compile(rf'{_IRI}$|"((?:[^"\\]|\\.)*)"(?:\^\^{_IRI})?$')  # iri | literal
-_IRI_TOKEN = re.compile(_IRI).fullmatch  # a subject or predicate token that `_LINE_RE` reads whole
+_OBJECT_RE = re.compile(rf'{_IRI}|"((?:[^"\\\n\r]|\\.)*)"(?:\^\^{_IRI})?')  # iri | literal
+_IRI_TOKEN = re.compile(_IRI).fullmatch  # a whole subject or predicate token, space-free as any IRI
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")  # the lexical space of xsd:integer, in ASCII digits
 
 
 def _object_key(text: str, line: int) -> str | tuple:
     """The dictionary key of a dumped object term (see `_key`)."""
-    term = _OBJECT_RE.match(text)
+    term = _OBJECT_RE.fullmatch(text)
     if not term:
         raise MalformedGraphError(f"line {line}: unreadable object term {text!r}")
     iri, body, datatype = term.groups()
@@ -740,14 +731,14 @@ def load_store(lines, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
     `read_dump` or `input_lines` over a dump in memory; `#` comment lines and
     blanks are skipped there.
 
-    A line is split at its first two spaces.  When the third part ends in ` .`
-    after at least one character and the first two are IRI tokens, the split
-    gives `_LINE_RE`'s three groups; any other line is read by `_LINE_RE`, so
-    every message and line number is the regex's.  Each distinct term text is
-    checked once, when first seen: a subject against the last line's (a dump is
-    sorted by subject), a predicate in a dict of tokens, an IRI object `<x>` as
-    the store's key `x` (a `str` key is a checked IRI), a literal in a dict of
-    its texts.  Ids are given in the regex loop's order: object, subject, predicate."""
+    No IRI holds a space, so a line is split at its first two spaces: the
+    first two parts must be IRI tokens and the third must end in ` .` after at
+    least one character, or the line is not a triple line.  Each distinct term
+    text is checked once, when first seen: a subject against the last line's (a
+    dump is sorted by subject), a predicate in a dict of tokens, an IRI object
+    `<x>` as the store's key `x` (a `str` key is a checked IRI), a literal in a
+    dict of its texts.  Each line gives its ids in the order object, subject,
+    predicate."""
     store = GraphStore(namespace)
     ids, intern, triples, by_subject = store._ids, store._id, store._triples, store._by_subject
     literals: dict[str, int] = {}  # a literal object's text, with the line's " .", -> id
@@ -758,18 +749,11 @@ def load_store(lines, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
         if not (len(parts) == 3 and parts[2][-2:] == " ." and len(parts[2]) > 2
                 and (parts[0] == subject_token or _IRI_TOKEN(parts[0]))
                 and ((p := predicates.get(parts[1])) is not None or _IRI_TOKEN(parts[1]))):
-            matched = _LINE_RE.match(line)
-            if not matched:
-                raise MalformedGraphError(f"line {line_no}: not a triple line")
-            parts = (f"<{matched[1]}>", f"<{matched[2]}>", matched[3] + " .")
-            p = predicates.get(parts[1])
+            raise MalformedGraphError(f"line {line_no}: not a triple line")
         rest = parts[2]
         o = ids.get(rest[1:-3]) if rest[0] == "<" and rest[-3] == ">" else literals.get(rest)
         if o is None:  # a first sighting; ids count from 0, so no truth test
-            text = rest[:-2]
-            if "\n" in text:  # which `_LINE_RE`'s `.` does not match
-                raise MalformedGraphError(f"line {line_no}: not a triple line")
-            key = _object_key(text.strip(), line_no)
+            key = _object_key(rest[:-2].strip(), line_no)
             o = intern(key)
             if key.__class__ is tuple:
                 literals[rest] = o

@@ -18,6 +18,7 @@ from vrannot.kg import load_store, read_dump
 
 from helpers import DEMO_DIR, LISTING_DIR, load_listing_corpus, load_listing_expected
 from test_corpus import vr_record, write_corpus_files
+from test_dump_io import IRI_REFUSED, IRI_REFUSED_IDS
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -294,6 +295,25 @@ class TestQuery:
         assert code == 3
         assert "zebra" in err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--pattern", "a,b", "pattern must be three comma-separated names, got 'a,b'"),
+        ("--count", "x", "bad count spec 'x'"),
+        ("--count", "1..x", "bad count spec '1..x'"),
+        ("--count", "x..", "bad count spec 'x..'"),
+    ], ids=["pattern", "count", "count-high", "count-open"])
+    def test_a_malformed_flag_exits_2_before_the_corpus_is_read(self, capsys, tmp_path, flag,
+                                                                 value, message):
+        args = corpus_args()
+        args[args.index("--classes") + 1] = str(tmp_path / "missing.json")
+        assert run(capsys, "query", *args, flag, value) == (2, "", f"error: {message}\n")
+
+    def test_an_open_count_reads_the_corpus_first(self, capsys, tmp_path):
+        """`A..` runs to the longest image, so only the corpus can complete it."""
+        args = corpus_args()
+        args[args.index("--classes") + 1] = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "query", *args, "--count", "7..")
+        assert (code, out, err) == (4, "", f"error: file not found: {tmp_path / 'missing.json'}\n")
+
 
 class TestLint:
     def dirty_dir(self, tmp_path):
@@ -336,8 +356,16 @@ class TestLint:
 
     def test_bad_threshold(self, capsys):
         code, _, err = run(capsys, "lint", *corpus_args(), "--threshold", "0")
-        assert code == 3
-        assert "threshold" in err
+        assert code == 2
+        assert err == "error: near-duplicate threshold must be in (0, 1]\n"
+
+    @pytest.mark.parametrize("threshold", ["2", "-1", "nan"])
+    def test_a_bad_threshold_exits_2_before_the_corpus_is_read(self, capsys, tmp_path, threshold):
+        args = corpus_args()
+        args[args.index("--classes") + 1] = str(tmp_path / "missing.json")
+        assert run(capsys, "lint", *args, "--threshold", threshold) == (
+            2, "", "error: near-duplicate threshold must be in (0, 1]\n")
+        assert run(capsys, "lint", *corpus_args(), "--threshold", "1")[0] == 0
 
 
 class TestOverlay:
@@ -794,7 +822,9 @@ class TestKgCommands:
         ("http://a<b#", "holds '<', which no IRI in a dump can hold"),
         ("http://a\nb#", "holds '\\n', which no IRI in a dump can hold"),
         ("http://a\udcff#", "is not valid UTF-8"),  # an undecodable byte on the command line
-    ], ids=["gt", "lt", "line-feed", "not-utf8"])
+        *((f"http://a{char}b#", f"holds {char!r}, which no IRI in a dump can hold")
+          for char in IRI_REFUSED),
+    ], ids=["gt", "lt", "line-feed", "not-utf8", *IRI_REFUSED_IDS])
     @pytest.mark.parametrize("command", ["lower", "materialize", "extract"])
     def test_namespace_a_dump_cannot_hold_is_a_usage_error(self, capsys, tmp_path, command,
                                                            namespace, reason):
@@ -809,6 +839,40 @@ class TestKgCommands:
         code, stdout, err = run(capsys, *argv, "--namespace", namespace, "--out", str(out))
         assert (code, stdout) == (2, "")
         assert err.endswith(f"error: argument --namespace: {namespace!r} {reason}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("char", IRI_REFUSED, ids=IRI_REFUSED_IDS)
+    @pytest.mark.parametrize("position", ["subject", "predicate", "object"])
+    @pytest.mark.parametrize("command", ["materialize", "extract"])
+    def test_a_dump_iri_outside_iriref_exits_3(self, capsys, tmp_path, command, position, char):
+        """A character N-Triples refuses in an IRI, in any position of a dump line."""
+        directory = self.seed(tmp_path)
+        graph = tmp_path / "g.nt"
+        assert run(capsys, "kg", "lower", *corpus_args(directory), "--out", str(graph))[0] == 0
+        lines = graph.read_text(encoding="utf-8").split("\n")
+        terms = lines[1].split(" ")
+        terms[("subject", "predicate", "object").index(position)] = f"<{kg.DEFAULT_NAMESPACE}a{char}b>"
+        lines[1] = " ".join(terms)
+        graph.write_text("\n".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *self.input_argv(directory, command, graph), "--out", str(out))
+        detail = ("not a triple line" if position != "object" else
+                  f"unreadable object term {terms[2]!r}")
+        assert (code, stdout, err) == (3, "", f"error: line 2: {detail}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["materialize", "extract"])
+    def test_a_raw_carriage_return_in_a_dump_literal_exits_3(self, capsys, tmp_path, command):
+        """A dump line ends only at a line feed, and N-Triples refuses a raw carriage return
+        inside a literal all the same."""
+        directory = self.seed(tmp_path)
+        graph = tmp_path / "g.nt"
+        ns = kg.DEFAULT_NAMESPACE
+        graph.write_bytes(f'<{ns}a> <{ns}p> "x" .\n<{ns}a> <{ns}p> "x\ry" .\n'.encode())
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *self.input_argv(directory, command, graph), "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == "error: line 2: unreadable object term '\"x\\ry\"'\n"
         assert not out.exists()
 
     def test_undecodable_namespace_byte_is_a_usage_error(self, tmp_path):
@@ -863,7 +927,7 @@ class TestKgCommands:
             staged.extend(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp"))
             raise RuntimeError("dump failed")
 
-        monkeypatch.setattr(kg, "dump_store", lambda store: kg.Dump(lines()))
+        monkeypatch.setattr(kg, "dump_store", lambda store: lines())
         inputs = corpus_args(directory) if command == "lower" else [str(lowered)]
         with pytest.raises(RuntimeError, match="^dump failed$"):
             main(["kg", command, *inputs, *schema, "--out", str(out)])

@@ -2,19 +2,23 @@
 
 `reference_load` is the whole-file reader: the dump is decoded in one piece
 and split into lines (`helpers.decode_utf8` and `helpers.text_lines`), then
-parsed by the same line loop as `load_store`.
+each line is read by a regex of the N-Triples grammar, written here from the
+spec, with its object term left to `kg._object_key`.
 `reference_dump` sorts the dump's lines as text, joins them and encodes the
 result.  The streamed forms must give the same store, bytes and errors.
 """
 
 import random
 import re
+import runpy
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import pytest
 
 from vrannot import kg
+from vrannot.cli import main
 from vrannot.corpus import (
     AnnotatedObject,
     AnnotationCorpus,
@@ -24,7 +28,6 @@ from vrannot.corpus import (
 )
 from vrannot.errors import MalformedAxiomError, MalformedGraphError, VrannotError
 from vrannot.kg import (
-    _LINE_RE,
     DEFAULT_NAMESPACE,
     XSD_INTEGER_IRI,
     GraphStore,
@@ -42,8 +45,28 @@ from vrannot.kg import (
     read_dump,
 )
 
-from helpers import decode_utf8, random_class_names, random_predicate_names, random_vr, text_lines
+from helpers import (LISTING_DIR, decode_utf8, load_listing_corpus, random_class_names,
+                     random_predicate_names, random_vr, text_lines)
 from test_corpus import FILENAME_ALPHABET, INTS
+
+
+# The N-Triples productions a dump uses (W3C, RDF 1.1 N-Triples, 2014), written from the
+# spec: IRIREF with no UCHAR, STRING_LITERAL_QUOTE with the five ECHARs a dump writes, and
+# the one datatype it writes.
+IRIREF = r'<([^\x00-\x20<>"{}|^`\\]*)>'
+STRING_LITERAL_QUOTE = r'"(?:[^"\\\n\r]|\\[tnr"\\])*"'
+NT_OBJECT = re.compile(
+    rf"{IRIREF}|{STRING_LITERAL_QUOTE}(?:\^\^<http://www\.w3\.org/2001/XMLSchema#integer>)?")
+NT_LINE = re.compile(rf"{IRIREF} {IRIREF} (.+) \.")  # subject, predicate, object text
+
+
+def n_triples(data: bytes) -> bool:
+    """Whether every line of a dump is an N-Triples triple, one space between its terms."""
+    for line in data.decode("utf-8").split("\n")[:-1]:
+        matched = NT_LINE.fullmatch(line)
+        if not (matched and NT_OBJECT.fullmatch(matched[3])):
+            return False
+    return data[-1:] in (b"", b"\n")
 
 
 def reference_load(data: bytes, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
@@ -51,13 +74,14 @@ def reference_load(data: bytes, namespace: str = DEFAULT_NAMESPACE) -> GraphStor
     store = GraphStore(namespace)
     objects = {}
     for line_no, line in text_lines(text):
-        matched = _LINE_RE.match(line)
+        matched = NT_LINE.fullmatch(line)
         if not matched:
             raise MalformedGraphError(f"line {line_no}: not a triple line")
         subject, predicate, object_text = matched.groups()
         o = objects.get(object_text)
         if o is None:
             o = objects[object_text] = store._id(_object_key(object_text.strip(), line_no))
+            assert NT_OBJECT.fullmatch(object_text.strip()), line  # only N-Triples terms load
         store._add((store._id(subject), store._id(predicate), o))
     return store
 
@@ -170,7 +194,7 @@ class TestStreamedReader:
             (b"garbage\r\n<a> <p> <b> .\xe4\n\xb8\xad\n",
              "line 2: invalid UTF-8 (invalid continuation byte)"),
             (b"garbage\n<a> <p> <b> .\n\xf0\x9f\x98", "line 3: invalid UTF-8 (unexpected end of data)"),
-            (b"<a b> <p> <c d> .\r\n<a> <p> \"x\" .\r<b> <q> <c> .\n",
+            (b"<a> <p>  <c> .\r\n<a> <p> \"x\" .\r<b> <q> <c> .\n",
              "line 2: unreadable object term"),
             (b"<a> <p> <b> .\ngarbage\n", "line 2: not a triple line"),
         ],
@@ -227,20 +251,28 @@ def cjk_store() -> GraphStore:
 
 def random_term(rng, kind: str):
     if kind == "iri":
-        local = rng.choice(("a", "b", "a b", "b> .\x01", "b> .", "東", "\U0001f600", "a\udcff"))
-        return Iri(DEFAULT_NAMESPACE + local + exotic_text(rng))
+        local = rng.choice(("a", "b", "a!", "a.", "a b", "a\t", "b> .\x01", "b> .", "東",
+                            "\U0001f600", "a\udcff"))
+        # an exotic suffix only now and then: most of them hold a character no IRI may
+        return Iri(DEFAULT_NAMESPACE + local + (exotic_text(rng) if rng.random() < 0.3 else ""))
     if kind == "int":
         return rng.choice(INTS)
     return exotic_text(rng) + rng.choice(('"', "\\", "\x01", "京", "\U0001f600", "", "\ud800"))
 
 
 def dump_cannot_hold(term) -> bool:
-    """An IRI holding `<`, `>` or a line feed, or any text term holding a lone surrogate."""
+    """An IRI that is no N-Triples IRIREF, or any text term holding a lone surrogate."""
     text = term.value if isinstance(term, Iri) else term
     if not isinstance(text, str):
         return False
-    return bool(isinstance(term, Iri) and set(text) & set("<>\n")
+    return bool(isinstance(term, Iri) and not re.fullmatch(IRIREF, f"<{text}>")
                 or any("\ud800" <= c <= "\udfff" for c in text))
+
+
+# characters N-Triples refuses in an IRI, beyond `<`, `>` and a line feed
+IRI_REFUSED = (" ", "\t", "\r", "\x00", "\x01", '"', "{", "}", "|", "^", "`", "\\")
+IRI_REFUSED_IDS = ("space", "tab", "cr", "nul", "ctrl-01", "quote", "lbrace", "rbrace", "pipe",
+                   "caret", "backtick", "backslash")
 
 
 class TestByteLineDump:
@@ -263,25 +295,29 @@ class TestByteLineDump:
                 else:
                     store.add(triple)
             data = dump_store(store).encode()
-            assert data == reference_dump(store)
+            assert data == reference_dump(store) and n_triples(data)
             # every store `add` builds reads back, through either reader
             assert outcome(reference_load, data) == data
             assert outcome(streamed_load, data, tmp_path / "g.nt") == data
         assert refused > 100
 
     def test_matches_the_sorted_text_dump_on_seeded_prefix_subjects(self, tmp_path):
-        """Subjects whose IRIs are prefixes of one another, with `a ` and `a\\t` sorting
-        before `a`'s closing `>`, and objects `"5"`, 5 and `"5 ."` beside one another."""
+        """Subjects whose IRIs are prefixes of one another, with `a!`, `a-` and `a.` sorting
+        before `a`'s closing `>`, and objects `"5"`, 5 and `"5 ."` beside one another.  An
+        IRI `a ` or `a\\t`, which would also sort there, is no N-Triples IRI and is refused."""
         ns = DEFAULT_NAMESPACE
-        iris = [Iri(ns + local) for local in ("a", "ab", "a!", "a ", "a\t")]
+        iris = [Iri(ns + local) for local in ("a", "ab", "a!", "a-", "a.")]
         objects = [*iris, "5", 5, "5 .", "5 ", 55]
+        for local in ("a ", "a\t"):
+            with pytest.raises(MalformedGraphError, match="which no IRI in a dump can hold"):
+                GraphStore().add(Triple(Iri(ns + local), iris[0], 5))
         rng = random.Random(1204)
         for _ in range(200):
             store = GraphStore()
             for _ in range(rng.randrange(0, 25)):
                 store.add(Triple(rng.choice(iris), rng.choice(iris[:3]), rng.choice(objects)))
             data = dump_store(store).encode()
-            assert data == reference_dump(store)
+            assert data == reference_dump(store) and n_triples(data)
             assert outcome(reference_load, data) == data
             assert outcome(streamed_load, data, tmp_path / "g.nt") == data
 
@@ -300,17 +336,21 @@ class TestByteLineDump:
         shuffled = list(store)
         random.Random(1205).shuffle(shuffled)
         same = GraphStore()
-        for triple in shuffled:
+        for triple in shuffled[:-1]:
             same.add(triple)
-        assert dump_store(same) == dump and dump_store(same) != kg.Dump(lines[:-1])
+        fewer = dump_store(same.copy())
+        same.add(shuffled[-1])
+        assert dump_store(same) == dump and dump_store(same) != fewer
         later = dump_store(same)
         same.add(Triple(Iri(DEFAULT_NAMESPACE + "z"), Iri(DEFAULT_NAMESPACE + "p"), 1))
         assert later != dump and len(list(later)) == len(lines) + 1
 
     def test_a_dump_encodes_only_as_utf8(self):
-        assert kg.Dump([b"a\n"]).encode("UTF8") == b"a\n"
+        store = GraphStore()
+        store.add(Triple(Iri("a"), Iri("p"), "東"))
+        assert dump_store(store).encode("UTF8") == '<a> <p> "東" .\n'.encode("utf-8")
         with pytest.raises(LookupError, match="^a dump is UTF-8, not latin-1$"):
-            kg.Dump([b"a\n"]).encode("latin-1")
+            dump_store(store).encode("latin-1")
 
     def test_no_store_holds_a_lone_surrogate(self):
         """A lone surrogate has no UTF-8 form, so no dump could hold it."""
@@ -347,7 +387,8 @@ class TestByteLineDump:
         with pytest.raises(MalformedGraphError, match="is not valid UTF-8"):
             materialize(store, Schema(symmetric=["near\udfff"]))
 
-    @pytest.mark.parametrize("local", ["b> <c", "b<c", "b\nc"], ids=["two-terms", "lt", "line-feed"])
+    @pytest.mark.parametrize("local", ["b> <c", "b<c", "b\nc", *(f"b{c}c" for c in IRI_REFUSED)],
+                             ids=["two-terms", "lt", "line-feed", *IRI_REFUSED_IDS])
     def test_no_store_holds_an_iri_a_dump_cannot(self, local):
         ns, bad = DEFAULT_NAMESPACE, DEFAULT_NAMESPACE + local
         for position in range(3):
@@ -466,3 +507,50 @@ class TestByteLineDump:
         data = dump_store(store).encode()
         assert data == reference_dump(store)
         assert peak < 0.25 * len(data)
+
+
+class TestNTriplesOracle:
+    """Every dump the library and the CLI write is N-Triples, by the spec's productions."""
+
+    @pytest.mark.parametrize("line", [
+        '<a b> <p> <o> .', '<a> <p\tq> <o> .', '<a> <p> <o|> .', '<a> <p> "x\\q" .',
+        '<a> <p> "x\ry" .', '<a> <p> "x"^^<a^b> .', '<a> <p>  <o> .', '<a> <p> <o>',
+    ])
+    def test_the_oracle_refuses_what_the_spec_refuses(self, line):
+        assert n_triples(f'<a> <p> "x\\"\\\\\\n\\r\\t" .\n'.encode())
+        assert not n_triples(f"{line}\n".encode())
+
+    def test_listing_1_through_kg_lower_and_materialize(self, tmp_path, capsys):
+        corpus = load_listing_corpus()
+        schema = default_schema(corpus)
+        axioms = tmp_path / "axioms.txt"
+        axioms.write_text("\n".join([
+            *(f"class {term}" for term in sorted(schema.classes | {"Animal", "Worn"})),
+            *(f"prop {term}" for term in sorted(schema.properties)),
+            *(f"annclass {name} {term}" for name, term in schema.ann_classes.items()),
+            *(f"annprop {name} {term}" for name, term in schema.ann_properties.items()),
+            "symmetric beside", "inverse on under", "transitive on", "subprop sitOn on",
+            "eqprop near beside", "subclass Dog Animal", "domain wear Person", "range wear Worn",
+        ]) + "\n", encoding="utf-8")
+        listing = ["--annotations", str(LISTING_DIR / "annotations.json"),
+                   "--classes", str(LISTING_DIR / "classes.json"),
+                   "--predicates", str(LISTING_DIR / "predicates.json")]
+        for argv in (["kg", "lower", *listing, "--out", str(tmp_path / "g.nt")],
+                     ["kg", "lower", *listing, "--schema", str(axioms),
+                      "--out", str(tmp_path / "s.nt")],
+                     ["kg", "materialize", str(tmp_path / "s.nt"), "--schema", str(axioms),
+                      "--out", str(tmp_path / "closed.nt")]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        closed = (tmp_path / "closed.nt").read_bytes()
+        assert len(closed) > len((tmp_path / "s.nt").read_bytes())  # the axioms infer triples
+        for name in ("g.nt", "s.nt", "closed.nt"):
+            assert n_triples((tmp_path / name).read_bytes()), name
+
+    def test_the_graph_demo_and_the_cjk_store(self, capsys):
+        demo = runpy.run_path(str(Path(__file__).resolve().parent.parent / "demos"
+                                  / "graph_round_trip.py"))
+        capsys.readouterr()
+        for store in (demo["lowered"], demo["closed"], cjk_store()):
+            data = dump_store(store).encode()
+            assert len(store) and n_triples(data)

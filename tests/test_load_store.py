@@ -1,9 +1,10 @@
-"""`load_store`'s split parse against the regex line loop it replaces.
+"""`load_store`'s split parse against a regex line loop.
 
-`test_dump_io.reference_load` is that loop, over a whole-file decode.  On
-every dump, valid or not, `load_store` must build the same store internals
-(the term ids in order, the triple set, and the subject index with its key
-and list order) or raise the same error."""
+`test_dump_io.reference_load` is that loop, over a whole-file decode, with
+a line regex of the N-Triples grammar.  On every dump, valid or not,
+`load_store` must build the same store internals (the term ids in order, the
+triple set, and the subject index with its key and list order) or raise the
+same error."""
 
 import io
 import random
@@ -12,14 +13,13 @@ import tracemalloc
 
 import pytest
 
-from vrannot import kg
 from vrannot.cli import main
 from vrannot.corpus import input_lines
 from vrannot.errors import MalformedGraphError, VrannotError
 from vrannot.kg import XSD_INTEGER_IRI, dump_store, load_store, read_dump
 
 from helpers import LISTING_DIR
-from test_dump_io import MUTATIONS, cjk_store, reference_load, valid_dump
+from test_dump_io import MUTATIONS, cjk_store, n_triples, reference_load, valid_dump
 
 
 def split_load(data: bytes):
@@ -52,8 +52,14 @@ def _spaced(rng, line):
     return line[:cut] + rng.choice((b"  ", b"\t", b" \t", b"\t ", b"   ")) + line[cut + 1:]
 
 
+def _iri_span(rng, line):
+    """The span of one IRI of the line, or None when it holds none."""
+    spans = [m.span() for m in re.finditer(rb"<[^<>]*>", line)]
+    return rng.choice(spans) if spans else None
+
+
 def _empty_iri(rng, line):
-    a, b = rng.choice([m.span() for m in re.finditer(rb"<[^<>]*>", line)])
+    a, b = _iri_span(rng, line) or (0, 0)
     return line[:a] + b"<>" + line[b:]
 
 
@@ -68,8 +74,10 @@ def _not_an_iri(rng, line):
 
 def _space_inside(rng, line):
     """Spaces inside the IRI of one position: subject, predicate or object (or its datatype)."""
-    a, b = rng.choice([m.span() for m in re.finditer(rb"<[^<>]*>", line)])
-    cut = rng.randrange(a + 1, b)
+    span = _iri_span(rng, line)
+    if span is None:
+        return line
+    cut = rng.randrange(span[0] + 1, span[1])
     return line[:cut] + rng.choice((b" ", b"  ", b" . ", b"\t ")) + line[cut:]
 
 
@@ -127,22 +135,13 @@ class TestSplitParse:
         assert loaded > 100
         assert errors >= {"not a triple line", "unreadable object term", "invalid UTF-8"}
 
-    def test_a_store_dump_never_meets_the_line_regex(self, monkeypatch):
-        class Spy:
-            calls = 0
-
-            def match(self, line):
-                Spy.calls += 1
-                return pattern.match(line)
-
-        pattern = kg._LINE_RE
-        monkeypatch.setattr(kg, "_LINE_RE", Spy())
+    def test_a_store_dump_is_n_triples_and_loads_back(self):
         data = dump_store(cjk_store()).encode()
-        assert dump_store(split_load(data)).encode() == data
-        assert Spy.calls == 0
-        spaced = data.replace(b"#hasObject>", b"#has Object>", 1)  # the fallback still works
-        assert internals(split_load, spaced) == internals(reference_load, spaced)
-        assert Spy.calls == 1
+        assert n_triples(data) and dump_store(split_load(data)).encode() == data
+        spaced = data.replace(b"#hasObject>", b"#has Object>", 1)  # no IRI holds a space
+        line = spaced[:spaced.index(b"#has Object>")].count(b"\n") + 1
+        expected = (MalformedGraphError, f"line {line}: not a triple line")
+        assert internals(split_load, spaced) == internals(reference_load, spaced) == expected
 
     def test_the_load_holds_little_beside_the_store(self, tmp_path):
         path = tmp_path / "g.nt"
@@ -157,16 +156,18 @@ class TestSplitParse:
         assert len(store) > 10000
         assert peak - held < held / 10
 
-    @pytest.mark.parametrize("line", ['<a> <p> "x\ny" .', "<a> <p> <x\ny> .", '<a> <p> "x" .\n'],
-                             ids=["in-a-literal", "in-an-iri", "at-the-end"])
-    def test_a_line_feed_reads_as_the_regex_reads_it(self, line):
-        """`read_dump` never gives a line holding `\\n`, but the split does not rely on it."""
-        pairs = [(1, '<a> <p> "x" .'), (2, line)]
-        if kg._LINE_RE.match(line):
-            assert len(load_store(pairs)) == 1
-        else:
-            with pytest.raises(MalformedGraphError, match="^line 2: not a triple line$"):
-                load_store(pairs)
+    @pytest.mark.parametrize("line,error", [
+        ('<a> <p> "x\ny" .', "unreadable object term '\"x\\ny\"'"),
+        ("<a> <p> <x\ny> .", "unreadable object term '<x\\ny>'"),
+        ('<a> <p> "x" .\n', "not a triple line"),
+    ], ids=["in-a-literal", "in-an-iri", "at-the-end"])
+    def test_a_line_feed_reads_as_the_regex_reads_it(self, line, error):
+        """`read_dump` never gives a line holding `\\n`.  The N-Triples grammar refuses one
+        inside a term, and a line ending in one does not end in ` .`."""
+        assert not n_triples(line.encode() + b"\n")
+        with pytest.raises(MalformedGraphError) as err:
+            load_store([(1, '<a> <p> "x" .'), (2, line)])
+        assert str(err.value) == f"line 2: {error}"
 
 
 class TestIntegerLiterals:
