@@ -85,11 +85,8 @@ def query_images(corpus: AnnotationCorpus, pattern: VRPattern) -> QueryResult:
 
 def images_with_vr_count(corpus: AnnotationCorpus, target: int | range) -> list[str]:
     """Images whose VR list length equals the target (or falls in the range)."""
-    if isinstance(target, range):
-        match = lambda n: n in target
-    else:
-        match = lambda n: n == target
-    return sorted(image for image, vrs in corpus.images.items() if match(len(vrs)))
+    counts = target if isinstance(target, range) else (target,)
+    return sorted(image for image, vrs in corpus.images.items() if len(vrs) in counts)
 
 
 # --------------------------------------------------------------------------

@@ -102,34 +102,30 @@ def _cmd_stats(args) -> int:
         for key, value in counts.items()))
 
 
-def _parse_count(spec: str) -> tuple[int, int | None]:
-    """`N`, `A..B` or `A..` (`A` may be empty for 0) as (low, high); high is None when open."""
-    if ".." not in spec:
-        return int(spec), int(spec)
-    low_text, high_text = spec.split("..", 1)
-    return int(low_text) if low_text else 0, int(high_text) if high_text else None
+def _parse_count(spec: str) -> range:
+    """The VR counts that `N`, `A..B` or `A..` selects (`A` may be empty for 0)."""
+    try:
+        if ".." not in spec:
+            return range(int(spec), int(spec) + 1)
+        low, high = spec.split("..", 1)
+        return range(int(low) if low else 0, int(high) + 1 if high else sys.maxsize)
+    except ValueError:
+        raise ConfigError(f"bad count spec {spec!r}") from None
 
 
 def _cmd_query(args) -> int:
-    # each flag is read before the corpus, so a malformed one exits 2 whatever the files
     from . import analyze
-    if args.count is not None:
-        try:
-            low, high = _parse_count(args.count)
-        except ValueError:
-            print(f"error: bad count spec {args.count!r}", file=sys.stderr)
-            return 2
-        corpus = _load(args)
-        if high is None:  # an open `A..` runs to the longest image
-            high = max((len(vrs) for vrs in corpus.images.values()), default=0)
-        images = analyze.images_with_vr_count(corpus, range(low, high + 1))
-        return _report(args, {"images": images}, images)
-    try:
-        pattern = analyze.parse_pattern(args.pattern)
+    try:  # each flag is read before the corpus, so a malformed one exits 2 whatever the files
+        spec = (_parse_count(args.count) if args.count is not None
+                else analyze.parse_pattern(args.pattern))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = analyze.query_images(_load(args), pattern)  # bindings in subject, predicate, object order
+    corpus = _load(args)
+    if isinstance(spec, range):
+        images = analyze.images_with_vr_count(corpus, spec)
+        return _report(args, {"images": images}, images)
+    result = analyze.query_images(corpus, spec)  # bindings in subject, predicate, object order
     return _report(args, {"images": result.images, "bindings": result.bindings},
                    chain(result.images, (f"{position}: {', '.join(names)}"
                                          for position, names in result.bindings.items())))

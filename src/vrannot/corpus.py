@@ -28,7 +28,6 @@ from collections import Counter
 from contextlib import contextmanager
 from json.decoder import scanstring
 from json.encoder import encode_basestring
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import (
@@ -220,14 +219,9 @@ def gc_paused():
             gc.enable()
 
 
-class _OpenPath(type(Path())):
-    """An input path whose file is already open as the text `stream`: the strict
-    decode rereads that stream, since a pipe or a FIFO cannot be opened twice."""
-
-
-def _load_json(path: Path):
-    """The JSON value of the file at `path`, decoded strictly; an `_OpenPath` is
-    read from its stream."""
+def _load_json(path, stream=None):
+    """The JSON value of the file at `path`, decoded strictly; read from `stream`,
+    that file already open as text, when one is given."""
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         out = dict(pairs)
         if len(out) != len(pairs):
@@ -237,8 +231,8 @@ def _load_json(path: Path):
                     raise MalformedRecordError(str(path), f"duplicate key {key!r}")
                 seen.add(key)
         return out
-    stream = path.stream if isinstance(path, _OpenPath) else io.TextIOWrapper(
-        _open_input(path), encoding="utf-8")
+    if stream is None:
+        stream = io.TextIOWrapper(_open_input(path), encoding="utf-8")
     try:
         with stream:  # read as text: JSON error positions count `\r\n` and `\r` as one `\n`
             return json.loads(stream.read(), object_pairs_hook=unique_keys)
@@ -252,10 +246,9 @@ def _load_json(path: Path):
 
 def _open_input(path):
     """An input file opened for binary reading; a missing path raises FileMissingError."""
-    path = Path(path)
-    if not path.exists():
+    if not os.path.exists(path):
         raise FileMissingError(path)
-    return path.open("rb")
+    return open(path, "rb")
 
 
 def read_input(path) -> bytes:
@@ -303,7 +296,7 @@ def _check_utf8(text: str, path, what: str) -> None:
 
 def load_master_list(path, what: str = "name") -> list[str]:
     """Load one master list: a JSON array of unique strings."""
-    data = _load_json(Path(path))
+    data = _load_json(path)
     if not isinstance(data, list) or any(not isinstance(n, str) for n in data):
         raise MalformedRecordError(str(path), f"{what} master list must be an array of strings")
     seen: set[str] = set()
@@ -429,23 +422,21 @@ def _scan_images(stream, n_classes: int, n_predicates: int, path) -> dict:
         text, key, size, eof = (text[key:] if images else text) + more, 0, 2 * size, len(more) < size
 
 
-def _load_images(annotations_path, n_classes: int, n_predicates: int) -> dict:
-    path = _OpenPath(annotations_path)
+def _load_images(path, n_classes: int, n_predicates: int) -> dict:
     handle = _open_input(path)
     if not handle.seekable():  # a pipe or FIFO is read whole, so that it can be reread
         with handle:
             handle = io.BytesIO(handle.read())
-    path.stream = io.TextIOWrapper(handle, encoding="utf-8")
-    with path.stream:
+    with io.TextIOWrapper(handle, encoding="utf-8") as stream:
         try:
-            return _scan_images(path.stream, n_classes, n_predicates, annotations_path)
+            return _scan_images(stream, n_classes, n_predicates, path)
         except (VrannotError, ValueError, RecursionError):
             pass  # the strict decode below reports the file's first problem, as documented
-        path.stream.seek(0)
-        raw = _load_json(path)
+        stream.seek(0)
+        raw = _load_json(path, stream)
     if not isinstance(raw, dict):
-        raise MalformedRecordError(str(annotations_path), "annotations root must be an object")
-    return {image: _image_vrs(image, records, n_classes, n_predicates, annotations_path)
+        raise MalformedRecordError(str(path), "annotations root must be an object")
+    return {image: _image_vrs(image, records, n_classes, n_predicates, path)
             for image, records in raw.items()}
 
 

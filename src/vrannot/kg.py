@@ -753,7 +753,7 @@ def load_store(lines, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
         rest = parts[2]
         o = ids.get(rest[1:-3]) if rest[0] == "<" and rest[-3] == ">" else literals.get(rest)
         if o is None:  # a first sighting; ids count from 0, so no truth test
-            key = _object_key(rest[:-2].strip(), line_no)
+            key = _object_key(rest[:-2].strip(" \t"), line_no)  # N-Triples whitespace only
             o = intern(key)
             if key.__class__ is tuple:
                 literals[rest] = o

@@ -408,7 +408,6 @@ def _parse_step(entry, ordinal: int, base_dir: Path) -> Step:
 
 def load_workflow_config(path) -> WorkflowConfig:
     """Read a config file; relative paths resolve against the file's directory."""
-    path = Path(path)
     try:
         raw = _load_json(path)
     except MalformedRecordError as exc:
@@ -424,7 +423,7 @@ def load_workflow_config(path) -> WorkflowConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(map(repr, sorted(unknown)))}")
 
-    base_dir = path.parent
+    base_dir = Path(path).parent
     resolved = {key: base_dir / _path(raw[key], key) for key in _PATH_KEYS}
     for side in ("annotations", "classes", "predicates"):
         if resolved[f"input_{side}"].resolve() == resolved[f"output_{side}"].resolve():

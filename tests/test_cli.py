@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import random
 import shutil
 import stat
 import subprocess
@@ -12,11 +13,12 @@ import pytest
 
 import vrannot
 from vrannot import analyze, kg
-from vrannot.cli import main
-from vrannot.corpus import canonical_annotations_bytes, diff_corpora, load_corpus, save_corpus
+from vrannot.cli import _parse_count, main
+from vrannot.corpus import (AnnotationCorpus, canonical_annotations_bytes, diff_corpora, load_corpus,
+                            save_corpus)
 from vrannot.kg import load_store, read_dump
 
-from helpers import DEMO_DIR, LISTING_DIR, load_listing_corpus, load_listing_expected
+from helpers import DEMO_DIR, LISTING_DIR, load_listing_corpus, load_listing_expected, random_corpus
 from test_corpus import vr_record, write_corpus_files
 from test_dump_io import IRI_REFUSED, IRI_REFUSED_IDS
 
@@ -308,11 +310,110 @@ class TestQuery:
         assert run(capsys, "query", *args, flag, value) == (2, "", f"error: {message}\n")
 
     def test_an_open_count_reads_the_corpus_first(self, capsys, tmp_path):
-        """`A..` runs to the longest image, so only the corpus can complete it."""
+        """A well-formed `A..` is read as a whole range; then the corpus is loaded
+        and its missing file reported."""
         args = corpus_args()
         args[args.index("--classes") + 1] = str(tmp_path / "missing.json")
         code, out, err = run(capsys, "query", *args, "--count", "7..")
         assert (code, out, err) == (4, "", f"error: file not found: {tmp_path / 'missing.json'}\n")
+
+
+class TestCountParity:
+    """Every count spec selects what a brute-force filter of `corpus.images` does."""
+
+    SPECS = ["3", "0", "-1", "2..5", "..2", "5..", "..", "9..", "5..2"]
+
+    @staticmethod
+    def brute(corpus, spec):
+        low, dots, high = spec.partition("..")
+        if not dots:
+            high = low
+        low, high = int(low or 0), int(high) if high else float("inf")
+        return sorted(image for image, vrs in corpus.images.items() if low <= len(vrs) <= high)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_text_and_structured_match_the_filter(self, capsys, tmp_path, seed):
+        rng = random.Random(seed)
+        if seed == 0:
+            corpus = AnnotationCorpus({}, ["a"], ["p"])
+        else:
+            corpus = random_corpus(rng, max_images=30, max_vrs=10, allow_empty_images=seed % 2 == 1)
+        paths = [tmp_path / name for name in OUTPUT_NAMES]
+        save_corpus(corpus, *paths)
+        args = [f"--{flag}={path}" for flag, path in zip(("annotations", "classes", "predicates"), paths)]
+        for spec in self.SPECS:
+            images = self.brute(corpus, spec)
+            assert analyze.images_with_vr_count(corpus, _parse_count(spec)) == images
+            assert run(capsys, "query", *args, "--count", spec) == (
+                0, "".join(f"{image}\n" for image in images), "")
+            structured = json.dumps({"images": images}, sort_keys=True, indent=2, ensure_ascii=False)
+            assert run(capsys, "query", *args, "--count", spec, "--format", "structured") == (
+                0, structured + "\n", "")
+            if ".." not in spec:  # an `int` target selects what its one-count range does
+                assert analyze.images_with_vr_count(corpus, int(spec)) == images
+
+
+class TestInputNames:
+    """Every input path is named in a message as it was given: `./d/x.json` stays
+    `./d/x.json` and `d//x.json` stays `d//x.json`."""
+
+    SHAPES = ["./d/{}", "d//{}", "d/./{}"]
+
+    @pytest.fixture
+    def work(self, tmp_path, monkeypatch):
+        (tmp_path / "d").mkdir()
+        for name in OUTPUT_NAMES:
+            shutil.copy(LISTING_DIR / name, tmp_path / "d" / name)
+        (tmp_path / "d" / "axioms.txt").write_text("", encoding="utf-8")
+        (tmp_path / "d" / "graph.nt").write_text("<a> <p> <o> .\n", encoding="utf-8")
+        (tmp_path / "d" / "bad.json").write_text("[1,\n", encoding="utf-8")
+        (tmp_path / "d" / "root.json").write_text("[]\n", encoding="utf-8")
+        (tmp_path / "d" / "list.json").write_text('{"a": 1}\n', encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @staticmethod
+    def corpus(annotations="d/annotations.json", classes="d/classes.json",
+               predicates="d/predicates.json"):
+        return ["--annotations", annotations, "--classes", classes, "--predicates", predicates]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_json_syntax_error(self, capsys, work, shape):
+        path = shape.format("bad.json")
+        reason = "Expecting value: line 2 column 1 (char 4)"
+        for corpus in (self.corpus(annotations=path), self.corpus(classes=path),
+                       self.corpus(predicates=path)):
+            assert run(capsys, "validate", *corpus) == (3, "", f"error: {path}: {reason}\n")
+        assert run(capsys, "workflow", "run", path) == (3, "", f"error: {path}: {reason}\n")
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_shape_error(self, capsys, work, shape):
+        root = shape.format("root.json")
+        assert run(capsys, "validate", *self.corpus(annotations=root)) == (
+            3, "", f"error: {root}: annotations root must be an object\n")
+        names = shape.format("list.json")
+        assert run(capsys, "validate", *self.corpus(classes=names)) == (
+            3, "", f"error: {names}: object class master list must be an array of strings\n")
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_missing_input(self, capsys, work, shape):
+        none = shape.format("none")
+        for argv in (
+            ["validate", *self.corpus(annotations=none)],
+            ["validate", *self.corpus(classes=none)],
+            ["validate", *self.corpus(predicates=none)],
+            ["apply", none, *self.corpus(), "--out", "out.json"],
+            ["kg", "materialize", "d/graph.nt", "--schema", none, "--out", "out.nt"],
+            ["kg", "lower", *self.corpus(), "--schema", none, "--out", "out.nt"],
+            ["kg", "materialize", none, "--schema", "d/axioms.txt", "--out", "out.nt"],
+            ["workflow", "run", none],
+        ):
+            assert run(capsys, *argv) == (4, "", f"error: file not found: {none}\n"), argv
+        assert sorted(os.listdir(work)) == ["d"]
+
+    def test_an_empty_path_is_not_found(self, capsys, work):
+        assert run(capsys, "validate", *self.corpus(annotations="")) == (
+            4, "", "error: file not found: \n")
 
 
 class TestLint:

@@ -775,7 +775,7 @@ class TestLoaderLayouts:
         decoded = []
         strict = vrannot.corpus._load_json
         monkeypatch.setattr(vrannot.corpus, "_load_json",
-                            lambda path: decoded.append(path.name) or strict(path))
+                            lambda path, *rest: decoded.append(path.name) or strict(path, *rest))
         for layout in LAYOUTS.values():
             text = layout(raw_annotations(corpus))
             assert check_text(tmp_path, text, corpus.object_class_names,
@@ -929,8 +929,8 @@ class TestSettledErrors:
             TextIOWrapper=CountingText, BytesIO=io.BytesIO))
         monkeypatch.setattr(CountingText, "sizes", [])
         strict, decoded = vrannot.corpus._load_json, []
-        monkeypatch.setattr(vrannot.corpus, "_load_json", lambda path: decoded.append(
-            (path.name, sum(CountingText.sizes))) or strict(path))
+        monkeypatch.setattr(vrannot.corpus, "_load_json", lambda path, *rest: decoded.append(
+            (path.name, sum(CountingText.sizes))) or strict(path, *rest))
         return load_outcome(load_corpus, paths), decoded, text
 
     def test_an_early_syntax_error_is_not_read_past(self, tmp_path, monkeypatch):

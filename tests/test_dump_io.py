@@ -80,8 +80,8 @@ def reference_load(data: bytes, namespace: str = DEFAULT_NAMESPACE) -> GraphStor
         subject, predicate, object_text = matched.groups()
         o = objects.get(object_text)
         if o is None:
-            o = objects[object_text] = store._id(_object_key(object_text.strip(), line_no))
-            assert NT_OBJECT.fullmatch(object_text.strip()), line  # only N-Triples terms load
+            o = objects[object_text] = store._id(_object_key(object_text.strip(" \t"), line_no))
+            assert NT_OBJECT.fullmatch(object_text.strip(" \t")), line  # only N-Triples terms load
         store._add((store._id(subject), store._id(predicate), o))
     return store
 

@@ -1,8 +1,10 @@
-"""Every module of the package uses each name it imports, and the package
-imports each module only when it is used.
+"""Every module of the package uses each name it imports, reads each private
+name it defines somewhere, and the package imports each module only when it
+is used.
 
-A deleted function leaves its imports behind in the modules that called it;
-this check finds them.  `__init__.py` re-exports the public names through a
+A deleted function leaves its imports behind in the modules that called it,
+and a deleted caller leaves its private helpers behind; these checks find
+them.  `__init__.py` re-exports the public names through a
 lazy table, which is checked against the modules it names; a command loads
 only the modules it runs.
 """
@@ -147,6 +149,40 @@ def test_an_unknown_name_raises_attribute_error():
     assert not hasattr(vrannot, "_private")
     with pytest.raises(ImportError):
         exec("from vrannot import nope", {})
+
+
+# --------------------------------------------------------------------------
+# private names: each one some module of the package reads
+# --------------------------------------------------------------------------
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each private name (`_f`, `_C`, `_X`; no dunder) that a
+    module binds at its top level and no module reads: as a loaded name, as an
+    attribute, or by a `from` import (which also reads each name it binds)."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module}.{name}" for module, source in sources.items()
+            for name in sorted(module_names(source))
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = {"a": "def _f(): pass\nclass _C: pass\n_X = _Y = 1\n__all__ = []\ndef g(): pass\n_T: int = 2\n",
+               "b": "from .a import _f\nimport a\na._X\nprint(_T)\n_T = 3\n"}
+    assert unread_private_names(sources) == ["a._C", "a._Y"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
 
 
 # --------------------------------------------------------------------------

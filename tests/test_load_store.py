@@ -16,7 +16,7 @@ import pytest
 from vrannot.cli import main
 from vrannot.corpus import input_lines
 from vrannot.errors import MalformedGraphError, VrannotError
-from vrannot.kg import XSD_INTEGER_IRI, dump_store, load_store, read_dump
+from vrannot.kg import XSD_INTEGER_IRI, Iri, dump_store, load_store, read_dump
 
 from helpers import LISTING_DIR
 from test_dump_io import MUTATIONS, cjk_store, n_triples, reference_load, valid_dump
@@ -160,14 +160,55 @@ class TestSplitParse:
         ('<a> <p> "x\ny" .', "unreadable object term '\"x\\ny\"'"),
         ("<a> <p> <x\ny> .", "unreadable object term '<x\\ny>'"),
         ('<a> <p> "x" .\n', "not a triple line"),
-    ], ids=["in-a-literal", "in-an-iri", "at-the-end"])
+        ("<a> <p> <x>\n .", "unreadable object term '<x>\\n'"),
+    ], ids=["in-a-literal", "in-an-iri", "at-the-end", "after-the-object"])
     def test_a_line_feed_reads_as_the_regex_reads_it(self, line, error):
         """`read_dump` never gives a line holding `\\n`.  The N-Triples grammar refuses one
-        inside a term, and a line ending in one does not end in ` .`."""
+        inside a term or beside the object, and a line ending in one does not end in ` .`."""
         assert not n_triples(line.encode() + b"\n")
         with pytest.raises(MalformedGraphError) as err:
             load_store([(1, '<a> <p> "x" .'), (2, line)])
         assert str(err.value) == f"line 2: {error}"
+
+
+# What `str.strip()` trims but N-Triples does not: only a space or a tab may stand
+# between two terms (W3C, RDF 1.1 N-Triples, 2014).
+NOT_NT_WHITESPACE = ("\xa0", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000")
+
+
+class TestObjectWhitespace:
+    """Spaces and tabs around the object load; any other whitespace makes it an
+    unreadable term, as the N-Triples grammar has it."""
+
+    @pytest.mark.parametrize("space", NOT_NT_WHITESPACE, ids=map(ascii, NOT_NT_WHITESPACE))
+    @pytest.mark.parametrize("term", ["<o>", '"x"'], ids=["iri", "literal"])
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_other_whitespace_is_refused(self, space, term, before):
+        text = space + term if before else term + space
+        data = f'<a> <p> <o> .\n<a> <p> {text} .\n'.encode()
+        expected = (MalformedGraphError, f"line 2: unreadable object term {text!r}")
+        assert internals(split_load, data) == internals(reference_load, data) == expected
+
+    @pytest.mark.parametrize("space", NOT_NT_WHITESPACE, ids=map(ascii, NOT_NT_WHITESPACE))
+    @pytest.mark.parametrize("term", ["<o>", '"x"'], ids=["iri", "literal"])
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_kg_materialize_exits_3(self, capsys, tmp_path, space, term, before):
+        text = space + term if before else term + space
+        graph, axioms = tmp_path / "g.nt", tmp_path / "axioms.txt"
+        graph.write_text(f"<a> <p> {text} .\n", encoding="utf-8")
+        axioms.write_text("", encoding="utf-8")
+        code = main(["kg", "materialize", str(graph), "--schema", str(axioms),
+                     "--out", str(tmp_path / "closed.nt")])
+        assert (code, capsys.readouterr().err) == (
+            3, f"error: line 1: unreadable object term {text!r}\n")
+        assert not (tmp_path / "closed.nt").exists()
+
+    @pytest.mark.parametrize("text", [" <o>", "<o>\t", "\t <o> ", ' "x"', '"x"\t', " \t\"x\"\t "])
+    def test_spaces_and_tabs_load(self, text):
+        data = f"<a> <p> {text} .\n".encode()
+        store = split_load(data)
+        assert internals(split_load, data) == internals(reference_load, data)
+        assert [triple.object for triple in store] == ["x" if '"' in text else Iri("o")]
 
 
 class TestIntegerLiterals:
