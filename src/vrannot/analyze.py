@@ -49,9 +49,7 @@ class QueryResult(NamedTuple):
 def query_images(corpus: AnnotationCorpus, pattern: VRPattern) -> QueryResult:
     """Images having at least one VR matching the pattern; bindings collect
     the distinct names observed at each wildcard position, sorted."""
-    want_subject = None if pattern.subject is None else corpus.class_id(pattern.subject)
-    want_predicate = None if pattern.predicate is None else corpus.predicate_id(pattern.predicate)
-    want_object = None if pattern.object is None else corpus.class_id(pattern.object)
+    want_subject, want_predicate, want_object = corpus.vr_type_ids(pattern)
 
     images: list[str] = []
     seen: dict[str, set[str]] = {}

@@ -19,6 +19,7 @@ from itertools import chain
 from .corpus import (
     DEFAULT_NAMESPACE,
     METRICS,
+    _INTEGER,
     AnnotationCorpus,
     compute_stats,
     diff_corpora,
@@ -103,14 +104,16 @@ def _cmd_stats(args) -> int:
 
 
 def _parse_count(spec: str) -> range:
-    """The VR counts that `N`, `A..B` or `A..` selects (`A` may be empty for 0)."""
-    try:
-        if ".." not in spec:
-            return range(int(spec), int(spec) + 1)
-        low, high = spec.split("..", 1)
-        return range(int(low) if low else 0, int(high) + 1 if high else sys.maxsize)
+    """The VR counts that `N`, `A..B` or `A..` selects (`A` may be empty for 0);
+    each bound given is an integer text (`corpus._INTEGER`)."""
+    low, dots, high = spec.partition("..")
+    try:  # int() refuses a bound over the interpreter's digit limit
+        if (low or dots) and all(_INTEGER(bound) for bound in (low, high) if bound):
+            return (range(int(low) if low else 0, int(high) + 1 if high else sys.maxsize) if dots
+                    else range(int(low), int(low) + 1))
     except ValueError:
-        raise ConfigError(f"bad count spec {spec!r}") from None
+        pass
+    raise ConfigError(f"bad count spec {spec!r}")
 
 
 def _cmd_query(args) -> int:

@@ -28,6 +28,7 @@ from collections import Counter
 from contextlib import contextmanager
 from json.decoder import scanstring
 from json.encoder import encode_basestring
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import (
@@ -40,6 +41,9 @@ from .errors import (
 )
 
 _SURROGATE = re.compile(r"[\ud800-\udfff]")  # a `str` has a UTF-8 form unless it holds one
+# The lexical space of xsd:integer, in ASCII digits: every integer text of every input
+# (`int()` alone also takes `1_0`, ` 7` and `٣`).  Each caller adds its own sign policy.
+_INTEGER = re.compile(r"[+-]?[0-9]+").fullmatch
 # Named here, where the CLI parser reads them without importing `analyze` or `kg`.
 METRICS = ("vrs_per_image", "distinct_classes_per_image", "distinct_predicates_per_image")
 DEFAULT_NAMESPACE = "http://example.org/vrannot#"
@@ -74,17 +78,7 @@ class VisualRelationship(NamedTuple):
     object: AnnotatedObject
 
 
-class Record:
-    """A mutable record: its fields are its attributes, compared and shown in the order set."""
-
-    def __eq__(self, other):  # defining it leaves records unhashable, as they are mutable
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
-
-class AnnotationCorpus(Record):
+class AnnotationCorpus(SimpleNamespace):
     """In-memory corpus: per-image relationship lists plus the master lists.
 
     `retired_class_ids` / `retired_predicate_ids` mark names tombstoned by a
@@ -138,6 +132,12 @@ class AnnotationCorpus(Record):
             self.predicate_names[vr.predicate_id],
             self.object_class_names[vr.object.class_id],
         )
+
+    def vr_type_ids(self, names) -> tuple:
+        """The id triple of a (subject class, predicate, object class) name triple,
+        the inverse of `vr_type_names`; a `None` name (a query wildcard) stays `None`."""
+        pairs = tuple(zip((self.class_id, self.predicate_id, self.class_id), names, strict=True))
+        return tuple(None if name is None else resolve(name) for resolve, name in pairs)
 
     def validate(self) -> None:
         """Re-check the corpus invariants; raises on the first violation."""

@@ -26,16 +26,17 @@ import codecs
 import re
 from collections import defaultdict
 from itertools import zip_longest
+from types import SimpleNamespace
 from typing import NamedTuple
 from urllib.parse import quote
 
 from .corpus import (
     DEFAULT_NAMESPACE,
+    _INTEGER,
     _SURROGATE,
     AnnotatedObject,
     AnnotationCorpus,
     BoundingBox,
-    Record,
     VisualRelationship,
     _open_input,
     gc_paused,
@@ -216,7 +217,7 @@ _SCHEMA_FIELDS = {"classes": set, "properties": set,
                   "ann_classes": dict, "ann_properties": dict}
 
 
-class Schema(Record):
+class Schema(SimpleNamespace):
     """Declared terms, axioms over them, and the corpus-name designations.
     Built by keyword; each field not given is a fresh empty container."""
 
@@ -693,7 +694,6 @@ def dump_store(store: GraphStore) -> Dump:
 
 _OBJECT_RE = re.compile(rf'{_IRI}|"((?:[^"\\\n\r]|\\.)*)"(?:\^\^{_IRI})?')  # iri | literal
 _IRI_TOKEN = re.compile(_IRI).fullmatch  # a whole subject or predicate token, space-free as any IRI
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+")  # the lexical space of xsd:integer, in ASCII digits
 
 
 def _object_key(text: str, line: int) -> str | tuple:
@@ -710,7 +710,7 @@ def _object_key(text: str, line: int) -> str | tuple:
         raise MalformedGraphError(f"line {line}: unsupported literal type {datatype!r}")
     body = _unescape_literal(body, line)
     try:
-        if _INTEGER_RE.fullmatch(body):  # `int()` alone also takes `1_000`, ` 7` and `٣`
+        if _INTEGER(body):
             return (int, int(body))
     except ValueError:  # past `int()`'s digit limit
         pass

@@ -29,16 +29,16 @@ that would not read back as itself (see docs/formats.md).
 from __future__ import annotations
 
 import io
-import re
 from enum import Enum
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .corpus import (
+    _INTEGER,
     AnnotatedObject,
     AnnotationCorpus,
     BoundingBox,
     CorpusDiff,
-    Record,
     VisualRelationship,
     diff_corpora,
     input_lines,
@@ -89,7 +89,7 @@ class Instruction(NamedTuple):
     new_vr: NewVRSpec | None = None
 
 
-class ImageBlock(Record):
+class ImageBlock(SimpleNamespace):
     """One `imname` block; mutable, as `parse_script` appends its instructions."""
 
     def __init__(self, filename: str, source_line: int, remove_image: bool = False,
@@ -102,12 +102,9 @@ class ImageBlock(Record):
 # parsing
 # --------------------------------------------------------------------------
 
-_INT_RE = re.compile(r"-?\d+$")
-
-
 def _parse_index(text: str, line: int) -> int:
-    try:  # int() also refuses digits such as '²' and a literal over the digit limit
-        if text.isdigit():
+    try:  # unsigned ASCII digits; int() refuses a literal over the digit limit
+        if text.isdigit() and _INTEGER(text):
             return int(text)
     except ValueError:
         pass
@@ -126,7 +123,7 @@ def _parse_bbox_literal(text: str, line: int) -> BoundingBox:
         raise ParseError(line, f"expected a [ymin,ymax,xmin,xmax] literal, got {text!r}")
     parts = [p.strip() for p in text[1:-1].split(",")]
     try:  # int() refuses a literal over the interpreter's digit limit
-        if len(parts) == 4 and all(_INT_RE.match(p) for p in parts):
+        if len(parts) == 4 and all(_INTEGER(p) and p[0] != "+" for p in parts):
             return BoundingBox(*map(int, parts))
     except ValueError:
         pass

@@ -169,9 +169,7 @@ def remove_vr_types_global(
     corpus: AnnotationCorpus, types: list[tuple[str, str, str]]
 ) -> AnnotationCorpus:
     """Delete every VR whose name triple matches any of the given types."""
-    doomed = {
-        (corpus.class_id(s), corpus.predicate_id(p), corpus.class_id(o)) for s, p, o in types
-    }
+    doomed = {corpus.vr_type_ids(names) for names in types}
     return _rewrite_vrs(corpus, lambda vr: None if _type_ids(vr) in doomed else vr)
 
 
@@ -192,10 +190,7 @@ def change_vr_type_global(
     two class names (subject becomes object and vice versa) cannot be
     expressed here and is rejected; per-image protocol edits cover that.
     """
-    from_s, from_p, from_o = from_type
-    to_s, to_p, to_o = to_type
-    from_ids = (corpus.class_id(from_s), corpus.predicate_id(from_p), corpus.class_id(from_o))
-    to_ids = (corpus.class_id(to_s), corpus.predicate_id(to_p), corpus.class_id(to_o))
+    from_ids, to_ids = corpus.vr_type_ids(from_type), corpus.vr_type_ids(to_type)
     if from_ids[0] != from_ids[2] and (to_ids[0], to_ids[2]) == (from_ids[2], from_ids[0]):
         raise UnsupportedRewriteError(
             f"rewriting {from_type} to {to_type} would swap subject and object roles"

@@ -16,7 +16,9 @@ from vrannot import analyze, kg
 from vrannot.cli import _parse_count, main
 from vrannot.corpus import (AnnotationCorpus, canonical_annotations_bytes, diff_corpora, load_corpus,
                             save_corpus)
+from vrannot.errors import ConfigError, MalformedGraphError, ParseError
 from vrannot.kg import load_store, read_dump
+from vrannot.protocol import parse_script
 
 from helpers import DEMO_DIR, LISTING_DIR, load_listing_corpus, load_listing_expected, random_corpus
 from test_corpus import vr_record, write_corpus_files
@@ -351,6 +353,88 @@ class TestCountParity:
                 0, structured + "\n", "")
             if ".." not in spec:  # an `int` target selects what its one-count range does
                 assert analyze.images_with_vr_count(corpus, int(spec)) == images
+
+
+# Each integer text, and the inputs that accept it: a `--count` bound, a script index, a
+# script box coordinate and an xsd:integer dump literal.  Every input reads ASCII digits by
+# the dump literal's rule, each with its own sign policy; a script field is trimmed first.
+INTEGER_TEXTS = [
+    ("0", "count index box dump"), ("7", "count index box dump"), ("007", "count index box dump"),
+    ("-1", "count box dump"), ("+5", "count dump"),
+    ("\u0663", ""), ("\uff13", ""), ("\u00b2", ""), ("1_0", ""), ("0x1", ""), ("+", ""), ("-", ""),
+    ("", ""), ("9" * 4301, ""), (" 3", "index box"), ("3 ", "index box"),
+]
+INTEGER_IDS = ["zero", "seven", "leading-zeros", "minus", "plus", "arabic-indic-digit",
+               "fullwidth-digit", "superscript-two", "underscore", "hex", "lone-plus",
+               "lone-minus", "empty", "too-many-digits", "leading-space", "trailing-space"]
+
+
+@pytest.mark.parametrize("text,accepted", INTEGER_TEXTS, ids=INTEGER_IDS)
+class TestIntegerTextParity:
+    """Each integer text is accepted or refused alike by the library reader and
+    the command of each input, with that input's exit code and message."""
+
+    @pytest.fixture
+    def work(self, tmp_path):
+        """One image of 8 equal VRs, so that every index up to 7 applies; an empty schema."""
+        vr = vr_record(0, [1, 2, 3, 4], 0, 1, [1, 2, 3, 4])
+        write_corpus_files(tmp_path, {"im.jpg": [vr] * 8}, ["person", "horse"], ["ride"])
+        (tmp_path / "axioms.txt").write_text("", encoding="utf-8")
+        return tmp_path
+
+    def test_count_bound(self, capsys, work, text, accepted):
+        for spec in ([text, f"{text}..", f"..{text}"] if text else [text]):
+            # `=` keeps argparse from reading a spec such as `-1..` as an option
+            code, out, err = run(capsys, "query", *corpus_args(work), f"--count={spec}")
+            if "count" in accepted:
+                assert (code, err) == (0, "")
+                assert _parse_count(spec).start == (int(text) if spec.startswith(text) else 0)
+            else:
+                assert (code, out, err) == (2, "", f"error: bad count spec {spec!r}\n")
+                with pytest.raises(ConfigError, match="^bad count spec "):
+                    _parse_count(spec)
+
+    def check_script(self, capsys, work, line, ok, message):
+        script = work / "script.txt"
+        script.write_text(f"imname; im.jpg\n{line}\n", encoding="utf-8")
+        out = work / "out.json"
+        code, stdout, err = run(capsys, "apply", str(script), *corpus_args(work), "--out", str(out))
+        if ok:
+            assert (code, err) == (0, "") and out.exists()
+            return parse_script(script.read_text(encoding="utf-8"))[0].instructions[0]
+        assert (code, stdout, err, out.exists()) == (3, "", f"error: line 2: {message}\n", False)
+        with pytest.raises(ParseError) as refused:
+            parse_script(script.read_text(encoding="utf-8"))
+        assert str(refused.value) == f"line 2: {message}"
+
+    def test_script_index(self, capsys, work, text, accepted):
+        line = f"cvrsbb; {text}; (person, ride, horse); [1,2,3,4]"
+        instruction = self.check_script(capsys, work, line, "index" in accepted,
+                                        f"expected a non-negative index, got {text.strip()!r}")
+        assert instruction is None or instruction.vr_index == int(text)
+
+    def test_box_coordinate(self, capsys, work, text, accepted):
+        box = f"[{text},2,3,4]"
+        instruction = self.check_script(capsys, work, f"cvrsbb; 0; (person, ride, horse); {box}",
+                                        "box" in accepted,
+                                        f"bounding box must hold 4 integers, got {box!r}")
+        assert instruction is None or instruction.new_bbox.ymin == int(text)
+
+    def test_dump_literal(self, capsys, work, text, accepted):
+        line = f'<a> <p> "{text}"^^<{kg.XSD_INTEGER_IRI}> .'
+        graph, out = work / "g.nt", work / "closed.nt"
+        graph.write_text(line + "\n", encoding="utf-8")
+        code, stdout, err = run(capsys, "kg", "materialize", str(graph),
+                                "--schema", str(work / "axioms.txt"), "--out", str(out))
+        if "dump" in accepted:
+            assert (code, err) == (0, "") and out.exists()
+            assert [triple.object for triple in load_store([(1, line)])] == [int(text)]
+            return
+        message = f"line 1: bad integer literal {text!r}"
+        assert (code, stdout, err, out.exists()) == (3, "", f"error: {message}\n", False)
+        with pytest.raises(MalformedGraphError) as refused:
+            load_store([(1, line)])
+        assert str(refused.value) == message
 
 
 class TestInputNames:
@@ -1264,3 +1348,19 @@ class TestUsage:
 
     def test_missing_required_option(self, capsys):
         assert run(capsys, "validate", "--annotations", "x.json")[0] == 2
+
+    @pytest.mark.parametrize("command", [
+        "validate", "stats", "query", "lint", "overlay", "apply", "workflow", "workflow run", "kg",
+        "kg lower", "kg materialize", "kg extract", "diff",
+    ])
+    def test_subcommand_help(self, command):
+        """Each subcommand's help, which prints the choices and defaults its parser
+        reads, in a fresh interpreter under CI's flags, where any warning fails it."""
+        src = Path(vrannot.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-X", "warn_default_encoding", "-W", "error",
+             "-m", "vrannot.cli", *command.split(), "--help"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout.startswith(b"usage: vrannot")

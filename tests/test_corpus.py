@@ -1515,6 +1515,48 @@ class TestNameResolution:
         assert (err.value.value, err.value.bound) == (bound, bound)
 
 
+class TestVrTypeIds:
+    """`vr_type_ids` is the inverse of `vr_type_names`, resolving each name as
+    `class_id` or `predicate_id` does."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_inverts_vr_type_names(self, seed):
+        corpus = random_corpus(random.Random(seed))
+        for vr in (vr for vrs in corpus.images.values() for vr in vrs):
+            ids = (vr.subject.class_id, vr.predicate_id, vr.object.class_id)
+            assert corpus.vr_type_ids(corpus.vr_type_names(vr)) == ids
+
+    @pytest.mark.parametrize("wildcards", itertools.product((False, True), repeat=3))
+    def test_a_none_name_stays_none(self, wildcards):
+        corpus = load_listing_corpus()
+        names = [None if wild else name for wild, name in zip(wildcards, ("person", "on", "bear"))]
+        ids = (corpus.class_id("person"), corpus.predicate_id("on"), corpus.class_id("bear"))
+        assert corpus.vr_type_ids(names) == tuple(None if wild else i for wild, i in zip(wildcards, ids))
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("retire", [False, True], ids=["unknown", "retired"])
+    def test_a_bad_name_raises_what_its_resolver_raises(self, position, retire):
+        corpus = load_listing_corpus()
+        names = ["person", "on", "bear"]
+        resolve = corpus.predicate_id if position == 1 else corpus.class_id
+        if retire:
+            retired = corpus.retired_predicate_ids if position == 1 else corpus.retired_class_ids
+            retired.add(resolve(names[position]))
+        else:
+            names[position] = "zebra"
+        with pytest.raises(UnknownNameError) as expected:
+            resolve(names[position])
+        with pytest.raises(UnknownNameError) as err:
+            corpus.vr_type_ids(names)
+        assert str(err.value) == str(expected.value)
+
+    @pytest.mark.parametrize("names", [("person", "on"), ("person", "on", "bear", "bear"),
+                                       ("zebra", "on"), ()], ids=["two", "four", "two-unknown", "none"])
+    def test_a_wrong_length_raises_value_error(self, names):
+        with pytest.raises(ValueError):
+            load_listing_corpus().vr_type_ids(names)
+
+
 class TestValidateMatchesTheLoader:
     """`validate` raises what `load_corpus` raises on the saved files, so
     `vrannot validate`, which only loads, reports what a second walk would."""
@@ -1706,6 +1748,13 @@ class TestCorpusClass:
         first.retired_class_ids.add(0)
         assert (second.images, second.object_class_names, second.predicate_names,
                 second.retired_class_ids, second.retired_predicate_ids) == ({}, [], [], set(), set())
+
+    def test_records_of_different_classes_never_compare_equal(self):
+        from vrannot.kg import Schema
+        from vrannot.protocol import ImageBlock
+        records = [AnnotationCorpus(), Schema(), ImageBlock("a.jpg", 1)]
+        for a, b in itertools.product(records, repeat=2):
+            assert (a == b) == (a is b) and (a != b) == (a is not b)
 
     def test_given_containers_are_kept_not_copied(self):
         images, classes, predicates, retired = {}, [], [], set()
