@@ -23,6 +23,7 @@ from .corpus import (
     AnnotationCorpus,
     compute_stats,
     diff_corpora,
+    gc_paused,
     load_corpus,
     load_master_list,
     read_input,
@@ -60,10 +61,10 @@ def _load(args) -> "AnnotationCorpus":
 
 
 def _report(args, payload, lines) -> int:
-    """Print `payload` as JSON under `--format structured`, else each of `lines`
-    (which may be lazy, so only text mode builds the text)."""
+    """Print `payload()` as JSON under `--format structured`, else each of
+    `lines` (which may be lazy), so that each mode builds only its own output."""
     if args.format == "structured":
-        print(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False))
+        print(json.dumps(payload(), sort_keys=True, indent=2, ensure_ascii=False))
     else:
         for line in lines:
             print(line)
@@ -86,7 +87,7 @@ def _cmd_stats(args) -> int:
     if args.distribution:
         from . import analyze
         histogram = analyze.distribution(corpus, args.distribution)
-        return _report(args, {"metric": histogram.metric, "buckets": histogram.buckets},
+        return _report(args, lambda: {"metric": histogram.metric, "buckets": histogram.buckets},
                        chain([f"{histogram.metric}:"],
                              (f"  {value}: {count}" for value, count in histogram.buckets)))
     stats = compute_stats(corpus)
@@ -98,7 +99,7 @@ def _cmd_stats(args) -> int:
         "mean_relationships_per_image": stats.mean_vrs_per_image,
         "images_with_duplicate_relationships": stats.images_with_exact_duplicate_vrs,
     }
-    return _report(args, counts, (
+    return _report(args, lambda: counts, (
         f"{key.replace('_', ' ')}: {value:{'.2f' if isinstance(value, float) else ''}}"
         for key, value in counts.items()))
 
@@ -127,9 +128,9 @@ def _cmd_query(args) -> int:
     corpus = _load(args)
     if isinstance(spec, range):
         images = analyze.images_with_vr_count(corpus, spec)
-        return _report(args, {"images": images}, images)
+        return _report(args, lambda: {"images": images}, images)
     result = analyze.query_images(corpus, spec)  # bindings in subject, predicate, object order
-    return _report(args, {"images": result.images, "bindings": result.bindings},
+    return _report(args, lambda: {"images": result.images, "bindings": result.bindings},
                    chain(result.images, (f"{position}: {', '.join(names)}"
                                          for position, names in result.bindings.items())))
 
@@ -142,8 +143,8 @@ def _cmd_lint(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     findings = analyze.lint(_load(args), near_dup_iou_threshold=args.threshold)
-    _report(args, [{"image": f.image, "rule": f.rule.value, "detail": f.detail, "severity": f.severity}
-                   for f in findings],
+    _report(args, lambda: [{"image": f.image, "rule": f.rule.value, "detail": f.detail,
+                            "severity": f.severity} for f in findings],
             (analyze.format_findings([f])[:-1] for f in findings))  # each line without its "\n"
     return 1 if args.strict and findings else 0
 
@@ -245,7 +246,7 @@ def _cmd_diff(args) -> int:
     lines = (f"modified {delta.filename} changed={delta.changed} added={delta.added} removed={delta.removed}"
              if delta.status == "modified" else f"{delta.status} {delta.filename}" for delta in diff.deltas)
     total = "total: " + " ".join(f"{name.removeprefix('vrs_')}={n}" for name, n in totals.items())
-    return _report(args, {"images": [delta._asdict() for delta in diff.deltas], **totals},
+    return _report(args, lambda: {"images": [delta._asdict() for delta in diff.deltas], **totals},
                    chain(lines, [total]))
 
 
@@ -279,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_argument(p)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--pattern", help="'subject, predicate, object' with * wildcards")
-    mode.add_argument("--count", help="VR count filter: N, A..B, or A..")
+    mode.add_argument("--count", help="VR count filter: N, A..B, or A..; "
+                      "write a spec that starts with - as --count=-1..")
     p.set_defaults(handler=_cmd_query)
 
     p = sub.add_parser("lint", help="report annotation quality findings")
@@ -355,7 +357,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        with gc_paused():  # a command builds acyclic data and exits: collections would only rescan it
+            return args.handler(args)
     except (VrannotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # a workflow step that cannot read its file fails on I/O all the same

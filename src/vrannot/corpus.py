@@ -28,6 +28,7 @@ from collections import Counter
 from contextlib import contextmanager
 from json.decoder import scanstring
 from json.encoder import encode_basestring
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -47,6 +48,7 @@ _INTEGER = re.compile(r"[+-]?[0-9]+").fullmatch
 # Named here, where the CLI parser reads them without importing `analyze` or `kg`.
 METRICS = ("vrs_per_image", "distinct_classes_per_image", "distinct_predicates_per_image")
 DEFAULT_NAMESPACE = "http://example.org/vrannot#"
+_first, _second, _third = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class BoundingBox(NamedTuple):
@@ -258,10 +260,11 @@ def read_input(path) -> bytes:
 
 
 @contextmanager
-def input_lines(handle, error):
+def input_lines(handle, error, strip=None):
     """Give an iterator of the (1-based line number, stripped line) pairs of a
     script, axiom file or dump, read from the open binary `handle` a line at a
     time; blank and `#` comment lines are skipped; the handle is closed on exit.
+    A line is stripped of the characters in `strip`, or of all whitespace.
     A line ends only at `\\n`: a `\\r\\n` file reads the same, and every other
     Unicode line break stays inside its line.  It is decoded with its `\\n`,
     which no UTF-8 sequence spans, so invalid UTF-8 raises `error(line,
@@ -271,7 +274,7 @@ def input_lines(handle, error):
     def lines():
         for line_no, raw in enumerate(handle, start=1):
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8").strip(strip)
             except UnicodeDecodeError as exc:
                 raise error(line_no, f"invalid UTF-8 ({exc.reason})") from None
             if line and not line.startswith("#"):
@@ -703,35 +706,37 @@ def _ids_by_name(before: list[str], after: list[str]) -> list[int]:
 def diff_corpora(before: AnnotationCorpus, after: AnnotationCorpus) -> CorpusDiff:
     """Name-level value diff; VR removals and additions of an image that pair
     up one-to-one count as changes.  Image-level adds/removes do not feed the
-    VR counters."""
-    # `after`'s VRs are compared in `before`'s ids, where equal ids mean equal
-    # names.  When every id keeps its name, as after most steps, `after`'s lists
-    # are used as they are; `==` on the VRs a step's copy shares compares pointers.
+    VR counters; deltas are sorted by filename.  `after`'s VRs are compared
+    in `before`'s ids, where equal ids mean equal names: only an image using
+    an id whose name moved is re-expressed.  So an image a step left alone
+    costs one list comparison (by pointer, of the VRs the step's copy shares)
+    and an edited one a multiset count."""
     classes = _ids_by_name(before.object_class_names, after.object_class_names)
     predicates = _ids_by_name(before.predicate_names, after.predicate_names)
-    same_ids = classes == [*range(len(classes))] and predicates == [*range(len(predicates))]
-    deltas: list[ImageDelta] = []
-    for image in sorted(set(before.images) | set(after.images)):
-        if image not in after.images:
+    moved_classes = {i for i, j in enumerate(classes) if i != j}
+    moved_predicates = {i for i, j in enumerate(predicates) if i != j}
+    deltas = [ImageDelta(image, "added") for image in after.images.keys() - before.images.keys()]
+    for image, old in before.images.items():
+        new = after.images.get(image)
+        if new is None:
             deltas.append(ImageDelta(image, "removed"))
             continue
-        if image not in before.images:
-            deltas.append(ImageDelta(image, "added"))
-            continue
-        old, new = before.images[image], after.images[image]
-        if not same_ids:
+        if (moved_predicates and not moved_predicates.isdisjoint(map(_second, new))
+                or moved_classes and not (moved_classes.isdisjoint(map(_first, map(_first, new)))
+                                          and moved_classes.isdisjoint(map(_first, map(_third, new))))):
             new = [((classes[s], s_box), predicates[p], (classes[o], o_box))
                    for (s, s_box), p, (o, o_box) in new]
         if old == new:
             continue
-        old, new = Counter(old), Counter(new)
-        if old == new:
-            continue
-        gone = sum((old - new).values())
-        came = sum((new - old).values())
-        paired = min(gone, came)
-        deltas.append(
-            ImageDelta(image, "modified", changed=paired, added=came - paired, removed=gone - paired)
-        )
+        unmatched, came = Counter(old), 0
+        for vr in new:
+            if unmatched.get(vr):
+                unmatched[vr] -= 1
+            else:
+                came += 1
+        gone = len(old) - len(new) + came
+        if gone or came:
+            paired = min(gone, came)
+            deltas.append(ImageDelta(image, "modified", paired, came - paired, gone - paired))
+    deltas.sort()
     return CorpusDiff(deltas)
-

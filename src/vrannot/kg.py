@@ -720,9 +720,11 @@ def _object_key(text: str, line: int) -> str | tuple:
 def read_dump(path):
     """Open a dump file, which must be UTF-8, for `load_store`: a context
     manager giving its (line number, line) pairs, read a line at a time.
-    Invalid UTF-8 anywhere wins over a malformed line (see `input_lines`)."""
+    Invalid UTF-8 anywhere wins over a malformed line (see `input_lines`).  A
+    line is trimmed only of spaces, tabs, `\\r` and `\\n`, which N-Triples
+    allows at its ends (W3C, RDF 1.1 N-Triples, 2014)."""
     return input_lines(_open_input(path),
-                       lambda line, reason: MalformedGraphError(f"line {line}: {reason}"))
+                       lambda line, reason: MalformedGraphError(f"line {line}: {reason}"), " \t\r\n")
 
 
 @gc_paused()

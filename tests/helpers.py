@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from pathlib import Path
 
 from vrannot.corpus import (
     AnnotatedObject,
     AnnotationCorpus,
     BoundingBox,
+    CorpusDiff,
+    ImageDelta,
     VisualRelationship,
+    _ids_by_name,
     load_corpus,
 )
 
@@ -156,3 +160,40 @@ def check_record(make, text: str) -> None:
     except TypeError:
         return
     raise AssertionError(f"{type(value).__name__} is hashable")
+
+
+def reference_diff_corpora(before: AnnotationCorpus, after: AnnotationCorpus) -> CorpusDiff:
+    """`corpus.diff_corpora` as it was before its one-pass rewrite, kept
+    verbatim as its oracle: it walks the sorted union of the image keys,
+    re-expresses every VR of `after` when any id's name moved, and counts a
+    modified image with two Counters and two subtractions."""
+    # `after`'s VRs are compared in `before`'s ids, where equal ids mean equal
+    # names.  When every id keeps its name, as after most steps, `after`'s lists
+    # are used as they are; `==` on the VRs a step's copy shares compares pointers.
+    classes = _ids_by_name(before.object_class_names, after.object_class_names)
+    predicates = _ids_by_name(before.predicate_names, after.predicate_names)
+    same_ids = classes == [*range(len(classes))] and predicates == [*range(len(predicates))]
+    deltas: list[ImageDelta] = []
+    for image in sorted(set(before.images) | set(after.images)):
+        if image not in after.images:
+            deltas.append(ImageDelta(image, "removed"))
+            continue
+        if image not in before.images:
+            deltas.append(ImageDelta(image, "added"))
+            continue
+        old, new = before.images[image], after.images[image]
+        if not same_ids:
+            new = [((classes[s], s_box), predicates[p], (classes[o], o_box))
+                   for (s, s_box), p, (o, o_box) in new]
+        if old == new:
+            continue
+        old, new = Counter(old), Counter(new)
+        if old == new:
+            continue
+        gone = sum((old - new).values())
+        came = sum((new - old).values())
+        paired = min(gone, came)
+        deltas.append(
+            ImageDelta(image, "modified", changed=paired, added=came - paired, removed=gone - paired)
+        )
+    return CorpusDiff(deltas)

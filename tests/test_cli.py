@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import random
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import vrannot
+import vrannot.cli
 from vrannot import analyze, kg
 from vrannot.cli import _parse_count, main
 from vrannot.corpus import (AnnotationCorpus, canonical_annotations_bytes, diff_corpora, load_corpus,
@@ -267,6 +269,13 @@ class TestQuery:
         assert code == 0
         assert out == "8934043045_251b42d19a_b.jpg\n"
 
+    def test_count_with_a_negative_lower_bound(self, capsys):
+        """A spec that starts with `-` is given after `=`; a negative lower bound selects from 0."""
+        code, out, err = run(capsys, "query", *corpus_args(), "--count=-1..")
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{image}\n" for image in sorted(load_listing_corpus().images))
+        assert len(out.splitlines()) == 5
+
     def test_count_structured(self, capsys):
         code, out, _ = run(capsys, "query", *corpus_args(), "--count", "2", "--format", "structured")
         assert (code, out) == (0, '{\n  "images": [\n    "7171463996_900cb4ce33_b.jpg"\n  ]\n}\n')
@@ -318,6 +327,45 @@ class TestQuery:
         args[args.index("--classes") + 1] = str(tmp_path / "missing.json")
         code, out, err = run(capsys, "query", *args, "--count", "7..")
         assert (code, out, err) == (4, "", f"error: file not found: {tmp_path / 'missing.json'}\n")
+
+
+class TestCollectorState:
+    """`main` runs a command with the cyclic collector paused and leaves the
+    collector as it found it, whatever the exit."""
+
+    @pytest.fixture(autouse=True)
+    def keep_the_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case,expected", [
+        ("success", 0), ("data-error", 3), ("missing-file", 4), ("usage-error", 2),
+    ])
+    def test_main_restores_the_collector(self, capsys, tmp_path, enabled, case, expected):
+        args = corpus_args()
+        if case == "data-error":
+            (tmp_path / "annotations.json").write_text("[]", encoding="utf-8")
+            args[1] = str(tmp_path / "annotations.json")
+        elif case == "missing-file":
+            args[1] = str(tmp_path / "absent.json")
+        argv = ["validate", *args] if case != "usage-error" else ["validate", *args[2:]]
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, *argv)[0] == expected
+        assert gc.isenabled() is enabled
+
+    def test_the_command_runs_with_the_collector_paused(self, capsys, monkeypatch):
+        states = []
+
+        def recording_load(*paths):
+            states.append(gc.isenabled())
+            return load_corpus(*paths)
+
+        monkeypatch.setattr(vrannot.cli, "load_corpus", recording_load)
+        gc.enable()
+        assert run(capsys, "validate", *corpus_args()) == (0, "ok: 5 images, 26 relationships\n", "")
+        assert states == [False] and gc.isenabled()
 
 
 class TestCountParity:

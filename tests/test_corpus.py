@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import vrannot.corpus
+from vrannot import workflow
 from vrannot.corpus import (
     AnnotatedObject,
     AnnotationCorpus,
@@ -54,8 +55,10 @@ from helpers import (
     random_bbox,
     random_corpus,
     random_vr,
+    reference_diff_corpora,
     text_lines,
 )
+from test_workflow import _StepArgs
 
 
 def write_corpus_files(tmp_path, annotations, classes, predicates):
@@ -1709,6 +1712,107 @@ class TestDiff:
         clone.object_class_names.append("extra")
         assert len(corpus.images[image]) + 1 == len(clone.images[image])
         assert "extra" not in corpus.object_class_names
+
+
+class TestDiffDifferential:
+    """`diff_corpora` gives what the two-Counter diff it replaced gives
+    (`helpers.reference_diff_corpora`), on seeded pairs of every kind."""
+
+    def edited(self, rng, before, seen):
+        """A copy of `before`, sharing its VRs, with seeded edits: names renamed,
+        swapped, appended or retired; images added, removed or emptied; VRs
+        replaced, shuffled or duplicated."""
+        after = before.copy()
+        follow = {"class": {}, "predicate": {}}  # the id swaps that the VRs follow, keeping their names
+        for side, names, retired in (("class", after.object_class_names, after.retired_class_ids),
+                                     ("predicate", after.predicate_names, after.retired_predicate_ids)):
+            roll = rng.random()
+            if roll < 0.25:
+                names[rng.randrange(len(names))] = f"renamed {side}"
+                seen["rename"] += 1
+            elif roll < 0.5 and len(names) > 1:
+                i, j = rng.sample(range(len(names)), 2)
+                names[i], names[j] = names[j], names[i]
+                if rng.random() < 0.5:
+                    follow[side] = {i: j, j: i}
+                seen["swap"] += 1
+            if rng.random() < 0.3:
+                names.append(f"appended {side}")
+                seen["append"] += 1
+            if rng.random() < 0.2:
+                retired.add(rng.randrange(len(names)))
+                seen["retire"] += 1
+        classes, predicates = follow.values()
+        if classes or predicates:
+            seen["ids follow names"] += 1
+            after.images = {
+                image: [VisualRelationship(AnnotatedObject(classes.get(s, s), s_box), predicates.get(p, p),
+                                           AnnotatedObject(classes.get(o, o), o_box))
+                        for (s, s_box), p, (o, o_box) in vrs]
+                for image, vrs in after.images.items()}
+        n_classes, n_predicates = len(after.object_class_names), len(after.predicate_names)
+        for image, vrs in list(after.images.items()):
+            roll = rng.random()
+            if roll < 0.1:
+                del after.images[image]
+                seen["removed image"] += 1
+            elif roll < 0.15:
+                after.images[image] = []
+                seen["emptied image"] += 1
+            elif roll < 0.3 and vrs:
+                vrs[rng.randrange(len(vrs))] = random_vr(rng, n_classes, n_predicates)
+                seen["replaced VR"] += 1
+            elif roll < 0.4 and len(vrs) > 1:
+                rng.shuffle(vrs)
+                seen["shuffled VRs"] += 1
+            elif roll < 0.5 and vrs:
+                vrs.insert(rng.randrange(len(vrs) + 1), rng.choice(vrs))
+                seen["duplicated VR"] += 1
+        for k in range(rng.choice((0, 0, 1, 2))):
+            after.images[f"new{k}.jpg"] = [random_vr(rng, n_classes, n_predicates)
+                                           for _ in range(rng.randrange(3))]
+            seen["added image"] += 1
+        return after
+
+    def test_matches_the_reference_on_seeded_pairs(self, tmp_path):
+        rng = random.Random(2601)
+        make = _StepArgs(rng)
+        seen = Counter()
+        paths = [tmp_path / name for name in ("annotations.json", "classes.json", "predicates.json")]
+
+        def loaded(corpus):  # the saved bytes, written without `save_corpus`'s fsyncs
+            for path, data in zip(paths, (canonical_annotations_bytes(corpus),
+                                          canonical_master_list_bytes(corpus.object_class_names),
+                                          canonical_master_list_bytes(corpus.predicate_names))):
+                path.write_bytes(data)
+            return load_corpus(*paths)
+
+        for _ in range(3000):
+            before = random_corpus(rng, max_images=10, max_vrs=6, n_classes=6, n_predicates=4,
+                                   allow_empty_images=True)
+            kind = rng.choice(("edited", "edited", "step", "loaded"))
+            if kind == "step":
+                step = rng.choice(sorted(workflow.STEPS))
+                args = make.for_kind(step, before, tmp_path / "script.txt")
+                if args is None:
+                    continue
+                after = getattr(workflow, workflow.STEPS[step][0])(before, **args)
+                seen[f"step {step}"] += 1
+            else:
+                after = self.edited(rng, before, seen)
+            if kind == "loaded":  # no VR object is shared
+                before, after = loaded(before), loaded(after)
+                shared = {id(vr) for vrs in before.images.values() for vr in vrs}
+                assert not any(id(vr) in shared for vrs in after.images.values() for vr in vrs)
+            seen[kind] += 1
+            seen["same keys" if before.images.keys() == after.images.keys() else "other keys"] += 1
+            for left, right in ((before, after), (after, before)):
+                diff = diff_corpora(left, right)
+                assert diff == reference_diff_corpora(left, right), (left, right)
+                seen.update(delta.status for delta in diff.deltas)
+        assert sum(seen[kind] for kind in ("edited", "step", "loaded")) >= 2900
+        assert min(seen.values()) >= 40, seen
+        assert len(seen) == 28, seen  # every edit, step, key set and status was reached
 
 
 class TestResultTuples:

@@ -16,7 +16,8 @@ import pytest
 from vrannot.cli import main
 from vrannot.corpus import input_lines
 from vrannot.errors import MalformedGraphError, VrannotError
-from vrannot.kg import XSD_INTEGER_IRI, Iri, dump_store, load_store, read_dump
+from vrannot.kg import XSD_INTEGER_IRI, Iri, dump_store, load_schema, load_store, read_dump
+from vrannot.protocol import parse_script
 
 from helpers import LISTING_DIR
 from test_dump_io import MUTATIONS, cjk_store, n_triples, reference_load, valid_dump
@@ -209,6 +210,53 @@ class TestObjectWhitespace:
         store = split_load(data)
         assert internals(split_load, data) == internals(reference_load, data)
         assert [triple.object for triple in store] == ["x" if '"' in text else Iri("o")]
+
+
+class TestLineEndWhitespace:
+    """A dump line is trimmed only of what N-Triples allows at its ends: spaces,
+    tabs and its line end.  Scripts and axiom files still trim any whitespace."""
+
+    @staticmethod
+    def bad_line(space, before):
+        return space + "<a> <p> <o> ." if before else "<b> <p> <o> ." + space
+
+    @pytest.mark.parametrize("space", NOT_NT_WHITESPACE, ids=map(ascii, NOT_NT_WHITESPACE))
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    @pytest.mark.parametrize("command", ["materialize", "extract"])
+    def test_other_whitespace_exits_3(self, capsys, tmp_path, space, before, command):
+        graph, axioms, out = tmp_path / "g.nt", tmp_path / "axioms.txt", tmp_path / "out"
+        graph.write_text(f"<a> <p> <o> .\n{self.bad_line(space, before)}\n", encoding="utf-8")
+        axioms.write_text("", encoding="utf-8")
+        argv = (["materialize", str(graph), "--schema", str(axioms)] if command == "materialize" else
+                ["extract", str(graph), "--classes", str(LISTING_DIR / "classes.json"),
+                 "--predicates", str(LISTING_DIR / "predicates.json")])
+        code = main(["kg", *argv, "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (3, "error: line 2: not a triple line\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("space", NOT_NT_WHITESPACE, ids=map(ascii, NOT_NT_WHITESPACE))
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_read_dump_keeps_other_whitespace(self, tmp_path, space, before):
+        path = tmp_path / "g.nt"
+        path.write_bytes(f"{self.bad_line(space, before)}\r\n".encode())
+        with read_dump(path) as lines:
+            assert list(lines) == [(1, self.bad_line(space, before))]
+
+    @pytest.mark.parametrize("line", [" <a> <p> <o> .", "\t<a> <p> <o> . \t", "<a> <p> <o> .\t\r"],
+                             ids=["space", "tabs-and-spaces", "tab-before-crlf"])
+    def test_spaces_tabs_and_the_line_end_are_trimmed(self, tmp_path, line):
+        path = tmp_path / "g.nt"
+        path.write_bytes(f"{line}\n<b> <p> <o> .\r\n".encode())
+        with read_dump(path) as lines:
+            assert list(lines) == [(1, "<a> <p> <o> ."), (2, "<b> <p> <o> .")]
+
+    @pytest.mark.parametrize("space", NOT_NT_WHITESPACE, ids=map(ascii, NOT_NT_WHITESPACE))
+    def test_scripts_and_axiom_files_trim_any_whitespace(self, tmp_path, space):
+        axioms = tmp_path / "axioms.txt"
+        axioms.write_text(f"{space}prop near{space}\n{space}symmetric near{space}\n", encoding="utf-8")
+        assert load_schema(axioms).symmetric == ["near"]
+        script = f"{space}imname; a.jpg; rimxxx{space}\n"
+        assert parse_script(script) == parse_script("imname; a.jpg; rimxxx\n")
 
 
 class TestIntegerLiterals:
