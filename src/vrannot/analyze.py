@@ -9,7 +9,9 @@ the query operations exist to surface candidates for that kind of review.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
+from itertools import groupby
 from typing import NamedTuple
 
 from .corpus import (METRICS, AnnotatedObject, AnnotationCorpus, BoundingBox, find_exact_duplicates,
@@ -52,13 +54,8 @@ def query_images(corpus: AnnotationCorpus, pattern: VRPattern) -> QueryResult:
     want_subject, want_predicate, want_object = corpus.vr_type_ids(pattern)
 
     images: list[str] = []
-    seen: dict[str, set[str]] = {}
-    if pattern.subject is None:
-        seen["subject"] = set()
-    if pattern.predicate is None:
-        seen["predicate"] = set()
-    if pattern.object is None:
-        seen["object"] = set()
+    seen: dict[str, set[str]] = {position: set() for position, name in zip(VRPattern._fields, pattern)
+                                 if name is None}
 
     for image in sorted(corpus.images):
         hit = False
@@ -111,11 +108,7 @@ def distribution(corpus: AnnotationCorpus, metric: str) -> Histogram:
     value = _METRIC_VALUES.get(metric)
     if value is None:
         raise ConfigError(f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}")
-    counts: dict[int, int] = {}
-    for vrs in corpus.images.values():
-        v = value(vrs)
-        counts[v] = counts.get(v, 0) + 1
-    return Histogram(metric, sorted(counts.items()))
+    return Histogram(metric, sorted(Counter(map(value, corpus.images.values())).items()))
 
 
 # --------------------------------------------------------------------------
@@ -152,15 +145,6 @@ class LintRule(Enum):
     EMPTY_IMAGE_ENTRY = "EmptyImageEntry"
 
 
-_SEVERITY = {
-    LintRule.EXACT_DUPLICATE_VR: "warning",
-    LintRule.NEAR_DUPLICATE_BBOX: "warning",
-    LintRule.DEGENERATE_BBOX: "error",
-    LintRule.MULTI_CLASS_BBOX: "warning",
-    LintRule.EMPTY_IMAGE_ENTRY: "warning",
-}
-
-
 class LintFinding(NamedTuple):
     rule: LintRule
     image: str
@@ -181,7 +165,8 @@ def lint(corpus: AnnotationCorpus, near_dup_iou_threshold: float = 0.9) -> list[
     findings: list[LintFinding] = []
 
     def add(rule: LintRule, image: str, detail: str) -> None:
-        findings.append(LintFinding(rule, image, detail, _SEVERITY[rule]))
+        severity = "error" if rule is LintRule.DEGENERATE_BBOX else "warning"
+        findings.append(LintFinding(rule, image, detail, severity))
 
     for image, vrs in corpus.images.items():
         if not vrs:
@@ -191,28 +176,20 @@ def lint(corpus: AnnotationCorpus, near_dup_iou_threshold: float = 0.9) -> list[
             s, p, o = corpus.vr_type_names(vrs[i])
             add(LintRule.EXACT_DUPLICATE_VR, image, f"vr[{i}] == vr[{j}]: ({s}, {p}, {o})")
 
-        objects = _image_objects(vrs)
-        for class_id, bbox in objects:
-            if not bbox.well_formed:
-                add(
-                    LintRule.DEGENERATE_BBOX,
-                    image,
-                    f"class '{corpus.class_name(class_id)}' box {list(bbox)}",
-                )
+        # one pass over the objects: sorted by (box, class), equal boxes are adjacent
+        usable: list[AnnotatedObject] = []
+        for bbox, group in groupby(_image_objects(vrs), key=lambda o: o.bbox):
+            objects = list(group)
+            if bbox.well_formed:
+                usable += objects
+            else:
+                for class_id, _ in objects:
+                    add(LintRule.DEGENERATE_BBOX, image,
+                        f"class '{corpus.class_name(class_id)}' box {list(bbox)}")
+            if len(objects) > 1:
+                names = sorted(corpus.class_name(c) for c, _ in objects)
+                add(LintRule.MULTI_CLASS_BBOX, image, f"box {list(bbox)} classes {names}")
 
-        by_bbox: dict[BoundingBox, list[int]] = {}
-        for class_id, bbox in objects:
-            by_bbox.setdefault(bbox, []).append(class_id)
-        for bbox, class_ids in sorted(by_bbox.items()):
-            if len(class_ids) > 1:
-                names = sorted(corpus.class_name(c) for c in class_ids)
-                add(
-                    LintRule.MULTI_CLASS_BBOX,
-                    image,
-                    f"box {list(bbox)} classes {names}",
-                )
-
-        usable = [o for o in objects if o.bbox.well_formed]
         for index, (class_a, box_a) in enumerate(usable):
             for class_b, box_b in usable[index + 1 :]:
                 if class_a != class_b or box_a == box_b:

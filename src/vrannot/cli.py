@@ -2,8 +2,10 @@
 
 One binary, one subcommand per operation.  Exit codes: 0 success, 1 lint
 findings under --strict, 2 usage error, 3 data error (malformed input,
-failed validation, aborted apply), 4 I/O error.  All output is a pure
-function of the inputs; nothing timestamped, nothing host-dependent.
+failed validation, aborted apply, or input too large for the memory
+available), 4 I/O error.  All output is a pure function of the inputs;
+nothing timestamped, nothing host-dependent: stdout and stderr are written
+as UTF-8 whatever the locale.
 
 A handler imports the modules it runs (analyze, kg, protocol, workflow) when
 it is called, so a command loads only what it uses.
@@ -351,6 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    for stream in (sys.stdout, sys.stderr):  # UTF-8 whatever the locale; each keeps its error handler
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -364,6 +369,10 @@ def main(argv=None) -> int:
         # a workflow step that cannot read its file fails on I/O all the same
         cause = exc.cause if isinstance(exc, StepFailedError) else exc
         return 4 if isinstance(cause, (FileMissingError, OSError)) else 3
+    except MemoryError:
+        pass  # reported once the handler's data, held by the traceback's frames, is freed
+    print("error: out of memory", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

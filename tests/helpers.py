@@ -6,7 +6,10 @@ import random
 from collections import Counter
 from pathlib import Path
 
+from vrannot.analyze import (_METRIC_VALUES, Histogram, LintFinding, LintRule, QueryResult,
+                             VRPattern, _image_objects, iou)
 from vrannot.corpus import (
+    METRICS,
     AnnotatedObject,
     AnnotationCorpus,
     BoundingBox,
@@ -14,8 +17,10 @@ from vrannot.corpus import (
     ImageDelta,
     VisualRelationship,
     _ids_by_name,
+    find_exact_duplicates,
     load_corpus,
 )
+from vrannot.errors import ConfigError
 
 DATA_DIR = Path(__file__).parent / "data"
 LISTING_DIR = DATA_DIR / "listing_1"
@@ -197,3 +202,122 @@ def reference_diff_corpora(before: AnnotationCorpus, after: AnnotationCorpus) ->
             ImageDelta(image, "modified", changed=paired, added=came - paired, removed=gone - paired)
         )
     return CorpusDiff(deltas)
+
+
+# The analysis functions as they were before `lint` walked an image's objects
+# in one pass, kept verbatim as the oracles of the differential tests: `lint`
+# with its severity table, three object walks and re-sorted box groups,
+# `query_images` with one wildcard setup per position, and `distribution`
+# with its hand count.
+
+
+def reference_query_images(corpus: AnnotationCorpus, pattern: VRPattern) -> QueryResult:
+    """Images having at least one VR matching the pattern; bindings collect
+    the distinct names observed at each wildcard position, sorted."""
+    want_subject, want_predicate, want_object = corpus.vr_type_ids(pattern)
+
+    images: list[str] = []
+    seen: dict[str, set[str]] = {}
+    if pattern.subject is None:
+        seen["subject"] = set()
+    if pattern.predicate is None:
+        seen["predicate"] = set()
+    if pattern.object is None:
+        seen["object"] = set()
+
+    for image in sorted(corpus.images):
+        hit = False
+        for vr in corpus.images[image]:
+            if want_subject is not None and vr.subject.class_id != want_subject:
+                continue
+            if want_predicate is not None and vr.predicate_id != want_predicate:
+                continue
+            if want_object is not None and vr.object.class_id != want_object:
+                continue
+            hit = True
+            if pattern.subject is None:
+                seen["subject"].add(corpus.class_name(vr.subject.class_id))
+            if pattern.predicate is None:
+                seen["predicate"].add(corpus.predicate_name(vr.predicate_id))
+            if pattern.object is None:
+                seen["object"].add(corpus.class_name(vr.object.class_id))
+        if hit:
+            images.append(image)
+    return QueryResult(images, {position: sorted(names) for position, names in seen.items()})
+
+
+def reference_distribution(corpus: AnnotationCorpus, metric: str) -> Histogram:
+    value = _METRIC_VALUES.get(metric)
+    if value is None:
+        raise ConfigError(f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}")
+    counts: dict[int, int] = {}
+    for vrs in corpus.images.values():
+        v = value(vrs)
+        counts[v] = counts.get(v, 0) + 1
+    return Histogram(metric, sorted(counts.items()))
+
+
+_SEVERITY = {
+    LintRule.EXACT_DUPLICATE_VR: "warning",
+    LintRule.NEAR_DUPLICATE_BBOX: "warning",
+    LintRule.DEGENERATE_BBOX: "error",
+    LintRule.MULTI_CLASS_BBOX: "warning",
+    LintRule.EMPTY_IMAGE_ENTRY: "warning",
+}
+
+
+def reference_lint(corpus: AnnotationCorpus, near_dup_iou_threshold: float = 0.9) -> list[LintFinding]:
+    """All findings over the corpus, ordered by (image, rule, detail)."""
+    if not 0.0 < near_dup_iou_threshold <= 1.0:
+        raise ConfigError("near-duplicate threshold must be in (0, 1]")
+    findings: list[LintFinding] = []
+
+    def add(rule: LintRule, image: str, detail: str) -> None:
+        findings.append(LintFinding(rule, image, detail, _SEVERITY[rule]))
+
+    for image, vrs in corpus.images.items():
+        if not vrs:
+            add(LintRule.EMPTY_IMAGE_ENTRY, image, "no relationships")
+            continue
+        for i, j in find_exact_duplicates(vrs):
+            s, p, o = corpus.vr_type_names(vrs[i])
+            add(LintRule.EXACT_DUPLICATE_VR, image, f"vr[{i}] == vr[{j}]: ({s}, {p}, {o})")
+
+        objects = _image_objects(vrs)
+        for class_id, bbox in objects:
+            if not bbox.well_formed:
+                add(
+                    LintRule.DEGENERATE_BBOX,
+                    image,
+                    f"class '{corpus.class_name(class_id)}' box {list(bbox)}",
+                )
+
+        by_bbox: dict[BoundingBox, list[int]] = {}
+        for class_id, bbox in objects:
+            by_bbox.setdefault(bbox, []).append(class_id)
+        for bbox, class_ids in sorted(by_bbox.items()):
+            if len(class_ids) > 1:
+                names = sorted(corpus.class_name(c) for c in class_ids)
+                add(
+                    LintRule.MULTI_CLASS_BBOX,
+                    image,
+                    f"box {list(bbox)} classes {names}",
+                )
+
+        usable = [o for o in objects if o.bbox.well_formed]
+        for index, (class_a, box_a) in enumerate(usable):
+            for class_b, box_b in usable[index + 1 :]:
+                if class_a != class_b or box_a == box_b:
+                    continue
+                ratio = iou(box_a, box_b)
+                if ratio >= near_dup_iou_threshold:
+                    first, second = sorted((box_a, box_b))
+                    add(
+                        LintRule.NEAR_DUPLICATE_BBOX,
+                        image,
+                        f"class '{corpus.class_name(class_a)}' boxes "
+                        f"{list(first)} ~ {list(second)} iou {ratio:.3f}",
+                    )
+
+    findings.sort(key=lambda f: (f.image, f.rule.value, f.detail))
+    return findings

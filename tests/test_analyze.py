@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -42,7 +43,8 @@ from vrannot.errors import (
 )
 from vrannot.workflow import dedup_vrs
 
-from helpers import check_result_tuple, load_listing_corpus, random_bbox, random_corpus
+from helpers import (check_result_tuple, load_listing_corpus, random_bbox, random_corpus, reference_distribution,
+                     reference_lint, reference_query_images)
 
 CLASSES = ["person", "jacket", "watch", "dog", "hat", "road", "street"]
 PREDICATES = ["wear", "on", "beside"]
@@ -425,6 +427,125 @@ class TestLint:
 
             actual = Counter((f.image, f.rule) for f in lint(corpus, threshold))
             assert actual == naive
+
+
+def hazard_box(rng: random.Random, base: BoundingBox) -> BoundingBox:
+    """A box near `base` (IoU near 1, or `base` itself), a degenerate box
+    (empty extent or a negative coordinate), or an unrelated box."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return base
+    if kind == 1:
+        return BoundingBox(*(edge + rng.randrange(-2, 3) for edge in base))
+    if kind == 2:
+        y, x = rng.randrange(-2, 40), rng.randrange(-2, 40)
+        return BoundingBox(y, y + rng.randrange(-1, 3), x, x + rng.randrange(-1, 3))
+    return random_bbox(rng, span=60)
+
+
+def hazard_corpus(rng: random.Random) -> AnnotationCorpus:
+    """A small corpus dense in what the analysis functions tell apart: boxes
+    drawn from a small per-image pool, so that one box often carries several
+    classes, degenerate or not; near-duplicate boxes; exact duplicate VRs; and
+    empty images."""
+    classes = CLASSES[: rng.randrange(1, len(CLASSES) + 1)]
+    predicates = PREDICATES[: rng.randrange(1, len(PREDICATES) + 1)]
+    images = {}
+    for index in range(rng.randrange(0, 5)):
+        vrs = []
+        if rng.random() >= 0.15:
+            base = random_bbox(rng, span=60)
+            pool = [hazard_box(rng, base) for _ in range(rng.randrange(1, 6))]
+            for _ in range(rng.randrange(1, 7)):
+                vrs.append(VisualRelationship(
+                    AnnotatedObject(rng.randrange(len(classes)), rng.choice(pool)),
+                    rng.randrange(len(predicates)),
+                    AnnotatedObject(rng.randrange(len(classes)), rng.choice(pool)),
+                ))
+                if rng.random() < 0.2:
+                    vrs.append(rng.choice(vrs))
+        images[f"i{index}.jpg"] = vrs
+    return AnnotationCorpus(images, list(classes), list(predicates))
+
+
+def near_duplicate_ratios(corpus: AnnotationCorpus) -> list[float]:
+    """The IoU of every pair of distinct well-formed boxes of one class in one image."""
+    ratios = []
+    for vrs in corpus.images.values():
+        objects = {o for v in vrs for o in (v.subject, v.object) if o.bbox.well_formed}
+        ratios += [iou(a.bbox, b.bbox) for a in objects for b in objects
+                   if a.class_id == b.class_id and a.bbox < b.bbox]
+    return ratios
+
+
+class TestAgainstTheReference:
+    """`lint`, `query_images` and `distribution` against their previous forms,
+    kept verbatim in helpers, on seeded corpora: equal results, in order."""
+
+    SEEDS = range(1200)
+
+    def test_lint(self):
+        seen = Counter()
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            corpus = hazard_corpus(rng)
+            thresholds = [0.9]
+            ratios = [r for r in near_duplicate_ratios(corpus) if r > 0]
+            if ratios:  # a pair's IoU at, just below and just above the threshold
+                ratio = rng.choice(ratios)
+                thresholds += [ratio, math.nextafter(ratio, 0)]
+                if ratio < 1:
+                    thresholds.append(math.nextafter(ratio, 1))
+                seen["boundary thresholds"] += 1
+            for threshold in thresholds:
+                findings = lint(corpus, threshold)
+                assert findings == reference_lint(corpus, threshold), (seed, threshold)
+                seen.update(f.rule for f in findings)
+            for vrs in corpus.images.values():
+                boxes = Counter(o.bbox for o in {o for v in vrs for o in (v.subject, v.object)})
+                seen["degenerate multi-class"] += any(n > 1 and not box.well_formed
+                                                      for box, n in boxes.items())
+        # every rule, the boundary thresholds and a degenerate box with several classes occur often
+        assert min(seen.values()) >= 50 and len(seen) == len(LintRule) + 2, seen
+
+    def test_query_images(self):
+        positions = Counter()
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            corpus = hazard_corpus(rng)
+            for mask in range(8):  # bit k set: position k is a wildcard
+                names = (corpus.object_class_names, corpus.predicate_names, corpus.object_class_names)
+                pattern = VRPattern(*(None if mask >> k & 1 else rng.choice(pool)
+                                      for k, pool in enumerate(names)))
+                result = query_images(corpus, pattern)
+                expected = reference_query_images(corpus, pattern)
+                assert result.images == expected.images, (seed, pattern)
+                assert list(result.bindings.items()) == list(expected.bindings.items()), (seed, pattern)
+                positions.update(position for position, bound in result.bindings.items() if bound)
+        assert min(positions[name] for name in VRPattern._fields) >= 1000
+
+    def test_distribution(self):
+        for seed in self.SEEDS:
+            corpus = hazard_corpus(random.Random(seed))
+            for metric in METRICS:
+                assert distribution(corpus, metric) == reference_distribution(corpus, metric), seed
+
+
+def test_the_docs_list_each_lint_rule_with_its_severity():
+    """docs/formats.md's lint table names each rule once, with the severity
+    `lint` gives its findings."""
+    degenerate = AnnotatedObject(0, BoundingBox(5, 5, 0, 9))
+    person = obj("person", 0, 100, 0, 100)
+    duplicate = vr(degenerate, "on", AnnotatedObject(1, degenerate.bbox))
+    corpus = AnnotationCorpus(
+        {"empty.jpg": [], "x.jpg": [duplicate, duplicate, vr(person, "on", obj("person", 0, 100, 0, 99))]},
+        list(CLASSES), list(PREDICATES))
+    severities = {f.rule.value: f.severity for f in lint(corpus)}
+    assert sorted(severities) == sorted(rule.value for rule in LintRule)
+    text = (Path(__file__).parent.parent / "docs" / "formats.md").read_text(encoding="utf-8")
+    section = text.split("\n## Lint findings\n")[1].split("\n## ")[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    assert {row[0][3:-1]: row[2] for row in rows} == severities and len(rows) == len(severities)
 
 
 class TestResultTuples:

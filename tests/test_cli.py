@@ -1169,6 +1169,80 @@ class TestKgCommands:
         assert out.read_bytes() == b"previous dump\n"
 
 
+def run_fresh(argv, env=(), **options):
+    """`vrannot ARGV` in a fresh interpreter, with `env` added to the environment."""
+    src = Path(vrannot.__file__).resolve().parent.parent
+    return subprocess.run([sys.executable, "-m", "vrannot.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(src), **dict(env)},
+                          capture_output=True, timeout=120, **options)
+
+
+class TestHostEncoding:
+    """stdout and stderr are UTF-8 whatever the host's encoding: under an
+    ASCII or a Latin-1 stdio encoding, each command gives the bytes and the
+    exit code of a UTF-8 run."""
+
+    COMMANDS = {
+        "query": (["query", "--count", "0.."], 0, "東京.jpg\n".encode(), b""),
+        "lint": (["lint", "--format", "structured"], 0, '"image": "東京.jpg"'.encode(), b""),
+        "error": (["query", "--pattern", "ĉevala, *, *"], 3, b"",
+                  "error: unknown object class: 'ĉevala'\n".encode()),
+    }
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_output_bytes_do_not_depend_on_the_encoding(self, tmp_path, command, encoding):
+        argv, code, out, err = self.COMMANDS[command]
+        duplicate = vr_record(0, [0, 10, 0, 10], 0, 1, [0, 10, 0, 10])
+        write_corpus_files(tmp_path, {"東京.jpg": [duplicate, duplicate]}, ["café", "ĉevalo"], ["sur"])
+        argv = [*argv, *corpus_args(tmp_path)]
+        expected = run_fresh(argv, {"PYTHONIOENCODING": "utf-8"})
+        assert expected.returncode == code and out in expected.stdout and expected.stderr == err
+        result = run_fresh(argv, {"PYTHONIOENCODING": encoding})
+        assert (result.returncode, result.stdout, result.stderr) == (
+            expected.returncode, expected.stdout, expected.stderr)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs an enforced RLIMIT_AS")
+class TestOutOfMemory:
+    """An input too large for the memory available exits 3 with one error
+    line and writes nothing.  Only the child runs under the address-space
+    limit, set between its fork and its exec; one child runs at a time, and
+    the same command on a small input passes under the same limit."""
+
+    LIMIT = 150 << 20
+
+    def run(self, argv):
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (self.LIMIT, self.LIMIT))
+
+        result = run_fresh(argv, preexec_fn=limit)
+        return result.returncode, result.stdout, result.stderr
+
+    def test_a_huge_dump_literal(self, tmp_path):
+        schema = tmp_path / "schema.txt"
+        schema.write_text("", encoding="utf-8")
+        for name, size in (("small.nt", 10), ("huge.nt", 40 << 20)):
+            (tmp_path / name).write_text(f'<{kg.DEFAULT_NAMESPACE}img_x> <{kg.DEFAULT_NAMESPACE}hasFilename> '
+                                         f'"{"a" * size}" .\n', encoding="utf-8")
+        argv = ["kg", "materialize", "--schema", str(schema), "--out", str(tmp_path / "closed.nt")]
+        assert self.run([*argv, str(tmp_path / "small.nt")]) == (0, b"triples: 1 (added 0)\n", b"")
+        (tmp_path / "closed.nt").unlink()
+        assert self.run([*argv, str(tmp_path / "huge.nt")]) == (3, b"", b"error: out of memory\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["huge.nt", "schema.txt", "small.nt"]
+
+    def test_a_huge_image_entry(self, tmp_path):
+        vr = json.dumps(vr_record(0, [0, 10, 0, 10], 0, 1, [0, 10, 0, 10])).encode()
+        huge = tmp_path / "annotations.json"
+        huge.write_bytes(b'{"big.jpg": [' + b", ".join([vr] * ((40 << 20) // len(vr))) + b"]}")
+        args = corpus_args()
+        assert self.run(["validate", *args])[0] == 0
+        args[1] = str(huge)
+        assert self.run(["validate", *args]) == (3, b"", b"error: out of memory\n")
+
+
 class TestDurableOutputs:
     def test_failed_directory_fsync_exits_4(self, capsys, tmp_path, monkeypatch):
         real_fsync = os.fsync
