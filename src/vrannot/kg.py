@@ -118,17 +118,17 @@ def _key(term) -> str | tuple:
 class GraphStore:
     """Dictionary-encoded set of triples.
 
-    `_terms[id]` is the key of a term (see `_key`) and `_ids` maps it back.
-    Each triple is an `(s, p, o)` id tuple in `_triples`, listed in insertion
-    order under its subject in `_by_subject`, the one index.  The public
-    methods encode and decode `Iri`/`Triple` values at the boundary."""
+    `_terms[id]` is the key of a term (see `_key`) and `_ids` maps it back.  Each
+    triple is an `(s, p, o)` id tuple, a key of its subject's dict in `_by_subject`,
+    the one container.  Iteration gives subjects in the order first added, and their
+    triples in insertion order; no output rests on it, as a dump is sorted.  The
+    public methods encode and decode `Iri`/`Triple` values at the boundary."""
 
     def __init__(self, namespace: str = DEFAULT_NAMESPACE):
         self.namespace = check_iri(namespace)
         self._ids: dict[str | tuple, int] = {}
         self._terms: list[str | tuple] = []
-        self._triples: set[tuple[int, int, int]] = set()
-        self._by_subject = defaultdict(list)
+        self._by_subject: defaultdict[int, dict[tuple[int, int, int], None]] = defaultdict(dict)
 
     def _id(self, key) -> int:
         found = self._ids.get(key)
@@ -138,11 +138,9 @@ class GraphStore:
         return found
 
     def _add(self, triple: tuple[int, int, int]) -> bool:
-        size = len(self._triples)
-        self._triples.add(triple)
-        if len(self._triples) == size:
+        if triple in (group := self._by_subject[triple[0]]):
             return False
-        self._by_subject[triple[0]].append(triple)
+        group[triple] = None
         return True
 
     def _term(self, term_id: int):
@@ -153,13 +151,14 @@ class GraphStore:
         return tuple(lookup(_key(t)) for t in triple)
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return sum(map(len, self._by_subject.values()))
 
     def __iter__(self):
-        return (Triple(*map(self._term, t)) for t in self._triples)
+        return (Triple(*map(self._term, t)) for ts in self._by_subject.values() for t in ts)
 
     def __contains__(self, triple: Triple) -> bool:
-        return self._encode(triple, self._ids.get) in self._triples
+        ids = self._encode(triple, self._ids.get)
+        return len(ids) == 3 and ids in self._by_subject.get(ids[0], ())
 
     def add(self, triple: Triple) -> bool:
         """Insert; True when the triple is new.  A term a dump cannot write raises: a subject
@@ -180,14 +179,15 @@ class GraphStore:
         subject is indexed: without one, the match is a scan."""
         terms = (subject, predicate, object)
         keep = [(i, self._ids.get(_key(t), -1)) for i, t in enumerate(terms) if t is not None]
-        candidates = self._triples if subject is None else self._by_subject.get(keep[0][1], ())
-        return [Triple(*map(self._term, t)) for t in candidates if all(t[i] == w for i, w in keep)]
+        groups = self._by_subject.values() if subject is None else [self._by_subject.get(keep[0][1], ())]
+        return [Triple(*map(self._term, t)) for ts in groups for t in ts
+                if all(t[i] == w for i, w in keep)]
 
     def copy(self) -> GraphStore:
         """An independent store; the index is cloned, not rebuilt."""
         out = GraphStore(self.namespace)
-        out._ids, out._terms, out._triples = dict(self._ids), list(self._terms), set(self._triples)
-        out._by_subject.update((s, list(ts)) for s, ts in self._by_subject.items())
+        out._ids, out._terms = dict(self._ids), list(self._terms)
+        out._by_subject.update((s, dict(ts)) for s, ts in self._by_subject.items())
         return out
 
 
@@ -486,6 +486,7 @@ def materialize(store: GraphStore, schema: Schema) -> GraphStore:
                 for inward in drawn.get(s, ()):
                     emit((inward, p, o))
                 if node:  # the join node must be an IRI
+                    # if s == o, the emit below is of the triple iterated: the dict never grows
                     for _, q, onward in by_subject.get(o, ()):
                         if q == p:
                             emit((s, p, onward))
@@ -634,7 +635,7 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 
 
 def _unescape_literal(text: str, line: int) -> str:
-    # `_OBJECT_RE` pairs every backslash with the character after it.
+    # `_object_key` has paired every backslash with the character after it.
     try:
         return _ESCAPE_RE.sub(lambda match: _ESCAPES[match.group(1)], text)
     except KeyError as unknown:
@@ -692,22 +693,27 @@ def dump_store(store: GraphStore) -> Dump:
     return Dump(store)
 
 
-_OBJECT_RE = re.compile(rf'{_IRI}|"((?:[^"\\\n\r]|\\.)*)"(?:\^\^{_IRI})?')  # iri | literal
-_IRI_TOKEN = re.compile(_IRI).fullmatch  # a whole subject or predicate token, space-free as any IRI
+_IRI_TOKEN = re.compile(_IRI).fullmatch  # a whole IRI token, space-free as any IRI
+_DATATYPE = re.compile(rf"\^\^{_IRI}").fullmatch
+_BODY_BREAK = re.compile(r'["\\\n\r]')  # in a literal body once its escape pairs are taken out
 
 
 def _object_key(text: str, line: int) -> str | tuple:
-    """The dictionary key of a dumped object term (see `_key`)."""
-    term = _OBJECT_RE.fullmatch(text)
-    if not term:
+    """The dictionary key of a dumped object term (see `_key`).  No datatype IRI holds
+    `"`, so a literal's body ends at the last `"`; with its escape pairs taken out, it
+    holds no `"`, backslash or line break.  No regex group repeats over the body."""
+    iri = _IRI_TOKEN(text)
+    if iri:
+        return iri[1]
+    close = text.rfind('"')
+    body, datatype = text[1:close], _DATATYPE(text, close + 1)
+    if not (close > 0 and text[0] == '"' and (datatype or close == len(text) - 1)
+            and not _BODY_BREAK.search(_ESCAPE_RE.sub("", body))):
         raise MalformedGraphError(f"line {line}: unreadable object term {text!r}")
-    iri, body, datatype = term.groups()
-    if iri is not None:
-        return iri
     if datatype is None:
         return (str, _unescape_literal(body, line))
-    if datatype != XSD_INTEGER_IRI:
-        raise MalformedGraphError(f"line {line}: unsupported literal type {datatype!r}")
+    if datatype[1] != XSD_INTEGER_IRI:
+        raise MalformedGraphError(f"line {line}: unsupported literal type {datatype[1]!r}")
     body = _unescape_literal(body, line)
     try:
         if _INTEGER(body):
@@ -740,9 +746,10 @@ def load_store(lines, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
     dump is sorted by subject), a predicate in a dict of tokens, an IRI object
     `<x>` as the store's key `x` (a `str` key is a checked IRI), a literal in a
     dict of its texts.  Each line gives its ids in the order object, subject,
-    predicate."""
+    predicate.  A triple joins its subject's group, found when the subject
+    changes, so a subject may come back; a duplicate keeps its first place."""
     store = GraphStore(namespace)
-    ids, intern, triples, by_subject = store._ids, store._id, store._triples, store._by_subject
+    ids, intern, by_subject = store._ids, store._id, store._by_subject
     literals: dict[str, int] = {}  # a literal object's text, with the line's " .", -> id
     predicates: dict[str, int] = {}  # predicate token -> id
     subject_token, s = None, None  # the last line's subject token and its id
@@ -761,10 +768,8 @@ def load_store(lines, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
                 literals[rest] = o
         if parts[0] != subject_token:
             subject_token, s = parts[0], intern(parts[0][1:-1])
+            group = by_subject[s]
         if p is None:
             p = predicates[parts[1]] = intern(parts[1][1:-1])
-        triple = (s, p, o)
-        if triple not in triples:
-            triples.add(triple)
-            by_subject[s].append(triple)
+        group[s, p, o] = None
     return store

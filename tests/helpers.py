@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
+import re
+from collections import Counter, defaultdict
 from pathlib import Path
 
 from vrannot.analyze import (_METRIC_VALUES, Histogram, LintFinding, LintRule, QueryResult,
@@ -14,13 +15,18 @@ from vrannot.corpus import (
     AnnotationCorpus,
     BoundingBox,
     CorpusDiff,
+    DEFAULT_NAMESPACE,
     ImageDelta,
     VisualRelationship,
     _ids_by_name,
+    _INTEGER,
+    _SURROGATE,
     find_exact_duplicates,
     load_corpus,
 )
-from vrannot.errors import ConfigError
+from vrannot.errors import ConfigError, MalformedGraphError
+from vrannot.kg import (_IRI, _IRI_TOKEN, XSD_INTEGER_IRI, Iri, Triple, _key, _unescape_literal,
+                        check_iri)
 
 DATA_DIR = Path(__file__).parent / "data"
 LISTING_DIR = DATA_DIR / "listing_1"
@@ -321,3 +327,139 @@ def reference_lint(corpus: AnnotationCorpus, near_dup_iou_threshold: float = 0.9
 
     findings.sort(key=lambda f: (f.image, f.rule.value, f.detail))
     return findings
+
+
+# --------------------------------------------------------------------------
+# the graph store before its one index: a triple set beside per-subject lists
+# --------------------------------------------------------------------------
+
+
+class ReferenceGraphStore:
+    """Dictionary-encoded set of triples.
+
+    `_terms[id]` is the key of a term (see `_key`) and `_ids` maps it back.
+    Each triple is an `(s, p, o)` id tuple in `_triples`, listed in insertion
+    order under its subject in `_by_subject`, the one index.  The public
+    methods encode and decode `Iri`/`Triple` values at the boundary."""
+
+    def __init__(self, namespace: str = DEFAULT_NAMESPACE):
+        self.namespace = check_iri(namespace)
+        self._ids: dict[str | tuple, int] = {}
+        self._terms: list[str | tuple] = []
+        self._triples: set[tuple[int, int, int]] = set()
+        self._by_subject = defaultdict(list)
+
+    def _id(self, key) -> int:
+        found = self._ids.get(key)
+        if found is None:
+            found = self._ids[key] = len(self._terms)
+            self._terms.append(key)
+        return found
+
+    def _add(self, triple: tuple[int, int, int]) -> bool:
+        size = len(self._triples)
+        self._triples.add(triple)
+        if len(self._triples) == size:
+            return False
+        self._by_subject[triple[0]].append(triple)
+        return True
+
+    def _term(self, term_id: int):
+        key = self._terms[term_id]
+        return Iri(key) if key.__class__ is str else key[1]
+
+    def _encode(self, triple: Triple, lookup) -> tuple:
+        return tuple(lookup(_key(t)) for t in triple)
+
+    def __len__(self) -> int:
+        return len(self._triples)
+
+    def __iter__(self):
+        return (Triple(*map(self._term, t)) for t in self._triples)
+
+    def __contains__(self, triple: Triple) -> bool:
+        return self._encode(triple, self._ids.get) in self._triples
+
+    def add(self, triple: Triple) -> bool:
+        """Insert; True when the triple is new.  A term a dump cannot write raises: a subject
+        or predicate that is not an `Iri`, an object that is not an `Iri`, `str` or `int`."""
+        for position, term in zip(Triple._fields, triple, strict=True):
+            if isinstance(term, Iri) and term.value.__class__ is str:
+                check_iri(term.value)
+            elif position != "object":
+                raise MalformedGraphError(f"{position} {term!r} is not an IRI")
+            elif term.__class__ not in (str, int):
+                raise MalformedGraphError(f"object {term!r} is not an IRI, a string or an integer")
+            elif term.__class__ is str and _SURROGATE.search(term):
+                raise MalformedGraphError(f"literal {term!r} is not valid UTF-8")
+        return self._add(self._encode(triple, self._id))
+
+    def match(self, subject=None, predicate=None, object=None) -> list[Triple]:
+        """All triples matching the given positions (None = any).  Only the
+        subject is indexed: without one, the match is a scan."""
+        terms = (subject, predicate, object)
+        keep = [(i, self._ids.get(_key(t), -1)) for i, t in enumerate(terms) if t is not None]
+        candidates = self._triples if subject is None else self._by_subject.get(keep[0][1], ())
+        return [Triple(*map(self._term, t)) for t in candidates if all(t[i] == w for i, w in keep)]
+
+    def copy(self) -> ReferenceGraphStore:
+        """An independent store; the index is cloned, not rebuilt."""
+        out = ReferenceGraphStore(self.namespace)
+        out._ids, out._terms, out._triples = dict(self._ids), list(self._terms), set(self._triples)
+        out._by_subject.update((s, list(ts)) for s, ts in self._by_subject.items())
+        return out
+
+
+_OBJECT_RE = re.compile(rf'{_IRI}|"((?:[^"\\\n\r]|\\.)*)"(?:\^\^{_IRI})?')  # iri | literal
+
+
+def reference_object_key(text: str, line: int) -> str | tuple:
+    """The dictionary key of a dumped object term (see `_key`)."""
+    term = _OBJECT_RE.fullmatch(text)
+    if not term:
+        raise MalformedGraphError(f"line {line}: unreadable object term {text!r}")
+    iri, body, datatype = term.groups()
+    if iri is not None:
+        return iri
+    if datatype is None:
+        return (str, _unescape_literal(body, line))
+    if datatype != XSD_INTEGER_IRI:
+        raise MalformedGraphError(f"line {line}: unsupported literal type {datatype!r}")
+    body = _unescape_literal(body, line)
+    try:
+        if _INTEGER(body):
+            return (int, int(body))
+    except ValueError:  # past `int()`'s digit limit
+        pass
+    raise MalformedGraphError(f"line {line}: bad integer literal {body!r}")
+
+
+def reference_load_store(lines, namespace: str = DEFAULT_NAMESPACE) -> ReferenceGraphStore:
+    """`load_store` into a `ReferenceGraphStore`, deduplicating through its triple set."""
+    store = ReferenceGraphStore(namespace)
+    ids, intern, triples, by_subject = store._ids, store._id, store._triples, store._by_subject
+    literals: dict[str, int] = {}  # a literal object's text, with the line's " .", -> id
+    predicates: dict[str, int] = {}  # predicate token -> id
+    subject_token, s = None, None  # the last line's subject token and its id
+    for line_no, line in lines:
+        parts = line.split(" ", 2)
+        if not (len(parts) == 3 and parts[2][-2:] == " ." and len(parts[2]) > 2
+                and (parts[0] == subject_token or _IRI_TOKEN(parts[0]))
+                and ((p := predicates.get(parts[1])) is not None or _IRI_TOKEN(parts[1]))):
+            raise MalformedGraphError(f"line {line_no}: not a triple line")
+        rest = parts[2]
+        o = ids.get(rest[1:-3]) if rest[0] == "<" and rest[-3] == ">" else literals.get(rest)
+        if o is None:  # a first sighting; ids count from 0, so no truth test
+            key = reference_object_key(rest[:-2].strip(" \t"), line_no)  # N-Triples whitespace only
+            o = intern(key)
+            if key.__class__ is tuple:
+                literals[rest] = o
+        if parts[0] != subject_token:
+            subject_token, s = parts[0], intern(parts[0][1:-1])
+        if p is None:
+            p = predicates[parts[1]] = intern(parts[1][1:-1])
+        triple = (s, p, o)
+        if triple not in triples:
+            triples.add(triple)
+            by_subject[s].append(triple)
+    return store

@@ -1242,6 +1242,60 @@ class TestOutOfMemory:
         args[1] = str(huge)
         assert self.run(["validate", *args]) == (3, b"", b"error: out of memory\n")
 
+    @pytest.mark.parametrize("body", ["a" * (4 << 20), "\\t" * (2 << 20), '\\"' * (2 << 20)],
+                             ids=["plain", "tab-escapes", "quote-escapes"])
+    def test_a_4_mib_dump_literal_fits(self, tmp_path, body):
+        """A literal is read with no regex group repeated over it, which would
+        keep state for each of its characters."""
+        (tmp_path / "schema.txt").write_text("", encoding="utf-8")
+        dump = (f'<{kg.DEFAULT_NAMESPACE}img_x> <{kg.DEFAULT_NAMESPACE}hasFilename> '
+                f'"{body}" .\n').encode()
+        (tmp_path / "g.nt").write_bytes(dump)
+        argv = ["kg", "materialize", str(tmp_path / "g.nt"), "--schema", str(tmp_path / "schema.txt"),
+                "--out", str(tmp_path / "closed.nt")]
+        assert self.run(argv) == (0, b"triples: 1 (added 0)\n", b"")
+        assert (tmp_path / "closed.nt").read_bytes() == dump
+
+    def huge_input(self, tmp_path, reader):
+        """The argv of a command whose `reader` input holds one 96 MiB token,
+        and of the same command on a small input; each writes into `out`."""
+        huge, out = "a" * (96 << 20), tmp_path / "out"
+        if reader == "script":
+            (tmp_path / "huge").write_text(f"imname; {huge}.jpg\n", encoding="utf-8")
+            return (["apply", str(tmp_path / "huge"), *corpus_args(), "--out", str(out / "a.json")],
+                    ["apply", str(LISTING_DIR / "script.txt"), *corpus_args(), "--out", str(out / "a.json")])
+        if reader == "axiom file":
+            (tmp_path / "huge").write_text(f"class {huge}\n", encoding="utf-8")
+            (tmp_path / "small").write_text("class A\n", encoding="utf-8")
+            (tmp_path / "g.nt").write_bytes(b"")
+            argv = ["kg", "materialize", str(tmp_path / "g.nt"), "--out", str(out / "c.nt"), "--schema"]
+            return [*argv, str(tmp_path / "huge")], [*argv, str(tmp_path / "small")]
+        if reader == "master list":
+            (tmp_path / "huge").write_text(json.dumps([huge]), encoding="utf-8")
+            (tmp_path / "g.nt").write_bytes(b"")
+            argv = ["kg", "extract", str(tmp_path / "g.nt"), "--out", str(out / "e.json"),
+                    "--predicates", str(LISTING_DIR / "predicates.json"), "--classes"]
+            return [*argv, str(tmp_path / "huge")], [*argv, str(LISTING_DIR / "classes.json")]
+        config = json.loads((DEMO_DIR / "config.json").read_text(encoding="utf-8"))
+        config.update({key: str(DEMO_DIR / value) for key, value in config.items()
+                       if key.startswith("input_")})
+        config.update({key: str(out / key) for key in config if key.startswith("output_")})
+        config["steps"] = [config["steps"][0]]  # update_master_lists
+        (tmp_path / "small").write_text(json.dumps(config), encoding="utf-8")
+        config["steps"][0]["additions"] = [huge]
+        (tmp_path / "huge").write_text(json.dumps(config), encoding="utf-8")
+        return ["workflow", "run", str(tmp_path / "huge")], ["workflow", "run", str(tmp_path / "small")]
+
+    @pytest.mark.parametrize("reader", ["script", "axiom file", "master list", "workflow config"])
+    def test_a_huge_input_to_each_other_reader(self, tmp_path, reader):
+        huge, small = self.huge_input(tmp_path, reader)
+        try:
+            assert self.run(huge) == (3, b"", b"error: out of memory\n")
+            assert not (tmp_path / "out").exists()
+        finally:
+            (tmp_path / "huge").unlink()
+        assert self.run(small)[0] == 0 and any((tmp_path / "out").iterdir())
+
 
 class TestDurableOutputs:
     def test_failed_directory_fsync_exits_4(self, capsys, tmp_path, monkeypatch):
