@@ -244,7 +244,8 @@ def render_overlay(
     """Write an SVG overlay of the selected VRs' object boxes.
 
     The raster image is referenced by relative path, never decoded, so the
-    viewport falls back to the maximum box extent.  Objects shared between
+    viewport falls back to the maximum box extent, at least 1x1.  Each box is
+    drawn from its lesser to its greater coordinate.  Objects shared between
     selected VRs are drawn once.
     """
     if filename not in corpus.images:
@@ -259,9 +260,10 @@ def render_overlay(
                                         "image has {} relationships")
         picked = [vrs[i] for i in selection]
 
-    objects = _image_objects(picked)
-    width = max((bbox.xmax for _, bbox in objects), default=1)
-    height = max((bbox.ymax for _, bbox in objects), default=1)
+    boxes = [(class_id, *sorted(bbox[:2]), *sorted(bbox[2:]))  # (class, ymin, ymax, xmin, xmax)
+             for class_id, bbox in _image_objects(picked)]
+    width = max([1, *(xmax for *_, xmax in boxes)])
+    height = max([1, *(ymax for _, _, ymax, _, _ in boxes)])
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
@@ -270,16 +272,15 @@ def render_overlay(
         f'  <image href={xml_quoteattr(filename)} x="0" y="0" '
         f'width="{width}" height="{height}"/>\n',
     ]
-    for index, (class_id, bbox) in enumerate(objects):
+    for index, (class_id, ymin, ymax, xmin, xmax) in enumerate(boxes):
         color = _PALETTE[index % len(_PALETTE)]
         label = xml_escape(corpus.class_name(class_id))
         parts.append(
-            f'  <rect x="{bbox.xmin}" y="{bbox.ymin}" '
-            f'width="{bbox.xmax - bbox.xmin}" height="{bbox.ymax - bbox.ymin}" '
+            f'  <rect x="{xmin}" y="{ymin}" width="{xmax - xmin}" height="{ymax - ymin}" '
             f'fill="none" stroke="{color}" stroke-width="2"/>\n'
         )
         parts.append(
-            f'  <text x="{bbox.xmin + 2}" y="{bbox.ymin + 14}" '
+            f'  <text x="{xmin + 2}" y="{ymin + 14}" '
             f'font-family="sans-serif" font-size="12" fill="{color}">{label}</text>\n'
         )
     parts.append("</svg>\n")

@@ -21,8 +21,8 @@ from itertools import chain
 from .corpus import (
     DEFAULT_NAMESPACE,
     METRICS,
-    _INTEGER,
     AnnotationCorpus,
+    _integer,
     compute_stats,
     diff_corpora,
     gc_paused,
@@ -108,15 +108,20 @@ def _cmd_stats(args) -> int:
 
 def _parse_count(spec: str) -> range:
     """The VR counts that `N`, `A..B` or `A..` selects (`A` may be empty for 0);
-    each bound given is an integer text (`corpus._INTEGER`)."""
+    each bound given is an integer text (`corpus._integer`)."""
     low, dots, high = spec.partition("..")
-    try:  # int() refuses a bound over the interpreter's digit limit
-        if (low or dots) and all(_INTEGER(bound) for bound in (low, high) if bound):
-            return (range(int(low) if low else 0, int(high) + 1 if high else sys.maxsize) if dots
-                    else range(int(low), int(low) + 1))
-    except ValueError:
-        pass
+    start, end = _integer(low) if low else 0, _integer(high) if high else sys.maxsize - 1  # `A..`: no end
+    if (low or dots) and None not in (start, end):
+        return range(start, end + 1 if dots else start + 1)
     raise ConfigError(f"bad count spec {spec!r}")
+
+
+def _vr_index(text: str) -> int:
+    """An overlay --vr value: an integer text, signed as a --count bound may be."""
+    value = _integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _cmd_query(args) -> int:
@@ -296,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("overlay", help="render an SVG box overlay for one image")
     _add_corpus_arguments(p)
     p.add_argument("--image", required=True, help="image filename (corpus key)")
-    p.add_argument("--vr", type=int, action="append", help="VR index; repeatable; default all")
+    p.add_argument("--vr", type=_vr_index, action="append", help="VR index; repeatable; default all")
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(handler=_cmd_overlay)
 

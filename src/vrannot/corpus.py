@@ -45,6 +45,16 @@ _SURROGATE = re.compile(r"[\ud800-\udfff]")  # a `str` has a UTF-8 form unless i
 # The lexical space of xsd:integer, in ASCII digits: every integer text of every input
 # (`int()` alone also takes `1_0`, ` 7` and `٣`).  Each caller adds its own sign policy.
 _INTEGER = re.compile(r"[+-]?[0-9]+").fullmatch
+
+
+def _integer(text: str) -> int | None:
+    """The value of an `_INTEGER` text; None for other text or past `int()`'s digit limit."""
+    try:
+        return int(text) if _INTEGER(text) else None
+    except ValueError:
+        return None
+
+
 # Named here, where the CLI parser reads them without importing `analyze` or `kg`.
 METRICS = ("vrs_per_image", "distinct_classes_per_image", "distinct_predicates_per_image")
 DEFAULT_NAMESPACE = "http://example.org/vrannot#"

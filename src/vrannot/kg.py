@@ -32,12 +32,12 @@ from urllib.parse import quote
 
 from .corpus import (
     DEFAULT_NAMESPACE,
-    _INTEGER,
     _SURROGATE,
     AnnotatedObject,
     AnnotationCorpus,
     BoundingBox,
     VisualRelationship,
+    _integer,
     _open_input,
     gc_paused,
     input_lines,
@@ -715,12 +715,10 @@ def _object_key(text: str, line: int) -> str | tuple:
     if datatype[1] != XSD_INTEGER_IRI:
         raise MalformedGraphError(f"line {line}: unsupported literal type {datatype[1]!r}")
     body = _unescape_literal(body, line)
-    try:
-        if _INTEGER(body):
-            return (int, int(body))
-    except ValueError:  # past `int()`'s digit limit
-        pass
-    raise MalformedGraphError(f"line {line}: bad integer literal {body!r}")
+    value = _integer(body)
+    if value is None:
+        raise MalformedGraphError(f"line {line}: bad integer literal {body!r}")
+    return (int, value)
 
 
 def read_dump(path):
@@ -736,7 +734,8 @@ def read_dump(path):
 @gc_paused()
 def load_store(lines, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
     """Parse the (line number, line) pairs of a dump back into a store, from
-    `read_dump` or `input_lines` over a dump in memory; `#` comment lines and
+    `read_dump` or, for a dump in memory, `input_lines(io.BytesIO(data), error,
+    " \\t\\r\\n")`, which trims a line as `read_dump` does; `#` comment lines and
     blanks are skipped there.
 
     No IRI holds a space, so a line is split at its first two spaces: the

@@ -34,12 +34,12 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .corpus import (
-    _INTEGER,
     AnnotatedObject,
     AnnotationCorpus,
     BoundingBox,
     CorpusDiff,
     VisualRelationship,
+    _integer,
     diff_corpora,
     input_lines,
     strip_quotes,
@@ -103,11 +103,9 @@ class ImageBlock(SimpleNamespace):
 # --------------------------------------------------------------------------
 
 def _parse_index(text: str, line: int) -> int:
-    try:  # unsigned ASCII digits; int() refuses a literal over the digit limit
-        if text.isdigit() and _INTEGER(text):
-            return int(text)
-    except ValueError:
-        pass
+    value = _integer(text)
+    if value is not None and text[0] not in "+-":  # unsigned
+        return value
     raise ParseError(line, f"expected a non-negative index, got {text!r}")
 
 
@@ -121,12 +119,9 @@ def _parse_name(text: str, line: int, what: str) -> str:
 def _parse_bbox_literal(text: str, line: int) -> BoundingBox:
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(line, f"expected a [ymin,ymax,xmin,xmax] literal, got {text!r}")
-    parts = [p.strip() for p in text[1:-1].split(",")]
-    try:  # int() refuses a literal over the interpreter's digit limit
-        if len(parts) == 4 and all(_INTEGER(p) and p[0] != "+" for p in parts):
-            return BoundingBox(*map(int, parts))
-    except ValueError:
-        pass
+    values = [None if p[:1] == "+" else _integer(p) for p in map(str.strip, text[1:-1].split(","))]
+    if len(values) == 4 and None not in values:
+        return BoundingBox(*values)
     raise ParseError(line, f"bounding box must hold 4 integers, got {text!r}")
 
 

@@ -95,24 +95,21 @@ def apply_protocol_file(corpus: AnnotationCorpus, path) -> AnnotationCorpus:
 
 
 def _rewrite_vrs(corpus: AnnotationCorpus, rewrite, images=None) -> AnnotationCorpus:
-    """Copy the corpus and map each VR of the given images (None: all images)
-    through `rewrite`; a None result drops the VR."""
+    """Copy the corpus and replace the VR list of each given image (None: all
+    images) with `rewrite` of it, a new list that keeps each unchanged VR."""
     work = corpus.copy()
     for image in work.images if images is None else images:
-        work.images[image] = [new for new in map(rewrite, work.images[image]) if new is not None]
+        work.images[image] = rewrite(work.images[image])
     return work
 
 
-def _rewrite_class(vr: VisualRelationship, from_id: int, to_id: int) -> VisualRelationship:
-    subject = vr.subject
-    obj = vr.object
-    if subject.class_id == from_id:
-        subject = AnnotatedObject(to_id, subject.bbox)
-    if obj.class_id == from_id:
-        obj = AnnotatedObject(to_id, obj.bbox)
-    if subject is vr.subject and obj is vr.object:
-        return vr
-    return VisualRelationship(subject, vr.predicate_id, obj)
+def _rewrite_class(vrs: list[VisualRelationship], from_id: int, to_id: int) -> list[VisualRelationship]:
+    """`vrs` with each object of class `from_id` relabeled `to_id`."""
+    def relabel(obj: AnnotatedObject) -> AnnotatedObject:
+        return AnnotatedObject(to_id, obj.bbox) if obj.class_id == from_id else obj
+
+    return [VisualRelationship(relabel(vr.subject), vr.predicate_id, relabel(vr.object))
+            if from_id in (vr.subject.class_id, vr.object.class_id) else vr for vr in vrs]
 
 
 def change_class_for_image_set(
@@ -130,7 +127,7 @@ def change_class_for_image_set(
     for image in image_filenames:
         if image not in corpus.images:
             raise ImageNotFoundError(image)
-    return _rewrite_vrs(corpus, lambda vr: _rewrite_class(vr, from_id, to_id), image_filenames)
+    return _rewrite_vrs(corpus, lambda vrs: _rewrite_class(vrs, from_id, to_id), image_filenames)
 
 
 def merge_object_class(
@@ -142,7 +139,7 @@ def merge_object_class(
         raise SelfMergeError(from_name)
     from_id = corpus.class_id(from_name)
     to_id = corpus.class_id(to_name)
-    work = _rewrite_vrs(corpus, lambda vr: _rewrite_class(vr, from_id, to_id))
+    work = _rewrite_vrs(corpus, lambda vrs: _rewrite_class(vrs, from_id, to_id))
     work.retired_class_ids.add(from_id)
     return work
 
@@ -154,9 +151,8 @@ def merge_predicate(
         raise SelfMergeError(from_name)
     from_id = corpus.predicate_id(from_name)
     to_id = corpus.predicate_id(to_name)
-    work = _rewrite_vrs(
-        corpus, lambda vr: vr._replace(predicate_id=to_id) if vr.predicate_id == from_id else vr
-    )
+    work = _rewrite_vrs(corpus, lambda vrs: [
+        vr._replace(predicate_id=to_id) if vr.predicate_id == from_id else vr for vr in vrs])
     work.retired_predicate_ids.add(from_id)
     return work
 
@@ -170,7 +166,7 @@ def remove_vr_types_global(
 ) -> AnnotationCorpus:
     """Delete every VR whose name triple matches any of the given types."""
     doomed = {corpus.vr_type_ids(names) for names in types}
-    return _rewrite_vrs(corpus, lambda vr: None if _type_ids(vr) in doomed else vr)
+    return _rewrite_vrs(corpus, lambda vrs: [vr for vr in vrs if _type_ids(vr) not in doomed])
 
 
 def remove_empty_images(corpus: AnnotationCorpus) -> AnnotationCorpus:
@@ -190,30 +186,20 @@ def change_vr_type_global(
     two class names (subject becomes object and vice versa) cannot be
     expressed here and is rejected; per-image protocol edits cover that.
     """
-    from_ids, to_ids = corpus.vr_type_ids(from_type), corpus.vr_type_ids(to_type)
-    if from_ids[0] != from_ids[2] and (to_ids[0], to_ids[2]) == (from_ids[2], from_ids[0]):
+    from_ids, (subject, predicate, obj) = corpus.vr_type_ids(from_type), corpus.vr_type_ids(to_type)
+    if from_ids[0] != from_ids[2] and (subject, obj) == (from_ids[2], from_ids[0]):
         raise UnsupportedRewriteError(
             f"rewriting {from_type} to {to_type} would swap subject and object roles"
         )
-
-    def rewrite(vr: VisualRelationship) -> VisualRelationship:
-        if _type_ids(vr) != from_ids:
-            return vr
-        return VisualRelationship(
-            AnnotatedObject(to_ids[0], vr.subject.bbox),
-            to_ids[1],
-            AnnotatedObject(to_ids[2], vr.object.bbox),
-        )
-
-    return _rewrite_vrs(corpus, rewrite)
+    return _rewrite_vrs(corpus, lambda vrs: [
+        VisualRelationship(AnnotatedObject(subject, vr.subject.bbox), predicate,
+                           AnnotatedObject(obj, vr.object.bbox))
+        if _type_ids(vr) == from_ids else vr for vr in vrs])
 
 
 def dedup_vrs(corpus: AnnotationCorpus) -> AnnotationCorpus:
     """Drop exact-duplicate VRs per image, keeping the first occurrence."""
-    work = corpus.copy()
-    for image, vrs in work.images.items():
-        work.images[image] = list(dict.fromkeys(vrs))
-    return work
+    return _rewrite_vrs(corpus, lambda vrs: list(dict.fromkeys(vrs)))
 
 
 # --------------------------------------------------------------------------
@@ -420,10 +406,20 @@ def load_workflow_config(path) -> WorkflowConfig:
 
     base_dir = Path(path).parent
     resolved = {key: base_dir / _path(raw[key], key) for key in _PATH_KEYS}
-    for side in ("annotations", "classes", "predicates"):
-        if resolved[f"input_{side}"].resolve() == resolved[f"output_{side}"].resolve():
-            raise ConfigError(f"input and output {side} paths must differ")
+    files = [resolved[key].resolve() for key in _PATH_KEYS]  # inputs, then outputs, by side
+    for side, name in enumerate(("annotations", "classes", "predicates")):
+        if files[side] == files[side + 3]:
+            raise ConfigError(f"input and output {name} paths must differ")
+    for index in range(3, 6):  # no output is the file of an input or of another output
+        if files[index] in files[:index]:
+            other = _PATH_KEYS[files.index(files[index])]
+            raise ConfigError(f"{_PATH_KEYS[index]} and {other} paths must differ")
     if not isinstance(raw["steps"], list) or not raw["steps"]:
         raise ConfigError("steps must be a non-empty array")
     steps = [_parse_step(entry, i, base_dir) for i, entry in enumerate(raw["steps"])]
+    outputs = dict(zip(files[3:], _PATH_KEYS[3:]))
+    for i, step in enumerate(steps):  # nor the file of a step's script
+        output = "path" in step.args and outputs.get(Path(step.args["path"]).resolve())
+        if output:
+            raise ConfigError(f"{output} and steps[{i}].path paths must differ")
     return WorkflowConfig(steps=steps, **resolved)

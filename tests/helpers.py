@@ -7,6 +7,7 @@ import re
 from collections import Counter, defaultdict
 from pathlib import Path
 
+from vrannot import protocol
 from vrannot.analyze import (_METRIC_VALUES, Histogram, LintFinding, LintRule, QueryResult,
                              VRPattern, _image_objects, iou)
 from vrannot.corpus import (
@@ -23,10 +24,13 @@ from vrannot.corpus import (
     _SURROGATE,
     find_exact_duplicates,
     load_corpus,
+    read_input,
 )
-from vrannot.errors import ConfigError, MalformedGraphError
+from vrannot.errors import (ConfigError, DuplicateMasterNameError, ImageNotFoundError, MalformedGraphError,
+                            SelfMergeError, UnsupportedRewriteError)
 from vrannot.kg import (_IRI, _IRI_TOKEN, XSD_INTEGER_IRI, Iri, Triple, _key, _unescape_literal,
                         check_iri)
+from vrannot.workflow import CLASSES, PREDICATES
 
 DATA_DIR = Path(__file__).parent / "data"
 LISTING_DIR = DATA_DIR / "listing_1"
@@ -463,3 +467,179 @@ def reference_load_store(lines, namespace: str = DEFAULT_NAMESPACE) -> Reference
             triples.add(triple)
             by_subject[s].append(triple)
     return store
+
+
+# --------------------------------------------------------------------------
+# the workflow steps before one list rewrite: a per-VR callback, None dropping the VR
+# --------------------------------------------------------------------------
+
+
+def reference_update_master_lists(
+    corpus: AnnotationCorpus,
+    target: str,
+    renames: list[tuple[str, str]] = (),
+    additions: list[str] = (),
+) -> AnnotationCorpus:
+    """Rename and append master-list names; ids of renamed entries stay put.
+
+    A new name colliding with any current entry (live or retired) is an
+    error, as is renaming a name that does not resolve.
+    """
+    if target not in (CLASSES, PREDICATES):
+        raise ConfigError(f"unknown master-list target {target!r}")
+    work = corpus.copy()
+    names = work.object_class_names if target == CLASSES else work.predicate_names
+    resolve = work.class_id if target == CLASSES else work.predicate_id
+    for old, new in renames:
+        index = resolve(old)
+        if new in names:
+            raise DuplicateMasterNameError(new)
+        names[index] = new
+    for name in additions:
+        if name in names:
+            raise DuplicateMasterNameError(name)
+        names.append(name)
+    return work
+
+
+def reference_apply_protocol_file(corpus: AnnotationCorpus, path) -> AnnotationCorpus:
+    """Parse and apply one protocol script from disk."""
+    blocks = protocol.parse_script(read_input(path))
+    new, _ = protocol.validate_and_apply(corpus, blocks)
+    return new
+
+
+def reference_rewrite_vrs(corpus: AnnotationCorpus, rewrite, images=None) -> AnnotationCorpus:
+    """Copy the corpus and map each VR of the given images (None: all images)
+    through `rewrite`; a None result drops the VR."""
+    work = corpus.copy()
+    for image in work.images if images is None else images:
+        work.images[image] = [new for new in map(rewrite, work.images[image]) if new is not None]
+    return work
+
+
+def reference_rewrite_class(vr: VisualRelationship, from_id: int, to_id: int) -> VisualRelationship:
+    subject = vr.subject
+    obj = vr.object
+    if subject.class_id == from_id:
+        subject = AnnotatedObject(to_id, subject.bbox)
+    if obj.class_id == from_id:
+        obj = AnnotatedObject(to_id, obj.bbox)
+    if subject is vr.subject and obj is vr.object:
+        return vr
+    return VisualRelationship(subject, vr.predicate_id, obj)
+
+
+def reference_change_class_for_image_set(
+    corpus: AnnotationCorpus,
+    image_filenames: list[str],
+    from_name: str,
+    to_name: str,
+) -> AnnotationCorpus:
+    """Rewrite one object class to another inside the listed images only.
+
+    Both names stay live; this is a scoped relabeling, not a merge.
+    """
+    from_id = corpus.class_id(from_name)
+    to_id = corpus.class_id(to_name)
+    for image in image_filenames:
+        if image not in corpus.images:
+            raise ImageNotFoundError(image)
+    return reference_rewrite_vrs(corpus, lambda vr: reference_rewrite_class(vr, from_id, to_id),
+                                 image_filenames)
+
+
+def reference_merge_object_class(
+    corpus: AnnotationCorpus, from_name: str, to_name: str
+) -> AnnotationCorpus:
+    """Rewrite every use of one class to another, globally, and retire the
+    donor name.  The donor keeps its master-list slot so no id shifts."""
+    if from_name == to_name:
+        raise SelfMergeError(from_name)
+    from_id = corpus.class_id(from_name)
+    to_id = corpus.class_id(to_name)
+    work = reference_rewrite_vrs(corpus, lambda vr: reference_rewrite_class(vr, from_id, to_id))
+    work.retired_class_ids.add(from_id)
+    return work
+
+
+def reference_merge_predicate(
+    corpus: AnnotationCorpus, from_name: str, to_name: str
+) -> AnnotationCorpus:
+    if from_name == to_name:
+        raise SelfMergeError(from_name)
+    from_id = corpus.predicate_id(from_name)
+    to_id = corpus.predicate_id(to_name)
+    work = reference_rewrite_vrs(
+        corpus, lambda vr: vr._replace(predicate_id=to_id) if vr.predicate_id == from_id else vr
+    )
+    work.retired_predicate_ids.add(from_id)
+    return work
+
+
+def reference_type_ids(vr: VisualRelationship) -> tuple[int, int, int]:
+    return (vr.subject.class_id, vr.predicate_id, vr.object.class_id)
+
+
+def reference_remove_vr_types_global(
+    corpus: AnnotationCorpus, types: list[tuple[str, str, str]]
+) -> AnnotationCorpus:
+    """Delete every VR whose name triple matches any of the given types."""
+    doomed = {corpus.vr_type_ids(names) for names in types}
+    return reference_rewrite_vrs(corpus, lambda vr: None if reference_type_ids(vr) in doomed else vr)
+
+
+def reference_remove_empty_images(corpus: AnnotationCorpus) -> AnnotationCorpus:
+    work = corpus.copy()
+    work.images = {image: vrs for image, vrs in work.images.items() if vrs}
+    return work
+
+
+def reference_change_vr_type_global(
+    corpus: AnnotationCorpus,
+    from_type: tuple[str, str, str],
+    to_type: tuple[str, str, str],
+) -> AnnotationCorpus:
+    """Rewrite one VR type to another everywhere, keeping bounding boxes.
+
+    Because boxes stay with their roles, a target type that exchanges the
+    two class names (subject becomes object and vice versa) cannot be
+    expressed here and is rejected; per-image protocol edits cover that.
+    """
+    from_ids, to_ids = corpus.vr_type_ids(from_type), corpus.vr_type_ids(to_type)
+    if from_ids[0] != from_ids[2] and (to_ids[0], to_ids[2]) == (from_ids[2], from_ids[0]):
+        raise UnsupportedRewriteError(
+            f"rewriting {from_type} to {to_type} would swap subject and object roles"
+        )
+
+    def rewrite(vr: VisualRelationship) -> VisualRelationship:
+        if reference_type_ids(vr) != from_ids:
+            return vr
+        return VisualRelationship(
+            AnnotatedObject(to_ids[0], vr.subject.bbox),
+            to_ids[1],
+            AnnotatedObject(to_ids[2], vr.object.bbox),
+        )
+
+    return reference_rewrite_vrs(corpus, rewrite)
+
+
+def reference_dedup_vrs(corpus: AnnotationCorpus) -> AnnotationCorpus:
+    """Drop exact-duplicate VRs per image, keeping the first occurrence."""
+    work = corpus.copy()
+    for image, vrs in work.images.items():
+        work.images[image] = list(dict.fromkeys(vrs))
+    return work
+
+
+REFERENCE_STEPS = {  # step kind -> the function above, as workflow.STEPS names it
+    "update_master_lists": reference_update_master_lists,
+    "apply_protocol_file": reference_apply_protocol_file,
+    "change_class_for_image_set": reference_change_class_for_image_set,
+    "merge_class": reference_merge_object_class,
+    "merge_predicate": reference_merge_predicate,
+    "remove_vr_types_global": reference_remove_vr_types_global,
+    "remove_empty_images": reference_remove_empty_images,
+    "change_vr_type_global": reference_change_vr_type_global,
+    "dedup_vrs": reference_dedup_vrs,
+}

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -672,6 +673,36 @@ class TestOverlay:
             b'fill="#3cb44b">&lt;hat&gt; "q" \'s</text>\n'
             b"</svg>\n"
         )
+
+    @staticmethod
+    def overlay_of(tmp_path, *boxes):
+        """The SVG text of one VR per pair of boxes, each box a [ymin, ymax, xmin, xmax] list."""
+        vrs = [VisualRelationship(AnnotatedObject(0, BoundingBox(*s)), 0, AnnotatedObject(1, BoundingBox(*o)))
+               for s, o in zip(boxes[::2], boxes[1::2])]
+        corpus = AnnotationCorpus({"a.jpg": vrs}, ["dog", "cat"], ["near"])
+        render_overlay(corpus, "a.jpg", None, tmp_path / "a.svg")
+        return (tmp_path / "a.svg").read_text(encoding="utf-8")
+
+    def test_negative_boxes_keep_a_1x1_viewport(self, tmp_path):
+        svg = self.overlay_of(tmp_path, [-10, -5, -10, -5], [-10, -5, -10, -5])
+        assert '<svg xmlns="http://www.w3.org/2000/svg" width="1" height="1" viewBox="0 0 1 1">' in svg
+        assert '<rect x="-10" y="-10" width="5" height="5" ' in svg
+
+    def test_a_reversed_box_is_drawn_from_its_lesser_coordinates(self, tmp_path):
+        svg = self.overlay_of(tmp_path, [0, 5, 10, 3], [0, 5, 10, 3])
+        assert 'width="10" height="5" viewBox="0 0 10 5"' in svg
+        assert '<rect x="3" y="0" width="7" height="5" ' in svg
+        assert '<text x="5" y="14" ' in svg
+
+    def test_every_length_is_non_negative(self, tmp_path):
+        rng = random.Random(2929)
+        for _ in range(200):
+            boxes = [[rng.randrange(-50, 50) for _ in range(4)] for _ in range(2 * rng.randrange(1, 4))]
+            svg = self.overlay_of(tmp_path, *boxes)
+            lengths = [int(n) for n in re.findall(r' (?:width|height)="(-?[0-9]+)"', svg)]
+            assert len(lengths) == 2 + 2 + 2 * len({(i % 2, *box) for i, box in enumerate(boxes)})
+            assert min(lengths[:4]) >= 1 and min(lengths) >= 0
+            assert re.search(r'viewBox="0 0 ([0-9]+) ([0-9]+)"', svg).groups() == tuple(map(str, lengths[:2]))
 
 
 class TestXmlEscaping:

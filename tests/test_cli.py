@@ -484,6 +484,25 @@ class TestIntegerTextParity:
             load_store([(1, line)])
         assert str(refused.value) == message
 
+    def test_overlay_vr(self, capsys, work, text, accepted):
+        """`--vr` takes what a `--count` bound takes; the index is then checked against the image."""
+        out = work / "overlay.svg"
+        code, stdout, err = run(capsys, "overlay", *corpus_args(work), "--image", "im.jpg",
+                                f"--vr={text}", "--out", str(out))
+        if "count" not in accepted:
+            assert (code, stdout, out.exists()) == (2, "", False)
+            assert err.endswith(f"error: argument --vr: invalid int value: {text!r}\n")
+        elif int(text) < 0:
+            assert (code, stdout, out.exists()) == (3, "", False)
+            assert err == (f"error: im.jpg: vr {int(text)}: selection={int(text)} out of range "
+                           "(image has 8 relationships)\n")
+        else:
+            assert (code, stdout, err) == (0, "", "")
+            svg = out.read_bytes()
+            assert run(capsys, "overlay", *corpus_args(work), "--image", "im.jpg", "--vr", str(int(text)),
+                       "--out", str(out))[0] == 0
+            assert out.read_bytes() == svg
+
 
 class TestInputNames:
     """Every input path is named in a message as it was given: `./d/x.json` stays

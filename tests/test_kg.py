@@ -61,7 +61,8 @@ def dump_text(store) -> str:
 
 def load_text(text: str, namespace: str = DEFAULT_NAMESPACE) -> GraphStore:
     with input_lines(io.BytesIO(text.encode("utf-8")),
-                     lambda line, reason: MalformedGraphError(f"line {line}: {reason}")) as lines:
+                     lambda line, reason: MalformedGraphError(f"line {line}: {reason}"),
+                     " \t\r\n") as lines:  # trimmed as `read_dump` trims
         return load_store(lines, namespace)
 
 

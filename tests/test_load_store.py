@@ -25,7 +25,8 @@ from test_dump_io import MUTATIONS, cjk_store, n_triples, reference_load, valid_
 
 def split_load(data: bytes):
     with input_lines(io.BytesIO(data),
-                     lambda line, reason: MalformedGraphError(f"line {line}: {reason}")) as lines:
+                     lambda line, reason: MalformedGraphError(f"line {line}: {reason}"),
+                     " \t\r\n") as lines:  # trimmed as `read_dump` trims
         return load_store(lines)
 
 
@@ -203,6 +204,22 @@ class TestObjectWhitespace:
         assert (code, capsys.readouterr().err) == (
             3, f"error: line 1: unreadable object term {text!r}\n")
         assert not (tmp_path / "closed.nt").exists()
+
+    @pytest.mark.parametrize("space", NOT_NT_WHITESPACE, ids=map(ascii, NOT_NT_WHITESPACE))
+    def test_a_dump_in_memory_is_trimmed_as_a_file(self, tmp_path, space):
+        """`split_load`, the in-memory recipe, and `read_dump` read a line alike."""
+        data = f"<a> <p> <o> .{space}\n{space}<b> <p> <o> .\n<c> <p> <o> . \t\r\n".encode()
+        (tmp_path / "g.nt").write_bytes(data)
+
+        def from_file(_):
+            with read_dump(tmp_path / "g.nt") as lines:
+                return load_store(lines)
+
+        assert internals(split_load, data) == internals(from_file, data) == (
+            MalformedGraphError, "line 1: not a triple line")
+        data = data.split(b"\n", 2)[2]
+        (tmp_path / "g.nt").write_bytes(data)
+        assert internals(split_load, data) == internals(from_file, data) == internals(reference_load, data)
 
     @pytest.mark.parametrize("text", [" <o>", "<o>\t", "\t <o> ", ' "x"', '"x"\t', " \t\"x\"\t "])
     def test_spaces_and_tabs_load(self, text):

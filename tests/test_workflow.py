@@ -31,6 +31,7 @@ from vrannot.errors import (
     StepFailedError,
     UnknownNameError,
     UnsupportedRewriteError,
+    VrannotError,
 )
 from vrannot.protocol import (
     _CHANGES,
@@ -42,6 +43,7 @@ from vrannot.protocol import (
 )
 from vrannot.protocol import InstructionKind as K
 from vrannot.workflow import (
+    _PATH_KEYS,
     CLASSES,
     PREDICATES,
     STEPS,
@@ -62,7 +64,7 @@ from vrannot.workflow import (
     update_master_lists,
 )
 
-from helpers import DEMO_DIR, check_result_tuple, random_bbox, random_corpus
+from helpers import DEMO_DIR, REFERENCE_STEPS, check_result_tuple, random_bbox, random_corpus
 
 
 def demo_corpus():
@@ -432,6 +434,50 @@ class TestConfigLoading:
         raw["output_annotations"] = raw["input_annotations"]
         with pytest.raises(ConfigError, match="differ"):
             load_workflow_config(self.write(tmp_path, raw))
+
+    # every output against each input and each earlier output, as (output, other)
+    COLLISIONS = [(output, other) for index, output in enumerate(_PATH_KEYS[3:], start=3)
+                  for other in _PATH_KEYS[:index]]
+
+    @pytest.mark.parametrize("output, other", COLLISIONS, ids=["=".join(pair) for pair in COLLISIONS])
+    def test_an_output_is_refused_on_the_file_of_another_path(self, tmp_path, output, other):
+        raw = self.base_config()
+        raw[output] = f"sub/../{raw[other]}"  # another spelling of the same file
+        side = output.removeprefix("output_")
+        message = (f"input and output {side} paths must differ" if other == f"input_{side}"
+                   else f"{output} and {other} paths must differ")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_workflow_config(self.write(tmp_path, raw))
+
+    def test_an_output_is_refused_on_the_file_of_a_script(self, tmp_path):
+        raw = self.base_config()
+        raw["steps"] = [{"kind": "dedup_vrs"}, {"kind": "apply_protocol_file", "path": "s.txt"},
+                        {"kind": "apply_protocol_file", "path": "out/../out/c.json"}]
+        with pytest.raises(ConfigError, match=r"^output_classes and steps\[2\]\.path paths must differ$"):
+            load_workflow_config(self.write(tmp_path, raw))
+        raw["steps"][2]["path"] = "a.json"  # a script may share a file with an input
+        assert len(load_workflow_config(self.write(tmp_path, raw)).steps) == 3
+
+    def test_inputs_may_share_a_file(self, tmp_path):
+        raw = self.base_config()
+        raw["input_classes"] = raw["input_predicates"] = raw["input_annotations"]
+        config = load_workflow_config(self.write(tmp_path, raw))
+        assert config.input_classes == config.input_predicates == tmp_path / "a.json"
+
+    @pytest.mark.parametrize("output, other", [("output_predicates", "input_annotations"),
+                                               ("output_predicates", "output_classes")])
+    def test_a_colliding_run_exits_3_before_any_step(self, tmp_path, capsys, output, other):
+        for name in ("annotations.json", "classes.json", "predicates.json"):
+            shutil.copy(DEMO_DIR / name, tmp_path / name)
+        raw = {**{f"input_{name}": f"{name}.json" for name in ("annotations", "classes", "predicates")},
+               **{f"output_{name}": f"out/{name}.json" for name in ("annotations", "classes", "predicates")},
+               "steps": [{"kind": "apply_protocol_file", "path": "missing.txt"}]}
+        raw[output] = raw[other]
+        inputs = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        config = self.write(tmp_path, raw)
+        assert main(["workflow", "run", str(config)]) == 3
+        assert capsys.readouterr() == ("", f"error: {output} and {other} paths must differ\n")
+        assert {path: path.read_bytes() for path in tmp_path.iterdir() if path != config} == inputs
 
     def test_unknown_step_kind(self, tmp_path):
         raw = self.base_config()
@@ -1062,3 +1108,102 @@ class TestDiffOracle:
             )
             assert out == "\n".join(lines) + "\n"
         assert touched
+
+
+def _origins(before, after):
+    """Each VR of `after`, as the (image, index) where the same object first sits
+    in `before`, or None for a VR that `before` does not hold."""
+    where = {}
+    for image, vrs in before.images.items():
+        for index, vr in enumerate(vrs):
+            where.setdefault(id(vr), (image, index))
+    return {image: [where.get(id(vr)) for vr in vrs] for image, vrs in after.images.items()}
+
+
+def _containers(corpus):
+    return {id(c) for c in (corpus.images, corpus.object_class_names, corpus.predicate_names,
+                            corpus.retired_class_ids, corpus.retired_predicate_ids,
+                            *corpus.images.values())}
+
+
+class TestStepsAgainstReference:
+    """Each step function gives what the steps before the one list rewrite gave
+    (`helpers.REFERENCE_STEPS`): the same corpus, image order, names and retired
+    sets, the same effect diff, the same input VR objects kept, the same error,
+    and the input left as it was."""
+
+    def seeded_corpus(self, rng, make):
+        corpus = random_corpus(rng, max_images=12, max_vrs=6, n_classes=7, n_predicates=5,
+                               allow_empty_images=True)
+        images = list(corpus.images.items())
+        rng.shuffle(images)
+        corpus.images = dict(images)
+        for vrs in corpus.images.values():  # duplicates, as one object or as an equal one
+            if vrs and rng.random() < 0.4:
+                vr = rng.choice(vrs)
+                vrs.insert(rng.randrange(len(vrs) + 1), vr if rng.random() < 0.5 else VisualRelationship(*vr))
+        corpus.object_class_names.append(make.new_name())  # ids that no VR uses
+        corpus.predicate_names.append(make.new_name())
+        if rng.random() < 0.5:
+            corpus = update_master_lists(corpus, **make.master_lists(corpus, True, False))
+        for names, retired in ((corpus.object_class_names, corpus.retired_class_ids),
+                               (corpus.predicate_names, corpus.retired_predicate_ids)):
+            if rng.random() < 0.4:  # VRs may still use a retired id
+                retired.add(rng.randrange(len(names)))
+        return corpus
+
+    def mangled(self, rng, make, corpus, args):
+        """`args` with one entry made to fail: a retired or unknown name, an unknown
+        image, or a name already listed."""
+        key = rng.choice(sorted(set(args) - {"path"}) or ["path"])
+        retired = ([corpus.object_class_names[i] for i in corpus.retired_class_ids]
+                   + [corpus.predicate_names[i] for i in corpus.retired_predicate_ids])
+        bad, value = rng.choice([*retired, "ghost"]), args.get(key)
+        mangled = {
+            "target": bad, "from_name": bad, "to_name": bad,
+            "image_filenames": [*(value or []), "ghost.jpg"],
+            "from_type": [bad, *value[1:]] if key == "from_type" else None,
+            "to_type": [bad, *value[1:]] if key == "to_type" else None,
+            "types": [*value, [bad, *value[0][1:]]] if key == "types" else None,
+            "renames": [*(value or []), (bad, make.new_name())],
+            "additions": [*(value or []), rng.choice(corpus.object_class_names + corpus.predicate_names)],
+        }
+        return {**args, key: mangled[key]} if key in mangled else args
+
+    @staticmethod
+    def outcome(step, corpus, args):
+        try:
+            return step(corpus, **args)
+        except VrannotError as exc:
+            return type(exc), str(exc)
+
+    def test_every_step_matches_reference(self, tmp_path):
+        rng = random.Random(29290)
+        make = _StepArgs(rng)
+        seen, failed = Counter(), Counter()
+        for _ in range(80):
+            corpus = self.seeded_corpus(rng, make)
+            for _ in range(8):
+                kind = rng.choice(sorted(STEPS))
+                args = make.for_kind(kind, corpus, tmp_path / "script.txt")
+                if args is None:
+                    continue
+                if rng.random() < 0.2:
+                    args = self.mangled(rng, make, corpus, args)
+                snapshot, held = corpus.copy(), _origins(corpus, corpus)
+                new = self.outcome(getattr(workflow, STEPS[kind][0]), corpus, args)
+                old = self.outcome(REFERENCE_STEPS[kind], corpus, args)
+                assert corpus == snapshot and _origins(corpus, corpus) == held, kind
+                assert list(corpus.images) == list(snapshot.images)
+                if isinstance(old, tuple):
+                    assert new == old, (kind, args)
+                    failed[kind] += 1
+                    continue
+                assert (new, list(new.images)) == (old, list(old.images)), (kind, args)
+                assert diff_corpora(corpus, new) == diff_corpora(corpus, old)
+                assert _origins(corpus, new) == _origins(corpus, old), (kind, args)
+                assert not _containers(corpus) & _containers(new)
+                seen[kind] += 1
+                corpus = new
+        assert set(seen) == set(STEPS)
+        assert sum(failed.values()) > 20
