@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 
@@ -303,13 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, help="image filename (corpus key)")
     p.add_argument("--vr", type=_vr_index, action="append", help="VR index; repeatable; default all")
     p.add_argument("--out", required=True, help="output SVG path")
-    p.set_defaults(handler=_cmd_overlay)
+    p.set_defaults(handler=_cmd_overlay, inputs=("--annotations", "--classes", "--predicates"))
 
     p = sub.add_parser("apply", help="apply a customization script")
     p.add_argument("script", help="script file")
     _add_corpus_arguments(p)
     p.add_argument("--out", required=True, help="output annotations path")
-    p.set_defaults(handler=_cmd_apply)
+    # the edited corpus may replace its own --annotations: a file of the same format
+    p.set_defaults(handler=_cmd_apply, inputs=("SCRIPT", "--classes", "--predicates"))
 
     p = sub.add_parser("workflow", help="multi-step transformation runs")
     wf = p.add_subparsers(dest="workflow_command", required=True)
@@ -326,14 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--namespace", type=_namespace, default=DEFAULT_NAMESPACE)
     p.add_argument("--image", help="lower only this image")
     p.add_argument("--out", required=True, help="output triple dump path")
-    p.set_defaults(handler=_cmd_kg_lower)
+    p.set_defaults(handler=_cmd_kg_lower,
+                   inputs=("--annotations", "--classes", "--predicates", "--schema"))
 
     p = kgsub.add_parser("materialize", help="compute the inference closure of a dump")
     p.add_argument("graph", help="input triple dump")
     p.add_argument("--schema", required=True, help="axiom file")
     p.add_argument("--namespace", type=_namespace, default=DEFAULT_NAMESPACE)
     p.add_argument("--out", required=True, help="output triple dump path")
-    p.set_defaults(handler=_cmd_kg_materialize)
+    p.set_defaults(handler=_cmd_kg_materialize, inputs=("--schema",))  # the closure may replace GRAPH
 
     p = kgsub.add_parser("extract", help="extract annotations from a triple dump")
     p.add_argument("graph", help="input triple dump")
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicates", required=True, help="predicate master list")
     p.add_argument("--namespace", type=_namespace, default=DEFAULT_NAMESPACE)
     p.add_argument("--out", required=True, help="output annotations path")
-    p.set_defaults(handler=_cmd_kg_extract)
+    p.set_defaults(handler=_cmd_kg_extract, inputs=("GRAPH", "--schema", "--classes", "--predicates"))
 
     p = sub.add_parser("diff", help="value diff of two corpora")
     p.add_argument("a_annotations", help="left annotations")
@@ -366,6 +369,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for name in getattr(args, "inputs", ()):  # a writer's file inputs (positionals in capitals)
+        path = getattr(args, name.lstrip("-").lower())  # none is read before --out is checked
+        if path is not None and os.path.realpath(path) == os.path.realpath(args.out):
+            print(f"error: --out and {name} paths must differ", file=sys.stderr)
+            return 2
     try:
         with gc_paused():  # a command builds acyclic data and exits: collections would only rescan it
             return args.handler(args)

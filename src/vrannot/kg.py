@@ -321,16 +321,15 @@ def default_schema(corpus: AnnotationCorpus) -> Schema:
         (corpus.predicate_names, corpus.retired_predicate_ids, property_local,
          schema.properties, schema.ann_properties),
     ):
-        taken: dict[str, str] = {}  # term -> the name it came from
         for number, name in enumerate(names):
             if number in retired:
                 continue
             local = mangle(name)
             if local in RESERVED_LOCALS:
                 raise ConfigError(f"{name!r} maps to reserved term {local!r}")
-            if local in taken:
-                raise ConfigError(f"{name!r} and {taken[local]!r} both map to term {local!r}")
-            taken[local] = name
+            if local in declared:
+                earlier = next(other for other, term in designated.items() if term == local)
+                raise ConfigError(f"{name!r} and {earlier!r} both map to term {local!r}")
             declared.add(local)
             designated[name] = local
     return schema
@@ -558,22 +557,21 @@ def extract_annotations(
     has_object, has_filename = known(HAS_OBJECT), known(HAS_FILENAME)
     rdf_type, ancestors = store._ids.get(RDF_TYPE_IRI), _subclass_ancestors(schema)
 
-    filenames: dict[int, str] = {}
-    used, foreign = set(), []  # filenames taken; subject IRIs outside the namespace
+    owners, foreign = {}, []  # filename -> its image subject; subject IRIs outside the namespace
     for s, triples in by_subject.items():
         key = terms[s]  # every subject is an IRI
         if not key.startswith(namespace) or _NESTED.search(key, len(namespace)):
             foreign.append(key)
-        for filename in [store._term(o) for _, p, o in triples if p == has_filename]:
+        # all of a subject's triples are in its one group, so its second filename is met here
+        for count, filename in enumerate([store._term(o) for _, p, o in triples if p == has_filename]):
             if not isinstance(filename, str):
                 raise MalformedGraphError(f"{store._term(s)} has a non-string filename")
-            if s in filenames:
+            if count:
                 raise MalformedGraphError(f"{store._term(s)} carries two filenames")
-            if filename in used:
+            if filename in owners:
                 raise MalformedGraphError(f"filename {filename!r} used by two image individuals")
-            filenames[s] = filename
-            used.add(filename)
-    if not filenames and len(store):  # most likely a dump lowered under another namespace
+            owners[filename] = s
+    if not owners and len(store):  # most likely a dump lowered under another namespace
         raise MalformedGraphError(f"no {HAS_FILENAME} triple under namespace {namespace!r}")
     if foreign:
         raise MalformedGraphError(f"subject {min(foreign)} is not under namespace {namespace!r}")
@@ -602,7 +600,7 @@ def extract_annotations(
         return AnnotatedObject(class_ids[name], BoundingBox(*box))
 
     images: dict[str, list[VisualRelationship]] = {}
-    for img in sorted(filenames, key=filenames.__getitem__):
+    for filename, img in sorted(owners.items()):
         members: set[int] = set()
         for _, p, o in by_subject.get(img, ()):
             if p == has_object:
@@ -612,15 +610,14 @@ def extract_annotations(
         objects = {node: read_object(node) for node in members}
         # keyed by the VR's sort key, which fixes it, so equal VRs collapse
         vrs: dict[tuple, VisualRelationship] = {}
-        for node in members:
-            subject = objects[node]
+        for node, subject in objects.items():
             for _, p, o in by_subject.get(node, ()):
-                if p in property_ids and o in members:
+                if p in property_ids and o in objects:
                     object_ = objects[o]
                     key = (subject.bbox, property_ids[p], object_.bbox,
                            subject.class_id, object_.class_id)
                     vrs[key] = VisualRelationship(subject, property_ids[p], object_)
-        images[filenames[img]] = [vrs[key] for key in sorted(vrs)]
+        images[filename] = [vrs[key] for key in sorted(vrs)]
     return AnnotationCorpus(images, list(object_class_names), list(predicate_names))
 
 

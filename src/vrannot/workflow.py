@@ -23,6 +23,7 @@ docs/formats.md.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import NamedTuple
 
@@ -406,7 +407,7 @@ def load_workflow_config(path) -> WorkflowConfig:
 
     base_dir = Path(path).parent
     resolved = {key: base_dir / _path(raw[key], key) for key in _PATH_KEYS}
-    files = [resolved[key].resolve() for key in _PATH_KEYS]  # inputs, then outputs, by side
+    files = [os.path.realpath(resolved[key]) for key in _PATH_KEYS]  # inputs, then outputs, by side
     for side, name in enumerate(("annotations", "classes", "predicates")):
         if files[side] == files[side + 3]:
             raise ConfigError(f"input and output {name} paths must differ")
@@ -418,8 +419,10 @@ def load_workflow_config(path) -> WorkflowConfig:
         raise ConfigError("steps must be a non-empty array")
     steps = [_parse_step(entry, i, base_dir) for i, entry in enumerate(raw["steps"])]
     outputs = dict(zip(files[3:], _PATH_KEYS[3:]))
-    for i, step in enumerate(steps):  # nor the file of a step's script
-        output = "path" in step.args and outputs.get(Path(step.args["path"]).resolve())
+    scripts = [(f"steps[{i}].path", step.args["path"])
+               for i, step in enumerate(steps) if "path" in step.args]
+    for name, other in [("CONFIG", path), *scripts]:  # nor the config's own file or a step's script
+        output = outputs.get(os.path.realpath(other))
         if output:
-            raise ConfigError(f"{output} and steps[{i}].path paths must differ")
+            raise ConfigError(f"{output} and {name} paths must differ")
     return WorkflowConfig(steps=steps, **resolved)

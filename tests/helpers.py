@@ -26,10 +26,12 @@ from vrannot.corpus import (
     load_corpus,
     read_input,
 )
-from vrannot.errors import (ConfigError, DuplicateMasterNameError, ImageNotFoundError, MalformedGraphError,
-                            SelfMergeError, UnsupportedRewriteError)
-from vrannot.kg import (_IRI, _IRI_TOKEN, XSD_INTEGER_IRI, Iri, Triple, _key, _unescape_literal,
-                        check_iri)
+from vrannot.errors import (AmbiguousClassError, ConfigError, DuplicateMasterNameError, ImageNotFoundError,
+                            MalformedGraphError, SelfMergeError, UnknownNameError, UnsupportedRewriteError)
+from vrannot.kg import (_IRI, _IRI_TOKEN, _NESTED, COORDINATE_PROPERTIES, HAS_FILENAME, HAS_OBJECT,
+                        RDF_TYPE_IRI, RESERVED_LOCALS, XSD_INTEGER_IRI, GraphStore, Iri, Schema, Triple,
+                        _check_pairs, _key, _subclass_ancestors, _unescape_literal, check_iri,
+                        class_local, property_local)
 from vrannot.workflow import CLASSES, PREDICATES
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -643,3 +645,137 @@ REFERENCE_STEPS = {  # step kind -> the function above, as workflow.STEPS names 
     "change_vr_type_global": reference_change_vr_type_global,
     "dedup_vrs": reference_dedup_vrs,
 }
+
+
+# --------------------------------------------------------------------------
+# extraction and default designation before each fact was held once: image
+# filenames both by subject and as a set, members beside their objects, and
+# each taken term beside the declared set
+# --------------------------------------------------------------------------
+
+
+def reference_default_schema(corpus: AnnotationCorpus) -> Schema:
+    """Axiom-free schema designating every live corpus name via mangling.
+    Two names yielding one term, or a reserved term, are rejected."""
+    schema = Schema()
+    for names, retired, mangle, declared, designated in (
+        (corpus.object_class_names, corpus.retired_class_ids, class_local,
+         schema.classes, schema.ann_classes),
+        (corpus.predicate_names, corpus.retired_predicate_ids, property_local,
+         schema.properties, schema.ann_properties),
+    ):
+        taken: dict[str, str] = {}  # term -> the name it came from
+        for number, name in enumerate(names):
+            if number in retired:
+                continue
+            local = mangle(name)
+            if local in RESERVED_LOCALS:
+                raise ConfigError(f"{name!r} maps to reserved term {local!r}")
+            if local in taken:
+                raise ConfigError(f"{name!r} and {taken[local]!r} both map to term {local!r}")
+            taken[local] = name
+            declared.add(local)
+            designated[name] = local
+    return schema
+
+
+def reference_extract_annotations(
+    store: GraphStore,
+    schema: Schema,
+    object_class_names: list[str],
+    predicate_names: list[str],
+) -> AnnotationCorpus:
+    """Walk a lowered (possibly materialized) graph back to a corpus.
+
+    Per image, every triple between two of its object individuals whose
+    predicate is a designated annotation property yields one VR.  VRs come
+    out in canonical order (subject box, predicate id, object box) with
+    exact duplicates collapsed.  A non-empty store with no filename triple
+    under its namespace, or with a subject outside it, raises MalformedGraphError.
+    A subject is inside when the rest of its IRI holds no `/` or `#`, as no
+    local name made by lowering does.
+    """
+    _check_pairs(schema)
+    terms, by_subject, namespace = store._terms, store._by_subject, store.namespace
+
+    def known(local: str) -> int | None:  # None, which no triple holds, if absent
+        return store._ids.get(namespace + check_iri(local))
+
+    # name -> first position, as list.index would give
+    class_ids = {name: i for i, name in reversed(list(enumerate(object_class_names)))}
+    predicate_ids = {name: i for i, name in reversed(list(enumerate(predicate_names)))}
+    property_ids: dict[int | None, int] = {}
+    for name, term in schema.ann_properties.items():
+        if name not in predicate_ids:
+            raise UnknownNameError(name, "predicate")
+        property_ids[known(term)] = predicate_ids[name]
+    annotation_classes = {known(term): term for term in schema.ann_classes.values()}
+    class_of_term = {term: name for name, term in schema.ann_classes.items()}
+    coordinate_slots = {known(prop): slot for slot, prop in enumerate(COORDINATE_PROPERTIES)}
+    has_object, has_filename = known(HAS_OBJECT), known(HAS_FILENAME)
+    rdf_type, ancestors = store._ids.get(RDF_TYPE_IRI), _subclass_ancestors(schema)
+
+    filenames: dict[int, str] = {}
+    used, foreign = set(), []  # filenames taken; subject IRIs outside the namespace
+    for s, triples in by_subject.items():
+        key = terms[s]  # every subject is an IRI
+        if not key.startswith(namespace) or _NESTED.search(key, len(namespace)):
+            foreign.append(key)
+        for filename in [store._term(o) for _, p, o in triples if p == has_filename]:
+            if not isinstance(filename, str):
+                raise MalformedGraphError(f"{store._term(s)} has a non-string filename")
+            if s in filenames:
+                raise MalformedGraphError(f"{store._term(s)} carries two filenames")
+            if filename in used:
+                raise MalformedGraphError(f"filename {filename!r} used by two image individuals")
+            filenames[s] = filename
+            used.add(filename)
+    if not filenames and len(store):  # most likely a dump lowered under another namespace
+        raise MalformedGraphError(f"no {HAS_FILENAME} triple under namespace {namespace!r}")
+    if foreign:
+        raise MalformedGraphError(f"subject {min(foreign)} is not under namespace {namespace!r}")
+
+    def read_object(node: int) -> AnnotatedObject:
+        """The object of a node, from one pass over its triples."""
+        coords, candidates = [[], [], [], []], set()  # value ids per coordinate; class terms
+        for _, p, o in by_subject.get(node, ()):
+            if p in coordinate_slots:
+                coords[coordinate_slots[p]].append(o)
+            elif p == rdf_type and o in annotation_classes:
+                candidates.add(annotation_classes[o])
+        box = tuple(store._term(found[0]) if len(found) == 1 else None for found in coords)
+        for prop, value, found in zip(COORDINATE_PROPERTIES, box, coords):
+            if not isinstance(value, int):
+                detail = f"needs exactly one integer {prop}, found {len(found)}"
+                raise MalformedGraphError(f"{terms[node]} {detail}")
+        if not candidates:
+            raise MalformedGraphError(f"{terms[node]} has no designated annotation class")
+        minima = [c for c in candidates if all(other in ancestors[c] for other in candidates)]
+        if len(minima) != 1:  # no single most specific class
+            raise AmbiguousClassError(terms[node], sorted(candidates))
+        name = class_of_term[minima[0]]
+        if name not in class_ids:
+            raise UnknownNameError(name, "object class")
+        return AnnotatedObject(class_ids[name], BoundingBox(*box))
+
+    images: dict[str, list[VisualRelationship]] = {}
+    for img in sorted(filenames, key=filenames.__getitem__):
+        members: set[int] = set()
+        for _, p, o in by_subject.get(img, ()):
+            if p == has_object:
+                if terms[o].__class__ is not str:
+                    raise MalformedGraphError(f"{terms[img]} links a literal via {HAS_OBJECT}")
+                members.add(o)
+        objects = {node: read_object(node) for node in members}
+        # keyed by the VR's sort key, which fixes it, so equal VRs collapse
+        vrs: dict[tuple, VisualRelationship] = {}
+        for node in members:
+            subject = objects[node]
+            for _, p, o in by_subject.get(node, ()):
+                if p in property_ids and o in members:
+                    object_ = objects[o]
+                    key = (subject.bbox, property_ids[p], object_.bbox,
+                           subject.class_id, object_.class_id)
+                    vrs[key] = VisualRelationship(subject, property_ids[p], object_)
+        images[filenames[img]] = [vrs[key] for key in sorted(vrs)]
+    return AnnotationCorpus(images, list(object_class_names), list(predicate_names))

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import gc
 import json
@@ -15,7 +16,7 @@ import pytest
 import vrannot
 import vrannot.cli
 from vrannot import analyze, kg
-from vrannot.cli import _parse_count, main
+from vrannot.cli import _parse_count, build_parser, main
 from vrannot.corpus import (AnnotationCorpus, canonical_annotations_bytes, diff_corpora, load_corpus,
                             save_corpus)
 from vrannot.errors import ConfigError, MalformedGraphError, ParseError
@@ -807,12 +808,13 @@ class TestWorkflow:
     def test_outputs_identical_across_hash_seeds(self, tmp_path):
         """Two processes with different string hashing print the same reports
         and write the same bytes: the workflow, the inspect commands (stats,
-        query, lint), diff and the kg chain."""
+        query, lint), diff, the kg chain, apply and overlay."""
         src = Path(vrannot.__file__).resolve().parent.parent
         inputs = list(OUTPUT_NAMES)
         outputs = [f"out/{name}" for name in OUTPUT_NAMES]
         schema = ["--schema", "axioms.txt"]
         corpus = ["--annotations", inputs[0], "--classes", inputs[1], "--predicates", inputs[2]]
+        listing = [f"listing/{name}" for name in OUTPUT_NAMES]
         structured = ["--format", "structured"]
         commands = [
             ["workflow", "run", "config.json"],
@@ -825,11 +827,15 @@ class TestWorkflow:
             ["kg", "materialize", "g.nt", *schema, "--out", "closed.nt"],
             ["kg", "extract", "closed.nt", *schema, "--classes", inputs[1],
              "--predicates", inputs[2], "--out", "extracted.json"],
+            ["apply", "listing/script.txt", "--annotations", listing[0], "--classes", listing[1],
+             "--predicates", listing[2], "--out", "applied.json"],
+            ["overlay", *corpus, "--image", "img05.jpg", "--out", "overlay.svg"],
         ]
         results = []
         for seed in ("0", "1"):
             workdir = self.prepared(tmp_path, f"seed{seed}")
             (workdir / "axioms.txt").write_text(demo_axioms(), encoding="utf-8")
+            shutil.copytree(LISTING_DIR, workdir / "listing")
             env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
             stdouts = []
             for argv in commands:
@@ -839,13 +845,15 @@ class TestWorkflow:
                 )
                 assert (result.returncode, result.stderr) == (0, b""), argv
                 stdouts.append(result.stdout)
-            written = [(workdir / name).read_bytes() for name in (*outputs, "g.nt", "closed.nt")]
-            results.append((stdouts, written, (workdir / "extracted.json").read_bytes()))
+            written = [(workdir / name).read_bytes() for name in
+                       (*outputs, "g.nt", "closed.nt", "extracted.json", "applied.json", "overlay.svg")]
+            results.append((stdouts, written))
         assert results[0] == results[1]
         stdouts = results[0][0]
         assert stdouts[0].endswith(b"done: 11 steps\n")
         assert json.loads(stdouts[2])["images"] and json.loads(stdouts[3])["images"]
         assert b"(added 0)" not in stdouts[7]  # the axioms infer something
+        assert stdouts[9].startswith(b"images touched: ") and b"<rect" in results[0][1][-1]
 
 
 def demo_axioms() -> str:
@@ -1390,6 +1398,94 @@ class TestOutputDirectories:
         assert err == f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}'\n"
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
         assert (tmp_path / "file").read_bytes() == b"a file\n"
+
+
+def writing_commands(parser=None, prefix=()):
+    """(words, subparser) of every command of `build_parser()` that takes --out."""
+    parser = parser or build_parser()
+    found = [(prefix, parser)] if "--out" in parser._option_string_actions else []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found += writing_commands(sub, (*prefix, name))
+    return found
+
+
+def argument_name(action) -> str:
+    """A flag as given, a positional by its name in capitals, as --out errors name them."""
+    return action.option_strings[0] if action.option_strings else action.dest.upper()
+
+
+NOT_FILES = {"-h", "--out", "--image", "--vr", "--namespace"}  # the arguments that name no file
+IN_PLACE = {("apply",): "--annotations", ("kg", "materialize"): "GRAPH"}  # --out may be this input
+COLLISIONS = [(words, name, form) for words, parser in writing_commands()
+              for name in parser.get_default("inputs") or ["no inputs listed"]
+              for form in ("direct", "symlink", "dot-dot")]
+
+
+class TestOutputCollisions:
+    """No --out may be the file of one of its command's inputs, once `..` and
+    symbolic links are resolved: such a run exits 2 before any file is read,
+    with one error line, every input as it was and no temp file.  Two commands
+    may replace an input with a file of the same format."""
+
+    def test_every_writing_command_lists_each_file_it_reads(self):
+        for words, parser in writing_commands():
+            files = {argument_name(action) for action in parser._actions} - NOT_FILES
+            listed = parser.get_default("inputs") or ()
+            assert len(set(listed)) == len(listed), words
+            assert {*listed, IN_PLACE.get(words)} - {None} == files, words
+
+    def files(self, tmp_path, parser):
+        """Each file argument of the command -> a distinct file of its own bytes."""
+        names = {argument_name(action) for action in parser._actions} - NOT_FILES
+        paths = {}
+        for index, name in enumerate(sorted(names)):
+            paths[name] = tmp_path / f"input{index}"
+            paths[name].write_bytes(f"{name} bytes\n".encode())
+        return paths
+
+    @pytest.mark.parametrize("words, name, form", COLLISIONS,
+                             ids=[f"{' '.join(w)}-{n}-{f}" for w, n, f in COLLISIONS])
+    def test_an_out_on_an_input_exits_2(self, capsys, tmp_path, words, name, form):
+        parser = dict(writing_commands())[words]
+        files = self.files(tmp_path, parser)
+        out = {"direct": files[name], "symlink": tmp_path / "link",
+               "dot-dot": tmp_path / "missing" / ".." / files[name].name}[form]
+        if form == "symlink":
+            out.symlink_to(files[name].name)
+        argv = list(words)
+        for action in parser._actions:
+            key = argument_name(action)
+            if key in files or (action.required and key != "--out"):
+                value = str(files.get(key, "x"))
+                argv += [value] if key.isupper() else [key, value]
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"error: --out and {name} paths must differ\n")
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_apply_may_replace_its_annotations(self, capsys, tmp_path):
+        for name in OUTPUT_NAMES:
+            shutil.copy(LISTING_DIR / name, tmp_path / name)
+        annotations = str(tmp_path / "annotations.json")
+        code, _, err = run(capsys, "apply", str(LISTING_DIR / "script.txt"), *corpus_args(tmp_path),
+                           "--out", annotations)
+        assert (code, err) == (0, "")
+        assert load_corpus(annotations, *(tmp_path / name for name in OUTPUT_NAMES[1:])) \
+            == load_listing_expected()
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(OUTPUT_NAMES)
+
+    def test_materialize_may_replace_its_graph(self, capsys, tmp_path):
+        graph, closed = tmp_path / "g.nt", tmp_path / "closed.nt"
+        (tmp_path / "axioms.txt").write_text("prop near\nsymmetric near\n", encoding="utf-8")
+        assert run(capsys, "kg", "lower", *corpus_args(), "--out", str(graph))[0] == 0
+        schema = ["--schema", str(tmp_path / "axioms.txt")]
+        assert run(capsys, "kg", "materialize", str(graph), *schema, "--out", str(closed))[0] == 0
+        code, _, err = run(capsys, "kg", "materialize", str(graph), *schema, "--out", str(graph))
+        assert (code, err) == (0, "")
+        assert graph.read_bytes() == closed.read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["axioms.txt", "closed.nt", "g.nt"]
 
 
 class TestDiff:

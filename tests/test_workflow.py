@@ -479,6 +479,31 @@ class TestConfigLoading:
         assert capsys.readouterr() == ("", f"error: {output} and {other} paths must differ\n")
         assert {path: path.read_bytes() for path in tmp_path.iterdir() if path != config} == inputs
 
+    @pytest.mark.parametrize("output", _PATH_KEYS[3:])
+    def test_an_output_on_the_config_file_exits_3_before_any_step(self, tmp_path, capsys, output):
+        for name in ("annotations.json", "classes.json", "predicates.json"):
+            shutil.copy(DEMO_DIR / name, tmp_path / name)
+        raw = {**{f"input_{name}": f"{name}.json" for name in ("annotations", "classes", "predicates")},
+               **{f"output_{name}": f"out/{name}.json" for name in ("annotations", "classes", "predicates")},
+               "steps": [{"kind": "dedup_vrs"}]}
+        raw[output] = "sub/../config.json"  # another spelling of the config's own file
+        config = self.write(tmp_path, raw)
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        with pytest.raises(ConfigError, match=f"^{output} and CONFIG paths must differ$"):
+            load_workflow_config(config)
+        assert main(["workflow", "run", str(config)]) == 3
+        assert capsys.readouterr() == ("", f"error: {output} and CONFIG paths must differ\n")
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_a_symlink_loop_is_a_path_like_any_other(self, tmp_path):
+        (tmp_path / "loop").symlink_to("loop")
+        raw = self.base_config()
+        raw["output_annotations"] = "loop"
+        assert load_workflow_config(self.write(tmp_path, raw)).output_annotations == tmp_path / "loop"
+        raw["output_classes"] = "./loop"
+        with pytest.raises(ConfigError, match="^output_classes and output_annotations paths must differ$"):
+            load_workflow_config(self.write(tmp_path, raw))
+
     def test_unknown_step_kind(self, tmp_path):
         raw = self.base_config()
         raw["steps"] = [{"kind": "sort_images"}]
