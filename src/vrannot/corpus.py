@@ -152,18 +152,20 @@ class AnnotationCorpus(SimpleNamespace):
         return tuple(None if name is None else resolve(name) for resolve, name in pairs)
 
     def validate(self) -> None:
-        """Re-check the corpus invariants; raises on the first violation."""
-        for names in (self.object_class_names, self.predicate_names):
-            seen: set[str] = set()
-            for name in names:
-                if name in seen:
-                    raise DuplicateMasterNameError(name)
-                seen.add(name)
-        n_classes = len(self.object_class_names)
-        n_predicates = len(self.predicate_names)
+        """Re-check the corpus invariants; raises on the first violation.
+
+        These are the loader's checks, order and errors, run on the records a
+        save writes: an id or coordinate must be an exact `int` (not a `bool`),
+        a key or name must have a UTF-8 form.  So a corpus that validates saves
+        to files that load back equal, in which the value-equal participants of
+        one image are a single object."""
+        classes = _master_list(self.object_class_names, "object_class_names", "object class")
+        predicates = _master_list(self.predicate_names, "predicate_names", "predicate")
         for image, vrs in self.images.items():
-            for index, vr in enumerate(vrs):
-                _check_ids(image, index, *vr, n_classes, n_predicates)
+            records = [{"predicate": p, "subject": {"category": s, "bbox": list(s_box)},
+                        "object": {"category": o, "bbox": list(o_box)}}
+                       for (s, s_box), p, (o, o_box) in vrs] if isinstance(vrs, list) else vrs
+            _image_vrs(image, records, len(classes), len(predicates), "images")
 
 
 def _check_ids(image, index, subject, predicate, obj, n_classes, n_predicates) -> None:
@@ -309,7 +311,11 @@ def _check_utf8(text: str, path, what: str) -> None:
 
 def load_master_list(path, what: str = "name") -> list[str]:
     """Load one master list: a JSON array of unique strings."""
-    data = _load_json(path)
+    return _master_list(_load_json(path), path, what)
+
+
+def _master_list(data, path, what: str) -> list[str]:
+    """`data`, checked as the master list of `what` names read from `path`."""
     if not isinstance(data, list) or any(not isinstance(n, str) for n in data):
         raise MalformedRecordError(str(path), f"{what} master list must be an array of strings")
     seen: set[str] = set()
@@ -322,24 +328,33 @@ def load_master_list(path, what: str = "name") -> list[str]:
     return data
 
 
-_RECORD_KEYS = frozenset({"predicate", "subject", "object"})
-_OBJECT_KEYS = frozenset({"category", "bbox"})
+# A dict of as many entries as a getter takes keys, from which it takes them all, has
+# exactly those keys; a missing one raises KeyError.
+_record_fields = itemgetter("predicate", "subject", "object")
+_object_fields = itemgetter("category", "bbox")
 _new = tuple.__new__  # builds a named tuple from its fields without the generated Python `__new__`
 
 
-def _parse_annotated_object(raw: object, image: str, index: int, side: str) -> AnnotatedObject:
+def _parse_annotated_object(raw: object, shared: dict, image: str, index: int,
+                            side: str) -> AnnotatedObject:
+    """The checked participant of a record, as the one object in `shared` of its value."""
     # The location string is built only on a raise; `x.__class__ is int` rejects bool.
-    if raw.__class__ is not dict or raw.keys() != _OBJECT_KEYS:
+    try:
+        if raw.__class__ is not dict or len(raw) != 2:
+            raise KeyError
+        category, bbox = _object_fields(raw)
+    except KeyError:
         raise MalformedRecordError(
             f"{image}[{index}].{side}", "expected an object with keys 'category' and 'bbox'"
-        )
-    category, bbox = raw["category"], raw["bbox"]
+        ) from None
     if category.__class__ is not int:
         raise MalformedRecordError(f"{image}[{index}].{side}", "category must be an integer")
     if bbox.__class__ is list and len(bbox) == 4:
         ymin, ymax, xmin, xmax = bbox
         if ymin.__class__ is ymax.__class__ is xmin.__class__ is xmax.__class__ is int:
-            return _new(AnnotatedObject, (category, _new(BoundingBox, bbox)))
+            key = (category, ymin, ymax, xmin, xmax)  # exact ints: an equal key is an equal value
+            return shared.get(key) or shared.setdefault(
+                key, _new(AnnotatedObject, (category, _new(BoundingBox, bbox))))
     raise MalformedRecordError(f"{image}[{index}].{side}", f"bbox must be 4 integers, got {bbox!r}")
 
 
@@ -360,21 +375,23 @@ def _image_vrs(image: str, records, n_classes: int, n_predicates: int, path) -> 
     if not isinstance(records, list):
         raise MalformedRecordError(image, "image entry must be an array of records")
     vrs: list[VisualRelationship] = []
-    # Immutable, so value-equal participants in one image can share one object.
-    shared: dict[AnnotatedObject, AnnotatedObject] = {}
+    # Immutable, so value-equal participants in one image can share one object:
+    # the first, by its (category, ymin, ymax, xmin, xmax).
+    shared: dict[tuple, AnnotatedObject] = {}
     for index, record in enumerate(records):
-        if record.__class__ is not dict or record.keys() != _RECORD_KEYS:
+        try:
+            if record.__class__ is not dict or len(record) != 3:
+                raise KeyError
+            predicate, subject, obj = _record_fields(record)
+        except KeyError:
             raise MalformedRecordError(
                 f"{image}[{index}]", "expected keys 'predicate', 'subject' and 'object'"
-            )
-        predicate = record["predicate"]
+            ) from None
         if predicate.__class__ is not int:
             raise MalformedRecordError(f"{image}[{index}]", "predicate must be an integer")
-        subject = _parse_annotated_object(record["subject"], image, index, "subject")
-        obj = _parse_annotated_object(record["object"], image, index, "object")
+        subject = _parse_annotated_object(subject, shared, image, index, "subject")
+        obj = _parse_annotated_object(obj, shared, image, index, "object")
         _check_ids(image, index, subject, predicate, obj, n_classes, n_predicates)
-        subject = shared.setdefault(subject, subject)
-        obj = shared.setdefault(obj, obj)
         vrs.append(_new(VisualRelationship, (subject, predicate, obj)))
     return vrs
 
@@ -622,6 +639,8 @@ def save_corpus(
 
 def find_exact_duplicates(vrs: list[VisualRelationship]) -> list[tuple[int, int]]:
     """All index pairs (i, j), i < j, holding value-identical relationships."""
+    if len(set(vrs)) == len(vrs):  # the common case: nothing to pair
+        return []
     positions: dict[VisualRelationship, list[int]] = {}
     for index, vr in enumerate(vrs):
         positions.setdefault(vr, []).append(index)

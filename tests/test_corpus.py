@@ -79,6 +79,24 @@ def vr_record(subject_class, subject_bbox, predicate, object_class, object_bbox)
     }
 
 
+def literal_records(images):
+    """Each image's VRs as records of their values as they are: a save writes
+    each id and coordinate through `%d`."""
+    return {image: [vr_record(s, list(s_box), p, o, list(o_box)) for (s, s_box), p, (o, o_box) in vrs]
+            for image, vrs in images.items()}
+
+
+def repeating_corpus(rng, n_images):
+    """As in VRD, each of 4 objects of an image takes part in several of its 8 VRs."""
+    images = {}
+    for k in range(n_images):
+        objects = [AnnotatedObject(rng.randrange(60), random_bbox(rng)) for _ in range(4)]
+        images[f"img_{k:04d}.jpg"] = [
+            VisualRelationship(subject, rng.randrange(30), obj)
+            for subject, obj in (rng.sample(objects, 2) for _ in range(8))]
+    return AnnotationCorpus(images, [f"c{k}" for k in range(60)], [f"p{k}" for k in range(30)])
+
+
 class TestLoad:
     def test_empty_corpus(self, tmp_path):
         paths = write_corpus_files(tmp_path, {}, [], [])
@@ -360,6 +378,10 @@ MUTATION_KINDS = (
 # A participant retyped to hash and compare equal to an earlier one of its image:
 # `True == 1 == 1.0` and `7.0 == 7`, so only the type checks can refuse it.
 RETYPE_KINDS = ("category equal to an earlier one", "bbox value equal to an earlier one")
+# Keys and boxes of the right size under the wrong names or shapes: the loader
+# checks exact keys by a dict's size and a lookup of each key, so these test it.
+EXACT_KEY_KINDS = ("renamed record key", "renamed object key", "bbox as a 4-character string",
+                   "bbox as a 4-key object")
 
 
 def mutate(raw: dict, rng, n_classes: int, n_predicates: int, touched: set,
@@ -386,6 +408,16 @@ def mutate(raw: dict, rng, n_classes: int, n_predicates: int, touched: set,
             k = rng.randrange(4)
             bbox[k] = float(bbox[k])
         record[side] = {"category": category, "bbox": bbox}
+    elif kind == "renamed record key":
+        key = rng.choice(sorted(record))
+        records[index] = {k.capitalize() if k == key else k: v for k, v in record.items()}
+    elif kind == "renamed object key":
+        key, name = rng.choice((("bbox", "box"), ("category", "Category")))
+        record[side] = {name if k == key else k: v for k, v in record[side].items()}
+    elif kind == "bbox as a 4-character string":
+        record[side]["bbox"] = rng.choice(("0123", "[0,]", "    "))
+    elif kind == "bbox as a 4-key object":
+        record[side]["bbox"] = dict(zip(("ymin", "ymax", "xmin", "xmax"), record[side]["bbox"]))
     elif kind == "drop record key":
         del record[rng.choice(sorted(record))]
     elif kind == "extra record key":
@@ -558,6 +590,20 @@ class TestLoaderOracle:
         assert len(kinds) == 19
         assert errors == {MalformedRecordError, IdOutOfRangeError}
 
+    def test_exact_key_mutations_match_reference(self, tmp_path):
+        rng = random.Random(2207)
+        kinds = Counter()
+        for _ in range(160):
+            corpus = random_corpus(rng, max_images=6, max_vrs=5)
+            n_classes, n_predicates = len(corpus.object_class_names), len(corpus.predicate_names)
+            root, touched = raw_annotations(corpus), set()
+            for _ in range(min(len(root), rng.choice((1, 1, 2)))):
+                kind, root = mutate(root, rng, n_classes, n_predicates, touched, EXACT_KEY_KINDS)
+                kinds[kind] += 1
+            outcome = self.check(tmp_path, root, corpus.object_class_names, corpus.predicate_names)
+            assert outcome[0] is MalformedRecordError, root
+        assert min(kinds[kind] for kind in EXACT_KEY_KINDS) > 30, kinds
+
     def test_first_problem_in_file_order(self, tmp_path):
         good = vr_record(0, [0, 10, 0, 10], 0, 0, [5, 20, 5, 20])
         late_range = vr_record(0, [0, 10, 0, 10], 0, 9, [5, 20, 5, 20])
@@ -650,6 +696,24 @@ class TestLoaderExactTypes:
             assert outcome[0] is MalformedRecordError, (kind, root)
             kinds[kind] += 1
         assert min(kinds[kind] for kind in RETYPE_KINDS) > 30, kinds
+
+    def test_participants_are_shared_by_exact_value(self, tmp_path):
+        rng = random.Random(2213)
+        corpus = repeating_corpus(rng, 40)
+        assert self.check(tmp_path, raw_annotations(corpus), corpus.object_class_names,
+                          corpus.predicate_names) == corpus
+        loaded = load_corpus(*(tmp_path / f"{name}.json"
+                               for name in ("annotations", "classes", "predicates")))
+        repeats = 0
+        for vrs in loaded.images.values():
+            objects = [o for vr in vrs for o in (vr.subject, vr.object)]
+            assert len({id(o) for o in objects}) == len(set(objects))
+            repeats += len(objects) - len(set(objects))
+        assert repeats > 400  # most participants repeat an earlier one of their image
+        for _ in range(60):  # a retyped repeat equals an earlier object but is not one
+            kind, root = mutate(raw_annotations(corpus), rng, 60, 30, set(), RETYPE_KINDS)
+            outcome = self.check(tmp_path, root, corpus.object_class_names, corpus.predicate_names)
+            assert outcome[0] is MalformedRecordError, kind
 
     def test_a_later_duplicate_key_wins_over_an_earlier_problem(self, tmp_path):
         """Duplicate keys are found while the JSON is decoded, before any record is checked."""
@@ -767,6 +831,20 @@ class TestLoaderLayouts:
                 errors.add(outcome[0])
         assert len(kinds) == len(MUTATION_KINDS)
         assert errors == {MalformedRecordError, IdOutOfRangeError}
+
+    def test_exact_key_mutations_in_every_layout(self, tmp_path):
+        rng = random.Random(2209)
+        kinds = Counter()
+        for _ in range(40):
+            corpus = exotic_keys(random_corpus(rng, max_images=4, max_vrs=4), rng)
+            kind, root = mutate(raw_annotations(corpus), rng, len(corpus.object_class_names),
+                                len(corpus.predicate_names), set(), EXACT_KEY_KINDS)
+            kinds[kind] += 1
+            for layout in LAYOUTS.values():
+                outcome = check_text(tmp_path, layout(root), corpus.object_class_names,
+                                     corpus.predicate_names)
+                assert outcome[0] is MalformedRecordError
+        assert min(kinds[kind] for kind in EXACT_KEY_KINDS) > 3, kinds
 
     @pytest.mark.parametrize("text", EDGE_TEXTS.values(), ids=EDGE_TEXTS.keys())
     def test_edge_texts(self, tmp_path, text):
@@ -981,17 +1059,10 @@ class TestBoundedMemory:
     """Load and save hold memory in proportion to one image, not to the file."""
 
     def corpus(self):
-        # As in VRD, each object of an image takes part in several of its VRs, so
-        # the model is smaller than its file and a peak above it is the load's own.
-        rng = random.Random(83)
-        images = {}
-        for k in range(601):
-            objects = [AnnotatedObject(rng.randrange(60), random_bbox(rng)) for _ in range(4)]
-            images[f"img_{k:04d}.jpg"] = [
-                VisualRelationship(subject, rng.randrange(30), obj)
-                for subject, obj in (rng.sample(objects, 2) for _ in range(8))]
-        images["img_東京.jpg"] = images.pop("img_0600.jpg")
-        return AnnotationCorpus(images, [f"c{k}" for k in range(60)], [f"p{k}" for k in range(30)])
+        # The model is smaller than its file, so a peak above it is the load's own.
+        corpus = repeating_corpus(random.Random(83), 601)
+        corpus.images["img_東京.jpg"] = corpus.images.pop("img_0600.jpg")
+        return corpus
 
     def test_load_peak_stays_near_the_model(self, tmp_path):
         # One CJK filename made a whole-file str two bytes a character; the
@@ -1595,6 +1666,60 @@ class TestValidateMatchesTheLoader:
                 load_corpus(*paths)
             assert type(validated.value) is type(loaded.value)
             assert str(validated.value) == str(loaded.value)
+
+    @pytest.mark.parametrize("field", ["predicate", "subject.category", "object.category",
+                                       "subject.bbox", "object.bbox"])
+    def test_a_value_save_cannot_write_is_refused_as_the_loader_refuses_it(self, tmp_path, field):
+        """`save_corpus` writes each id and coordinate through `%d`, so a float or
+        bool one would load back as another value: `validate` refuses it as the
+        loader refuses it in a file that holds it."""
+        rng = random.Random(1709)
+        for trial in range(20):
+            corpus = random_corpus(rng)
+            image = rng.choice(sorted(corpus.images))
+            index = rng.randrange(len(corpus.images[image]))
+            vr = corpus.images[image][index]
+            odd = rng.choice((True, False, 0.5, 10.9, 3.0))
+            if field == "predicate":
+                vr = vr._replace(predicate_id=odd)
+            else:
+                side, part = field.split(".")
+                obj = getattr(vr, side)
+                obj = (obj._replace(class_id=odd) if part == "category" else
+                       obj._replace(bbox=obj.bbox._replace(**{rng.choice(BoundingBox._fields): odd})))
+                vr = vr._replace(**{side: obj})
+            corpus.images[image][index] = vr
+            paths = write_corpus_files(tmp_path, literal_records(corpus.images),
+                                       corpus.object_class_names, corpus.predicate_names)
+            with pytest.raises(MalformedRecordError) as validated:
+                corpus.validate()
+            with pytest.raises(MalformedRecordError) as loaded:
+                load_corpus(*paths)
+            assert str(validated.value) == str(loaded.value)
+
+    @pytest.mark.parametrize("where", ["image key", "object class name", "predicate name"])
+    def test_a_text_with_no_utf_8_form_is_refused_as_the_loader_refuses_it(self, tmp_path, where):
+        """`save_corpus` cannot encode a lone surrogate; `validate` refuses it
+        for the loader's reason, located by the corpus field that holds it."""
+        corpus = random_corpus(random.Random(1711))
+        text = "a\ud800.jpg"
+        if where == "image key":
+            corpus.images[text] = corpus.images.pop(sorted(corpus.images)[-1])
+        else:
+            (corpus.object_class_names if where == "object class name"
+             else corpus.predicate_names).append(text)
+        paths = write_corpus_files(tmp_path, literal_records(corpus.images),
+                                   corpus.object_class_names, corpus.predicate_names)
+        with pytest.raises(MalformedRecordError) as validated:
+            corpus.validate()
+        with pytest.raises(MalformedRecordError) as loaded:
+            load_corpus(*paths)
+        assert validated.value.reason == loaded.value.reason == f"{where} {text!r} is not valid Unicode"
+        field = {"image key": "images", "object class name": "object_class_names",
+                 "predicate name": "predicate_names"}[where]
+        assert validated.value.location == field
+        with pytest.raises(UnicodeEncodeError):
+            save_corpus(corpus, *(tmp_path / f"out_{name}.json" for name in ("a", "c", "p")))
 
 
 class TestFindExactDuplicates:
