@@ -85,23 +85,19 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+# The output key of each `CorpusStats` field, in field order.
+_STATS_KEYS = ("object_classes", "predicates", "images", "relationships",
+               "mean_relationships_per_image", "images_with_duplicate_relationships")
+
+
 def _cmd_stats(args) -> int:
     corpus = _load(args)
     if args.distribution:
         from . import analyze
         histogram = analyze.distribution(corpus, args.distribution)
-        return _report(args, lambda: {"metric": histogram.metric, "buckets": histogram.buckets},
-                       chain([f"{histogram.metric}:"],
-                             (f"  {value}: {count}" for value, count in histogram.buckets)))
-    stats = compute_stats(corpus)
-    counts = {
-        "object_classes": stats.object_class_count,
-        "predicates": stats.predicate_count,
-        "images": stats.image_count,
-        "relationships": stats.vr_count,
-        "mean_relationships_per_image": stats.mean_vrs_per_image,
-        "images_with_duplicate_relationships": stats.images_with_exact_duplicate_vrs,
-    }
+        return _report(args, histogram._asdict, chain(
+            [f"{histogram.metric}:"], (f"  {value}: {count}" for value, count in histogram.buckets)))
+    counts = dict(zip(_STATS_KEYS, compute_stats(corpus), strict=True))
     return _report(args, lambda: counts, (
         f"{key.replace('_', ' ')}: {value:{'.2f' if isinstance(value, float) else ''}}"
         for key, value in counts.items()))
@@ -138,9 +134,8 @@ def _cmd_query(args) -> int:
         images = analyze.images_with_vr_count(corpus, spec)
         return _report(args, lambda: {"images": images}, images)
     result = analyze.query_images(corpus, spec)  # bindings in subject, predicate, object order
-    return _report(args, lambda: {"images": result.images, "bindings": result.bindings},
-                   chain(result.images, (f"{position}: {', '.join(names)}"
-                                         for position, names in result.bindings.items())))
+    return _report(args, result._asdict, chain(
+        result.images, (f"{position}: {', '.join(names)}" for position, names in result.bindings.items())))
 
 
 def _cmd_lint(args) -> int:
@@ -151,8 +146,7 @@ def _cmd_lint(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     findings = analyze.lint(_load(args), near_dup_iou_threshold=args.threshold)
-    _report(args, lambda: [{"image": f.image, "rule": f.rule.value, "detail": f.detail,
-                            "severity": f.severity} for f in findings],
+    _report(args, lambda: [{**f._asdict(), "rule": f.rule.value} for f in findings],
             (analyze.format_findings([f])[:-1] for f in findings))  # each line without its "\n"
     return 1 if args.strict and findings else 0
 
@@ -170,11 +164,9 @@ def _cmd_apply(args) -> int:
     blocks = protocol.parse_script(read_input(args.script))
     result, report = protocol.validate_and_apply(corpus, blocks)
     save_corpus(result, args.out)
-    print(f"images touched: {report.images_touched}")
-    print(f"relationships changed: {report.vrs_changed}")
-    print(f"relationships added: {report.vrs_added}")
-    print(f"relationships removed: {report.vrs_removed}")
-    print(f"images removed: {report.images_removed}")
+    for name in _DIFF_TOTALS:
+        if name != "images_added":  # no script adds an image
+            print(f"{name.replace('vrs', 'relationships').replace('_', ' ')}: {getattr(report, name)}")
     return 0
 
 

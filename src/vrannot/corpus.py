@@ -24,6 +24,7 @@ import io
 import json
 import os
 import re
+import stat
 from collections import Counter
 from contextlib import contextmanager
 from json.decoder import scanstring
@@ -158,14 +159,30 @@ class AnnotationCorpus(SimpleNamespace):
         save writes: an id or coordinate must be an exact `int` (not a `bool`),
         a key or name must have a UTF-8 form.  So a corpus that validates saves
         to files that load back equal, in which the value-equal participants of
-        one image are a single object."""
+        one image are a single object.  What no file can hold is refused as
+        MalformedRecordError too: an image key that is not a `str` (at
+        `images`), and an entry that does not unpack as `(class, box),
+        predicate, (class, box)` (at `image[index]`)."""
         classes = _master_list(self.object_class_names, "object_class_names", "object class")
         predicates = _master_list(self.predicate_names, "predicate_names", "predicate")
-        for image, vrs in self.images.items():
-            records = [{"predicate": p, "subject": {"category": s, "bbox": list(s_box)},
-                        "object": {"category": o, "bbox": list(o_box)}}
-                       for (s, s_box), p, (o, o_box) in vrs] if isinstance(vrs, list) else vrs
+        for image, records in self.images.items():
+            if not isinstance(image, str):
+                raise MalformedRecordError("images", f"image key {image!r} is not a string")
+            if isinstance(records, list):
+                _check_utf8(image, "images", "image key")  # the loader's first check, before the entry
+                records = [_record(image, index, vr) for index, vr in enumerate(records)]
             _image_vrs(image, records, len(classes), len(predicates), "images")
+
+
+def _record(image: str, index: int, vr) -> dict:
+    """The record that a save writes for the VR at `image[index]`."""
+    try:
+        (s, s_box), p, (o, o_box) = vr
+        return {"predicate": p, "subject": {"category": s, "bbox": list(s_box)},
+                "object": {"category": o, "bbox": list(o_box)}}
+    except (TypeError, ValueError):
+        raise MalformedRecordError(f"{image}[{index}]", "expected a VR: (class, box), predicate, "
+                                   "(class, box)") from None
 
 
 def _check_ids(image, index, subject, predicate, obj, n_classes, n_predicates) -> None:
@@ -492,47 +509,21 @@ def load_corpus(annotations_path, classes_path, predicates_path) -> AnnotationCo
 
 
 # Per VR, the exact text json.dumps(sort_keys=True, indent=2) gives it inside an
-# image array: object, predicate, subject; bbox before category in each object.
-_VR_TEMPLATE = """\
-    {
-      "object": {
-        "bbox": [
-          %d,
-          %d,
-          %d,
-          %d
-        ],
-        "category": %d
-      },
-      "predicate": %d,
-      "subject": {
-        "bbox": [
-          %d,
-          %d,
-          %d,
-          %d
-        ],
-        "category": %d
-      }
-    }"""
-
-
-def _vr_text(vr: VisualRelationship) -> str:
-    (s_class, s_box), predicate, (o_class, o_box) = vr
-    return _VR_TEMPLATE % (*o_box, o_class, predicate, *s_box, s_class)
-
-
-def _image_entry(head: str, image: str, vrs: list[VisualRelationship]) -> bytes:
-    key = encode_basestring(image)
-    if not vrs:
-        return f"{head}  {key}: []".encode("utf-8")
-    return (f"{head}  {key}: [\n" + ",\n".join(map(_vr_text, vrs)) + "\n  ]").encode("utf-8")
+# image array (object, predicate, subject; bbox before category in each object),
+# made by json.dumps itself: a record of "%d"s, unquoted and indented by the array.
+_VR_TEMPLATE = "\n".join("    " + line for line in json.dumps(
+    {"object": {"bbox": ["%d"] * 4, "category": "%d"}, "predicate": "%d",
+     "subject": {"bbox": ["%d"] * 4, "category": "%d"}}, sort_keys=True, indent=2,
+).replace('"%d"', "%d").splitlines())
 
 
 def _annotations_chunks(corpus: AnnotationCorpus):
     head = "{\n"
     for image in sorted(corpus.images):
-        yield _image_entry(head, image, corpus.images[image])
+        key, vrs = encode_basestring(image), corpus.images[image]
+        body = ",\n".join([_VR_TEMPLATE % (*o_box, o_class, predicate, *s_box, s_class)
+                           for (s_class, s_box), predicate, (o_class, o_box) in vrs])
+        yield (f"{head}  {key}: [\n{body}\n  ]" if vrs else f"{head}  {key}: []").encode("utf-8")
         head = ",\n"
     yield b"{}\n" if head == "{\n" else b"\n}\n"
 
@@ -585,9 +576,15 @@ def replace_files(targets) -> None:
             directory, name = os.path.split(target)
             temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
             try:
-                if os.path.isdir(target):
+                try:
+                    mode = os.stat(target).st_mode
+                except FileNotFoundError:  # a new file (under a regular file: ENOTDIR)
+                    mode = stat.S_IFREG
+                if stat.S_ISDIR(mode):
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                if not os.path.exists(directory):  # under a regular file, open fails with ENOTDIR
+                if not stat.S_ISREG(mode):  # a FIFO, socket or device would be replaced by a file
+                    raise OSError(errno.EEXIST, "File exists and is not a regular file")
+                if not os.path.exists(directory):
                     os.makedirs(directory, exist_ok=True)
                 fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 staged.append((temp, target))

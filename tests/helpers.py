@@ -124,6 +124,32 @@ def canonicalize_corpus(corpus: AnnotationCorpus) -> AnnotationCorpus:
     return work
 
 
+# The canonical writer's per-VR text as it was written out by hand before
+# json.dumps made it; the derived `corpus._VR_TEMPLATE` must equal it.
+REFERENCE_VR_TEMPLATE = """\
+    {
+      "object": {
+        "bbox": [
+          %d,
+          %d,
+          %d,
+          %d
+        ],
+        "category": %d
+      },
+      "predicate": %d,
+      "subject": {
+        "bbox": [
+          %d,
+          %d,
+          %d,
+          %d
+        ],
+        "category": %d
+      }
+    }"""
+
+
 def decode_utf8(data: bytes, error) -> str:
     """The whole-file decode that `corpus.input_lines` replaced, kept as its
     oracle: invalid UTF-8 anywhere raises `error(line, reason)` naming the

@@ -922,6 +922,15 @@ class TestKgCommands:
         lines = graph.read_text(encoding="utf-8").splitlines()
         assert lines == sorted(lines)
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_lower_refuses_a_named_pipe_as_out(self, capsys, tmp_path):
+        fifo = tmp_path / "g.nt"
+        os.mkfifo(fifo)
+        code, out, err = run(capsys, "kg", "lower", *corpus_args(), "--out", str(fifo))
+        assert (code, out) == (4, "")
+        assert err == f"error: [Errno 17] File exists and is not a regular file: '{fifo}'\n"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.listdir(tmp_path) == [fifo.name]
+
     def test_lower_materialize_extract_chain(self, capsys, tmp_path):
         directory = self.seed(tmp_path)
         lowered = tmp_path / "g.nt"

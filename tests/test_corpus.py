@@ -49,6 +49,7 @@ from vrannot.errors import (
 
 from helpers import (
     LISTING_DIR,
+    REFERENCE_VR_TEMPLATE,
     check_result_tuple,
     decode_utf8,
     load_listing_corpus,
@@ -1272,6 +1273,34 @@ class TestAllOrNothingSave:
         assert err.value.filename == str(target)
         assert tree(tmp_path) == before
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("given", ["fifo", "link", "second"])
+    def test_a_target_that_is_not_a_regular_file_is_refused(self, tmp_path, given):
+        """A FIFO (or a symlink to one) stays what it is: no target is
+        replaced and no temp file is left, whichever target it is."""
+        out, paths = self.outputs(tmp_path)
+        fifo = out / "fifo"
+        os.mkfifo(fifo)
+        (out / "link").symlink_to("fifo")
+        targets = [(out / ("fifo" if given == "second" else given), [b"new\n"])]
+        if given == "second":
+            targets.insert(0, (paths[0], [b"new\n"]))
+        before = tree(tmp_path)
+        with pytest.raises(OSError) as err:
+            vrannot.corpus.replace_files(targets)
+        assert (err.value.errno, err.value.strerror) == (errno.EEXIST, "File exists and is not a regular file")
+        assert err.value.filename == str(targets[-1][0])
+        assert tree(tmp_path) == before
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.readlink(out / "link") == "fifo"
+
+    def test_a_symlink_loop_is_refused(self, tmp_path):
+        loop = tmp_path / "loop.json"
+        loop.symlink_to(loop.name)
+        with pytest.raises(OSError) as err:
+            save_corpus(load_listing_corpus(), loop)
+        assert (err.value.errno, err.value.filename) == (errno.ELOOP, str(loop))
+        assert os.readlink(loop) == loop.name and os.listdir(tmp_path) == [loop.name]
+
     def test_unwritable_directory(self, tmp_path, monkeypatch):
         out, paths = self.outputs(tmp_path)
         locked = tmp_path / "locked"
@@ -1458,6 +1487,9 @@ class TestCanonicalWriter:
             tracemalloc.stop()
         assert data == reference_annotations_bytes(corpus)
         assert peak < 2.5 * len(data)
+
+    def test_the_vr_template_is_the_hand_written_one(self):
+        assert vrannot.corpus._VR_TEMPLATE == REFERENCE_VR_TEMPLATE
 
     def test_master_lists_match_json_dumps(self):
         rng = random.Random(2029)
@@ -1720,6 +1752,29 @@ class TestValidateMatchesTheLoader:
         assert validated.value.location == field
         with pytest.raises(UnicodeEncodeError):
             save_corpus(corpus, *(tmp_path / f"out_{name}.json" for name in ("a", "c", "p")))
+
+
+    GOOD_VR = ((0, (0, 1, 0, 1)), 0, (0, (1, 2, 1, 2)))
+
+    @pytest.mark.parametrize(("images", "location", "reason"), [
+        ({5: []}, "images", "image key 5 is not a string"),
+        ({None: []}, "images", "image key None is not a string"),
+        ({b"a.jpg": []}, "images", "image key b'a.jpg' is not a string"),
+        ({"a.jpg": [5]}, "a.jpg[0]", None),
+        ({"a.jpg": [(1, 2)]}, "a.jpg[0]", None),
+        ({"a.jpg": [GOOD_VR, (1, 2, 3, 4)]}, "a.jpg[1]", None),
+        ({"a.jpg": [GOOD_VR, ((0, 5), 0, (0, (1, 2, 1, 2)))]}, "a.jpg[1]", None),
+        ({"a.jpg": [GOOD_VR, ((0, (0, 1, 0, 1)), 0, 7)]}, "a.jpg[1]", None),
+        ({"a\ud800.jpg": [5]}, "images", "image key 'a\\ud800.jpg' is not valid Unicode"),
+    ], ids=["int-key", "none-key", "bytes-key", "int-entry", "pair-entry", "four-entry",
+            "int-box", "int-object", "key-before-entry"])
+    def test_what_no_file_can_hold_is_a_malformed_record(self, images, location, reason):
+        """A key or an entry that no file can hold is refused at the corpus field,
+        not with the `TypeError` or `ValueError` of reading it."""
+        with pytest.raises(MalformedRecordError) as err:
+            AnnotationCorpus(images, ["c"], ["p"]).validate()
+        assert err.value.location == location
+        assert err.value.reason == (reason or "expected a VR: (class, box), predicate, (class, box)")
 
 
 class TestFindExactDuplicates:
