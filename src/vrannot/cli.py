@@ -24,6 +24,7 @@ from .corpus import (
     METRICS,
     AnnotationCorpus,
     _integer,
+    check_output,
     compute_stats,
     diff_corpora,
     gc_paused,
@@ -367,6 +368,8 @@ def main(argv=None) -> int:
             print(f"error: --out and {name} paths must differ", file=sys.stderr)
             return 2
     try:
+        if "out" in args:  # an unusable output is refused before any input is read
+            check_output(args.out)
         with gc_paused():  # a command builds acyclic data and exits: collections would only rescan it
             return args.handler(args)
     except (VrannotError, OSError) as exc:

@@ -555,10 +555,30 @@ def _fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
+def check_output(path) -> str:
+    """The real path that an output `path` is written to, a symlink followed.
+    A target that exists and is not a regular file (a directory, FIFO, socket,
+    device or symlink loop), or that cannot be looked up (under a regular
+    file), raises OSError naming `path`."""
+    target = os.path.realpath(path)  # a symlinked output is written where it points
+    try:
+        mode = os.stat(target).st_mode
+        if stat.S_ISDIR(mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISREG(mode):  # a FIFO, socket or device would be replaced by a file
+            raise OSError(errno.EEXIST, "File exists and is not a regular file")
+    except FileNotFoundError:  # a new file
+        pass
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    return target
+
+
 def replace_files(targets) -> None:
     """Write each (path, chunks) pair, `chunks` an iterable of `bytes` joined
     on disk, through a temp file next to its path, making its missing parent
-    directories, which stay if a later step fails.  The chunks may be made
+    directories, which stay if a later step fails.  A path that `check_output`
+    refuses is refused before its temp file is made.  The chunks may be made
     lazily while they are written, as a `kg` `Dump` makes its lines, and may
     raise partway; the temp file is then removed and the error propagates.
 
@@ -572,18 +592,10 @@ def replace_files(targets) -> None:
     staged: list[tuple[str, str]] = []
     try:
         for path, chunks in targets:
-            target = os.path.realpath(path)  # a symlinked output is written where it points
+            target = check_output(path)
             directory, name = os.path.split(target)
             temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
             try:
-                try:
-                    mode = os.stat(target).st_mode
-                except FileNotFoundError:  # a new file (under a regular file: ENOTDIR)
-                    mode = stat.S_IFREG
-                if stat.S_ISDIR(mode):
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                if not stat.S_ISREG(mode):  # a FIFO, socket or device would be replaced by a file
-                    raise OSError(errno.EEXIST, "File exists and is not a regular file")
                 if not os.path.exists(directory):
                     os.makedirs(directory, exist_ok=True)
                 fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

@@ -9,27 +9,19 @@ names the expected (subject, predicate, object) class triple.  The applier
 checks that triple before touching anything and aborts the whole run on the
 first mismatch, reporting the offending source line.
 
-Grammar (one instruction per line, ending only at `\n`; fields split on `;`,
-whitespace trimmed, `#` starts a comment line, blank lines ignored):
-
-    imname; <filename>[; rimxxx]
-    cvrsoc; <idx>; (<s>, <p>, <o>); <new subject class>
-    cvrsbb; <idx>; (<s>, <p>, <o>); [ymin,ymax,xmin,xmax]
-    cvrooc; <idx>; (<s>, <p>, <o>); <new object class>
-    cvrobb; <idx>; (<s>, <p>, <o>); [ymin,ymax,xmin,xmax]
-    cvrpxx; <idx>; (<s>, <p>, <o>); <new predicate>
-    rvrxxx; <idx>; (<s>, <p>, <o>);
-    avrxxx; <subject class>; [bbox]; <predicate>; <object class>; [bbox]
-
-Names inside tuples may be bare or wrapped in straight, typographic, or
+Lines end only at `\n`; fields split on `;` and are trimmed of whitespace;
+`#` starts a comment line and blank lines are ignored.  `_GRAMMAR` below gives
+each instruction's fields after its mnemonic, and docs/formats.md the grammar
+in full.  Names may be bare or wrapped in straight, typographic, or
 backtick-and-apostrophe quotes.  `render_script` refuses a filename or name
-that would not read back as itself (see docs/formats.md).
+that would not read back as itself.
 """
 
 from __future__ import annotations
 
 import io
 from enum import Enum
+from functools import partial
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -66,6 +58,16 @@ _CHANGES = {
     InstructionKind.CVROOC: ("object", "class"),
     InstructionKind.CVROBB: ("object", "bbox"),
     InstructionKind.CVRPXX: ("predicate_id", "predicate"),
+}
+
+# each instruction kind -> the roles of its fields after the mnemonic, and the arity text of its
+# error; parse_script and _render_instruction both read it
+_GRAMMAR = {
+    InstructionKind.AVRXXX: (("subject class", "bbox", "predicate", "object class", "bbox"),
+                             "class; [bbox]; predicate; class; [bbox]"),
+    InstructionKind.RVRXXX: (("index", "tuple"), "index; (tuple)"),
+    **{kind: (("index", "tuple", payload), "index; (tuple); payload")
+       for kind, (_, payload) in _CHANGES.items()},
 }
 
 
@@ -109,10 +111,10 @@ def _parse_index(text: str, line: int) -> int:
     raise ParseError(line, f"expected a non-negative index, got {text!r}")
 
 
-def _parse_name(text: str, line: int, what: str) -> str:
+def _parse_name(role: str, text: str, line: int) -> str:
     name = strip_quotes(text)
     if not name:
-        raise ParseError(line, f"empty {what}")
+        raise ParseError(line, f"empty {role} name")
     return name
 
 
@@ -131,7 +133,18 @@ def _parse_ref_tuple(text: str, line: int) -> tuple[str, str, str]:
     parts = [p.strip() for p in text[1:-1].split(",")]
     if len(parts) != 3:
         raise ParseError(line, f"reference tuple must hold 3 names, got {text!r}")
-    return tuple(_parse_name(p, line, "reference-tuple name") for p in parts)  # type: ignore[return-value]
+    return tuple(_parse_name("reference-tuple", p, line) for p in parts)  # type: ignore[return-value]
+
+
+# each field role -> (the Instruction field it fills outside avrxxx, its parser, its renderer);
+# a role other than index, tuple and bbox is a name, kept as it is read
+_ROLES = {role: ("new_name", partial(_parse_name, role), str)
+          for roles, _ in _GRAMMAR.values() for role in roles}
+_ROLES.update(
+    index=("vr_index", _parse_index, str),
+    tuple=("ref_tuple", _parse_ref_tuple, lambda ref: f"({', '.join(ref)})"),
+    bbox=("new_bbox", _parse_bbox_literal, lambda box: f"[{','.join(map(str, box))}]"),
+)
 
 
 def parse_script(source: str | bytes) -> list[ImageBlock]:
@@ -156,16 +169,11 @@ def parse_script(source: str | bytes) -> list[ImageBlock]:
             if kind is InstructionKind.IMNAME:
                 if len(fields) not in (2, 3):
                     raise ParseError(line_no, "imname takes a filename and an optional rimxxx flag")
-                filename = fields[1]
-                if not filename:
+                if not fields[1]:
                     raise ParseError(line_no, "empty filename")
-                remove = False
-                if len(fields) == 3:
-                    if fields[2] != InstructionKind.RIMXXX.value:
-                        raise ParseError(line_no, f"unexpected trailing field {fields[2]!r}")
-                    remove = True
-                current = ImageBlock(filename, line_no, remove_image=remove)
-                blocks.append(current)
+                if len(fields) == 3 and fields[2] != InstructionKind.RIMXXX.value:
+                    raise ParseError(line_no, f"unexpected trailing field {fields[2]!r}")
+                blocks.append(current := ImageBlock(fields[1], line_no, remove_image=len(fields) == 3))
                 continue
 
             if kind is InstructionKind.RIMXXX:
@@ -175,36 +183,15 @@ def parse_script(source: str | bytes) -> list[ImageBlock]:
             if current.remove_image:
                 raise ParseError(line_no, "instruction after an image-removal header")
 
-            if kind is InstructionKind.AVRXXX:
-                if len(fields) != 6:
-                    raise ParseError(line_no, "avrxxx takes 5 fields: class; [bbox]; predicate; class; [bbox]")
-                spec = NewVRSpec(
-                    subject_class=_parse_name(fields[1], line_no, "subject class name"),
-                    subject_bbox=_parse_bbox_literal(fields[2], line_no),
-                    predicate=_parse_name(fields[3], line_no, "predicate name"),
-                    object_class=_parse_name(fields[4], line_no, "object class name"),
-                    object_bbox=_parse_bbox_literal(fields[5], line_no),
-                )
-                current.instructions.append(Instruction(kind, line_no, new_vr=spec))
-                continue
-
-            # the rest address a VR by index and tuple: rvrxxx and the kinds of _CHANGES
-            if kind is InstructionKind.RVRXXX:
-                # a trailing `;` yields one empty extra field; both forms accepted
-                if len(fields) == 4 and fields[3] == "":
-                    fields = fields[:3]
-                if len(fields) != 3:
-                    raise ParseError(line_no, "rvrxxx takes 2 fields: index; (tuple)")
-            elif len(fields) != 4:
-                raise ParseError(line_no, f"{mnemonic} takes 3 fields: index; (tuple); payload")
-            index = _parse_index(fields[1], line_no)
-            ref = _parse_ref_tuple(fields[2], line_no)
-            new, payload = {}, _CHANGES[kind][1] if kind in _CHANGES else None
-            if payload == "bbox":
-                new = {"new_bbox": _parse_bbox_literal(fields[3], line_no)}
-            elif payload:
-                new = {"new_name": _parse_name(fields[3], line_no, f"{payload} name")}
-            current.instructions.append(Instruction(kind, line_no, vr_index=index, ref_tuple=ref, **new))
+            roles, arity = _GRAMMAR[kind]
+            if kind is InstructionKind.RVRXXX and len(fields) == 4 and fields[3] == "":
+                fields.pop()  # a trailing `;` yields one empty extra field; both forms accepted
+            if len(fields) != len(roles) + 1:
+                raise ParseError(line_no, f"{mnemonic} takes {len(roles)} fields: {arity}")
+            values = [_ROLES[role][1](text, line_no) for role, text in zip(roles, fields[1:])]
+            current.instructions.append(
+                Instruction(kind, line_no, new_vr=NewVRSpec(*values)) if kind is InstructionKind.AVRXXX
+                else Instruction(kind, line_no, **{_ROLES[r][0]: value for r, value in zip(roles, values)}))
     return blocks
 
 
@@ -213,41 +200,31 @@ def parse_script(source: str | bytes) -> list[ImageBlock]:
 # --------------------------------------------------------------------------
 
 
-def _render_tuple(ref: tuple[str, str, str]) -> str:
-    return "({}, {}, {})".format(*ref)
-
-
-def _render_bbox(bbox: BoundingBox) -> str:
-    return "[{},{},{},{}]".format(*bbox)
-
-
 def _render_instruction(ins: Instruction) -> str:
-    kind = ins.kind.value
-    if ins.kind is InstructionKind.AVRXXX:
-        vr = ins.new_vr
-        return (
-            f"{kind}; {vr.subject_class}; {_render_bbox(vr.subject_bbox)}; "
-            f"{vr.predicate}; {vr.object_class}; {_render_bbox(vr.object_bbox)}"
-        )
-    if ins.kind is InstructionKind.RVRXXX:
-        return f"{kind}; {ins.vr_index}; {_render_tuple(ins.ref_tuple)};"
-    bbox = _CHANGES[ins.kind][1] == "bbox"
-    payload = _render_bbox(ins.new_bbox) if bbox else ins.new_name
-    return f"{kind}; {ins.vr_index}; {_render_tuple(ins.ref_tuple)}; {payload}"
+    roles, _ = _GRAMMAR[ins.kind]
+    avrxxx = ins.kind is InstructionKind.AVRXXX
+    values = ins.new_vr if avrxxx else [getattr(ins, _ROLES[role][0]) for role in roles]
+    texts = [_ROLES[role][2](value) for role, value in zip(roles, values)]
+    return "; ".join([ins.kind.value, *texts]) + (";" if ins.kind is InstructionKind.RVRXXX else "")
 
 
 def render_script(blocks: list[ImageBlock]) -> str:
     """Render blocks back to script text; parse(render(blocks)) == blocks
     up to source line numbers.  Each line is parsed back as it is rendered,
     an instruction under its block's header, so a filename or name that the
-    grammar cannot hold raises ParseError naming the rendered line."""
+    grammar cannot hold raises ParseError naming the rendered line; an
+    instruction with no line (an `imname` kind, a `cvrsbb` with no box, an
+    `avrxxx` with no `new_vr`) raises ParseError naming the instruction."""
     lines: list[str] = []
     for block in blocks:
         if lines:
             lines.append("")
         header = f"imname; {block.filename}" + ("; rimxxx" if block.remove_image else "")
         for ins in [None, *block.instructions]:  # None stands for the header
-            line = header if ins is None else _render_instruction(ins)
+            try:
+                line = header if ins is None else _render_instruction(ins)
+            except (KeyError, TypeError):  # a kind with no line, or a field its role cannot write
+                raise ParseError(len(lines) + 1, f"{ins!r} has no script line") from None
             want = [] if ins is None else [ins._replace(source_line=2)]
             try:
                 again = parse_script(line if ins is None else f"{header}\n{line}")

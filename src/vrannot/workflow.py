@@ -35,6 +35,7 @@ from .corpus import (
     CorpusDiff,
     VisualRelationship,
     _load_json,
+    check_output,
     diff_corpora,
     load_corpus,
     read_input,
@@ -352,6 +353,8 @@ def run_workflow_files(config: WorkflowConfig) -> WorkflowReport:
     for name in _PATH_KEYS:
         if getattr(config, name) is None:
             raise ConfigError(f"config key {name!r} is required for a file-based run")
+    for name in _PATH_KEYS[3:]:  # each output is refused before any input is read
+        check_output(getattr(config, name))
     corpus = load_corpus(config.input_annotations, config.input_classes, config.input_predicates)
     result, report = run_workflow(config, corpus)
     save_corpus(result, config.output_annotations, config.output_classes, config.output_predicates)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 import re
 from collections import Counter, defaultdict
@@ -23,15 +24,19 @@ from vrannot.corpus import (
     _INTEGER,
     _SURROGATE,
     find_exact_duplicates,
+    input_lines,
     load_corpus,
     read_input,
+    strip_quotes,
 )
 from vrannot.errors import (AmbiguousClassError, ConfigError, DuplicateMasterNameError, ImageNotFoundError,
-                            MalformedGraphError, SelfMergeError, UnknownNameError, UnsupportedRewriteError)
+                            MalformedGraphError, ParseError, SelfMergeError, UnknownNameError, UnsupportedRewriteError)
 from vrannot.kg import (_IRI, _IRI_TOKEN, _NESTED, COORDINATE_PROPERTIES, HAS_FILENAME, HAS_OBJECT,
                         RDF_TYPE_IRI, RESERVED_LOCALS, XSD_INTEGER_IRI, GraphStore, Iri, Schema, Triple,
                         _check_pairs, _key, _subclass_ancestors, _unescape_literal, check_iri,
                         class_local, property_local)
+from vrannot.protocol import (_CHANGES, ImageBlock, Instruction, InstructionKind, NewVRSpec,
+                              _parse_bbox_literal, _parse_index)
 from vrannot.workflow import CLASSES, PREDICATES
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -805,3 +810,118 @@ def reference_extract_annotations(
                     vrs[key] = VisualRelationship(subject, property_ids[p], object_)
         images[filenames[img]] = [vrs[key] for key in sorted(vrs)]
     return AnnotationCorpus(images, list(object_class_names), list(predicate_names))
+
+
+# --------------------------------------------------------------------------
+# the script grammar before one table: a hand-written branch per instruction kind
+# --------------------------------------------------------------------------
+
+
+def reference_parse_name(text: str, line: int, what: str) -> str:
+    name = strip_quotes(text)
+    if not name:
+        raise ParseError(line, f"empty {what}")
+    return name
+
+
+def reference_parse_ref_tuple(text: str, line: int) -> tuple[str, str, str]:
+    if not (text.startswith("(") and text.endswith(")")):
+        raise ParseError(line, f"expected a (subject, predicate, object) tuple, got {text!r}")
+    parts = [p.strip() for p in text[1:-1].split(",")]
+    if len(parts) != 3:
+        raise ParseError(line, f"reference tuple must hold 3 names, got {text!r}")
+    return tuple(reference_parse_name(p, line, "reference-tuple name") for p in parts)
+
+
+def reference_parse_script(source: str | bytes) -> list[ImageBlock]:
+    """`parse_script` with each instruction kind's fields parsed by its own branch."""
+    data = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
+    blocks: list[ImageBlock] = []
+    current: ImageBlock | None = None
+
+    with input_lines(io.BytesIO(data), ParseError) as lines:
+        for line_no, line in lines:
+            fields = [f.strip() for f in line.split(";")]
+            mnemonic = fields[0]
+            try:
+                kind = InstructionKind(mnemonic)
+            except ValueError:
+                raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}") from None
+
+            if kind is InstructionKind.IMNAME:
+                if len(fields) not in (2, 3):
+                    raise ParseError(line_no, "imname takes a filename and an optional rimxxx flag")
+                filename = fields[1]
+                if not filename:
+                    raise ParseError(line_no, "empty filename")
+                remove = False
+                if len(fields) == 3:
+                    if fields[2] != InstructionKind.RIMXXX.value:
+                        raise ParseError(line_no, f"unexpected trailing field {fields[2]!r}")
+                    remove = True
+                current = ImageBlock(filename, line_no, remove_image=remove)
+                blocks.append(current)
+                continue
+
+            if kind is InstructionKind.RIMXXX:
+                raise ParseError(line_no, "rimxxx is only valid as a flag on an imname line")
+            if current is None:
+                raise ParseError(line_no, "instruction before any imname line")
+            if current.remove_image:
+                raise ParseError(line_no, "instruction after an image-removal header")
+
+            if kind is InstructionKind.AVRXXX:
+                if len(fields) != 6:
+                    raise ParseError(line_no, "avrxxx takes 5 fields: class; [bbox]; predicate; class; [bbox]")
+                spec = NewVRSpec(
+                    subject_class=reference_parse_name(fields[1], line_no, "subject class name"),
+                    subject_bbox=_parse_bbox_literal(fields[2], line_no),
+                    predicate=reference_parse_name(fields[3], line_no, "predicate name"),
+                    object_class=reference_parse_name(fields[4], line_no, "object class name"),
+                    object_bbox=_parse_bbox_literal(fields[5], line_no),
+                )
+                current.instructions.append(Instruction(kind, line_no, new_vr=spec))
+                continue
+
+            # the rest address a VR by index and tuple: rvrxxx and the kinds of _CHANGES
+            if kind is InstructionKind.RVRXXX:
+                # a trailing `;` yields one empty extra field; both forms accepted
+                if len(fields) == 4 and fields[3] == "":
+                    fields = fields[:3]
+                if len(fields) != 3:
+                    raise ParseError(line_no, "rvrxxx takes 2 fields: index; (tuple)")
+            elif len(fields) != 4:
+                raise ParseError(line_no, f"{mnemonic} takes 3 fields: index; (tuple); payload")
+            index = _parse_index(fields[1], line_no)
+            ref = reference_parse_ref_tuple(fields[2], line_no)
+            new, payload = {}, _CHANGES[kind][1] if kind in _CHANGES else None
+            if payload == "bbox":
+                new = {"new_bbox": _parse_bbox_literal(fields[3], line_no)}
+            elif payload:
+                new = {"new_name": reference_parse_name(fields[3], line_no, f"{payload} name")}
+            current.instructions.append(Instruction(kind, line_no, vr_index=index, ref_tuple=ref, **new))
+    return blocks
+
+
+def reference_render_tuple(ref: tuple[str, str, str]) -> str:
+    return "({}, {}, {})".format(*ref)
+
+
+def reference_render_bbox(bbox: BoundingBox) -> str:
+    return "[{},{},{},{}]".format(*bbox)
+
+
+def reference_render_instruction(ins: Instruction) -> str:
+    """`_render_instruction` with a hand-written line per instruction kind."""
+    kind = ins.kind.value
+    if ins.kind is InstructionKind.AVRXXX:
+        vr = ins.new_vr
+        return (
+            f"{kind}; {vr.subject_class}; {reference_render_bbox(vr.subject_bbox)}; "
+            f"{vr.predicate}; {vr.object_class}; {reference_render_bbox(vr.object_bbox)}"
+        )
+    if ins.kind is InstructionKind.RVRXXX:
+        return f"{kind}; {ins.vr_index}; {reference_render_tuple(ins.ref_tuple)};"
+    bbox = _CHANGES[ins.kind][1] == "bbox"
+    payload = reference_render_bbox(ins.new_bbox) if bbox else ins.new_name
+    return f"{kind}; {ins.vr_index}; {reference_render_tuple(ins.ref_tuple)}; {payload}"

@@ -1497,6 +1497,74 @@ class TestOutputCollisions:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["axioms.txt", "closed.nt", "g.nt"]
 
 
+UNUSABLE_OUTPUTS = {  # a kind of output no command can write -> its errno
+    "directory": errno.EISDIR,
+    "under a file": errno.ENOTDIR,
+    "named pipe": errno.EEXIST,
+    "symlink loop": errno.ELOOP,
+}
+
+
+def unusable_output(directory, form, name="out"):
+    """An output path of the given UNUSABLE_OUTPUTS kind in a directory."""
+    out = directory / name
+    if form == "directory":
+        out.mkdir()
+    elif form == "under a file":
+        out.write_bytes(b"a file\n")
+        out = out / "deeper"
+    elif form == "named pipe":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("needs named pipes")
+        os.mkfifo(out)
+    else:
+        out.symlink_to(out.name)
+    return out
+
+
+def output_error(out, form) -> str:
+    code = UNUSABLE_OUTPUTS[form]
+    reason = "File exists and is not a regular file" if code == errno.EEXIST else os.strerror(code)
+    return f"error: [Errno {code}] {reason}: '{out}'\n"
+
+
+class TestUnusableOutputFirst:
+    """An output that cannot be written is refused, exit 4 with the one error
+    line naming it, before any input is read: with every input missing, the
+    error is the output's, and nothing is written."""
+
+    @pytest.mark.parametrize("form", UNUSABLE_OUTPUTS)
+    @pytest.mark.parametrize("words", [words for words, _ in writing_commands()], ids=" ".join)
+    def test_every_writing_command(self, capsys, tmp_path, words, form):
+        parser = dict(writing_commands())[words]
+        argv = list(words)
+        for action in parser._actions:
+            key = argument_name(action)
+            if action.required and key != "--out":
+                value = "x" if key in NOT_FILES else str(tmp_path / "missing")
+                argv += [value] if key.isupper() else [key, value]
+        out = unusable_output(tmp_path, form)
+        before = sorted(tmp_path.iterdir())
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout, err) == (4, "", output_error(out, form))
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("form", UNUSABLE_OUTPUTS)
+    @pytest.mark.parametrize("output", ["output_annotations", "output_predicates"])
+    def test_workflow_run(self, capsys, tmp_path, output, form):
+        workdir = tmp_path / "run"
+        shutil.copytree(DEMO_DIR, workdir, ignore=shutil.ignore_patterns("expected_*", "out"))
+        (workdir / "annotations.json").unlink()
+        out = unusable_output(workdir, form, "blocked")  # the config's other outputs are in out/
+        raw = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+        raw[output] = str(out.relative_to(workdir))
+        (workdir / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+        before = sorted(workdir.iterdir())
+        code, stdout, err = run(capsys, "workflow", "run", str(workdir / "config.json"))
+        assert (code, stdout, err) == (4, "", output_error(out, form))
+        assert sorted(workdir.iterdir()) == before
+
+
 class TestDiff:
     def expected_dir(self, tmp_path):
         directory = tmp_path / "expected"

@@ -1301,6 +1301,19 @@ class TestAllOrNothingSave:
         assert (err.value.errno, err.value.filename) == (errno.ELOOP, str(loop))
         assert os.readlink(loop) == loop.name and os.listdir(tmp_path) == [loop.name]
 
+    def test_check_output_gives_the_path_written(self, tmp_path):
+        """A symlink is followed and `..` resolved; a missing target is a new
+        file; a refusal names the path given."""
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to("real/target.json")
+        check = vrannot.corpus.check_output
+        real = os.path.realpath(tmp_path / "real" / "target.json")
+        assert check(tmp_path / "link") == check(tmp_path / "x" / ".." / "real" / "target.json") == real
+        (tmp_path / "real" / "target.json").mkdir()
+        with pytest.raises(IsADirectoryError) as err:
+            check(tmp_path / "link")
+        assert (err.value.errno, err.value.filename) == (errno.EISDIR, str(tmp_path / "link"))
+
     def test_unwritable_directory(self, tmp_path, monkeypatch):
         out, paths = self.outputs(tmp_path)
         locked = tmp_path / "locked"

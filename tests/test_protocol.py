@@ -9,6 +9,8 @@ from vrannot.corpus import AnnotatedObject, BoundingBox, canonical_annotations_b
 from vrannot.errors import ApplyError, ParseError
 from vrannot.protocol import (
     _CHANGES,
+    _GRAMMAR,
+    _render_instruction,
     ImageBlock,
     Instruction,
     InstructionKind,
@@ -25,6 +27,8 @@ from helpers import (
     load_listing_corpus,
     load_listing_expected,
     random_corpus,
+    reference_parse_script,
+    reference_render_instruction,
 )
 from test_corpus import FILENAME_ALPHABET
 
@@ -591,3 +595,104 @@ class TestChangeTable:
         ]
         assert lines[0] == "imname; <filename>[; rimxxx]"
         assert [line for line in lines if "rimxxx" in line] == [lines[0]]
+        for line in lines[1:]:  # each instruction line has the fields _GRAMMAR gives its kind
+            mnemonic, *fields = line.removesuffix(";").split(";")  # rvrxxx's trailing `;` is optional
+            assert len(fields) == len(_GRAMMAR[InstructionKind(mnemonic)][0]), line
+
+
+# field texts by role for the differential below: each role's good texts, then its bad ones
+DIFF_FIELDS = {
+    "index": (["0", "3", "12", " 4 "], ["+1", "-1", "x", "", "٣", "1_0", "2.0"]),
+    "tuple": (["(a, b, c)", "('a', on, “c”)", "(`a', sit on, 'b')", "( a ,b,c )"],
+              ["(a, b)", "(a, b, c, d)", "(, b, c)", "('', b, c)", "a, b, c", "(a, b, c", "()"]),
+    "bbox": (["[1,2,3,4]", "[-1,2,3,4]", "[ 1 , 2,3,4 ]", "[0,0,0,0]"],
+             ["[+1,2,3,4]", "[1,2,3]", "1,2,3,4", "[a,2,3,4]", "[]", "[1,2,3,4,5]", "[1,-+2,3,4]"]),
+    "name": (["dog", "teddy bear", "'dog'", "“cat”", "`on'"], ["", "''", '""', "‘’"]),
+    "filename": (["a.jpg", "b c.jpg", "'q'.jpg"], [""]),
+}
+DIFF_ROLES = {kind.value: [role if role in DIFF_FIELDS else "name" for role in roles]
+              for kind, (roles, _) in _GRAMMAR.items()}
+DIFF_ROLES["imname"] = ["filename"]
+
+
+def random_script_line(rng: random.Random) -> str:
+    """A line of a random mnemonic whose fields are mostly of their roles and
+    mostly good, with a field missing or extra now and then."""
+    mnemonic = rng.choice(list(DIFF_ROLES)) if rng.random() < 0.9 else rng.choice(["rimxxx", "xvrsoc", ""])
+    roles = list(DIFF_ROLES.get(mnemonic, []))
+    roles += [rng.choice(list(DIFF_FIELDS))] if rng.random() < 0.15 else []
+    if roles and rng.random() < 0.15:
+        roles.pop(rng.randrange(len(roles)))
+    fields = []
+    for role in roles:
+        role = role if rng.random() < 0.9 else rng.choice(list(DIFF_FIELDS))
+        good, bad = DIFF_FIELDS[role]
+        fields.append(rng.choice(good if rng.random() < 0.8 else bad))
+    if mnemonic == "imname" and rng.random() < 0.3:
+        fields.append(rng.choice(["rimxxx", "rimxxx", " rimxxx ", "x"]))
+    if mnemonic == "rvrxxx" and rng.random() < 0.5:
+        fields.append(rng.choice(["", " "]))  # the optional trailing `;`
+    return rng.choice(["; ", ";", " ; "]).join([mnemonic, *fields])
+
+
+class TestGrammarDifferential:
+    """Seeded random scripts parse to the blocks, or fail with the ParseError
+    text, of the parser that gave each instruction kind its own branch, and
+    each parsed instruction renders to that parser's renderer's line."""
+
+    def scripts(self, seed: int, count: int):
+        rng = random.Random(seed)
+        for _ in range(count):
+            lines = [f"imname; {rng.choice(DIFF_FIELDS['filename'][0])}"] if rng.random() < 0.9 else []
+            lines += [random_script_line(rng) for _ in range(rng.randrange(1, 5))]
+            if rng.random() < 0.2:
+                lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "# note", "   "]))
+            yield "\n".join(lines) + rng.choice(["\n", ""])
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except ParseError as err:
+            return str(err)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_parse_matches_the_reference(self, seed):
+        results = Counter()
+        for text in self.scripts(seed, 1500):
+            got = self.outcome(parse_script, text)
+            assert got == self.outcome(reference_parse_script, text), text
+            results["ok" if isinstance(got, list) else re.sub(r"^line \d+: | .*", "", got)] += 1
+        assert results["ok"] > 100 and len(results) > 10, results  # both outcomes, many errors
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_render_matches_the_reference(self, seed):
+        rendered = Counter()
+        for text in self.scripts(seed, 1500):
+            blocks = self.outcome(parse_script, text)
+            if isinstance(blocks, str):  # a ParseError, checked above
+                continue
+            for ins in (ins for block in blocks for ins in block.instructions):
+                assert _render_instruction(ins) == reference_render_instruction(ins), text
+                rendered[ins.kind] += 1
+        assert set(rendered) == set(_GRAMMAR), rendered
+
+
+class TestUnrenderableInstructions:
+    """An instruction no script line holds is refused by render_script with a
+    ParseError naming the line it would take, not a bare exception."""
+
+    @pytest.mark.parametrize("ins, reason", [
+        (Instruction(K.IMNAME, 2), None),
+        (Instruction(K.RIMXXX, 2), None),
+        (Instruction(K.CVRSBB, 2, vr_index=0, ref_tuple=("a", "b", "c"), new_name="x"), None),
+        (Instruction(K.AVRXXX, 2), None),
+        (Instruction(K.RVRXXX, 2, vr_index=0, ref_tuple=("a", "b")),
+         "'rvrxxx; 0; (a, b);' does not read back as written"),
+    ], ids=["imname", "rimxxx", "cvrsbb-without-box", "avrxxx-without-spec", "rvrxxx-two-names"])
+    def test_refused_with_a_parse_error(self, ins, reason):
+        blocks = [ImageBlock("ok.jpg", 0, remove_image=True), ImageBlock("a.jpg", 0, instructions=[ins])]
+        with pytest.raises(ParseError) as err:
+            render_script(blocks)
+        assert str(err.value) == f"line 4: {reason or f'{ins!r} has no script line'}"
+        assert "\n" not in str(err.value)
