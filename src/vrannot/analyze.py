@@ -9,6 +9,7 @@ the query operations exist to surface candidates for that kind of review.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from enum import Enum
 from itertools import groupby
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 from .corpus import (METRICS, AnnotatedObject, AnnotationCorpus, BoundingBox, find_exact_duplicates,
                      replace_files, strip_quotes)
-from .errors import ConfigError, DegenerateBoxError, IdOutOfRangeError, ImageNotFoundError
+from .errors import ConfigError, DegenerateBoxError, IdOutOfRangeError, ImageNotFoundError, VrannotError
 
 WILDCARD = "*"
 
@@ -228,6 +229,18 @@ def xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+# What XML 1.0's `Char` production leaves out; no escape, not even a character reference, holds it.
+_XML_EXCLUDED = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _xml_text(text: str) -> str:
+    """`text`, if an XML document can hold it; else VrannotError naming it and its character."""
+    bad = _XML_EXCLUDED.search(text)
+    if bad:
+        raise VrannotError(f"{text!r} holds {bad[0]!r}, which no XML 1.0 document can hold")
+    return text
+
+
 def xml_quoteattr(text: str) -> str:
     text = xml_escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
     if '"' in text and "'" in text:
@@ -246,7 +259,9 @@ def render_overlay(
     The raster image is referenced by relative path, never decoded, so the
     viewport falls back to the maximum box extent, at least 1x1.  Each box is
     drawn from its lesser to its greater coordinate.  Objects shared between
-    selected VRs are drawn once.
+    selected VRs are drawn once.  A filename or drawn class name holding a
+    character that XML 1.0 excludes raises VrannotError before anything is
+    written.
     """
     if filename not in corpus.images:
         raise ImageNotFoundError(filename)
@@ -269,12 +284,12 @@ def render_overlay(
         '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">\n',
-        f'  <image href={xml_quoteattr(filename)} x="0" y="0" '
+        f'  <image href={xml_quoteattr(_xml_text(filename))} x="0" y="0" '
         f'width="{width}" height="{height}"/>\n',
     ]
     for index, (class_id, ymin, ymax, xmin, xmax) in enumerate(boxes):
         color = _PALETTE[index % len(_PALETTE)]
-        label = xml_escape(corpus.class_name(class_id))
+        label = xml_escape(_xml_text(corpus.class_name(class_id)))
         parts.append(
             f'  <rect x="{xmin}" y="{ymin}" width="{xmax - xmin}" height="{ymax - ymin}" '
             f'fill="none" stroke="{color}" stroke-width="2"/>\n'

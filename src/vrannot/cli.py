@@ -241,7 +241,7 @@ _DIFF_TOTALS = ("images_touched", "vrs_changed", "vrs_added", "vrs_removed",
 
 def _cmd_diff(args) -> int:
     before = load_corpus(args.a_annotations, args.a_classes, args.a_predicates)
-    after = load_corpus(args.b_annotations, args.b_classes, args.b_predicates)
+    after = load_corpus(args.b_annotations, args.b_classes, args.b_predicates, share_with=before)
     diff = diff_corpora(before, after)
     totals = {name: getattr(diff, name) for name in _DIFF_TOTALS}
     lines = (f"modified {delta.filename} changed={delta.changed} added={delta.added} removed={delta.removed}"

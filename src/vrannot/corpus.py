@@ -386,8 +386,10 @@ _PUNCTUATION = re.compile(r"[ \t\n\r,}]*").match  # what a failed root punctuati
 _CUT_LAG = 8  # how far back the decoder fails on a cut token other than a string: `-Infinit`
 
 
-def _image_vrs(image: str, records, n_classes: int, n_predicates: int, path) -> list:
-    """The checked VRs of one decoded image entry; raises on its first problem."""
+def _image_vrs(image: str, records, n_classes: int, n_predicates: int, path, seed=None) -> list:
+    """The checked VRs of one decoded image entry; raises on its first problem.
+    `seed` is the same image's VR list in a corpus loaded earlier: the entry's
+    participants and VRs that equal one of its own are then its objects."""
     _check_utf8(image, path, "image key")
     if not isinstance(records, list):
         raise MalformedRecordError(image, "image entry must be an array of records")
@@ -395,6 +397,13 @@ def _image_vrs(image: str, records, n_classes: int, n_predicates: int, path) -> 
     # Immutable, so value-equal participants in one image can share one object:
     # the first, by its (category, ymin, ymax, xmin, xmax).
     shared: dict[tuple, AnnotatedObject] = {}
+    if seed:  # the seed's participants go first; a seed VR is reused only if both of its are kept
+        known = {}
+        for vr in seed:
+            subject, _, obj = vr
+            if (shared.setdefault((subject.class_id,) + subject.bbox, subject) is subject
+                    and shared.setdefault((obj.class_id,) + obj.bbox, obj) is obj):
+                known[vr] = vr
     for index, record in enumerate(records):
         try:
             if record.__class__ is not dict or len(record) != 3:
@@ -410,10 +419,10 @@ def _image_vrs(image: str, records, n_classes: int, n_predicates: int, path) -> 
         obj = _parse_annotated_object(obj, shared, image, index, "object")
         _check_ids(image, index, subject, predicate, obj, n_classes, n_predicates)
         vrs.append(_new(VisualRelationship, (subject, predicate, obj)))
-    return vrs
+    return list(map(known.get, vrs, vrs)) if seed else vrs
 
 
-def _scan_images(stream, n_classes: int, n_predicates: int, path) -> dict:
+def _scan_images(stream, n_classes: int, n_predicates: int, path, seeds: dict) -> dict:
     """Decode and check a valid annotations object an image at a time: only the
     root's punctuation is read here; each image's array is decoded by the C
     scanner and checked.  `stream` is read in chunks into a window of text that
@@ -423,7 +432,7 @@ def _scan_images(stream, n_classes: int, n_predicates: int, path) -> dict:
     the window.  A problem that more text cannot mend raises at once.  So does a
     syntax error that the scan or the decoder met short of the window's end, as
     no cut lies behind it: a cut leaves the end inside the string, number,
-    literal or whitespace being read."""
+    literal or whitespace being read.  `seeds` maps an image to its `_image_vrs` seed."""
     images: dict[str, list[VisualRelationship]] = {}
     text, key, end, size, eof = "", 0, 0, _CHUNK, False
     while True:
@@ -441,7 +450,7 @@ def _scan_images(stream, n_classes: int, n_predicates: int, path) -> dict:
                     raise ValueError("no ':'")
                 start = found.end()
                 records, end = _raw_decode(text, start)
-                vrs = _image_vrs(image, records, n_classes, n_predicates, path)
+                vrs = _image_vrs(image, records, n_classes, n_predicates, path, seeds.get(image))
                 # Each key of a checked record is one of its 7 field names and no value
                 # holds a `:`, so 7 pairs a record means that none of its keys repeats.
                 if text.count(":", start, end) != 7 * len(records):
@@ -469,25 +478,26 @@ def _scan_images(stream, n_classes: int, n_predicates: int, path) -> dict:
         text, key, size, eof = (text[key:] if images else text) + more, 0, 2 * size, len(more) < size
 
 
-def _load_images(path, n_classes: int, n_predicates: int) -> dict:
+def _load_images(path, n_classes: int, n_predicates: int, seeds: dict) -> dict:
     handle = _open_input(path)
     if not handle.seekable():  # a pipe or FIFO is read whole, so that it can be reread
         with handle:
             handle = io.BytesIO(handle.read())
     with io.TextIOWrapper(handle, encoding="utf-8") as stream:
         try:
-            return _scan_images(stream, n_classes, n_predicates, path)
+            return _scan_images(stream, n_classes, n_predicates, path, seeds)
         except (VrannotError, ValueError, RecursionError):
             pass  # the strict decode below reports the file's first problem, as documented
         stream.seek(0)
         raw = _load_json(path, stream)
     if not isinstance(raw, dict):
         raise MalformedRecordError(str(path), "annotations root must be an object")
-    return {image: _image_vrs(image, records, n_classes, n_predicates, path)
+    return {image: _image_vrs(image, records, n_classes, n_predicates, path, seeds.get(image))
             for image, records in raw.items()}
 
 
-def load_corpus(annotations_path, classes_path, predicates_path) -> AnnotationCorpus:
+def load_corpus(annotations_path, classes_path, predicates_path, *,
+                share_with: AnnotationCorpus | None = None) -> AnnotationCorpus:
     """Load a corpus from its three files and enforce the model invariants.
 
     Out-of-range ids are hard errors.  Degenerate bounding boxes are *not*:
@@ -495,11 +505,21 @@ def load_corpus(annotations_path, classes_path, predicates_path) -> AnnotationCo
     is read in chunks and decoded image by image, so its memory follows the
     model, not the file; any other is decoded whole, strictly, so that its
     first problem is reported as `docs/formats.md` orders them.
+
+    `share_with`, a corpus that `load_corpus` returned earlier, lends its
+    immutable values: in each image that it also holds, the new corpus uses
+    its participants and returns each VR that equals one of its VRs as that
+    object, so a second version of a corpus costs about its lists and its
+    edited VRs.  Every list is new, and the value-equal participants of an
+    image are still one object.  Its ids and coordinates must be exact
+    `int`s, as in every loaded corpus: a `True` would stand in for `1`.
+    Checks, errors and the value loaded are as without it.
     """
     classes = load_master_list(classes_path, "object class")
     predicates = load_master_list(predicates_path, "predicate")
+    seeds = {} if share_with is None else share_with.images
     with gc_paused():  # the decoded records and the model are acyclic
-        images = _load_images(annotations_path, len(classes), len(predicates))
+        images = _load_images(annotations_path, len(classes), len(predicates), seeds)
     return AnnotationCorpus(images, classes, predicates)
 
 
@@ -747,7 +767,8 @@ def diff_corpora(before: AnnotationCorpus, after: AnnotationCorpus) -> CorpusDif
     VR counters; deltas are sorted by filename.  `after`'s VRs are compared
     in `before`'s ids, where equal ids mean equal names: only an image using
     an id whose name moved is re-expressed.  So an image a step left alone
-    costs one list comparison (by pointer, of the VRs the step's copy shares)
+    costs one list comparison (by pointer, of the VRs that the step's copy
+    shares, or that `load_corpus` reused for `after` with `share_with=before`)
     and an edited one a multiset count."""
     classes = _ids_by_name(before.object_class_names, after.object_class_names)
     predicates = _ids_by_name(before.predicate_names, after.predicate_names)

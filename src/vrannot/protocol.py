@@ -32,6 +32,7 @@ from .corpus import (
     CorpusDiff,
     VisualRelationship,
     _integer,
+    _new,
     diff_corpora,
     input_lines,
     strip_quotes,
@@ -145,6 +146,13 @@ _ROLES.update(
     tuple=("ref_tuple", _parse_ref_tuple, lambda ref: f"({', '.join(ref)})"),
     bbox=("new_bbox", _parse_bbox_literal, lambda box: f"[{','.join(map(str, box))}]"),
 )
+# `_GRAMMAR` by mnemonic, for parse_script: each kind, its field parsers, its arity text and the
+# `Instruction` position of each value (none for avrxxx, whose values make its `NewVRSpec`)
+_SYNTAX = {kind.value: (kind, [_ROLES[role][1] for role in roles], arity,
+                        None if kind is InstructionKind.AVRXXX
+                        else [Instruction._fields.index(_ROLES[role][0]) for role in roles])
+           for kind, (roles, arity) in _GRAMMAR.items()}
+_IMNAME, _RVRXXX, _RIMXXX = (InstructionKind[name].value for name in ("IMNAME", "RVRXXX", "RIMXXX"))
 
 
 def parse_script(source: str | bytes) -> list[ImageBlock]:
@@ -161,37 +169,38 @@ def parse_script(source: str | bytes) -> list[ImageBlock]:
         for line_no, line in lines:
             fields = [f.strip() for f in line.split(";")]
             mnemonic = fields[0]
-            try:
-                kind = InstructionKind(mnemonic)
-            except ValueError:
-                raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}") from None
-
-            if kind is InstructionKind.IMNAME:
+            if mnemonic == _IMNAME:
                 if len(fields) not in (2, 3):
                     raise ParseError(line_no, "imname takes a filename and an optional rimxxx flag")
                 if not fields[1]:
                     raise ParseError(line_no, "empty filename")
-                if len(fields) == 3 and fields[2] != InstructionKind.RIMXXX.value:
+                if len(fields) == 3 and fields[2] != _RIMXXX:
                     raise ParseError(line_no, f"unexpected trailing field {fields[2]!r}")
                 blocks.append(current := ImageBlock(fields[1], line_no, remove_image=len(fields) == 3))
                 continue
 
-            if kind is InstructionKind.RIMXXX:
-                raise ParseError(line_no, "rimxxx is only valid as a flag on an imname line")
+            syntax = _SYNTAX.get(mnemonic)
+            if syntax is None:
+                raise ParseError(line_no, "rimxxx is only valid as a flag on an imname line"
+                                 if mnemonic == _RIMXXX else f"unknown mnemonic {mnemonic!r}")
             if current is None:
                 raise ParseError(line_no, "instruction before any imname line")
             if current.remove_image:
                 raise ParseError(line_no, "instruction after an image-removal header")
 
-            roles, arity = _GRAMMAR[kind]
-            if kind is InstructionKind.RVRXXX and len(fields) == 4 and fields[3] == "":
+            kind, parsers, arity, positions = syntax
+            if mnemonic == _RVRXXX and len(fields) == 4 and fields[3] == "":
                 fields.pop()  # a trailing `;` yields one empty extra field; both forms accepted
-            if len(fields) != len(roles) + 1:
-                raise ParseError(line_no, f"{mnemonic} takes {len(roles)} fields: {arity}")
-            values = [_ROLES[role][1](text, line_no) for role, text in zip(roles, fields[1:])]
-            current.instructions.append(
-                Instruction(kind, line_no, new_vr=NewVRSpec(*values)) if kind is InstructionKind.AVRXXX
-                else Instruction(kind, line_no, **{_ROLES[r][0]: value for r, value in zip(roles, values)}))
+            if len(fields) != len(parsers) + 1:
+                raise ParseError(line_no, f"{mnemonic} takes {len(parsers)} fields: {arity}")
+            values = [parse(text, line_no) for parse, text in zip(parsers, fields[1:])]
+            args = [kind, line_no, None, None, None, None, None]  # an `Instruction`'s fields
+            if positions is None:
+                args[-1] = _new(NewVRSpec, values)
+            else:
+                for position, value in zip(positions, values):
+                    args[position] = value
+            current.instructions.append(_new(Instruction, args))
     return blocks
 
 

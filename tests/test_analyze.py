@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from xml.etree import ElementTree
 from xml.sax import saxutils
 
 import pytest
@@ -18,6 +19,7 @@ from vrannot.analyze import (
     LintRule,
     QueryResult,
     VRPattern,
+    _xml_text,
     distribution,
     format_findings,
     images_with_vr_count,
@@ -41,6 +43,7 @@ from vrannot.errors import (
     IdOutOfRangeError,
     ImageNotFoundError,
     UnknownNameError,
+    VrannotError,
 )
 from vrannot.workflow import dedup_vrs
 
@@ -674,6 +677,38 @@ class TestOverlay:
             b"</svg>\n"
         )
 
+    @pytest.mark.parametrize("image, classes, bad, char", [
+        ("im\x0bg.jpg", ["dog", "cat"], "im\x0bg.jpg", "\x0b"),  # the href
+        ("a.jpg", ["a\x01b", "cat"], "a\x01b", "\x01"),  # a label
+        ("a.jpg", ["dog", "c\ufffe"], "c\ufffe", "\ufffe"),
+        ("a\x00.jpg", ["\uffff", "cat"], "a\x00.jpg", "\x00"),  # the href is checked first
+    ])
+    def test_text_no_xml_document_holds_is_refused_before_writing(self, tmp_path, image, classes, bad, char):
+        vr = VisualRelationship(AnnotatedObject(0, BoundingBox(0, 5, 0, 5)), 0,
+                                AnnotatedObject(1, BoundingBox(1, 5, 1, 5)))
+        with pytest.raises(VrannotError) as caught:
+            render_overlay(AnnotationCorpus({image: [vr]}, classes, ["near"]), image, None, tmp_path / "o.svg")
+        assert str(caught.value) == f"{bad!r} holds {char!r}, which no XML 1.0 document can hold"
+        assert os.listdir(tmp_path) == []
+
+    def test_a_class_not_drawn_is_not_checked(self, tmp_path):
+        vr = VisualRelationship(AnnotatedObject(0, BoundingBox(0, 5, 0, 5)), 0,
+                                AnnotatedObject(1, BoundingBox(1, 5, 1, 5)))
+        corpus = AnnotationCorpus({"a.jpg": [vr]}, ["dog", "cat", "bad\x02"], ["near"])
+        render_overlay(corpus, "a.jpg", None, tmp_path / "a.svg")
+        assert ElementTree.parse(tmp_path / "a.svg").getroot().tag.endswith("svg")
+
+    def test_every_text_kept_reads_back_through_an_xml_parser(self, tmp_path):
+        image = "tab\there\nnew\rline é \ufffd \U00010000 &<>\"'.jpg"
+        vr = VisualRelationship(AnnotatedObject(0, BoundingBox(0, 5, 0, 5)), 0,
+                                AnnotatedObject(1, BoundingBox(1, 5, 1, 5)))
+        classes = ["\U0010ffff \ud7ff \ue000", "a & <b>\t\x7f\x85"]
+        render_overlay(AnnotationCorpus({image: [vr]}, classes, ["near"]), image, None, tmp_path / "a.svg")
+        root = ElementTree.parse(tmp_path / "a.svg").getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        assert root.find(f"{ns}image").get("href") == image
+        assert [text.text for text in root.iter(f"{ns}text")] == classes
+
     @staticmethod
     def overlay_of(tmp_path, *boxes):
         """The SVG text of one VR per pair of boxes, each box a [ymin, ymax, xmin, xmax] list."""
@@ -707,6 +742,22 @@ class TestOverlay:
 
 class TestXmlEscaping:
     ALPHABET = "&<>\"'\n\r\t\\ aZ9;é中😀"
+
+    def test_refused_text_is_what_an_xml_parser_refuses(self):
+        """Each character outside the surrogates that `_xml_text` refuses is one that expat
+        refuses in element text, escaped; sampled at and around every range boundary."""
+        spans = [(0, 0x800), (0xD700, 0xD800), (0xE000, 0xE100), (0xFF00, 0x10100), (0x10FF00, 0x110000)]
+        for char in (chr(n) for start, end in spans for n in range(start, end)):
+            try:
+                ElementTree.fromstring(f"<a>{xml_escape(char)}</a>")
+                parsed = True
+            except ElementTree.ParseError:
+                parsed = False
+            try:
+                kept = _xml_text(char) == char
+            except VrannotError:
+                kept = False
+            assert kept == parsed, hex(ord(char))
 
     def test_matches_saxutils_randomized(self):
         rng = random.Random(47)

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from vrannot.kg import load_store, read_dump
 from vrannot.protocol import parse_script
 
 from helpers import DEMO_DIR, LISTING_DIR, load_listing_corpus, load_listing_expected, random_corpus
-from test_corpus import vr_record, write_corpus_files
+from test_corpus import repeating_corpus, vr_record, write_corpus_bytes, write_corpus_files
 from test_dump_io import IRI_REFUSED, IRI_REFUSED_IDS
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -665,6 +666,22 @@ class TestOverlay:
         assert err == ("error: 1426904233_ee344879b6_b.jpg: vr 99: selection=99 out of range "
                        "(image has 6 relationships)\n")
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("image, classes, message", [
+        ("im\x0bg.jpg", ["dog", "cat"], "'im\\x0bg.jpg' holds '\\x0b'"),  # the href
+        ("a.jpg", ["a\x01b", "cat"], "'a\\x01b' holds '\\x01'"),  # a label
+        ("a.jpg", ["dog", "c\ufffe"], "'c\\ufffe' holds '\\ufffe'"),
+    ])
+    def test_text_no_xml_document_holds_exits_3_with_nothing_written(self, capsys, tmp_path, image,
+                                                                        classes, message):
+        files = write_corpus_files(tmp_path, {image: [vr_record(0, [0, 5, 0, 5], 0, 1, [1, 5, 1, 5])]},
+                                   classes, ["near"])
+        args = [arg for pair in zip(("--annotations", "--classes", "--predicates"), map(str, files))
+                for arg in pair]
+        out_path = tmp_path / "out" / "o.svg"
+        assert run(capsys, "overlay", *args, "--image", image, "--out", str(out_path)) == (
+            3, "", f"error: {message}, which no XML 1.0 document can hold\n")
+        assert not out_path.parent.exists()
 
 
 class TestApply:
@@ -1654,6 +1671,38 @@ class TestDiff:
             "total: images_touched=0 changed=0 added=0 removed=0 "
             "images_added=0 images_removed=0\n"
         )
+
+    def test_a_sparse_edit_costs_about_one_model(self, capsys, tmp_path):
+        """B is loaded onto A's objects, so the diff's peak stays near one model of A,
+        not two (2.2 times one model when B was loaded apart)."""
+        rng = random.Random(3407)
+        before = repeating_corpus(rng, 1500)
+        after = before.copy()
+        for vrs in after.images.values():
+            if rng.random() < 0.1:
+                i = rng.randrange(len(vrs))
+                vrs[i] = vrs[i]._replace(predicate_id=(vrs[i].predicate_id + 1) % 30)
+        names = ("annotations.json", "classes.json", "predicates.json")
+        paths = [write_corpus_bytes([tmp_path / f"{side}_{name}" for name in names], corpus)
+                 for side, corpus in (("a", before), ("b", after))]
+        argv = ["diff", *map(str, paths[0] + paths[1])]
+        tracemalloc.start()
+        try:
+            model = load_corpus(*paths[0])
+            size = tracemalloc.get_traced_memory()[0]
+            del model
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        diff = diff_corpora(load_corpus(*paths[0]), load_corpus(*paths[1]))
+        assert (code, capsys.readouterr().out.splitlines()[-1]) == (0, (
+            f"total: images_touched={diff.images_touched} changed={diff.vrs_changed} added=0 removed=0 "
+            "images_added=0 images_removed=0"))
+        assert diff.images_touched > 100
+        assert peak <= 1.5 * size, (peak, size)
 
 
 class TestLineBreaksInNames:

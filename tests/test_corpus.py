@@ -2008,6 +2008,127 @@ class TestDiffDifferential:
         assert len(seen) == 28, seen  # every edit, step, key set and status was reached
 
 
+def write_corpus_bytes(paths, corpus):
+    """Write `corpus` as `save_corpus` would, without its fsyncs; returns `paths`."""
+    for path, data in zip(paths, (canonical_annotations_bytes(corpus),
+                                  canonical_master_list_bytes(corpus.object_class_names),
+                                  canonical_master_list_bytes(corpus.predicate_names))):
+        path.write_bytes(data)
+    return paths
+
+
+class TestShareWith:
+    """`load_corpus(..., share_with=a)` loads what `load_corpus` loads, or fails
+    as it fails, while it takes each participant and VR that `a`'s same image
+    holds from `a`, keeps one object per value in each image and shares no list."""
+
+    @staticmethod
+    def participants(vrs):
+        return [p for vr in vrs for p in (vr.subject, vr.object)]
+
+    def check(self, a, paths, seen, canonical=True):
+        """Compare both loads of `paths`; check the objects of a successful one."""
+        plain = load_outcome(load_corpus, paths)
+        shared = load_outcome(lambda *p: load_corpus(*p, share_with=a), paths)
+        assert shared == plain
+        if isinstance(shared, tuple):
+            seen[shared[0].__name__] += 1
+            return
+        kept = a.copy()
+        lists = {id(x) for x in (a.object_class_names, a.predicate_names, *a.images.values())}
+        assert id(shared.object_class_names) not in lists and id(shared.predicate_names) not in lists
+        for image, vrs in shared.images.items():
+            assert id(vrs) not in lists
+            parts = self.participants(vrs)
+            assert len({id(p) for p in parts}) == len(set(parts))  # one object per value
+            old = a.images.get(image, [])
+            old_vrs, old_parts = {id(vr) for vr in old}, {id(p) for p in self.participants(old)}
+            if canonical:
+                assert all(id(vr) in old_vrs for vr in vrs if vr in old)
+                assert all(id(p) in old_parts for p in parts if p in self.participants(old))
+            reused = sum(id(vr) in old_vrs for vr in vrs)
+            seen["reused VR"] += reused
+            seen["new VR"] += len(vrs) - reused
+        for vrs in shared.images.values():  # mutating the new corpus leaves `a` as it was
+            vrs.append(vrs[0] if vrs else None)
+            vrs.reverse()
+        shared.object_class_names.append("added")
+        shared.predicate_names.clear()
+        assert a == kept
+        seen["loaded"] += 1
+
+    def test_matches_a_plain_load_on_seeded_pairs(self, tmp_path):
+        rng = random.Random(3401)
+        make = _StepArgs(rng)
+        edited = TestDiffDifferential().edited
+        a_paths = [tmp_path / f"a_{name}.json" for name in ("annotations", "classes", "predicates")]
+        b_paths = [tmp_path / f"b_{name}.json" for name in ("annotations", "classes", "predicates")]
+        kinds = itertools.cycle(MUTATION_KINDS + EXACT_KEY_KINDS + RETYPE_KINDS)
+        seen = Counter()
+        for _ in range(400):
+            before = (repeating_corpus(rng, rng.randrange(1, 8)) if rng.random() < 0.5 else
+                      random_corpus(rng, max_images=8, max_vrs=6, allow_empty_images=True))
+            a = load_corpus(*write_corpus_bytes(a_paths, before))
+            pair = rng.choice(("equal", "edited", "disjoint", "mutated", "mutated"))
+            seen[pair] += 1
+            if pair == "equal":
+                after = before
+            elif pair == "disjoint":
+                after = random_corpus(rng, max_images=8, max_vrs=6)
+                after.images = {f"other {image}": vrs for image, vrs in after.images.items()}
+            else:
+                after = before
+                for _ in range(rng.randrange(1, 5)):
+                    kind = rng.choice(sorted(workflow.STEPS))
+                    args = make.for_kind(kind, after, tmp_path / "script.txt")
+                    if args is not None:
+                        after = getattr(workflow, workflow.STEPS[kind][0])(after, **args)
+                        seen[f"step {kind}"] += 1
+                after = edited(rng, after, Counter())
+            write_corpus_bytes(b_paths, after)
+            if pair == "mutated" and any(after.images.values()):
+                kind, root = mutate(raw_annotations(after), rng, len(after.object_class_names),
+                                    len(after.predicate_names), set(), (next(kinds),))
+                b_paths[0].write_text(dumps(root), encoding="utf-8")
+                seen[kind] += 1
+            self.check(a, b_paths, seen)
+        assert min(seen[kind] for kind in MUTATION_KINDS + EXACT_KEY_KINDS + RETYPE_KINDS) >= 5, seen
+        assert min(seen[f"step {kind}"] for kind in workflow.STEPS) >= 10, seen
+        assert seen["loaded"] > 250 and seen["MalformedRecordError"] > 40 and seen["IdOutOfRangeError"] > 3
+        assert seen["reused VR"] > seen["new VR"] > 0, seen
+
+    def test_a_share_with_from_run_workflow_keeps_one_object_per_value(self, tmp_path):
+        """`run_workflow`'s rewritten participants are new objects, so its result may hold
+        two objects of one value in an image; the new corpus still holds one."""
+        rng = random.Random(3403)
+        make = _StepArgs(rng)
+        paths = [tmp_path / name for name in ("annotations.json", "classes.json", "predicates.json")]
+        split = 0
+        for _ in range(80):
+            corpus = repeating_corpus(rng, 6)
+            steps, stepped = [], corpus  # each step's arguments are made for the corpus it runs on
+            for kind in ("merge_class", "change_class_for_image_set", "change_vr_type_global", "dedup_vrs"):
+                steps.append(workflow.Step(kind, make.for_kind(kind, stepped, None)))
+                stepped = getattr(workflow, workflow.STEPS[kind][0])(stepped, **steps[-1].args)
+            a, _ = workflow.run_workflow(workflow.WorkflowConfig(steps), corpus)
+            split += sum(len({id(p) for p in self.participants(vrs)}) > len(set(self.participants(vrs)))
+                         for vrs in a.images.values())
+            for b in (a, edited_copy(rng, a), corpus):
+                self.check(a, write_corpus_bytes(paths, b), Counter(), canonical=False)
+        assert split > 30  # images of `a` with two objects of one value
+
+
+def edited_copy(rng, corpus):
+    """`corpus` with, in about half of its images, one VR replaced by one of the image's VRs
+    with the next predicate: a new VR whose participants the image already holds."""
+    after = corpus.copy()
+    for vrs in after.images.values():
+        if vrs and rng.random() < 0.5:
+            vr = rng.choice(vrs)
+            vrs[rng.randrange(len(vrs))] = vr._replace(predicate_id=(vr.predicate_id + 1) % 30)
+    return after
+
+
 class TestResultTuples:
     """The result types keep the repr text, equality and immutability they
     had as frozen dataclasses."""
