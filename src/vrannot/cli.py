@@ -5,7 +5,9 @@ findings under --strict, 2 usage error, 3 data error (malformed input,
 failed validation, aborted apply, or input too large for the memory
 available), 4 I/O error.  All output is a pure function of the inputs;
 nothing timestamped, nothing host-dependent: stdout and stderr are written
-as UTF-8 whatever the locale.
+as UTF-8 whatever the locale.  The exception is a JSON syntax error, worded
+and placed by the interpreter's `json` module (3.13 words a trailing comma
+differently from 3.10-3.12).
 
 A handler imports the modules it runs (analyze, kg, protocol, workflow) when
 it is called, so a command loads only what it uses.

@@ -115,14 +115,8 @@ class AnnotationCorpus(SimpleNamespace):
         return sum(len(vrs) for vrs in self.images.values())
 
     def copy(self) -> AnnotationCorpus:
-        """Independent corpus sharing only the immutable relationship values."""
-        return AnnotationCorpus(
-            images={name: list(vrs) for name, vrs in self.images.items()},
-            object_class_names=list(self.object_class_names),
-            predicate_names=list(self.predicate_names),
-            retired_class_ids=set(self.retired_class_ids),
-            retired_predicate_ids=set(self.retired_predicate_ids),
-        )
+        """Independent corpus: new lists and sets, sharing only the immutable VR values."""
+        return _rewritten(self, list)
 
     def class_name(self, class_id: int) -> str:
         return self.object_class_names[class_id]
@@ -174,6 +168,15 @@ class AnnotationCorpus(SimpleNamespace):
             _image_vrs(image, records, len(classes), len(predicates), "images")
 
 
+def _rewritten(corpus: AnnotationCorpus, rewrite, images=None) -> AnnotationCorpus:
+    """An independent corpus whose VR list of each chosen image (None: every image) is
+    `rewrite` of `corpus`'s, a new list; every other list and set is a copy."""
+    chosen = corpus.images if images is None else set(images)
+    lists = {name: rewrite(vrs) if name in chosen else list(vrs) for name, vrs in corpus.images.items()}
+    return AnnotationCorpus(lists, list(corpus.object_class_names), list(corpus.predicate_names),
+                            set(corpus.retired_class_ids), set(corpus.retired_predicate_ids))
+
+
 def _record(image: str, index: int, vr) -> dict:
     """The record that a save writes for the VR at `image[index]`."""
     try:
@@ -183,16 +186,6 @@ def _record(image: str, index: int, vr) -> dict:
     except (TypeError, ValueError):
         raise MalformedRecordError(f"{image}[{index}]", "expected a VR: (class, box), predicate, "
                                    "(class, box)") from None
-
-
-def _check_ids(image, index, subject, predicate, obj, n_classes, n_predicates) -> None:
-    """Raise IdOutOfRangeError for the first id of a VR outside its master list."""
-    if not 0 <= subject.class_id < n_classes:
-        raise IdOutOfRangeError(image, index, "subject.category", subject.class_id, n_classes)
-    if not 0 <= obj.class_id < n_classes:
-        raise IdOutOfRangeError(image, index, "object.category", obj.class_id, n_classes)
-    if not 0 <= predicate < n_predicates:
-        raise IdOutOfRangeError(image, index, "predicate", predicate, n_predicates)
 
 
 def _live_id(names: list[str], retired: set[int], name: str, what: str) -> int:
@@ -417,7 +410,12 @@ def _image_vrs(image: str, records, n_classes: int, n_predicates: int, path, see
             raise MalformedRecordError(f"{image}[{index}]", "predicate must be an integer")
         subject = _parse_annotated_object(subject, shared, image, index, "subject")
         obj = _parse_annotated_object(obj, shared, image, index, "object")
-        _check_ids(image, index, subject, predicate, obj, n_classes, n_predicates)
+        if not 0 <= subject.class_id < n_classes:  # the first id outside its master list
+            raise IdOutOfRangeError(image, index, "subject.category", subject.class_id, n_classes)
+        if not 0 <= obj.class_id < n_classes:
+            raise IdOutOfRangeError(image, index, "object.category", obj.class_id, n_classes)
+        if not 0 <= predicate < n_predicates:
+            raise IdOutOfRangeError(image, index, "predicate", predicate, n_predicates)
         vrs.append(_new(VisualRelationship, (subject, predicate, obj)))
     return list(map(known.get, vrs, vrs)) if seed else vrs
 
@@ -598,7 +596,9 @@ def replace_files(targets) -> None:
     """Write each (path, chunks) pair, `chunks` an iterable of `bytes` joined
     on disk, through a temp file next to its path, making its missing parent
     directories, which stay if a later step fails.  A path that `check_output`
-    refuses is refused before its temp file is made.  The chunks may be made
+    refuses, or whose real path an earlier pair's has, is refused as OSError
+    before its temp file is made, so before any target is replaced: two temp
+    files renamed onto one file would leave the last.  The chunks may be made
     lazily while they are written, as a `kg` `Dump` makes its lines, and may
     raise partway; the temp file is then removed and the error propagates.
 
@@ -613,6 +613,8 @@ def replace_files(targets) -> None:
     try:
         for path, chunks in targets:
             target = check_output(path)
+            if any(target == other for _, other in staged):
+                raise OSError(errno.EINVAL, "Same file as an earlier output", os.fspath(path))
             directory, name = os.path.split(target)
             temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
             try:
@@ -651,7 +653,8 @@ def save_corpus(
     in the lists (ids must not shift); retirement itself is not persisted.
     The annotations are encoded entry by entry while they are written, so an
     entry may raise partway, as a filename with no UTF-8 form does; then no
-    file is replaced and no temp file is left (see replace_files).
+    file is replaced and no temp file is left (see replace_files), as when
+    two paths name one file (`p` and `d/../p`, or a symlink to `p`): OSError.
     """
     targets = [(annotations_path, _annotations_chunks(corpus))]
     if classes_path is not None:

@@ -35,6 +35,7 @@ from .corpus import (
     CorpusDiff,
     VisualRelationship,
     _load_json,
+    _rewritten,
     check_output,
     diff_corpora,
     load_corpus,
@@ -96,15 +97,6 @@ def apply_protocol_file(corpus: AnnotationCorpus, path) -> AnnotationCorpus:
     return new
 
 
-def _rewrite_vrs(corpus: AnnotationCorpus, rewrite, images=None) -> AnnotationCorpus:
-    """Copy the corpus and replace the VR list of each given image (None: all
-    images) with `rewrite` of it, a new list that keeps each unchanged VR."""
-    work = corpus.copy()
-    for image in work.images if images is None else images:
-        work.images[image] = rewrite(work.images[image])
-    return work
-
-
 def _rewrite_class(vrs: list[VisualRelationship], from_id: int, to_id: int) -> list[VisualRelationship]:
     """`vrs` with each object of class `from_id` relabeled `to_id`."""
     def relabel(obj: AnnotatedObject) -> AnnotatedObject:
@@ -129,7 +121,7 @@ def change_class_for_image_set(
     for image in image_filenames:
         if image not in corpus.images:
             raise ImageNotFoundError(image)
-    return _rewrite_vrs(corpus, lambda vrs: _rewrite_class(vrs, from_id, to_id), image_filenames)
+    return _rewritten(corpus, lambda vrs: _rewrite_class(vrs, from_id, to_id), image_filenames)
 
 
 def merge_object_class(
@@ -141,7 +133,7 @@ def merge_object_class(
         raise SelfMergeError(from_name)
     from_id = corpus.class_id(from_name)
     to_id = corpus.class_id(to_name)
-    work = _rewrite_vrs(corpus, lambda vrs: _rewrite_class(vrs, from_id, to_id))
+    work = _rewritten(corpus, lambda vrs: _rewrite_class(vrs, from_id, to_id))
     work.retired_class_ids.add(from_id)
     return work
 
@@ -153,7 +145,7 @@ def merge_predicate(
         raise SelfMergeError(from_name)
     from_id = corpus.predicate_id(from_name)
     to_id = corpus.predicate_id(to_name)
-    work = _rewrite_vrs(corpus, lambda vrs: [
+    work = _rewritten(corpus, lambda vrs: [
         vr._replace(predicate_id=to_id) if vr.predicate_id == from_id else vr for vr in vrs])
     work.retired_predicate_ids.add(from_id)
     return work
@@ -168,7 +160,7 @@ def remove_vr_types_global(
 ) -> AnnotationCorpus:
     """Delete every VR whose name triple matches any of the given types."""
     doomed = {corpus.vr_type_ids(names) for names in types}
-    return _rewrite_vrs(corpus, lambda vrs: [vr for vr in vrs if _type_ids(vr) not in doomed])
+    return _rewritten(corpus, lambda vrs: [vr for vr in vrs if _type_ids(vr) not in doomed])
 
 
 def remove_empty_images(corpus: AnnotationCorpus) -> AnnotationCorpus:
@@ -193,7 +185,7 @@ def change_vr_type_global(
         raise UnsupportedRewriteError(
             f"rewriting {from_type} to {to_type} would swap subject and object roles"
         )
-    return _rewrite_vrs(corpus, lambda vrs: [
+    return _rewritten(corpus, lambda vrs: [
         VisualRelationship(AnnotatedObject(subject, vr.subject.bbox), predicate,
                            AnnotatedObject(obj, vr.object.bbox))
         if _type_ids(vr) == from_ids else vr for vr in vrs])
@@ -201,7 +193,7 @@ def change_vr_type_global(
 
 def dedup_vrs(corpus: AnnotationCorpus) -> AnnotationCorpus:
     """Drop exact-duplicate VRs per image, keeping the first occurrence."""
-    return _rewrite_vrs(corpus, lambda vrs: list(dict.fromkeys(vrs)))
+    return _rewritten(corpus, lambda vrs: list(dict.fromkeys(vrs)))
 
 
 # --------------------------------------------------------------------------

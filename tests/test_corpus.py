@@ -59,7 +59,7 @@ from helpers import (
     reference_diff_corpora,
     text_lines,
 )
-from test_workflow import _StepArgs
+from test_workflow import _StepArgs, _containers
 
 
 def write_corpus_files(tmp_path, annotations, classes, predicates):
@@ -539,11 +539,11 @@ class TestLineReader:
         """JSON inputs read as in text mode: `\\r\\n` and `\\r` count as one
         character each in the decoder's error position."""
         path = tmp_path / "classes.json"
-        path.write_bytes(b'[\r\n  "a",\r\n]\r\n')
+        path.write_bytes(b'[\r\n  "a",\r\n  x]\r\n')  # a bare x: 3.13 words a trailing comma apart
         with pytest.raises(MalformedRecordError) as err:
             load_master_list(path)
-        assert str(err.value) == f"{path}: Expecting value: line 3 column 1 (char 9)"
-        path.write_bytes(b'[\r"a",\r]')
+        assert str(err.value) == f"{path}: Expecting value: line 3 column 3 (char 11)"
+        path.write_bytes(b'[\r"a",\rx]')
         with pytest.raises(MalformedRecordError) as err:
             load_master_list(path)
         assert str(err.value) == f"{path}: Expecting value: line 3 column 1 (char 7)"
@@ -1293,6 +1293,22 @@ class TestAllOrNothingSave:
         assert tree(tmp_path) == before
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.readlink(out / "link") == "fifo"
 
+    @pytest.mark.parametrize("spelling", ["repeated", "dotdot", "symlink"])
+    def test_two_paths_of_one_file_are_refused(self, tmp_path, spelling):
+        """Two temp files renamed onto one file would leave the last: the later
+        path is refused before any target is replaced, and no temp file is left."""
+        out, paths = self.outputs(tmp_path)
+        (out / "sub").mkdir()
+        (out / "link.json").symlink_to("annotations.json")
+        later = {"repeated": paths[0], "dotdot": out / "sub" / ".." / "annotations.json",
+                 "symlink": out / "link.json"}[spelling]
+        before = tree(tmp_path)
+        with pytest.raises(OSError) as err:
+            save_corpus(load_listing_corpus(), paths[0], later, paths[2])
+        assert (err.value.errno, err.value.filename) == (errno.EINVAL, str(later))
+        assert err.value.strerror == "Same file as an earlier output"
+        assert tree(tmp_path) == before
+
     def test_a_symlink_loop_is_refused(self, tmp_path):
         loop = tmp_path / "loop.json"
         loop.symlink_to(loop.name)
@@ -1905,6 +1921,29 @@ class TestDiff:
         clone.object_class_names.append("extra")
         assert len(corpus.images[image]) + 1 == len(clone.images[image])
         assert "extra" not in corpus.object_class_names
+
+    def test_rewritten_builds_each_list_once(self):
+        """The one builder of a derived corpus: each chosen image, named once or
+        twice, is rewritten once; every other container is a new copy."""
+        corpus = load_listing_corpus()
+        corpus.retired_class_ids.add(0)
+        chosen = sorted(corpus.images)[:2]
+        seen = []
+
+        def rewrite(vrs):
+            seen.append(vrs)
+            return vrs[::-1]
+
+        new = vrannot.corpus._rewritten(corpus, rewrite, [chosen[1], *chosen, chosen[0]])
+        assert [id(vrs) for vrs in seen] == [id(corpus.images[image]) for image in corpus.images
+                                             if image in chosen]
+        assert list(new.images) == list(corpus.images)
+        assert {image: vrs[::-1] if image in chosen else vrs
+                for image, vrs in new.images.items()} == corpus.images
+        assert (new.object_class_names, new.predicate_names, new.retired_class_ids) == (
+            corpus.object_class_names, corpus.predicate_names, {0})
+        assert not _containers(corpus) & _containers(new)
+        assert corpus.copy() == vrannot.corpus._rewritten(corpus, list) == corpus
 
 
 class TestDiffDifferential:

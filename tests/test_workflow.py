@@ -883,8 +883,11 @@ class _StepArgs:
             return {"path": str(script_path)}
         if kind == "change_class_for_image_set":
             images = sorted(corpus.images)
+            chosen = rng.sample(images, rng.randrange(0, len(images) + 1))
+            if chosen and rng.random() < 0.3:  # an image listed twice is rewritten once
+                chosen.insert(rng.randrange(len(chosen) + 1), rng.choice(chosen))
             return {
-                "image_filenames": rng.sample(images, rng.randrange(0, len(images) + 1)),
+                "image_filenames": chosen,
                 "from_name": rng.choice(self.classes(corpus)),
                 "to_name": rng.choice(self.classes(corpus)),
             }
